@@ -41,9 +41,14 @@ Determinism: the kernel runs over the *whole* population before any
 shard executes, so its verdicts — per-session backoff counts, added
 delay, noise penalties, aborts — are a pure function of the config,
 independent of worker count, shard size, and staging level.  The
-scheduler computes the plan once and hands each shard its slice;
-direct :func:`~repro.fleet.executor.run_shard` callers get an
-identical plan rebuilt in-shard.  At ``scene_density == 0`` the plan
+scheduler synthesizes every shard's population once, feeds the
+flattened specs to :func:`build_contention_plan`, and hands each shard
+its slice together with its already-synthesized users.  A direct
+:func:`~repro.fleet.executor.run_shard` caller gets the identical plan
+from a per-process memo, built once from the config.  The
+whole-population pass cannot be narrowed to one scene: any user in
+any shard may visit any scene, and which scenes a user visits is only
+known from that user's schedule.  At ``scene_density == 0`` the plan
 is empty and the fleet reduces bit-for-bit to the independent path.
 """
 
@@ -51,8 +56,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,6 +156,14 @@ class ContentionPlan:
     """
 
     annotations: Dict[Tuple[int, int], SceneAnnotation]
+    #: The annotation keys in ``(user, session)`` order, so a shard's
+    #: slice is two bisections rather than a scan of the whole plan.
+    _keys: List[Tuple[int, int]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_keys", sorted(self.annotations))
 
     def get(self, user_id: int, session_index: int) -> Optional[SceneAnnotation]:
         return self.annotations.get((user_id, session_index))
@@ -158,11 +172,10 @@ class ContentionPlan:
         self, user_lo: int, user_hi: int
     ) -> Dict[Tuple[int, int], SceneAnnotation]:
         """The slice one shard needs (small enough to pickle to a worker)."""
-        return {
-            key: ann
-            for key, ann in self.annotations.items()
-            if user_lo <= key[0] < user_hi
-        }
+        keys = self._keys
+        lo = bisect_left(keys, (user_lo,))
+        hi = bisect_left(keys, (user_hi,))
+        return {key: self.annotations[key] for key in keys[lo:hi]}
 
 
 def scene_slots(config: FleetConfig, environment: str) -> int:
@@ -200,8 +213,16 @@ def _all_specs(config: FleetConfig) -> Iterator[SessionSpec]:
         yield from user_sessions(config, user)
 
 
-def build_contention_plan(config: FleetConfig) -> ContentionPlan:
+def build_contention_plan(
+    config: FleetConfig, specs: Optional[Iterable[SessionSpec]] = None
+) -> ContentionPlan:
     """Run the CSMA kernel over the whole population's schedule.
+
+    ``specs`` is every session of the population, in any order; a
+    caller that has already synthesized the population passes it here
+    so the kernel does not walk :func:`~repro.fleet.population.
+    build_population` a second time.  When omitted, the schedule is
+    synthesized from the config.
 
     The event loop pops ``(time, user, session, attempt)`` tuples from
     a heap — the tuple itself is the tie-break, so simultaneous
@@ -218,16 +239,16 @@ def build_contention_plan(config: FleetConfig) -> ContentionPlan:
     if config.scene_density <= 0.0:
         return ContentionPlan(annotations=plan)
 
-    specs: Dict[Tuple[int, int], SessionSpec] = {}
+    public: Dict[Tuple[int, int], SessionSpec] = {}
     scene_key: Dict[Tuple[int, int], Tuple[str, int]] = {}
     scene_users: Dict[Tuple[str, int], set] = {}
     heap: List[Tuple[float, int, int, int]] = []
-    for spec in _all_specs(config):
+    for spec in _all_specs(config) if specs is None else specs:
         slot = scene_of(config, spec.environment, spec.user_id)
         if slot is None:
             continue
         key = (spec.user_id, spec.session_index)
-        specs[key] = spec
+        public[key] = spec
         scene = (spec.environment, slot)
         scene_key[key] = scene
         scene_users.setdefault(scene, set()).add(spec.user_id)
@@ -239,7 +260,7 @@ def build_contention_plan(config: FleetConfig) -> ContentionPlan:
         key: {"t0": spec.hour * 3600.0, "backoffs": 0,
               "delay": 0.0, "penalty": 0.0, "aborted": False,
               "rng": None}
-        for key, spec in specs.items()
+        for key, spec in public.items()
     }
     busy_until: Dict[Tuple[str, int], float] = {}
     holder: Dict[Tuple[str, int], Tuple[int, int]] = {}

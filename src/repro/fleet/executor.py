@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,11 +112,18 @@ from ..verifiers import (
     vibration_similarity,
 )
 from .aggregate import SessionRecord
-from .events import SceneAnnotation, build_contention_plan
-from .population import FleetConfig, SessionSpec, synthesize_user, user_sessions
+from .events import ContentionPlan, SceneAnnotation, build_contention_plan
+from .population import (
+    FleetConfig,
+    SessionSpec,
+    UserProfile,
+    synthesize_user,
+    user_sessions,
+)
 
 __all__ = [
     "run_shard",
+    "shard_population",
     "precompute_prefilter",
     "precompute_probe",
     "precompute_otp",
@@ -961,7 +969,7 @@ def _run_shard_otp(
     config: FleetConfig,
     system: SystemConfig,
     retry: Optional[RetryPolicy],
-    shard: Sequence[Tuple[object, List[SessionSpec], int]],
+    shard: Sequence[Tuple[UserProfile, List[SessionSpec], int]],
     staged_flat: List[Optional[PrecomputedPrefilter]],
     anns_flat: Sequence[Optional[SceneAnnotation]],
 ) -> List[SessionRecord]:
@@ -1053,6 +1061,35 @@ def _run_shard_otp(
     return records
 
 
+#: One shard's synthesized users: ``(profile, specs)`` for every user in
+#: the range with at least one session, in user-id order.
+ShardPopulation = List[Tuple[UserProfile, List[SessionSpec]]]
+
+
+def shard_population(
+    config: FleetConfig, user_lo: int, user_hi: int
+) -> ShardPopulation:
+    """Synthesize users ``[user_lo, user_hi)`` and their schedules."""
+    population: ShardPopulation = []
+    for user_id in range(user_lo, user_hi):
+        user = synthesize_user(config, user_id)
+        specs = user_sessions(config, user)
+        if specs:
+            population.append((user, specs))
+    return population
+
+
+@lru_cache(maxsize=1)
+def _contention_plan(config: FleetConfig) -> ContentionPlan:
+    """The whole-fleet plan, built once per process per config.
+
+    Serves direct :func:`run_shard` callers that pass no ``contention``
+    slice: N such calls over one config cost one population pass, not
+    N.  One entry bounds the memory a finished run leaves behind.
+    """
+    return build_contention_plan(config)
+
+
 def run_shard(
     config: FleetConfig,
     user_lo: int,
@@ -1060,12 +1097,16 @@ def run_shard(
     batched: bool = True,
     staging: Optional[str] = None,
     contention: Optional[Dict[Tuple[int, int], SceneAnnotation]] = None,
+    population: Optional[ShardPopulation] = None,
 ) -> List[SessionRecord]:
     """Simulate users ``[user_lo, user_hi)`` and return their records.
 
-    Specs are synthesized in-worker (population synthesis is cheap and
-    order-free), so only the :class:`~repro.fleet.population.
-    FleetConfig` and the range cross the process boundary.
+    ``population`` is the shard's :func:`shard_population`.  The
+    scheduler passes it on contended runs, where it has already
+    synthesized every user to build the contention plan; otherwise it
+    is synthesized in-worker (population synthesis is order-free), so
+    only the :class:`~repro.fleet.population.FleetConfig` and the range
+    cross the process boundary.
 
     ``staging`` selects the Phase-A fast path (:data:`STAGING_LEVELS`):
     ``"none"`` runs every stage live (the benchmark's serial baseline),
@@ -1081,9 +1122,10 @@ def run_shard(
     ``contention`` is this shard's slice of the discrete-event kernel's
     plan (:func:`~repro.fleet.events.build_contention_plan`).  The
     scheduler computes the plan once and passes slices; a direct caller
-    may omit it — the shard rebuilds the identical plan from the config
-    when ``scene_density > 0`` (a pure function, so the records cannot
-    depend on who computed it).
+    may omit it — when ``scene_density > 0`` the shard slices the
+    identical plan from :func:`_contention_plan`, built once per
+    process (a pure function, so the records cannot depend on who
+    computed it).
     """
     if staging is None:
         staging = "probe" if batched else "none"
@@ -1092,19 +1134,15 @@ def run_shard(
     retry = RetryPolicy() if config.retry else None
     faults = config.faults or None
     if contention is None and config.scene_density > 0.0:
-        contention = build_contention_plan(config).for_user_range(
-            user_lo, user_hi
-        )
+        contention = _contention_plan(config).for_user_range(user_lo, user_hi)
+    if population is None:
+        population = shard_population(config, user_lo, user_hi)
 
-    # Synthesize the whole shard's specs up front so Phase A batches
-    # across *users*, not just within one user's sessions.
-    shard: List[Tuple[object, List[SessionSpec], int]] = []
+    # The whole shard's specs, flattened, so Phase A batches across
+    # *users*, not just within one user's sessions.
+    shard: List[Tuple[UserProfile, List[SessionSpec], int]] = []
     flat: List[SessionSpec] = []
-    for user_id in range(user_lo, user_hi):
-        user = synthesize_user(config, user_id)
-        specs = user_sessions(config, user)
-        if not specs:
-            continue
+    for user, specs in population:
         shard.append((user, specs, len(flat)))
         flat.extend(specs)
     anns_flat: List[Optional[SceneAnnotation]] = [

@@ -23,7 +23,9 @@ pressure the motion pre-filter exists to reject.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -68,6 +70,36 @@ ARCHETYPES: Tuple[Tuple[str, float, Dict[str, float], Tuple[float, float, float]
 )
 
 _ACTIVITIES = (ActivityKind.SITTING, ActivityKind.WALKING, ActivityKind.JOGGING)
+
+
+@lru_cache(maxsize=64)
+def _categorical_cdf(weights: Tuple[float, ...]) -> Tuple[float, ...]:
+    """The cdf ``Generator.choice(n, p=w / w.sum())`` searches, as floats.
+
+    numpy builds it as ``cdf = p.cumsum(); cdf /= cdf[-1]``; computing
+    it the same way (once per weight tuple) makes :func:`_categorical_pick`
+    return exactly what ``choice`` would.
+    """
+    w = np.array(weights, dtype=float)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
+def _categorical_pick(cdf: Tuple[float, ...], rng: np.random.Generator) -> int:
+    """Draw-identical stand-in for ``rng.choice(len(cdf), p=...)``.
+
+    ``choice`` consumes one ``random()`` draw and returns
+    ``cdf.searchsorted(u, side="right")``; ``bisect_right`` on the same
+    float cdf is that search, without the per-call array set-up.
+    """
+    return bisect_right(cdf, rng.random())
+
+
+#: Per-archetype constants of :func:`synthesize_user`, computed once.
+_ARCHETYPE_CDF = _categorical_cdf(tuple(w for _, w, _, _ in ARCHETYPES))
+_SORTED_DAY_MIX = tuple(tuple(sorted(mix.items())) for _, _, mix, _ in ARCHETYPES)
+_MEAN_DIURNAL_WEIGHT = sum(DIURNAL_WEIGHTS) / len(DIURNAL_WEIGHTS)
 
 #: Valid values of :attr:`FleetConfig.fusion_mix`.
 FUSION_MIXES = ("legacy", "score", "archetype")
@@ -226,9 +258,8 @@ def _user_rng(config: FleetConfig, user_id: int) -> np.random.Generator:
 def synthesize_user(config: FleetConfig, user_id: int) -> UserProfile:
     """Materialize user ``user_id`` of the population (order-free)."""
     rng = _user_rng(config, user_id)
-    weights = np.array([w for _, w, _, _ in ARCHETYPES])
-    idx = int(rng.choice(len(ARCHETYPES), p=weights / weights.sum()))
-    name, _, day_mix, activity_mix = ARCHETYPES[idx]
+    idx = _categorical_pick(_ARCHETYPE_CDF, rng)
+    name, _, _, activity_mix = ARCHETYPES[idx]
     phone = (
         "Galaxy Nexus"
         if rng.random() < config.low_end_phone_rate
@@ -250,7 +281,7 @@ def synthesize_user(config: FleetConfig, user_id: int) -> UserProfile:
         watch="Moto 360",
         band=band,
         wireless="ble",
-        day_mix=tuple(sorted(day_mix.items())),
+        day_mix=_SORTED_DAY_MIX[idx],
         activity_mix=activity_mix,
         sessions_per_day=personal_rate,
         verifiers=verifiers,
@@ -263,9 +294,8 @@ def _environment_for(
 ) -> str:
     if hour_of_day < 8 or hour_of_day >= 19:
         return "quiet_room"
-    names = [n for n, _ in user.day_mix]
-    weights = np.array([w for _, w in user.day_mix])
-    return str(names[int(rng.choice(len(names), p=weights / weights.sum()))])
+    cdf = _categorical_cdf(tuple(w for _, w in user.day_mix))
+    return user.day_mix[_categorical_pick(cdf, rng)][0]
 
 
 def user_sessions(config: FleetConfig, user: UserProfile) -> List[SessionSpec]:
@@ -281,20 +311,18 @@ def user_sessions(config: FleetConfig, user: UserProfile) -> List[SessionSpec]:
     rng = np.random.default_rng(
         cell_seed(config.seed, "schedule", user.user_id)
     )
-    mean_weight = sum(DIURNAL_WEIGHTS) / len(DIURNAL_WEIGHTS)
     per_hour = user.sessions_per_day / 24.0
     specs: List[SessionSpec] = []
     n_hours = math.ceil(config.hours)
-    activity_w = np.array(user.activity_mix)
-    activity_p = activity_w / activity_w.sum()
+    activity_cdf = _categorical_cdf(user.activity_mix)
     for h in range(n_hours):
         frac = min(1.0, config.hours - h)
-        rate = per_hour * (DIURNAL_WEIGHTS[h % 24] / mean_weight) * frac
+        rate = per_hour * (DIURNAL_WEIGHTS[h % 24] / _MEAN_DIURNAL_WEIGHT) * frac
         count = int(rng.poisson(rate))
         for _ in range(count):
             idx = len(specs)
             offset = float(rng.random())
-            activity = _ACTIVITIES[int(rng.choice(3, p=activity_p))]
+            activity = _ACTIVITIES[_categorical_pick(activity_cdf, rng)]
             specs.append(
                 SessionSpec(
                     user_id=user.user_id,

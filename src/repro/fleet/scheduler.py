@@ -26,7 +26,12 @@ from ..core.trace import NullTracer, Tracer
 from ..errors import ConfigurationError
 from .aggregate import FleetAggregate
 from .events import build_contention_plan
-from .executor import STAGING_LEVELS, run_shard
+from .executor import (
+    STAGING_LEVELS,
+    ShardPopulation,
+    run_shard,
+    shard_population,
+)
 from .population import FleetConfig
 
 __all__ = ["FleetResult", "FleetScheduler"]
@@ -129,30 +134,47 @@ class FleetScheduler:
             # The contention kernel is global by nature (scenes span
             # shards), so its plan is computed once here and sliced per
             # shard — each worker receives only its users' annotations.
+            # The kernel needs every user's schedule, so each shard's
+            # population is synthesized once, here, feeds the plan, and
+            # is handed to its shard instead of being synthesized again.
             # The plan is a pure function of the config, which is what
             # keeps the aggregate byte-identical for any worker count.
-            plan = (
-                build_contention_plan(self.config)
-                if self.config.scene_density > 0.0
-                else None
-            )
+            populations: List[Optional[ShardPopulation]] = [None] * len(bounds)
+            plan = None
+            if self.config.scene_density > 0.0:
+                populations = [
+                    shard_population(self.config, lo, hi) for lo, hi in bounds
+                ]
+                plan = build_contention_plan(
+                    self.config,
+                    (
+                        spec
+                        for population in populations
+                        for _, specs in population
+                        for spec in specs
+                    ),
+                )
 
-            def _slice(lo: int, hi: int):
-                return plan.for_user_range(lo, hi) if plan else None
+            def _shard_args(i: int):
+                lo, hi = bounds[i]
+                # Hand the shard its population and drop ours, so each
+                # shard's users are freed as soon as it is consumed.
+                population, populations[i] = populations[i], None
+                return (
+                    self.config,
+                    lo,
+                    hi,
+                    self.batched,
+                    self.staging,
+                    plan.for_user_range(lo, hi) if plan else None,
+                    population,
+                )
 
             if self.workers > 1:
                 with ProcessPoolExecutor(max_workers=self.workers) as pool:
                     futures = [
-                        pool.submit(
-                            run_shard,
-                            self.config,
-                            lo,
-                            hi,
-                            self.batched,
-                            self.staging,
-                            _slice(lo, hi),
-                        )
-                        for lo, hi in bounds
+                        pool.submit(run_shard, *_shard_args(i))
+                        for i in range(len(bounds))
                     ]
                     # Fold in shard-index order: future[i] may finish
                     # after future[j>i], but we consume in order so the
@@ -162,17 +184,8 @@ class FleetScheduler:
                     for future in futures:
                         agg.merge_records(future.result())
             else:
-                for lo, hi in bounds:
-                    agg.merge_records(
-                        run_shard(
-                            self.config,
-                            lo,
-                            hi,
-                            self.batched,
-                            self.staging,
-                            _slice(lo, hi),
-                        )
-                    )
+                for i in range(len(bounds)):
+                    agg.merge_records(run_shard(*_shard_args(i)))
             self.tracer.counter("users", float(self.config.n_users))
             self.tracer.counter("shards", float(len(bounds)))
             self.tracer.counter("sessions", float(agg.sessions))

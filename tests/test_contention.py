@@ -220,6 +220,93 @@ class TestContendedFleetRun:
         assert "backoffs/session" in text
 
 
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Count population synthesis calls at every lookup site.
+
+    The executor's globals serve the shards and the scheduler's one
+    pass; ``population.synthesize_user`` and ``events.user_sessions``
+    serve the contention kernel's own walk over ``build_population``.
+    The direct-caller plan memo starts empty.
+    """
+    from repro.fleet import events, executor, population
+
+    counts = {"synthesize_user": 0, "user_sessions": 0, "plans": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    synth = counted("synthesize_user", population.synthesize_user)
+    sessions = counted("user_sessions", population.user_sessions)
+    monkeypatch.setattr(executor, "synthesize_user", synth)
+    monkeypatch.setattr(population, "synthesize_user", synth)
+    monkeypatch.setattr(executor, "user_sessions", sessions)
+    monkeypatch.setattr(events, "user_sessions", sessions)
+    monkeypatch.setattr(
+        executor,
+        "build_contention_plan",
+        counted("plans", executor.build_contention_plan),
+    )
+    executor._contention_plan.cache_clear()
+    yield counts
+    executor._contention_plan.cache_clear()
+
+
+class TestOnePopulationPass:
+    SHARD = 5
+
+    def _bounds(self, config):
+        return [
+            (lo, min(lo + self.SHARD, config.n_users))
+            for lo in range(0, config.n_users, self.SHARD)
+        ]
+
+    def test_scheduler_synthesizes_each_user_once(self, pass_counts):
+        """A contended run feeds the plan and the shards from a single
+        population pass, and matches direct run_shard calls."""
+        result = FleetScheduler(
+            CONTENDED, workers=1, shard_users=self.SHARD, staging="otp"
+        ).run()
+        assert pass_counts["synthesize_user"] == CONTENDED.n_users
+        assert pass_counts["user_sessions"] == CONTENDED.n_users
+        assert result.aggregate.to_dict(hours=CONTENDED.hours)["backoffs"] > 0
+
+        agg = FleetAggregate()
+        for lo, hi in self._bounds(CONTENDED):
+            agg.merge_records(run_shard(CONTENDED, lo, hi, staging="otp"))
+        assert json.dumps(
+            agg.to_dict(hours=CONTENDED.hours), sort_keys=True, indent=2
+        ) == _doc(result)
+
+    def test_direct_shard_calls_build_the_plan_once(self, pass_counts):
+        """N direct shard calls over a contended config pay for one
+        whole-population plan pass, not N."""
+        bounds = self._bounds(CONTENDED)
+        assert len(bounds) > 1
+        for lo, hi in bounds:
+            run_shard(CONTENDED, lo, hi, staging="dtw")
+        assert pass_counts["plans"] == 1
+        # One pass for the plan plus each shard's own synthesis.
+        assert pass_counts["user_sessions"] == 2 * CONTENDED.n_users
+
+    def test_given_population_is_not_resynthesized(self, pass_counts):
+        from repro.fleet.executor import shard_population
+
+        population = shard_population(CONTENDED, 0, 8)
+        contention = build_contention_plan(CONTENDED).for_user_range(0, 8)
+        before = dict(pass_counts)
+        given = run_shard(
+            CONTENDED, 0, 8, staging="dtw",
+            contention=contention, population=population,
+        )
+        assert pass_counts == before
+        assert given == run_shard(CONTENDED, 0, 8, staging="dtw")
+
+
 class TestHistogramFromDictValidation:
     def _doc(self):
         h = Histogram(0.0, 1.0, 10)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from repro.tools.gendocs import (
@@ -86,3 +87,22 @@ class TestApiCoverageLint:
         assert main(["--lint", "--out", str(partial)]) == 1
         assert main(["--out", str(partial)]) == 0
         assert main(["--lint", "--out", str(partial)]) == 0
+
+
+class TestProseMatchesArtifacts:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_congestion_report_flags_quoted_correctly(self):
+        """Every ``--flag value`` quoted in a paragraph that names
+        docs/CONGESTION_REPORT.md must match the command it ran."""
+        report = (self.ROOT / "docs" / "CONGESTION_REPORT.md").read_text()
+        command = re.search(r"python -m repro fleet run [^\n]*", report).group(0)
+        ran = dict(re.findall(r"--([a-z-]+) ([0-9.]+)", command))
+        quoted = []
+        for doc in ("DESIGN.md", "EXPERIMENTS.md"):
+            for paragraph in (self.ROOT / doc).read_text().split("\n\n"):
+                if "CONGESTION_REPORT.md" in paragraph:
+                    quoted += re.findall(r"--([a-z-]+)\s+([0-9.]+)", paragraph)
+        assert quoted, "no flags quoted next to the report"
+        for flag, value in quoted:
+            assert flag in ran and float(value) == float(ran[flag]), (flag, value)

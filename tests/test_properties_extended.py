@@ -1,4 +1,5 @@
-"""Additional property-based tests: plans, HOTP windows, delay spread."""
+"""Additional property-based tests: plans, HOTP windows, delay spread,
+population categorical picks."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.channel.multipath import rms_delay_spread
 from repro.config import ModemConfig, SecurityConfig
+from repro.fleet.population import ARCHETYPES, _categorical_cdf, _categorical_pick
 from repro.modem.coding import BlockInterleaver
 from repro.modem.bits import random_bits
 from repro.modem.subchannels import ChannelPlan
@@ -145,3 +147,30 @@ class TestTimelineProperties:
         events = tl.events
         for a, b in zip(events, events[1:]):
             assert b.start == pytest.approx(a.end)
+
+
+#: Every weight vector the population draws from: the archetype
+#: weights, each archetype's day mix (in the sorted order a profile
+#: stores it) and each activity mix.
+_POPULATION_WEIGHTS = (
+    (tuple(w for _, w, _, _ in ARCHETYPES),)
+    + tuple(tuple(w for _, w in sorted(mix.items())) for _, _, mix, _ in ARCHETYPES)
+    + tuple(activity for _, _, _, activity in ARCHETYPES)
+)
+
+
+class TestCategoricalPick:
+    @given(
+        st.sampled_from(_POPULATION_WEIGHTS),
+        st.integers(0, 2**63 - 1),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_pick_is_draw_identical_to_choice(self, weights, seed):
+        """The cdf/bisect pick returns what ``Generator.choice`` returns
+        and leaves the stream at the same position."""
+        w = np.array(weights)
+        ours = np.random.default_rng(seed)
+        numpy_rng = np.random.default_rng(seed)
+        expected = int(numpy_rng.choice(len(weights), p=w / w.sum()))
+        assert _categorical_pick(_categorical_cdf(weights), ours) == expected
+        assert ours.random() == numpy_rng.random()
