@@ -44,9 +44,12 @@ def _cmd_unlock(args: argparse.Namespace) -> int:
     faults = None
     if args.faults:
         from .faults import FaultPlan
+        from .protocol.stages import UNLOCK_STAGE_NAMES
 
         try:
-            faults = FaultPlan.parse(args.faults)
+            faults = FaultPlan.parse(args.faults).check_stages(
+                UNLOCK_STAGE_NAMES
+            )
         except WearLockError as exc:
             print(f"bad --faults spec: {exc}", file=sys.stderr)
             return 2
@@ -610,8 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="otp",
         help="shard staging level: none = all-live baseline, dtw = "
         "batched motion DTW, probe = also batch the Phase-1 probe DSP, "
-        "otp = also wave-batch the Phase-2 OTP modem (degrades to dtw "
-        "under fault injection); the aggregate is byte-identical across "
+        "otp = also wave-batch the Phase-2 OTP modem (a fault plan caps "
+        "it at dtw for acoustic faults at probe-tx, probe for wireless "
+        "faults at otp-tx); the aggregate is byte-identical across "
         "levels",
     )
     fleet_run.add_argument(

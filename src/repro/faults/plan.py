@@ -168,22 +168,49 @@ class FaultPlan:
                         )
                     key = key.strip()
                     value = value.strip()
-                    if key in ("p", "probability"):
-                        kwargs["probability"] = float(value)
-                    elif key == "severity":
-                        kwargs["severity"] = float(value)
-                    elif key in ("hits", "max_hits"):
-                        kwargs["max_hits"] = (
-                            None if value in ("none", "inf") else int(value)
-                        )
-                    else:
+                    try:
+                        if key in ("p", "probability"):
+                            kwargs["probability"] = float(value)
+                        elif key == "severity":
+                            kwargs["severity"] = float(value)
+                        elif key in ("hits", "max_hits"):
+                            kwargs["max_hits"] = (
+                                None
+                                if value in ("none", "inf")
+                                else int(value)
+                            )
+                        else:
+                            raise FaultError(
+                                f"unknown fault option {key!r} in {entry!r}"
+                            )
+                    except ValueError as exc:
                         raise FaultError(
-                            f"unknown fault option {key!r} in {entry!r}"
-                        )
+                            f"bad value {value!r} for fault option "
+                            f"{key!r} in {entry!r}"
+                        ) from exc
             specs.append(FaultSpec(kind=kind, stage=stage, **kwargs))
         if not specs:
             raise FaultError(f"fault spec {text!r} contains no faults")
         return FaultPlan(specs=tuple(specs))
+
+    def check_stages(self, stages: Iterable[str]) -> "FaultPlan":
+        """Reject any spec armed at a stage outside ``stages`` (or ``*``).
+
+        The plan grammar accepts any stage name, so a typo such as
+        ``burst_noise@otp_tx`` would parse and silently never fire.
+        Callers that know their engine's stage names (the unlock
+        session, the fleet config, the CLI) pass them here; the stage
+        list is an argument so this module never imports the protocol.
+        Returns the plan itself, for chaining.
+        """
+        known = tuple(stages)
+        for spec in self.specs:
+            if spec.stage != "*" and spec.stage not in known:
+                raise FaultError(
+                    f"unknown fault stage {spec.stage!r} in "
+                    f"{spec.label()!r}; known: *, {', '.join(known)}"
+                )
+        return self
 
     def describe(self) -> str:
         """Round-trippable textual form of the plan."""

@@ -44,10 +44,13 @@ processes; it owns everything that must *not* cross shard boundaries:
   Phase B runs the sessions with those results staged; every staged
   value is bit-identical to what the live stage would compute, so the
   aggregate document is byte-identical across staging levels (CI
-  ``cmp``-checks this).  Acoustic staging (probe and otp) turns itself
-  off when fault injection is configured — injector state depends on
-  cross-stage sequencing that out-of-band replay cannot reproduce
-  (:func:`effective_staging`).
+  ``cmp``-checks this).  Under fault injection the level degrades per
+  plan, only as far as the plan can reach a phase that level replays
+  out of band (:func:`effective_staging`): an acoustic fault armed at
+  ``probe-tx`` caps it at ``"dtw"``, a wireless fault armed at
+  ``otp-tx`` caps it at ``"probe"``, and every other plan keeps the
+  requested level — the wave driver carries each session's own fault
+  injector through the batched OTP chain.
 
 The output is a list of compact :class:`~repro.fleet.aggregate.
 SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
@@ -73,6 +76,7 @@ from ..core.stages import StageRng
 from ..devices.profiles import DEVICES
 from ..dsp.energy import rms, spl_to_amplitude
 from ..errors import ChannelError, ConfigurationError, WearLockError
+from ..faults import ACOUSTIC_FAULTS, WIRELESS_FAULTS, FaultPlan
 from ..modem.constellation import get_constellation
 from ..modem.context import signal_plane
 from ..modem.probe import ChannelProber
@@ -170,23 +174,44 @@ def partition_indices(keys) -> Dict[object, List[int]]:
     return groups
 
 
-def effective_staging(staging: str, faulted: bool) -> str:
+def effective_staging(staging: str, faults: Optional[FaultPlan]) -> str:
     """Degrade a requested staging level to what can run bit-exactly.
 
-    Fault injection sequences its draws *across* stages, which no
-    out-of-band replay can reproduce, so both acoustic levels
-    (``"probe"`` and ``"otp"``) degrade to DTW-only staging when a
-    fault plan is configured.  The map is monotone: a faulted run never
-    stages *more* than a fault-free run at the same requested level,
-    and fault-free runs are untouched.
+    Every fault spec draws from its own stream, and an acoustic fault
+    acts only inside :meth:`~repro.channel.link.AcousticLink.transmit`
+    while its stage is armed, so a level degrades only when the plan
+    can reach a phase that level replays out of band:
+
+    * an acoustic spec armed at ``probe-tx`` caps the level at
+      ``"dtw"`` — the out-of-band probe replay has no injector;
+    * otherwise, a wireless spec armed at ``otp-tx`` caps it at
+      ``"probe"`` — the channel-config message is delivered *before*
+      the live transmit, so a wave-staged transmit would add or
+      reorder injector events;
+    * otherwise the requested level stands: the wave driver applies
+      each session's own injector inside the batched OTP chain
+      (:func:`precompute_otp`).
+
+    The map is monotone (never stages more than requested; fault-free
+    runs are untouched) and idempotent.
     """
     if staging not in STAGING_LEVELS:
         raise ConfigurationError(
             f"staging must be one of {STAGING_LEVELS}, got {staging!r}"
         )
-    if faulted and staging in ("probe", "otp"):
-        return "dtw"
-    return staging
+    if not faults:
+        return staging
+
+    def armed(kinds: Tuple[str, ...], stage: str) -> bool:
+        return any(s.kind in kinds and s.matches(stage) for s in faults)
+
+    if armed(ACOUSTIC_FAULTS, _PROBE_STAGE):
+        cap = "dtw"
+    elif armed(WIRELESS_FAULTS, _OTP_STAGE):
+        cap = "probe"
+    else:
+        return staging
+    return min(staging, cap, key=STAGING_LEVELS.index)
 
 
 def _user_secret(fleet_seed: int, user_id: int) -> bytes:
@@ -506,9 +531,14 @@ def precompute_otp(
        room IR, receiver noise bed, microphone — with the convolutions
        stacked via :func:`~repro.channel.multipath.
        convolve_rows_pairwise` and the noise/mic draws batched per
-       (environment, band, frame length) group.  Sessions whose link
-       has clock skew or a fault injector fall back to the scalar
-       ``transmit`` (same stream, identical by definition).
+       (environment, band, frame length) group.  A session's own fault
+       injector, scoped to ``otp-tx``, is applied in band exactly where
+       ``transmit`` applies it: ``apply_signal`` on the propagated row
+       before it meets the noise bed, ``apply_recording`` on the
+       microphone capture (a truncated recording simply lands in its
+       own receive group).  Only sessions whose link has clock skew
+       fall back to the scalar ``transmit`` (same stream, identical by
+       definition).
     3. **Receive.**  The watch-side plane is rebuilt exactly the way
        :meth:`~repro.protocol.controllers.WatchController.demodulate`
        rebuilds it from the channel-config message, and sessions
@@ -568,7 +598,11 @@ def precompute_otp(
     batchable: List[int] = []
     for i, pending in enumerate(pendings):
         link = pending.ctx.link
-        if link.clock_skew_ppm or link.injector is not None:
+        if link.injector is not None:
+            # The engine paused *before* entering otp-tx, so the
+            # injector is still scoped to the previous stage.
+            link.injector.enter_stage(_OTP_STAGE)
+        if link.clock_skew_ppm:
             recordings[i], _ = link.transmit(
                 tts[i].result.waveform, tts[i].tx_spl, rng=gens[i]
             )
@@ -635,7 +669,10 @@ def precompute_otp(
                 if not link.los:
                     row = row * 10.0 ** (-link.nlos_blocking_db / 20.0)
             loss_db = spreading_loss_db(link.distance_m, d0=D0_METERS)
-            rows.append(row * 10.0 ** (-loss_db / 20.0))
+            row = row * 10.0 ** (-loss_db / 20.0)
+            if link.injector is not None:
+                row = link.injector.apply_signal(row)
+            rows.append(row)
         lead = int(link0.leading_silence * fs)
         trail = int(link0.trailing_silence * fs)
         width = lead + rows[0].size + trail
@@ -669,7 +706,14 @@ def precompute_otp(
             stacked, [gens[i] for i, _, _ in rows_idx]
         )
         for row, (i, _, _) in enumerate(rows_idx):
-            recordings[i] = recorded[row]
+            link = pendings[i].ctx.link
+            recordings[i] = (
+                recorded[row]
+                if link.injector is None
+                else link.injector.apply_recording(
+                    recorded[row], link.sample_rate
+                )
+            )
     states = [gen.bit_generator.state for gen in gens]
 
     # Pass 3 — watch-side receive, planes rebuilt from the config
@@ -752,18 +796,19 @@ def precompute_otp(
 
 
 def _stage_shard(
-    config: FleetConfig, specs: Sequence[SessionSpec], staging: str
+    specs: Sequence[SessionSpec], staging: str
 ) -> List[Optional[PrecomputedPrefilter]]:
-    """Phase A for a whole shard at the requested staging level."""
+    """Phase A for a whole shard at the given staging level.
+
+    ``staging`` must already be the :func:`effective_staging` level for
+    the run's fault plan: the probe replay runs whenever the level asks
+    for it, because that level is only kept when no acoustic fault is
+    armed at ``probe-tx``.
+    """
     if staging == "none":
         return [None] * len(specs)
     staged = precompute_prefilter(specs)
-    if staging not in ("probe", "otp") or config.faults:
-        # Fault injection sequences its draws across stages; the
-        # out-of-band probe replay cannot reproduce that, so probe
-        # staging degrades to DTW-only staging under faults (the
-        # ``"otp"`` level, which builds on probe staging, degrades the
-        # same way — see :func:`effective_staging`).
+    if staging not in ("probe", "otp"):
         return staged
     probes, sims, mb_sims = precompute_probe(specs)
     return [
@@ -795,7 +840,6 @@ def _scene_fields(ann: Optional[SceneAnnotation]) -> Dict[str, object]:
 
 
 def _stage_shard_contended(
-    config: FleetConfig,
     flat: Sequence[SessionSpec],
     staging: str,
     anns_flat: Sequence[Optional[SceneAnnotation]],
@@ -809,9 +853,9 @@ def _stage_shard_contended(
     """
     aborted = [ann is not None and ann.aborted for ann in anns_flat]
     if not any(aborted):
-        return _stage_shard(config, flat, staging)
+        return _stage_shard(flat, staging)
     live = [i for i, dead in enumerate(aborted) if not dead]
-    staged_live = _stage_shard(config, [flat[i] for i in live], staging)
+    staged_live = _stage_shard([flat[i] for i in live], staging)
     staged_flat: List[Optional[PrecomputedPrefilter]] = [None] * len(flat)
     for j, i in enumerate(live):
         staged_flat[i] = staged_live[j]
@@ -927,7 +971,7 @@ def _contention_abort_record(
 def _session_config(
     system: SystemConfig,
     spec: SessionSpec,
-    faults,
+    faults: Optional[FaultPlan],
     retry: Optional[RetryPolicy],
 ) -> SessionConfig:
     """The session configuration one spec describes (shared by both
@@ -968,6 +1012,7 @@ def _user_phone(
 def _run_shard_otp(
     config: FleetConfig,
     system: SystemConfig,
+    faults: Optional[FaultPlan],
     retry: Optional[RetryPolicy],
     shard: Sequence[Tuple[UserProfile, List[SessionSpec], int]],
     staged_flat: List[Optional[PrecomputedPrefilter]],
@@ -992,9 +1037,10 @@ def _run_shard_otp(
     that abort before Phase 2 (prefilter rejections, probe failures)
     finish inside the top-up sweep without occupying a wave slot.
     Tokens are exact by construction: each is staged from the paused
-    session's own OTP counter at its own attempt.  Records are
-    re-sorted to the canonical ``(user_id, session_index)`` order the
-    live driver emits.
+    session's own OTP counter at its own attempt.  Faulted sessions
+    ride the waves as well, each with its own fault injector applied
+    inside :func:`precompute_otp`.  Records are re-sorted to the
+    canonical ``(user_id, session_index)`` order the live driver emits.
     """
     states = []
     for user, specs, offset in shard:
@@ -1031,7 +1077,7 @@ def _run_shard_otp(
                     continue
                 phone.keyguard.lock()
                 session = UnlockSession(
-                    _session_config(system, spec, None, retry),
+                    _session_config(system, spec, faults, retry),
                     otp=otp,
                     phone=phone,
                 )
@@ -1115,9 +1161,10 @@ def run_shard(
     wave-batches the Phase-2 OTP transmit/receive
     (:func:`_run_shard_otp`).  When ``staging`` is omitted the legacy
     ``batched`` flag maps ``True`` to ``"probe"`` and ``False`` to
-    ``"none"``.  Under fault injection the acoustic levels degrade to
-    ``"dtw"`` (:func:`effective_staging`).  All levels produce
-    byte-identical aggregates.
+    ``"none"``.  Under fault injection the level degrades only as far
+    as the parsed fault plan requires (:func:`effective_staging`), and
+    the plan is parsed once per shard and shared by every session.
+    All levels produce byte-identical aggregates.
 
     ``contention`` is this shard's slice of the discrete-event kernel's
     plan (:func:`~repro.fleet.events.build_contention_plan`).  The
@@ -1129,10 +1176,11 @@ def run_shard(
     """
     if staging is None:
         staging = "probe" if batched else "none"
-    staging = effective_staging(staging, bool(config.faults))
+    # Parsed once per shard; every session shares the immutable plan.
+    faults = config.fault_plan()
+    staging = effective_staging(staging, faults)
     system = SystemConfig()
     retry = RetryPolicy() if config.retry else None
-    faults = config.faults or None
     if contention is None and config.scene_density > 0.0:
         contention = _contention_plan(config).for_user_range(user_lo, user_hi)
     if population is None:
@@ -1151,13 +1199,11 @@ def run_shard(
         else None
         for spec in flat
     ]
-    staged_flat = _stage_shard_contended(config, flat, staging, anns_flat)
+    staged_flat = _stage_shard_contended(flat, staging, anns_flat)
 
     if staging == "otp":
-        # effective_staging() already degraded faulted runs, so the
-        # wave driver never sees an injector.
         return _run_shard_otp(
-            config, system, retry, shard, staged_flat, anns_flat
+            config, system, faults, retry, shard, staged_flat, anns_flat
         )
 
     records: List[SessionRecord] = []

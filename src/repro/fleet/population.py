@@ -32,6 +32,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..eval.batch import cell_seed
+from ..faults import FaultError, FaultPlan
+from ..protocol.stages import UNLOCK_STAGE_NAMES
 from ..sensors.traces import ActivityKind
 
 __all__ = [
@@ -162,9 +164,10 @@ class FleetConfig:
     #: Probability that a given attempt is a *stranger's* phone (not
     #: co-located with the watch) — exercises the motion pre-filter.
     stranger_rate: float = 0.02
-    #: Optional fault-plan spec string applied to every session (see
-    #: ``repro.faults.parse_fault_spec``), e.g.
-    #: ``"burst_noise@otp-tx:p=0.1,severity=2"``.
+    #: Optional fault-plan spec string applied to every session (the
+    #: grammar of :meth:`repro.faults.FaultPlan.parse`), e.g.
+    #: ``"burst_noise@otp-tx:p=0.1,severity=2"``.  Validated here, stage
+    #: names included, so a malformed plan fails at configuration time.
     faults: str = ""
     #: Enable the NACK → downgrade → retransmit recovery loop.
     retry: bool = True
@@ -200,6 +203,24 @@ class FleetConfig:
             )
         if self.scene_density < 0:
             raise ConfigurationError("scene_density must be >= 0")
+        if self.faults:
+            self.fault_plan()
+
+    def fault_plan(self) -> Optional[FaultPlan]:
+        """The parsed :attr:`faults` plan, or ``None`` when fault-free.
+
+        Raises :class:`~repro.errors.ConfigurationError` (carrying the
+        :class:`~repro.faults.FaultError` text) for a malformed spec or
+        a stage the unlock engine does not have.
+        """
+        if not self.faults:
+            return None
+        try:
+            return FaultPlan.parse(self.faults).check_stages(
+                UNLOCK_STAGE_NAMES
+            )
+        except FaultError as exc:
+            raise ConfigurationError(f"bad faults spec: {exc}") from exc
 
 
 @dataclass(frozen=True)

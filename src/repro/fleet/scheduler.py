@@ -86,9 +86,10 @@ class FleetScheduler:
         STAGING_LEVELS`): ``"none"`` runs every stage live, ``"dtw"``
         batches the motion DTW per shard, ``"probe"`` additionally
         batches the Phase-1 probe DSP, and ``"otp"`` additionally
-        wave-batches the Phase-2 OTP transmit/receive (acoustic levels
-        degrade to ``"dtw"`` under fault injection).  Every level
-        produces a byte-identical aggregate.
+        wave-batches the Phase-2 OTP transmit/receive (a fault plan
+        lowers the level only as far as
+        :func:`~repro.fleet.executor.effective_staging` requires).
+        Every level produces a byte-identical aggregate.
     """
 
     def __init__(

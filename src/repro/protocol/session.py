@@ -330,6 +330,8 @@ class SessionConfig:
             from ..faults import FaultPlan
 
             self.faults = FaultPlan.parse(self.faults)
+        if self.faults:
+            self.faults.check_stages(UNLOCK_STAGE_NAMES)
         if self.wireless not in ("ble", "wifi"):
             raise WearLockError("wireless must be 'ble' or 'wifi'")
         if self.band not in ("audible", "ultrasound"):

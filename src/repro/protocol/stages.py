@@ -36,7 +36,7 @@ from ..devices.compute import (
     demodulation_workload,
     probe_processing_workload,
 )
-from ..errors import ModemError
+from ..errors import ModemError, WearLockError
 from ..modem.adaptive import ModeDecision
 from ..modem.context import plane_cache_stats
 from ..sensors.traces import co_located_pair, different_devices_pair
@@ -378,6 +378,11 @@ class OtpTxStage:
         and the stage must fall back to the live path (whose rng stream
         is still positioned correctly, since a mismatched stage never
         restores state).
+
+        A faulted session is the exception: its staged result was
+        produced with the session's own fault injector applied in band,
+        so a live retransmit would fire those faults a second time.
+        :meth:`run` raises instead of falling back in that case.
         """
         tt = staged.token_tx
         try:
@@ -394,11 +399,17 @@ class OtpTxStage:
 
     def run(self, ctx: SessionContext) -> StageResult:
         staged = getattr(ctx.precomputed, "otp", None)
-        if (
-            staged is not None
-            and not ctx.extras.get("otp_tx_staged")
-            and self._staged_matches(ctx, staged)
-        ):
+        if staged is not None and ctx.extras.get("otp_tx_staged"):
+            staged = None  # consumed: a later pass runs live unless re-staged
+        if staged is not None and not self._staged_matches(ctx, staged):
+            if ctx.faults is not None:
+                raise WearLockError(
+                    "staged otp-tx result does not match this attempt, "
+                    "and its fault injector already fired; a live "
+                    "retransmit would fire the faults twice"
+                )
+            staged = None
+        if staged is not None:
             # First pass with a staged Phase 2: the fleet executor
             # replayed this stage's stream out of band (same generator,
             # same draw order) and synthesized the frame + channel in

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.trace import Tracer
 from repro.eval.batch import BatchRunner, BatchTask, cell_seed
-from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan
+from repro.faults import FAULT_KINDS, FaultError, FaultInjector, FaultPlan
 from repro.protocol.session import (
     AbortReason,
     RetryPolicy,
@@ -297,39 +297,112 @@ class TestInjectorUnit:
 
 
 class TestStagedFleetUnderFaults:
-    """Fault injection against the fleet's staged OTP fast path.
+    """Fault injection against the fleet's staged fast paths.
 
-    The wave-batched Phase-2 replay cannot reproduce a fault plan's
-    cross-stage draw sequencing, so ``staging="otp"`` must *degrade*
-    (to DTW-only staging, see :func:`repro.fleet.executor.
-    effective_staging`) rather than stage wrongly or raise — and the
-    degraded run must stay byte-identical to a fully live one.
+    :func:`repro.fleet.executor.effective_staging` lowers a requested
+    level only as far as the fault plan reaches a phase that level
+    replays out of band; the wave driver carries each session's own
+    injector through the batched OTP chain.  Whatever level survives
+    must run without raising and stay byte-identical to a fully live
+    run — records *and* each session's ordered fault labels.
     """
 
-    @pytest.mark.parametrize("stage", ("otp-tx", "verify"))
-    @pytest.mark.parametrize("kind", FAULT_KINDS)
-    def test_staged_shard_never_raises_and_matches_live(self, kind, stage):
-        from repro.fleet import FleetConfig, run_shard
+    @staticmethod
+    def _run(cfg, staging, monkeypatch):
+        """``run_shard`` records, each session's ordered fault labels,
+        and the rows each acoustic staging primitive saw."""
+        from repro.fleet import executor
 
-        cfg = FleetConfig(
-            n_users=3, hours=24.0, seed=11,
-            faults=f"{kind}@{stage}:p=0.5,hits=none",
-        )
-        live = run_shard(cfg, 0, 3, staging="none")
-        staged = run_shard(cfg, 0, 3, staging="otp")
-        assert staged == live
+        labels = {}
+        rows = {"probe": 0, "otp": 0}
+        record = executor._record
+        probe = executor.precompute_probe
+        otp = executor.precompute_otp
 
-    def test_acoustic_levels_degrade_only_when_faulted(self):
+        def capture(spec, outcome, pin_fallback, ann=None):
+            key = (spec.user_id, spec.session_index)
+            labels[key] = outcome.faults_injected
+            return record(spec, outcome, pin_fallback, ann)
+
+        def count_probe(specs):
+            rows["probe"] += len(specs)
+            return probe(specs)
+
+        def count_otp(pendings):
+            rows["otp"] += len(pendings)
+            return otp(pendings)
+
+        with monkeypatch.context() as m:
+            m.setattr(executor, "_record", capture)
+            m.setattr(executor, "precompute_probe", count_probe)
+            m.setattr(executor, "precompute_otp", count_otp)
+            records = executor.run_shard(
+                cfg, 0, cfg.n_users, staging=staging
+            )
+        return records, labels, rows
+
+    def _check_matches_live(self, faults, monkeypatch):
+        from repro.fleet import FleetConfig
         from repro.fleet.executor import effective_staging
 
-        for level in ("probe", "otp"):
-            assert effective_staging(level, faulted=True) == "dtw"
-            assert effective_staging(level, faulted=False) == level
-        for level in ("none", "dtw"):
-            assert effective_staging(level, faulted=True) == level
+        cfg = FleetConfig(n_users=3, hours=24.0, seed=11, faults=faults)
+        live, live_labels, _ = self._run(cfg, "none", monkeypatch)
+        staged, staged_labels, rows = self._run(cfg, "otp", monkeypatch)
+        assert staged == live
+        assert staged_labels == live_labels
+        # The predicted level is the one that actually ran (e.g.
+        # burst_noise@otp-tx keeps "otp", so precompute_otp sees rows).
+        level = effective_staging("otp", cfg.fault_plan())
+        assert (rows["probe"] > 0) == (level in ("probe", "otp"))
+        assert (rows["otp"] > 0) == (level == "otp")
+
+    @pytest.mark.parametrize("stage", ("probe-tx", "otp-tx", "verify", "*"))
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_staged_shard_never_raises_and_matches_live(
+        self, kind, stage, monkeypatch
+    ):
+        self._check_matches_live(
+            f"{kind}@{stage}:p=0.5,hits=none", monkeypatch
+        )
+
+    @pytest.mark.parametrize(
+        "faults",
+        (
+            "burst_noise@otp-tx;msg_drop@otp-tx",
+            "snr_collapse@otp-tx;latency_spike@otp-tx",
+        ),
+    )
+    def test_mixed_plans_match_live(self, faults, monkeypatch):
+        self._check_matches_live(faults, monkeypatch)
+
+    def test_acoustic_levels_degrade_only_when_faulted(self):
+        from repro.fleet.executor import STAGING_LEVELS, effective_staging
+
+        def level(faults, requested="otp"):
+            plan = FaultPlan.parse(faults) if faults else None
+            return effective_staging(requested, plan)
+
+        for requested in STAGING_LEVELS:
+            assert level(None, requested) == requested
+        # Acoustic at probe-tx (or everywhere): no out-of-band probe.
+        assert level("burst_noise@probe-tx") == "dtw"
+        assert level("mic_dropout@*") == "dtw"
+        assert level("jammer_onset@probe-tx", "none") == "none"
+        # Wireless at otp-tx (or everywhere): the probe stays staged.
+        assert level("msg_drop@otp-tx") == "probe"
+        assert level("msg_late@*") == "probe"
+        assert level("msg_drop@otp-tx", "dtw") == "dtw"
+        # Everything else keeps the requested level.
+        for faults in (
+            "burst_noise@otp-tx",
+            "frame_truncation@otp-tx;latency_spike@*",
+            "msg_drop@probe-tx;msg_late@verify",
+            "energy_spike@*",
+        ):
+            assert level(faults) == "otp"
 
     def test_faulted_scheduler_worker_invariance(self):
-        """Degradation must not break the worker-count contract."""
+        """Faulted waves must not break the worker-count contract."""
         import json
 
         from repro.fleet import FleetConfig, FleetScheduler
@@ -350,3 +423,74 @@ class TestStagedFleetUnderFaults:
             )
 
         assert doc(1, 4) == doc(4, 1)
+
+
+class TestFaultPlanValidation:
+    """A plan is checked wherever it meets the unlock engine."""
+
+    def test_unknown_stage_parses_but_fails_the_stage_check(self):
+        plan = FaultPlan.parse("burst_noise@otp_tx")
+        with pytest.raises(FaultError) as err:
+            plan.check_stages(UNLOCK_STAGE_NAMES)
+        assert "unknown fault stage 'otp_tx'" in str(err.value)
+        assert "otp-tx" in str(err.value)  # the message lists the known
+        everywhere = FaultPlan.parse("burst_noise@*;msg_drop@verify")
+        assert everywhere.check_stages(UNLOCK_STAGE_NAMES) is everywhere
+
+    def test_bad_option_value_is_a_fault_error(self):
+        with pytest.raises(FaultError, match="bad value 'x'"):
+            FaultPlan.parse("burst_noise@otp-tx:p=x")
+
+    @pytest.mark.parametrize(
+        "faults",
+        ("burst_noise@otp_tx", FaultPlan.single("burst_noise", "otp_tx")),
+    )
+    def test_session_config_rejects_unknown_stage(self, faults):
+        with pytest.raises(FaultError, match="unknown fault stage"):
+            SessionConfig(faults=faults)
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        (
+            ("bogus@otp-tx", "unknown fault kind 'bogus'"),
+            ("burst_noise@otp_tx", "unknown fault stage 'otp_tx'"),
+            ("burst_noise@otp-tx:p=x", "bad value 'x'"),
+        ),
+    )
+    def test_fleet_config_rejects_bad_plan_at_construction(
+        self, faults, message
+    ):
+        from repro.errors import ConfigurationError
+        from repro.fleet import FleetConfig
+
+        with pytest.raises(ConfigurationError) as err:
+            FleetConfig(n_users=1, faults=faults)
+        assert message in str(err.value)
+
+    def test_cli_rejects_unknown_stage(self, capsys):
+        from repro.cli import main
+
+        assert main(["unlock", "--faults", "burst_noise@otp_tx"]) == 2
+        assert "unknown fault stage 'otp_tx'" in capsys.readouterr().err
+        assert main(
+            ["fleet", "run", "--users", "1", "--faults", "msg_drop@verfy"]
+        ) == 2
+        assert "unknown fault stage 'verfy'" in capsys.readouterr().err
+
+    def test_shard_parses_the_plan_once(self, monkeypatch):
+        from repro.fleet import FleetConfig, run_shard
+
+        cfg = FleetConfig(
+            n_users=2, hours=24.0, seed=11, faults="burst_noise@otp-tx"
+        )
+        parse = FaultPlan.parse
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(FaultPlan, "parse", staticmethod(counting))
+        records = run_shard(cfg, 0, 2, staging="otp")
+        assert len(records) > 1
+        assert calls == ["burst_noise@otp-tx"]

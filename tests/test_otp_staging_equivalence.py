@@ -20,6 +20,7 @@ mirroring ``tests/test_probe_staging_equivalence.py``:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,14 @@ from repro.channel.multipath import (
 from repro.channel.noise import NoiseScene, tone_jammer
 from repro.channel.hardware import SpeakerModel
 from repro.config import ModemConfig
-from repro.errors import ModemError
+from repro.errors import ModemError, WearLockError
+from repro.faults import (
+    ACOUSTIC_FAULTS,
+    FAULT_KINDS,
+    WIRELESS_FAULTS,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.fleet import FleetConfig, FleetScheduler, run_shard
 from repro.fleet.executor import (
     STAGING_LEVELS,
@@ -51,7 +59,8 @@ from repro.modem.synchronizer import (
     fine_sync_offsets_rows,
 )
 from repro.modem.transmitter import OfdmTransmitter
-from repro.protocol.session import SessionConfig, UnlockSession
+from repro.protocol.session import RetryPolicy, SessionConfig, UnlockSession
+from repro.protocol.stages import UNLOCK_STAGE_NAMES
 
 BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
 FS = 44_100.0
@@ -314,8 +323,8 @@ class TestStagedSessionEquivalence:
             ),
         )
 
-    def _run_staged(self, seed):
-        session = UnlockSession(SessionConfig(seed=seed))
+    def _run_staged(self, seed, **config):
+        session = UnlockSession(SessionConfig(seed=seed, **config))
         pending = session.begin()
         waves = 0
         while pending.paused:
@@ -342,6 +351,47 @@ class TestStagedSessionEquivalence:
                 staged_pending.ctx.rng_for("otp-tx").bit_generator.state
                 == live_pending.ctx.rng_for("otp-tx").bit_generator.state
             )
+
+    @pytest.mark.parametrize(
+        "faults",
+        (
+            "burst_noise@otp-tx:severity=2",
+            "frame_truncation@otp-tx",
+            "snr_collapse@otp-tx:severity=3,hits=none",
+        ),
+    )
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_faulted_staged_session_matches_live(self, seed, faults):
+        """The session's own injector, applied in band by the batch,
+        fires the same faults in the same order as a live transmit."""
+        config = dict(faults=faults, retry=RetryPolicy())
+        live = UnlockSession(SessionConfig(seed=seed, **config)).run()
+        staged_pending, _ = self._run_staged(seed, **config)
+        staged = staged_pending.finish()
+        assert self._fingerprint(staged) == self._fingerprint(live)
+        assert staged.faults_injected == live.faults_injected
+
+    def test_rejected_faulted_stage_raises_instead_of_refiring(self):
+        """A staged result the otp-tx stage rejects falls back to a
+        live transmit — unless the injector already fired in the
+        batch, where a live retransmit would fire it twice."""
+        for faults, raises in ((None, False), ("burst_noise@otp-tx", True)):
+            pending = UnlockSession(
+                SessionConfig(seed=7, faults=faults)
+            ).begin()
+            assert pending.paused
+            staged = precompute_otp([pending])[0]
+            stale = replace(
+                staged,
+                token_tx=replace(
+                    staged.token_tx, tx_spl=staged.token_tx.tx_spl + 1.0
+                ),
+            )
+            if raises:
+                with pytest.raises(WearLockError, match="fire the faults"):
+                    pending.finish(stale)
+            else:
+                pending.finish(stale)
 
     def test_some_seed_reaches_phase_two(self):
         reached = []
@@ -378,6 +428,7 @@ class TestStagedOtpFleet:
         assert whole == halves
 
     def test_faulted_shard_degrades_but_stays_identical(self):
+        """A wireless fault at otp-tx caps the level at ``"probe"``."""
         cfg = FleetConfig(
             n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
         )
@@ -402,6 +453,22 @@ class TestStagedOtpFleet:
             ).run()
         )
         assert base == staged == pooled
+
+
+#: Random 1–3-spec fault plans over every kind and every armable stage.
+_FAULT_PLANS = st.lists(
+    st.builds(
+        FaultSpec,
+        kind=st.sampled_from(FAULT_KINDS),
+        stage=st.sampled_from(("*",) + UNLOCK_STAGE_NAMES),
+    ),
+    min_size=1,
+    max_size=3,
+).map(FaultPlan.of)
+
+
+def _armed(plan, kinds, stage):
+    return any(s.kind in kinds and s.matches(stage) for s in plan)
 
 
 class TestWaveInvariants:
@@ -441,24 +508,28 @@ class TestWaveInvariants:
 
     @given(
         st.sampled_from(STAGING_LEVELS),
-        st.booleans(),
-        st.booleans(),
+        st.one_of(st.none(), _FAULT_PLANS),
+        _FAULT_PLANS,
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_effective_staging_monotone_degradation(
-        self, level, faulted, refaulted
+        self, level, plan, more
     ):
         rank = {name: i for i, name in enumerate(STAGING_LEVELS)}
-        effective = effective_staging(level, faulted)
-        # Never stages more than requested; fault-free is untouched;
-        # faulted runs never keep an acoustic level.
+        effective = effective_staging(level, plan)
+        # Never stages more than requested; fault-free is untouched.
         assert rank[effective] <= rank[level]
-        if not faulted:
+        if plan is None:
             assert effective == level
+        # Each rung of the ladder.
+        elif _armed(plan, ACOUSTIC_FAULTS, "probe-tx"):
+            assert rank[effective] == min(rank[level], rank["dtw"])
+        elif _armed(plan, WIRELESS_FAULTS, "otp-tx"):
+            assert rank[effective] == min(rank[level], rank["probe"])
         else:
-            assert effective in ("none", "dtw")
-        # Degrading twice (any fault state) is idempotent: the ladder
-        # only ever steps down, so re-checking cannot re-raise it.
-        again = effective_staging(effective, refaulted)
-        assert rank[again] <= rank[effective]
-        assert effective_staging(again, refaulted) == again
+            assert effective == level
+        # Idempotent: re-checking a degraded level cannot move it.
+        assert effective_staging(effective, plan) == effective
+        # Monotone in the plan: more specs never stage more.
+        bigger = FaultPlan.of(tuple(plan or ()) + tuple(more))
+        assert rank[effective_staging(level, bigger)] <= rank[effective]

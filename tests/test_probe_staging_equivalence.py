@@ -197,8 +197,9 @@ class TestStagedProbeFleet:
         assert per_level["none"] == per_level["dtw"] == per_level["probe"]
 
     def test_faulted_shard_degrades_but_stays_identical(self):
-        """Probe staging turns itself off under fault injection; the
-        records must still match the all-live run."""
+        """A wireless fault at otp-tx leaves probe staging on (it caps
+        only the ``"otp"`` level); the records must still match the
+        all-live run."""
         cfg = FleetConfig(
             n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
         )
