@@ -182,6 +182,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     from .errors import WearLockError
     from .fleet import FleetConfig, FleetScheduler, render_fleet_report
 
+    tracer = Tracer()
     try:
         config = FleetConfig(
             n_users=args.users,
@@ -193,18 +194,17 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             fusion_mix=args.fusion_mix,
             scene_density=args.contention,
         )
+        scheduler = FleetScheduler(
+            config,
+            workers=args.workers,
+            shard_users=args.shard_users,
+            tracer=tracer,
+            staging="none" if args.no_batch else args.staging,
+        )
     except WearLockError as exc:
         print(f"bad fleet config: {exc}", file=sys.stderr)
         return 2
-    tracer = Tracer()
-    staging = "none" if args.no_batch else args.staging
-    result = FleetScheduler(
-        config,
-        workers=args.workers,
-        shard_users=args.shard_users,
-        tracer=tracer,
-        staging=staging,
-    ).run()
+    result = scheduler.run()
     payload = _fleet_document(config, result.aggregate)
     if args.out:
         with open(args.out, "w") as fh:
@@ -564,7 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-users",
         type=int,
         default=25,
-        help="users per shard (batched-DTW amortization unit)",
+        help="users per shard: the unit that batched population "
+        "seeding, probe/OTP staging and the DTW wavefront amortize over "
+        "(the aggregate document is byte-identical for any value)",
     )
     fleet_run.add_argument(
         "--sessions-per-day",

@@ -3,7 +3,14 @@
 from .workloads import ber_trial, BerTrialResult, TrialSpec
 from .pin_entry import PinEntryModel
 from .reporting import format_table, format_series
-from .batch import BatchRunner, BatchTask, BatchResult, grid_tasks, cell_seed
+from .batch import (
+    BatchResult,
+    BatchRunner,
+    BatchTask,
+    cell_seed,
+    cell_seeds,
+    grid_tasks,
+)
 from . import experiments
 
 __all__ = [
@@ -18,5 +25,6 @@ __all__ = [
     "BatchResult",
     "grid_tasks",
     "cell_seed",
+    "cell_seeds",
     "experiments",
 ]

@@ -22,6 +22,7 @@ count through to every ported experiment.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from concurrent.futures import (
     FIRST_EXCEPTION,
@@ -44,7 +45,14 @@ from typing import (
 
 from ..errors import WearLockError
 
-__all__ = ["BatchTask", "BatchResult", "BatchRunner", "grid_tasks", "cell_seed"]
+__all__ = [
+    "BatchTask",
+    "BatchResult",
+    "BatchRunner",
+    "grid_tasks",
+    "cell_seed",
+    "cell_seeds",
+]
 
 
 def cell_seed(sweep_seed: int, *coordinates: Any, bound: int = 2**31) -> int:
@@ -54,13 +62,32 @@ def cell_seed(sweep_seed: int, *coordinates: Any, bound: int = 2**31) -> int:
     the coordinates are rendered to text and folded into the seed with
     SHA-256, exactly once per cell.
     """
-    import hashlib
-
     text = repr(tuple(coordinates)).encode("utf-8")
     digest = hashlib.sha256(
         sweep_seed.to_bytes(8, "big", signed=True) + text
     ).digest()
     return int.from_bytes(digest[:8], "big") % bound
+
+
+def cell_seeds(
+    sweep_seed: int, tag: Any, ids: Iterable[int], bound: int = 2**31
+) -> List[int]:
+    """``[cell_seed(sweep_seed, tag, i, bound=bound) for i in ids]``, batched.
+
+    The hashed text ``repr((tag, i))`` is ``"(" + repr(tag) + ", "``
+    followed by ``"%d)" % i``, so the sweep-seed bytes and the tag are
+    rendered once and only the integer suffix is formatted per id —
+    about half the per-cell cost of :func:`cell_seed`.
+    """
+    prefix = sweep_seed.to_bytes(8, "big", signed=True) + (
+        f"({tag!r}, ".encode("utf-8")
+    )
+    sha256 = hashlib.sha256
+    return [
+        int.from_bytes(sha256(prefix + b"%d)" % i).digest()[:8], "big")
+        % bound
+        for i in ids
+    ]
 
 
 @dataclass(frozen=True)

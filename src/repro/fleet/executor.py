@@ -70,11 +70,12 @@ from ..channel.hardware import MicrophoneModel, SpeakerModel
 from ..channel.link import AcousticLink
 from ..channel.multipath import convolve_ir_rows, convolve_rows_pairwise
 from ..channel.scenarios import get_environment
-from ..config import SystemConfig
+from ..config import ModemConfig, SystemConfig
 from ..core.colocation import AmbientComparator
 from ..core.stages import StageRng
 from ..devices.profiles import DEVICES
 from ..dsp.energy import rms, spl_to_amplitude
+from ..dsp.plane import KeyedCache
 from ..errors import ChannelError, ConfigurationError, WearLockError
 from ..faults import ACOUSTIC_FAULTS, WIRELESS_FAULTS, FaultPlan
 from ..modem.constellation import get_constellation
@@ -123,6 +124,7 @@ from .population import (
     UserProfile,
     synthesize_user,
     user_sessions,
+    user_stream_states,
 )
 
 __all__ = [
@@ -282,6 +284,33 @@ def precompute_prefilter(
     ]
 
 
+#: Speaker-rendered probe waveforms.  Every probe group of every shard
+#: with the same band and volume emits the same samples, so the speaker
+#: render (an FFT at a prime-factor length) runs once per process.
+_PROBE_WAVEFORMS = KeyedCache("fleet.probe_waveforms", maxsize=16)
+
+
+def _emitted_probe(
+    link: AcousticLink, modem: ModemConfig, tx_spl: float
+) -> np.ndarray:
+    """``link.emitted_waveform(ChannelProber(modem).build_probe(), tx_spl)``,
+    memoized.
+
+    The key holds everything the render reads — the modem config (which
+    fixes the probe), the speaker's fingerprint and the level — and the
+    shared array is read-only.
+    """
+
+    def build() -> np.ndarray:
+        probe = ChannelProber(modem).build_probe()
+        emitted = link.emitted_waveform(probe, tx_spl)
+        emitted.setflags(write=False)
+        return emitted
+
+    key = (modem, _speaker_fingerprint(link.speaker), float(tx_spl))
+    return _PROBE_WAVEFORMS.get(key, build)
+
+
 def _stage_probe_group(
     system: SystemConfig,
     band: str,
@@ -326,7 +355,7 @@ def _stage_probe_group(
     prober = ChannelProber(modem)
     noise_spl_est = float(env.noise.effective_spl())
     _, tx_spl = choose_volume_spl(modem_system, noise_spl_est)
-    emitted = template.emitted_waveform(prober.build_probe(), tx_spl)
+    emitted = _emitted_probe(template, modem, tx_spl)
 
     gens = [
         StageRng(seed=spec.seed).for_stage(_PROBE_STAGE) for spec in group
@@ -1115,11 +1144,24 @@ ShardPopulation = List[Tuple[UserProfile, List[SessionSpec]]]
 def shard_population(
     config: FleetConfig, user_lo: int, user_hi: int
 ) -> ShardPopulation:
-    """Synthesize users ``[user_lo, user_hi)`` and their schedules."""
+    """Synthesize users ``[user_lo, user_hi)`` and their schedules.
+
+    Every user's two generator states are derived for the whole range
+    in one batch (:func:`~repro.fleet.population.user_stream_states`);
+    one reused generator is then positioned at each stream in turn —
+    bit-identical to the per-user ``default_rng`` construction.
+    """
+    user_ids = range(user_lo, user_hi)
+    profile_states, schedule_states = user_stream_states(config, user_ids)
+    rng = np.random.Generator(np.random.PCG64())
     population: ShardPopulation = []
-    for user_id in range(user_lo, user_hi):
-        user = synthesize_user(config, user_id)
-        specs = user_sessions(config, user)
+    for user_id, profile_state, schedule_state in zip(
+        user_ids, profile_states, schedule_states
+    ):
+        rng.bit_generator.state = profile_state
+        user = synthesize_user(config, user_id, rng=rng)
+        rng.bit_generator.state = schedule_state
+        specs = user_sessions(config, user, rng=rng)
         if specs:
             population.append((user, specs))
     return population

@@ -23,15 +23,16 @@ pressure the motion pre-filter exists to reject.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..eval.batch import cell_seed
+from ..eval.batch import cell_seed, cell_seeds
 from ..faults import FaultError, FaultPlan
 from ..protocol.stages import UNLOCK_STAGE_NAMES
 from ..sensors.traces import ActivityKind
@@ -45,6 +46,8 @@ __all__ = [
     "SessionSpec",
     "synthesize_user",
     "user_sessions",
+    "default_rng_states",
+    "user_stream_states",
     "verifier_assignment",
     "build_population",
 ]
@@ -186,8 +189,24 @@ class FleetConfig:
     scene_density: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("n_users", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            # numpy integers lack the int.to_bytes that cell_seed uses.
+            object.__setattr__(self, name, int(value))
         if self.n_users <= 0:
             raise ConfigurationError("n_users must be positive")
+        # cell_seed packs the fleet seed into 8 signed bytes.
+        if not -(2**63) <= self.seed < 2**63:
+            raise ConfigurationError("seed must be in [-2**63, 2**63)")
+        for name in ("hours", "sessions_per_day", "scene_density"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.hours <= 0:
             raise ConfigurationError("hours must be positive")
         if self.sessions_per_day < 0:
@@ -271,14 +290,118 @@ class SessionSpec:
     fusion: str = "and"
 
 
-def _user_rng(config: FleetConfig, user_id: int) -> np.random.Generator:
-    """Per-user generator, independent of every other user's stream."""
-    return np.random.default_rng(cell_seed(config.seed, "user", user_id))
+#: Tags folded into :func:`~repro.eval.batch.cell_seed` for each user's
+#: two generators: the profile draws and the session schedule.
+_USER_STREAM = "user"
+_SCHEDULE_STREAM = "schedule"
+
+#: numpy's ``SeedSequence`` (pool size 4) and PCG64 seeding constants.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
-def synthesize_user(config: FleetConfig, user_id: int) -> UserProfile:
-    """Materialize user ``user_id`` of the population (order-free)."""
-    rng = _user_rng(config, user_id)
+def _hash_stream(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``SeedSequence``'s uint32 hash with its advancing constant.
+
+    The constant steps once per call whatever the data, so one call
+    hashes a word position for every seed of a batch at once.
+    """
+    const = init
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return step
+
+
+def default_rng_states(seeds: Sequence[int]) -> List[Dict[str, object]]:
+    """``np.random.default_rng(s).bit_generator.state`` for every seed.
+
+    Assigning one of these to a reused ``Generator(PCG64())``'s
+    ``bit_generator.state`` positions it exactly where a fresh
+    ``default_rng(s)`` starts, at a fraction of the construction cost.
+    The ``SeedSequence`` hashing runs as uint32 array ops across all
+    seeds at once (its hash constant advances independently of the
+    data), then PCG64's ``srandom`` folds the four output words into
+    ``(state, inc)`` in 128-bit integer arithmetic.  Only single-word
+    seeds, ``[0, 2**32)``, are supported — every
+    :func:`~repro.eval.batch.cell_seed` is one.
+    """
+    if not all(0 <= seed <= _MASK32 for seed in seeds):
+        raise ValueError("default_rng_states supports seeds in [0, 2**32)")
+    hashmix = _hash_stream(_INIT_A, _MULT_A)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    entropy = np.asarray(seeds, dtype=np.uint32)
+    zeros = np.zeros_like(entropy)
+    pool = [hashmix(entropy)] + [hashmix(zeros) for _ in range(3)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # generate_state(4, uint64): eight uint32 words, paired little-endian.
+    output = _hash_stream(_INIT_B, _MULT_B)
+    words = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    w0, w1, w2, w3 = (
+        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist()
+        for k in range(4)
+    )
+    states: List[Dict[str, object]] = []
+    for hi_state, lo_state, hi_seq, lo_seq in zip(w0, w1, w2, w3):
+        inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
+        state = (inc + (hi_state << 64 | lo_state)) * _PCG64_MULT + inc
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state & _MASK128, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
+def user_stream_states(
+    config: FleetConfig, user_ids: Sequence[int]
+) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
+    """Starting states of each user's profile and schedule generators.
+
+    The batched equivalent of the ``default_rng`` that
+    :func:`synthesize_user` and :func:`user_sessions` build when called
+    without ``rng``: bit-identical, for a whole range of users at once.
+    """
+    profile = cell_seeds(config.seed, _USER_STREAM, user_ids)
+    schedule = cell_seeds(config.seed, _SCHEDULE_STREAM, user_ids)
+    return default_rng_states(profile), default_rng_states(schedule)
+
+
+def synthesize_user(
+    config: FleetConfig,
+    user_id: int,
+    rng: Optional[np.random.Generator] = None,
+) -> UserProfile:
+    """Materialize user ``user_id`` of the population (order-free).
+
+    ``rng`` is a generator already positioned at this user's profile
+    stream (see :func:`user_stream_states`); by default one is built
+    with ``default_rng``.
+    """
+    if rng is None:
+        rng = np.random.default_rng(
+            cell_seed(config.seed, _USER_STREAM, user_id)
+        )
     idx = _categorical_pick(_ARCHETYPE_CDF, rng)
     name, _, _, activity_mix = ARCHETYPES[idx]
     phone = (
@@ -319,7 +442,11 @@ def _environment_for(
     return user.day_mix[_categorical_pick(cdf, rng)][0]
 
 
-def user_sessions(config: FleetConfig, user: UserProfile) -> List[SessionSpec]:
+def user_sessions(
+    config: FleetConfig,
+    user: UserProfile,
+    rng: Optional[np.random.Generator] = None,
+) -> List[SessionSpec]:
     """Schedule one user's attempts over ``config.hours``.
 
     Arrival is an inhomogeneous Poisson process: each wall-clock hour
@@ -327,11 +454,14 @@ def user_sessions(config: FleetConfig, user: UserProfile) -> List[SessionSpec]:
     attempts.  The schedule rng is a dedicated per-user stream; each
     *session's* simulation seed is folded separately via
     :func:`~repro.eval.batch.cell_seed` so reordering the schedule
-    logic never perturbs session outcomes.
+    logic never perturbs session outcomes.  ``rng``, when given, is
+    already positioned at the user's schedule stream (see
+    :func:`user_stream_states`).
     """
-    rng = np.random.default_rng(
-        cell_seed(config.seed, "schedule", user.user_id)
-    )
+    if rng is None:
+        rng = np.random.default_rng(
+            cell_seed(config.seed, _SCHEDULE_STREAM, user.user_id)
+        )
     per_hour = user.sessions_per_day / 24.0
     specs: List[SessionSpec] = []
     n_hours = math.ceil(config.hours)

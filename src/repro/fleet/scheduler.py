@@ -70,9 +70,10 @@ class FleetScheduler:
         process pool (``run_shard`` is module-level and the config is
         tiny, so pickling costs are negligible).
     shard_users:
-        Users per shard.  Larger shards amortize the batched-DTW
-        wavefront over more sessions; smaller shards parallelize and
-        stream better.  The default (25) keeps a shard's records in the
+        Users per shard.  Larger shards amortize population seeding,
+        the probe/OTP staging batches and the DTW wavefront over more
+        users and sessions; smaller shards parallelize and stream
+        better.  The default (25) keeps a shard's records in the
         low hundreds.
     tracer:
         Optional :class:`~repro.core.trace.Tracer`; the run is wrapped

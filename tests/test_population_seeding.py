@@ -1,0 +1,183 @@
+"""Batched population seeding and the memoized probe waveform.
+
+``shard_population`` derives every user's two generator states for a
+whole shard at once (:func:`~repro.eval.batch.cell_seeds` plus
+:func:`~repro.fleet.population.default_rng_states`) and positions one
+reused generator per stream; the scalar ``default_rng(cell_seed(...))``
+construction is the oracle it must match bit for bit.  Also covers
+:class:`~repro.fleet.population.FleetConfig`'s numeric validation and
+the ``fleet run`` CLI's config-error exit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.channel.hardware import SpeakerModel
+from repro.channel.link import AcousticLink
+from repro.config import ModemConfig
+from repro.errors import ConfigurationError
+from repro.eval.batch import cell_seed, cell_seeds
+from repro.fleet import FleetConfig, synthesize_user, user_sessions
+from repro.fleet.executor import _emitted_probe, shard_population
+from repro.fleet.population import FUSION_MIXES, default_rng_states
+from repro.modem.probe import ChannelProber
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _positioned(state) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestDefaultRngStates:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS)
+    @example(seed=0)
+    @example(seed=2**31 - 1)
+    @example(seed=2**32 - 1)
+    def test_matches_default_rng(self, seed):
+        (state,) = default_rng_states([seed])
+        fresh = np.random.default_rng(seed)
+        assert state == fresh.bit_generator.state
+        rng = _positioned(state)
+        assert rng.random() == fresh.random()
+        assert rng.lognormal(-0.125, 0.5) == fresh.lognormal(-0.125, 0.5)
+        assert rng.poisson(3.7) == fresh.poisson(3.7)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seeds=st.lists(SEEDS, max_size=40))
+    def test_batch_rows_are_independent(self, seeds):
+        assert default_rng_states(seeds) == [
+            np.random.default_rng(s).bit_generator.state for s in seeds
+        ]
+
+    @pytest.mark.parametrize("seed", [2**32, 2**32 + 1, 2**40, 2**64, -1])
+    def test_rejects_multi_word_and_negative_seeds(self, seed):
+        with pytest.raises(ValueError):
+            default_rng_states([0, seed])
+
+
+class TestCellSeeds:
+    @pytest.mark.parametrize(
+        "sweep_seed", [0, 42, -1, -(2**63), 2**63 - 1, 2**40 + 7]
+    )
+    @pytest.mark.parametrize(
+        "tag", ["user", "schedule", "it's", 'say "hi"', "both ' and \"", "é"]
+    )
+    def test_equals_cell_seed(self, sweep_seed, tag):
+        ids = range(-5, 60)
+        assert cell_seeds(sweep_seed, tag, ids) == [
+            cell_seed(sweep_seed, tag, i) for i in ids
+        ]
+
+    def test_bound_is_forwarded(self):
+        assert cell_seeds(3, "user", range(10), bound=97) == [
+            cell_seed(3, "user", i, bound=97) for i in range(10)
+        ]
+
+
+class TestShardPopulation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        hours=st.one_of(
+            st.floats(min_value=0.05, max_value=3.0),
+            st.floats(min_value=24.0, max_value=60.0),
+        ),
+        fusion_mix=st.sampled_from(FUSION_MIXES),
+        lo=st.integers(min_value=0, max_value=40),
+        width=st.integers(min_value=0, max_value=13),
+    )
+    def test_matches_scalar_loop(self, seed, hours, fusion_mix, lo, width):
+        hi = lo + width
+        config = FleetConfig(
+            n_users=max(hi, 1), hours=hours, seed=seed, fusion_mix=fusion_mix
+        )
+        expected = []
+        for user_id in range(lo, hi):
+            user = synthesize_user(config, user_id)
+            specs = user_sessions(config, user)
+            if specs:
+                expected.append((user, specs))
+        assert shard_population(config, lo, hi) == expected
+
+
+class TestProbeWaveformMemo:
+    def _render(self, modem, speaker, tx_spl):
+        link = AcousticLink(sample_rate=modem.sample_rate, speaker=speaker)
+        memo = _emitted_probe(link, modem, tx_spl)
+        fresh = link.emitted_waveform(
+            ChannelProber(modem).build_probe(), tx_spl
+        )
+        return memo, fresh
+
+    def test_read_only_and_equal_to_fresh_render(self):
+        modem = ModemConfig()
+        memo, fresh = self._render(modem, SpeakerModel(), 80.0)
+        assert not memo.flags.writeable
+        np.testing.assert_array_equal(memo, fresh)
+        again, _ = self._render(modem, SpeakerModel(), 80.0)
+        assert again is memo
+
+    @pytest.mark.parametrize(
+        "modem, speaker, tx_spl",
+        [
+            (ModemConfig(), SpeakerModel(), 74.0),
+            (ModemConfig(), SpeakerModel(device_seed=99), 80.0),
+            (ModemConfig().near_ultrasound(), SpeakerModel(), 80.0),
+        ],
+    )
+    def test_every_key_field_separates_entries(self, modem, speaker, tx_spl):
+        """Warm the default entry, then change one key field at a time:
+        the memo must render afresh, not hand back the warm array."""
+        self._render(ModemConfig(), SpeakerModel(), 80.0)
+        memo, fresh = self._render(modem, speaker, tx_spl)
+        np.testing.assert_array_equal(memo, fresh)
+
+
+class TestFleetConfigNumbers:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"hours": float("nan")},
+            {"hours": float("inf")},
+            {"sessions_per_day": float("nan")},
+            {"sessions_per_day": float("inf")},
+            {"scene_density": float("nan")},
+            {"scene_density": float("inf")},
+            {"seed": 2**63},
+            {"seed": -(2**63) - 1},
+            {"seed": 2**70},
+            {"seed": 1.5},
+            {"seed": True},
+            {"n_users": 2.5},
+            {"n_users": True},
+        ],
+    )
+    def test_rejected_at_construction(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            FleetConfig(**kwargs)
+
+    def test_seed_range_edges_and_numpy_integers_accepted(self):
+        assert FleetConfig(seed=2**63 - 1).seed == 2**63 - 1
+        assert FleetConfig(seed=-(2**63)).seed == -(2**63)
+        config = FleetConfig(n_users=np.int64(3), seed=np.int32(7))
+        assert config == FleetConfig(n_users=3, seed=7)
+        assert type(config.seed) is int and type(config.n_users) is int
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--shard-users", "0"], ["--workers", "-1"], ["--hours", "nan"]],
+)
+def test_fleet_run_cli_reports_bad_config(flags, capsys):
+    from repro.cli import main
+
+    assert main(["fleet", "run", "--users", "2", *flags]) == 2
+    assert "bad fleet config" in capsys.readouterr().err
