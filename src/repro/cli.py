@@ -224,7 +224,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     totals = tracer.report().counter_totals()
     print(
         f"{result.sessions} sessions / {config.n_users} users / "
-        f"{result.shards} shards in {result.wall_s:.2f} s "
+        f"{result.shards} dispatched shards in {result.wall_s:.2f} s "
         f"({result.sessions_per_sec:.1f} sessions/s, "
         f"workers={result.workers}, "
         f"pin_fallbacks={totals.get('pin_fallbacks', 0):.0f})",
@@ -565,8 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=25,
         help="users per shard: the unit that batched population "
-        "seeding, probe/OTP staging and the DTW wavefront amortize over "
-        "(the aggregate document is byte-identical for any value)",
+        "seeding, probe/OTP staging and the DTW wavefront amortize over; "
+        "with --contention it bounds users with sessions per shard, "
+        "packing sparse ranges together (the aggregate document is "
+        "byte-identical for any value)",
     )
     fleet_run.add_argument(
         "--sessions-per-day",

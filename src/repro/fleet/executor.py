@@ -20,7 +20,7 @@ processes; it owns everything that must *not* cross shard boundaries:
   :class:`~repro.protocol.session.PrecomputedStages`:
 
   - ``staging="dtw"`` draws the accelerometer pairs and scores the
-    whole shard's motion DTW in one anti-diagonal wavefront
+    whole shard's motion DTW in anti-diagonal wavefronts
     (:func:`repro.sensors.dtw.normalized_dtw_batch` — bit-identical to
     the scalar recurrence, see ``tests/test_fleet.py``);
   - ``staging="probe"`` (the default) additionally replays each
@@ -41,7 +41,9 @@ processes; it owns everything that must *not* cross shard boundaries:
     batches (:func:`precompute_otp`); then each session resumes with
     its staged result and exact rng bit-state restore.
 
-  Phase B runs the sessions with those results staged; every staged
+  Every staged batch holds at most :data:`STAGING_ROWS` rows, so
+  staging memory does not grow with the shard.  Phase B runs the
+  sessions with those results staged; every staged
   value is bit-identical to what the live stage would compute, so the
   aggregate document is byte-identical across staging levels (CI
   ``cmp``-checks this).  Under fault injection the level degrades per
@@ -61,7 +63,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,6 +139,7 @@ __all__ = [
     "partition_indices",
     "PIN_FALLBACK_DELAY_S",
     "STAGING_LEVELS",
+    "STAGING_ROWS",
 ]
 
 #: Nominal wall time a manual PIN entry costs the user (recorded as the
@@ -145,6 +148,13 @@ PIN_FALLBACK_DELAY_S = 2.5
 
 #: Valid shard staging levels, least to most batched.
 STAGING_LEVELS = ("none", "dtw", "probe", "otp")
+
+#: Row cap of every staged DSP batch: each DTW wavefront, each probe
+#: (band, environment) group and each OTP wave block.  Every staging
+#: primitive is row-independent, so the cap never changes a value; it
+#: bounds the batch matrices (and so peak memory) however many sessions
+#: one shard holds.
+STAGING_ROWS = 64
 
 #: The stage whose rng stream feeds the sensor pair (must match
 #: ``SensorCaptureStage.name``).
@@ -174,6 +184,13 @@ def partition_indices(keys) -> Dict[object, List[int]]:
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return groups
+
+
+def _staging_blocks(items: Sequence) -> Iterator[Sequence]:
+    """Consecutive slices of ``items``, each at most :data:`STAGING_ROWS`
+    long (the cap is read at call time)."""
+    for lo in range(0, len(items), STAGING_ROWS):
+        yield items[lo:lo + STAGING_ROWS]
 
 
 def effective_staging(staging: str, faults: Optional[FaultPlan]) -> str:
@@ -237,13 +254,13 @@ def _draw_pair(spec: SessionSpec) -> Tuple[np.ndarray, np.ndarray]:
 def precompute_prefilter(
     specs: Sequence[SessionSpec],
 ) -> List[PrecomputedPrefilter]:
-    """Phase A: sensor pairs + one batched DTW wavefront per shard.
+    """Phase A: sensor pairs + batched DTW wavefronts per shard.
 
     Sensor windows are fixed-length (100 samples at 50 Hz), so every
-    session whose verifier set runs the DTW channel stacks into a
-    single ``(batch, n) × (batch, m)`` wavefront.  Scores are grouped
-    by window shape anyway, as a guard against future variable-length
-    windows.  Sessions whose verifier set includes the vibration
+    session whose verifier set runs the DTW channel stacks into
+    ``(batch, n) × (batch, m)`` wavefronts of at most
+    :data:`STAGING_ROWS` rows.  Scores are grouped by window shape
+    anyway, as a guard against future variable-length windows.  Sessions whose verifier set includes the vibration
     channel additionally stage its cross-correlation score; sessions
     whose set touches no motion-domain verifier skip the sensor draw
     entirely, exactly like the live ``sensor-capture`` stage.
@@ -262,12 +279,12 @@ def precompute_prefilter(
         (mags[i][0].size, mags[i][1].size) for i in dtw_idx
     )
     for positions in by_shape.values():
-        indices = [dtw_idx[p] for p in positions]
-        xs = np.stack([mags[i][0] for i in indices])
-        ys = np.stack([mags[i][1] for i in indices])
-        batch = normalized_dtw_batch(xs, ys)
-        for j, i in enumerate(indices):
-            scores[i] = float(batch[j])
+        for block in _staging_blocks([dtw_idx[p] for p in positions]):
+            xs = np.stack([mags[i][0] for i in block])
+            ys = np.stack([mags[i][1] for i in block])
+            batch = normalized_dtw_batch(xs, ys)
+            for j, i in enumerate(block):
+                scores[i] = float(batch[j])
     return [
         PrecomputedPrefilter(
             sensor_pair=pairs[i],
@@ -477,8 +494,9 @@ def precompute_probe(
 
     Groups the shard by (band, environment) — the keys that fix the
     probe waveform, transmit level and recording length — and replays
-    each group's ``probe-tx`` rng streams out of band (see
-    :func:`_stage_probe_group`).  Returns per-spec
+    each group's ``probe-tx`` rng streams out of band, in blocks of at
+    most :data:`STAGING_ROWS` sessions (see :func:`_stage_probe_group`).
+    Returns per-spec
     :class:`~repro.protocol.session.PrecomputedProbe` results plus the
     ambient-similarity and multi-band scores for the verifiers
     (``None`` where the live verifier would not compute one).
@@ -491,13 +509,14 @@ def precompute_probe(
         (spec.band, spec.environment) for spec in specs
     )
     for (band, env_name), indices in groups.items():
-        group_probes, group_sims, group_mb = _stage_probe_group(
-            system, band, env_name, [specs[i] for i in indices]
-        )
-        for j, i in enumerate(indices):
-            probes[i] = group_probes[j]
-            sims[i] = group_sims[j]
-            mb_sims[i] = group_mb[j]
+        for block in _staging_blocks(indices):
+            group_probes, group_sims, group_mb = _stage_probe_group(
+                system, band, env_name, [specs[i] for i in block]
+            )
+            for j, i in enumerate(block):
+                probes[i] = group_probes[j]
+                sims[i] = group_sims[j]
+                mb_sims[i] = group_mb[j]
     return probes, sims, mb_sims
 
 
@@ -1055,9 +1074,10 @@ def _run_shard_otp(
     Instead sessions run in **waves**: each user holds at most one
     *active* session, paused just before ``otp-tx``
     (:meth:`~repro.protocol.session.UnlockSession.begin`); every
-    round, the whole wave's transmit/receive DSP runs as one batch
-    (:func:`precompute_otp`) and each session is *fed* its staged
-    result (:meth:`~repro.protocol.session.PendingSession.feed`).  A
+    round, the wave's transmit/receive DSP runs as batches of at most
+    :data:`STAGING_ROWS` sessions (:func:`precompute_otp`) and each
+    session is *fed* its staged result
+    (:meth:`~repro.protocol.session.PendingSession.feed`).  A
     fed session either completes — freeing its user to start the next
     session, which joins the following round — or pauses again in
     front of ``otp-tx`` (a NACK retransmission, or the tail of a
@@ -1122,16 +1142,20 @@ def _run_shard_otp(
         if not active:
             break
         # One batched round: stage every in-flight transmission (first
-        # attempts and retransmissions alike) and feed it back.
-        wave = list(active.items())
-        staged_otps = precompute_otp([p for _, (_, _, p) in wave])
-        for (ui, (spec, ann, pending)), staged_otp in zip(wave, staged_otps):
-            if pending.feed(staged_otp):
-                continue  # paused again: next round stages the retry
-            records.append(
-                _record(spec, pending.finish(), pin_fallback=False, ann=ann)
-            )
-            del active[ui]
+        # attempts and retransmissions alike) block by block, and feed
+        # each block back before staging the next.
+        for block in _staging_blocks(list(active.items())):
+            staged_otps = precompute_otp([p for _, (_, _, p) in block])
+            for (ui, (spec, ann, pending)), staged_otp in zip(
+                block, staged_otps
+            ):
+                if pending.feed(staged_otp):
+                    continue  # paused again: next round stages the retry
+                outcome = pending.finish()
+                records.append(
+                    _record(spec, outcome, pin_fallback=False, ann=ann)
+                )
+                del active[ui]
     records.sort(key=lambda r: (r.user_id, r.session_index))
     return records
 

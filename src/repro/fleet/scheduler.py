@@ -8,6 +8,13 @@ aggregate the moment they arrive, in shard-index order, then drops
 them**.  Peak memory is therefore one shard's records plus the
 constant-size aggregate, regardless of population size.
 
+On contended runs every user is synthesized before dispatch, so the
+scheduler batches by *work*, not by user range: consecutive ranges are
+packed into one dispatched shard until it holds enough users with
+sessions (:meth:`FleetScheduler.dispatch_target`).  A sparse day then
+hands the staging primitives a few full batches instead of many
+near-empty ones.
+
 Folding in shard-index order (not completion order) is what pins the
 float-summation order and makes the aggregate document byte-identical
 for any ``workers`` value — the property CI checks on every push.
@@ -17,6 +24,8 @@ aggregate document.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -49,6 +58,8 @@ class FleetResult:
     aggregate: FleetAggregate
     config: FleetConfig
     sessions: int
+    #: Dispatched shards (``run_shard`` calls); on contended runs packing
+    #: can make this fewer than :meth:`FleetScheduler.shard_bounds`.
     shards: int
     workers: int
     wall_s: float
@@ -74,7 +85,11 @@ class FleetScheduler:
         the probe/OTP staging batches and the DTW wavefront over more
         users and sessions; smaller shards parallelize and stream
         better.  The default (25) keeps a shard's records in the
-        low hundreds.
+        low hundreds.  On contended runs it bounds users *with
+        sessions* per dispatched shard instead: consecutive ranges are
+        packed until a shard holds :meth:`dispatch_target` of them.
+        Staging memory is bounded separately, by
+        :data:`~repro.fleet.executor.STAGING_ROWS`.
     tracer:
         Optional :class:`~repro.core.trace.Tracer`; the run is wrapped
         in a ``fleet.run`` span carrying session/shard/user counters.
@@ -102,6 +117,16 @@ class FleetScheduler:
         batched: bool = True,
         staging: Optional[str] = None,
     ):
+        for name, value in (
+            ("shard_users", shard_users),
+            ("workers", workers),
+        ):
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if shard_users <= 0:
             raise ConfigurationError("shard_users must be positive")
         if workers < 0:
@@ -127,6 +152,41 @@ class FleetScheduler:
             for lo in range(0, n, self.shard_users)
         ]
 
+    def dispatch_target(self, active_users: int) -> int:
+        """Users with sessions a packed contended shard must hold.
+
+        ``shard_users`` inline; on a pool, no more than an even split
+        of ``active_users`` over the workers, so packing never leaves a
+        worker idle.  Never below one.
+        """
+        target = self.shard_users
+        if self.workers > 1:
+            target = min(target, math.ceil(active_users / self.workers))
+        return max(1, target)
+
+    def _packed(
+        self, populations: List[ShardPopulation]
+    ) -> Tuple[List[Tuple[int, int]], List[ShardPopulation]]:
+        """Merge consecutive shard ranges (and their populations) until
+        each holds :meth:`dispatch_target` active users; the last takes
+        the remainder."""
+        target = self.dispatch_target(sum(map(len, populations)))
+        ranges: List[Tuple[int, int]] = []
+        packed: List[ShardPopulation] = []
+        lo: Optional[int] = None
+        merged: ShardPopulation = []
+        for (b_lo, b_hi), population in zip(self.shard_bounds(), populations):
+            lo = b_lo if lo is None else lo
+            merged.extend(population)
+            if len(merged) >= target:
+                ranges.append((lo, b_hi))
+                packed.append(merged)
+                lo, merged = None, []
+        if lo is not None:
+            ranges.append((lo, self.config.n_users))
+            packed.append(merged)
+        return ranges, packed
+
     def run(self) -> FleetResult:
         """Execute every shard and return the folded result."""
         bounds = self.shard_bounds()
@@ -141,21 +201,26 @@ class FleetScheduler:
             # is handed to its shard instead of being synthesized again.
             # The plan is a pure function of the config, which is what
             # keeps the aggregate byte-identical for any worker count.
+            # With every population in hand, sparse ranges are packed
+            # into fuller shards; the records cannot depend on the
+            # split, so neither can the document.
             populations: List[Optional[ShardPopulation]] = [None] * len(bounds)
             plan = None
             if self.config.scene_density > 0.0:
-                populations = [
+                synthesized = [
                     shard_population(self.config, lo, hi) for lo, hi in bounds
                 ]
                 plan = build_contention_plan(
                     self.config,
                     (
                         spec
-                        for population in populations
+                        for population in synthesized
                         for _, specs in population
                         for spec in specs
                     ),
                 )
+                bounds, populations = self._packed(synthesized)
+                del synthesized
 
             def _shard_args(i: int):
                 lo, hi = bounds[i]

@@ -433,7 +433,10 @@ class Synchronizer:
                     sub[j], matches[live[j]], layout
                 )
             except Exception as exc:
-                out[live[j]] = exc
+                # Stored without its traceback: the traceback would pin
+                # the callers' frames (and their batch matrices) in a
+                # reference cycle until the cyclic collector runs.
+                out[live[j]] = exc.with_traceback(None)
         if good.any():
             bview = np.lib.stride_tricks.sliding_window_view(
                 sub, layout.fft_size, axis=1

@@ -212,6 +212,37 @@ class TestBatchPrimitives:
             assert np.array_equal(bodies, want_bodies)
             assert offsets == want_offsets
 
+    def test_extract_bodies_rows_drops_tracebacks(self):
+        """A failing row's exception carries no traceback, so it cannot
+        pin the callers' frames (and their batch matrices) in a cycle."""
+        config = ModemConfig()
+        recs, _ = _frame_recordings(config, 3, seed=4)
+        sync = Synchronizer(config)
+        layout = frame_layout(config, 2)
+        matches = [sync.locate(rec) for rec in recs]
+        # Anchored near the end: the bodies run past the recording.
+        matches[1] = replace(matches[1], start=recs[1].size - 10)
+        results = sync.extract_bodies_rows(np.stack(recs), matches, layout)
+        assert isinstance(results[1], Exception)
+        assert results[1].__traceback__ is None
+        with pytest.raises(type(results[1])) as scalar:
+            sync.extract_bodies(recs[1], matches[1], layout)
+        assert str(scalar.value) == str(results[1])
+
+    def test_receiver_reraises_stored_exception(self, monkeypatch):
+        """The receiver's re-raise of a non-modem extraction failure keeps
+        the exception's type and message."""
+        config = ModemConfig()
+        recs, n_bits = _frame_recordings(config, 4, seed=5, cut_row=3)
+
+        def broken(self, recording, match, layout):
+            raise RuntimeError("extraction exploded")
+
+        monkeypatch.setattr(Synchronizer, "extract_bodies", broken)
+        rx = OfdmReceiver(config, QPSK)
+        with pytest.raises(RuntimeError, match="^extraction exploded$"):
+            rx.receive_batch(np.stack(recs), expected_bits=n_bits)
+
     def test_receive_batch_matches_scalar(self):
         config = ModemConfig()
         recs, n_bits = _frame_recordings(
