@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ChannelError
+from ..dsp.fftops import fft_length
 from ..dsp.plane import KeyedCache
 
 #: Read-only decay envelopes keyed by (sample_rate, rt60, tail_length) —
@@ -80,13 +81,14 @@ def rms_delay_spread(profile: np.ndarray, sample_rate: float) -> float:
 def convolve_ir_rows(signal: np.ndarray, irs: np.ndarray) -> np.ndarray:
     """Convolve one signal against each row of a stack of IR draws.
 
-    Row ``i`` equals ``irfft(rfft(signal, nfft) * rfft(irs[i], nfft),
-    nfft)[:n]`` — the convolution inside
-    :meth:`RoomImpulseResponse.apply` — bit-for-bit: the signal
-    spectrum is computed once and broadcast over the per-row IR
-    spectra, and the stacked transforms share the 1-D plans.  This is
-    the fleet staging path's way of applying a whole shard's channel
-    realizations to the one shared probe waveform in a single pass.
+    Row ``i`` is ``irfft(rfft(signal, nfft) * rfft(irs[i], nfft),
+    nfft)[:n]`` with ``nfft = fft_length(n)``: the signal spectrum is
+    computed once and broadcast over the per-row IR spectra, and rows
+    are independent of the batch they sit in.  This is the one room-IR
+    convolution kernel — :meth:`RoomImpulseResponse.apply` is its
+    one-row call, and the fleet staging path applies a whole shard's
+    channel realizations to the one shared probe waveform in a single
+    pass.
     """
     x = np.asarray(signal, dtype=np.float64)
     h = np.asarray(irs, dtype=np.float64)
@@ -97,9 +99,7 @@ def convolve_ir_rows(signal: np.ndarray, irs: np.ndarray) -> np.ndarray:
     if x.size == 0:
         return np.zeros((h.shape[0], 0))
     n = x.size + h.shape[1] - 1
-    nfft = 1
-    while nfft < n:
-        nfft <<= 1
+    nfft = fft_length(n)
     return np.fft.irfft(
         np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft, axis=1),
         nfft,
@@ -116,9 +116,9 @@ def convolve_rows_pairwise(
     Phase-2 path, where every session transmits its *own* OTP frame
     (unlike the shared probe waveform): row ``i`` equals
     ``RoomImpulseResponse.apply``'s convolution of ``signals[i]`` with
-    ``irs[i]`` bit-for-bit — same power-of-two ``nfft`` from
+    ``irs[i]`` bit-for-bit — same ``nfft = fft_length(n)`` from
     ``n = signal_len + ir_len - 1``, same rfft/irfft composition, with
-    the stacked transforms sharing the scalar calls' 1-D plans.
+    every row transformed by the same plan.
     """
     x = np.asarray(signals, dtype=np.float64)
     h = np.asarray(irs, dtype=np.float64)
@@ -131,9 +131,7 @@ def convolve_rows_pairwise(
     if x.shape[1] == 0:
         return np.zeros((x.shape[0], 0))
     n = x.shape[1] + h.shape[1] - 1
-    nfft = 1
-    while nfft < n:
-        nfft <<= 1
+    nfft = fft_length(n)
     return np.fft.irfft(
         np.fft.rfft(x, nfft, axis=1) * np.fft.rfft(h, nfft, axis=1),
         nfft,
@@ -248,21 +246,11 @@ class RoomImpulseResponse:
     def apply(
         self, signal: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        """Convolve ``signal`` with one IR draw (output keeps tail)."""
-        x = np.asarray(signal, dtype=np.float64)
-        if x.ndim != 1:
-            raise ChannelError("signal must be 1-D")
-        ir = self.sample(rng)
-        if x.size == 0:
-            return x.copy()
-        n = x.size + ir.size - 1
-        nfft = 1
-        while nfft < n:
-            nfft <<= 1
-        out = np.fft.irfft(
-            np.fft.rfft(x, nfft) * np.fft.rfft(ir, nfft), nfft
-        )[:n]
-        return out
+        """Convolve ``signal`` with one IR draw (output keeps tail).
+
+        A one-row call of :func:`convolve_ir_rows`.
+        """
+        return convolve_ir_rows(signal, self.sample(rng)[None, :])[0]
 
     def delay_profile(
         self, rng: Optional[np.random.Generator] = None

@@ -36,6 +36,9 @@ class Workload:
 
 
 def _next_pow2(n: int) -> int:
+    # Models the phone's radix-2 Java FFT, not the host: the simulator's
+    # own transforms pad to repro.dsp.fftops.fft_length, but the cost a
+    # device is charged must keep the power-of-two size it would run.
     if n < 1:
         return 1
     return 1 << ceil(log2(n))

@@ -14,13 +14,13 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import DspError
+from .fftops import fft_length
 from .plane import KeyedCache
 
 #: Conjugated template spectra reused by
-#: :func:`sliding_normalized_correlation_batch`.  The batch path scores
-#: many recording stacks against the same few preamble templates at the
-#: same few transform sizes, so the template transform is memoized by
-#: value; the scalar function stays the from-scratch reference.
+#: :func:`sliding_normalized_correlation_batch`.  Every caller scores
+#: recordings against the same few preamble templates at the same few
+#: transform sizes, so the template transform is memoized by value.
 _TEMPLATE_SPECTRA = KeyedCache("dsp.ncc_template_spectra", maxsize=32)
 
 
@@ -53,37 +53,9 @@ def sliding_normalized_correlation(
     O(n log n) rather than the naive O(n·m).
     """
     x = np.asarray(signal, dtype=np.float64)
-    t = np.asarray(template, dtype=np.float64)
-    if x.ndim != 1 or t.ndim != 1:
+    if x.ndim != 1 or np.ndim(template) != 1:
         raise DspError("signal and template must be 1-D")
-    if t.size == 0:
-        raise DspError("template must be non-empty")
-    if x.size < t.size:
-        raise DspError(
-            f"signal shorter ({x.size}) than template ({t.size})"
-        )
-    te = float(np.dot(t, t))
-    if te <= 0.0:
-        raise DspError("template has zero energy")
-
-    # Raw correlation via FFT (correlate 'valid').
-    n = x.size
-    m = t.size
-    nfft = 1
-    while nfft < n + m:
-        nfft <<= 1
-    spec = np.fft.rfft(x, nfft) * np.conj(np.fft.rfft(t, nfft))
-    raw = np.fft.irfft(spec, nfft)[: n - m + 1]
-
-    # Local energy of the signal under each template placement.
-    csum = np.concatenate(([0.0], np.cumsum(x * x)))
-    local = csum[m:] - csum[: n - m + 1]
-    denom = np.sqrt(np.maximum(local * te, 0.0))
-    out = np.zeros_like(raw)
-    nonzero = denom > 1e-300
-    out[nonzero] = raw[nonzero] / denom[nonzero]
-    # Guard against tiny numeric excursions outside [-1, 1].
-    return np.clip(out, -1.0, 1.0)
+    return sliding_normalized_correlation_batch(x[None, :], template)[0]
 
 
 def sliding_normalized_correlation_batch(
@@ -91,11 +63,16 @@ def sliding_normalized_correlation_batch(
 ) -> np.ndarray:
     """Sliding NCC of ``template`` against every row of ``signals``.
 
-    Row ``i`` equals ``sliding_normalized_correlation(signals[i],
-    template)`` bit-for-bit: stacked rFFT/irFFT rows share the 1-D
-    plan, the template spectrum broadcasts unchanged, and the energy
-    cumulative sum runs sequentially along each row exactly as the 1-D
-    ``np.cumsum`` does.
+    This is the one NCC kernel: :func:`sliding_normalized_correlation`
+    is its one-row call.  Rows are independent — stacked rFFT/irFFT
+    rows share one plan, the template spectrum broadcasts unchanged,
+    and the energy cumulative sum runs sequentially along each row — so
+    row ``i`` does not depend on the batch it sits in.
+
+    Only the ``valid`` lags ``0 … n-m`` are kept, and a circular
+    correlation of any length ≥ ``n`` computes those exactly (lag ``k``
+    reads samples ``k … k+m-1 < n``, so nothing wraps); the transform
+    is therefore ``fft_length(n)``, not the full linear ``n + m - 1``.
     """
     x = np.asarray(signals, dtype=np.float64)
     t = np.asarray(template, dtype=np.float64)
@@ -113,9 +90,7 @@ def sliding_normalized_correlation_batch(
 
     n = x.shape[1]
     m = t.size
-    nfft = 1
-    while nfft < n + m:
-        nfft <<= 1
+    nfft = fft_length(n)
     spec_t = _TEMPLATE_SPECTRA.get(
         (t.tobytes(), nfft), lambda: np.conj(np.fft.rfft(t, nfft))
     )
@@ -128,9 +103,7 @@ def sliding_normalized_correlation_batch(
     local = csum[:, m:] - csum[:, : n - m + 1]
     denom = np.sqrt(np.maximum(local * te, 0.0))
     out = np.zeros_like(raw)
-    # Masked divide in place of the scalar path's fancy-index
-    # gather/scatter: the quotients are the same IEEE divisions, and
-    # the masked-out entries keep the pre-filled zeros.
+    # Masked divide: silent placements keep the pre-filled zeros.
     np.divide(raw, denom, out=out, where=denom > 1e-300)
     return np.clip(out, -1.0, 1.0)
 

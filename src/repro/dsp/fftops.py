@@ -1,4 +1,4 @@
-"""FFT helpers: pilot interpolation, spectrum access, Goertzel tone power.
+"""FFT helpers: padded lengths, interpolation, spectrum bins, Goertzel power.
 
 :func:`fft_interpolate` is the paper's channel-estimation interpolator
 (§III-6): pilot tones are equispaced in frequency, so the pilot vector
@@ -9,9 +9,47 @@ spacing allows, and smooth otherwise.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import DspError
+
+
+def fft_length(n: int) -> int:
+    """Padded transform length for an FFT convolution of ``n`` samples.
+
+    Returns the smallest 5-smooth length (``2^a 3^b 5^c``) ≥ ``n`` that
+    is a multiple of 16, and never more than the next power of two (so
+    ``n ≤ 16`` gets the power of two itself).  Every FFT convolution
+    and correlation in the simulator pads through this one policy:
+    pocketfft's radix-3 and radix-5 passes cost about what radix-2
+    passes do per sample, so the tighter pad beats the up-to-2x larger
+    power of two, and the factor 16 keeps radix-4 passes in every
+    length.
+    """
+    if n < 1:
+        raise DspError("transform length must be >= 1")
+    return _fft_length(int(n))
+
+
+@lru_cache(maxsize=None)
+def _fft_length(n: int) -> int:
+    if n <= 16:
+        return 1 << (n - 1).bit_length()
+    # Search the 5-smooth cofactor m of 16 * m: for each 3^b 5^c below
+    # the best so far, the smallest power-of-two multiple ≥ ceil(n/16).
+    target = -(-n // 16)
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-target // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return 16 * best
 
 
 def fft_interpolate(values: np.ndarray, factor: int) -> np.ndarray:

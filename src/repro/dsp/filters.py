@@ -2,8 +2,9 @@
 
 Used to emulate the Moto 360's mandatory microphone low-pass (the paper
 found signal fading sharply above ~5-7 kHz) and for band-limiting noise
-scenes.  Filtering is FFT-based overlap-free convolution via
-:func:`numpy.convolve` semantics implemented with rFFTs.
+scenes.  Filtering is a linear convolution (:func:`numpy.convolve`
+semantics) computed with rFFTs zero-padded to
+:func:`~repro.dsp.fftops.fft_length`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import DspError
+from .fftops import fft_length
 from .plane import KeyedCache
 from .windows import hamming_window
 
@@ -22,10 +24,9 @@ from .windows import hamming_window
 _FIR_DESIGNS = KeyedCache("dsp.fir_designs", maxsize=64)
 
 #: Taps spectra ``rfft(h, nfft)`` reused by :func:`fir_filter_batch`.
-#: The batch path filters many stacks with the same few designs at the
-#: same few transform sizes, so the taps transform — one of the three
-#: FFTs per call — is memoized by value.  The scalar :func:`fir_filter`
-#: stays the from-scratch reference implementation.
+#: Every caller filters with the same few designs at the same few
+#: transform sizes, so the taps transform — one of the three FFTs per
+#: call — is memoized by value.
 _TAPS_SPECTRA = KeyedCache("dsp.fir_taps_spectra", maxsize=64)
 
 
@@ -110,29 +111,19 @@ def fir_filter(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     without shifting frame timing.
     """
     x = np.asarray(signal, dtype=np.float64)
-    h = np.asarray(taps, dtype=np.float64)
-    if x.ndim != 1 or h.ndim != 1:
+    if x.ndim != 1 or np.ndim(taps) != 1:
         raise DspError("signal and taps must be 1-D")
-    if h.size == 0:
-        raise DspError("taps must be non-empty")
-    if x.size == 0:
-        return x.copy()
-    n = x.size + h.size - 1
-    nfft = 1
-    while nfft < n:
-        nfft <<= 1
-    y = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft), nfft)[:n]
-    delay = (h.size - 1) // 2
-    return y[delay: delay + x.size]
+    return fir_filter_batch(x[None, :], taps)[0]
 
 
 def fir_filter_batch(signals: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Filter each row of ``signals`` with FIR ``taps`` in one pass.
 
-    Row ``i`` equals ``fir_filter(signals[i], taps)`` bit-for-bit: the
-    stacked rFFT/irFFT transforms each row with the same plan as the
-    1-D calls, and the spectrum multiply broadcasts the identical taps
-    spectrum across rows.
+    This is the one FIR kernel: :func:`fir_filter` is its one-row call.
+    Rows are independent — the stacked rFFT/irFFT transforms each row
+    with the same plan, and the spectrum multiply broadcasts the
+    identical taps spectrum across rows — so row ``i`` does not depend
+    on the batch it sits in.
     """
     x = np.asarray(signals, dtype=np.float64)
     h = np.asarray(taps, dtype=np.float64)
@@ -143,9 +134,7 @@ def fir_filter_batch(signals: np.ndarray, taps: np.ndarray) -> np.ndarray:
     if x.shape[0] == 0 or x.shape[1] == 0:
         return x.copy()
     n = x.shape[1] + h.size - 1
-    nfft = 1
-    while nfft < n:
-        nfft <<= 1
+    nfft = fft_length(n)
     spec_h = _TAPS_SPECTRA.get(
         (h.tobytes(), nfft), lambda: np.fft.rfft(h, nfft)
     )
@@ -182,9 +171,7 @@ def fir_filter_batch_pair(
     if x.shape[0] == 0 or x.shape[1] == 0:
         return x.copy(), x.copy()
     n = x.shape[1] + ha.size - 1
-    nfft = 1
-    while nfft < n:
-        nfft <<= 1
+    nfft = fft_length(n)
     spec_x = np.fft.rfft(x, nfft, axis=1)
     delay = (ha.size - 1) // 2
     outs = []

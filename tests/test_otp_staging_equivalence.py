@@ -61,6 +61,7 @@ from repro.modem.synchronizer import (
 from repro.modem.transmitter import OfdmTransmitter
 from repro.protocol.session import RetryPolicy, SessionConfig, UnlockSession
 from repro.protocol.stages import UNLOCK_STAGE_NAMES
+from tests import kernel_oracle as oracle
 
 BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
 FS = 44_100.0
@@ -129,6 +130,9 @@ class TestBatchPrimitives:
         for s in range(4):
             scalar = room.apply(signals[s], rng=np.random.default_rng(s))
             assert np.array_equal(batch[s], scalar)
+            assert np.array_equal(
+                batch[s], oracle.convolve(signals[s], irs[s])
+            )
 
     def test_jammed_scene_batch_matches_scalar_and_stream(self):
         scene = NoiseScene(

@@ -5,8 +5,10 @@ probe-tx rng stream out of band and runs the channel synthesis,
 synchronizer correlations and pilot receive FFTs as stacked batches.
 These tests pin the contract at both layers: each batch primitive is
 bit-identical to its scalar counterpart (including the generator
-stream positions it leaves behind), and whole shards produce the same
-session records at every staging level.
+stream positions it leaves behind) — or, where the scalar function is
+a one-row call of the batch kernel, to the independent 1-D bodies in
+``tests/kernel_oracle.py`` — and whole shards produce the same session
+records at every staging level.
 """
 
 from __future__ import annotations
@@ -19,27 +21,22 @@ from repro.channel.multipath import RoomImpulseResponse, convolve_ir_rows
 from repro.channel.noise import NoiseScene, shaped_noise, shaped_noise_batch
 from repro.config import ModemConfig
 from repro.core.colocation import AmbientComparator
-from repro.dsp.correlation import (
-    sliding_normalized_correlation,
-    sliding_normalized_correlation_batch,
-)
-from repro.dsp.filters import (
-    design_bandpass_fir,
-    fir_filter,
-    fir_filter_batch,
-)
+from repro.dsp.correlation import sliding_normalized_correlation_batch
+from repro.dsp.filters import design_bandpass_fir, fir_filter_batch
 from repro.dsp.spectrum import welch_psd, welch_psd_batch
 from repro.errors import ConfigurationError, ModemError
 from repro.fleet import FleetConfig, FleetScheduler, run_shard
 from repro.fleet.executor import STAGING_LEVELS
 from repro.modem.probe import ChannelProber
+from tests import kernel_oracle as oracle
 
 BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
 FS = 44_100.0
 
 
 class TestBatchPrimitives:
-    """Each stacked transform equals its scalar counterpart bit-for-bit."""
+    """Each stacked transform equals its scalar counterpart (or the 1-D
+    oracle) bit-for-bit."""
 
     def test_fir_filter_batch_matches_rows(self):
         rng = np.random.default_rng(0)
@@ -47,7 +44,7 @@ class TestBatchPrimitives:
         taps = design_bandpass_fir(800.0, 4000.0, FS, num_taps=257)
         batch = fir_filter_batch(rows, taps)
         for i, row in enumerate(rows):
-            assert np.array_equal(batch[i], fir_filter(row, taps))
+            assert np.array_equal(batch[i], oracle.fir_filter(row, taps))
 
     def test_sliding_ncc_batch_matches_rows(self):
         rng = np.random.default_rng(1)
@@ -56,7 +53,7 @@ class TestBatchPrimitives:
         batch = sliding_normalized_correlation_batch(rows, template)
         for i, row in enumerate(rows):
             assert np.array_equal(
-                batch[i], sliding_normalized_correlation(row, template)
+                batch[i], oracle.sliding_normalized_correlation(row, template)
             )
 
     def test_welch_psd_batch_matches_rows(self):
@@ -79,6 +76,7 @@ class TestBatchPrimitives:
         for s in range(4):
             scalar = room.apply(signal, rng=np.random.default_rng(s))
             assert np.array_equal(batch[s], scalar)
+            assert np.array_equal(batch[s], oracle.convolve(signal, irs[s]))
 
     def test_shaped_noise_batch_matches_scalar_and_stream(self):
         seeds = (10, 11, 12)
