@@ -1,33 +1,28 @@
 """Benchmark: fleet throughput — serial baseline vs staged fast paths.
 
-Runs the same deterministic population five ways and byte-compares the
-aggregate documents before reporting any timing:
+Runs the same deterministic population three ways and byte-compares
+the aggregate documents before reporting any timing:
 
 * **serial** — one worker, staging off: every session runs the scalar
-  per-cell DTW recurrence and the full Phase-1 probe DSP in-stage, the
-  way a plain loop over :class:`~repro.core.system.WearLock` attempts
-  would;
-* **batched** — one worker, shard-level anti-diagonal DTW wavefront
-  (:func:`repro.sensors.dtw.normalized_dtw_batch`) precomputing every
-  motion score: isolates the *motion* speedup;
-* **staged** — one worker, DTW wavefront plus the shard-batched
-  Phase-1 probe DSP (:func:`repro.fleet.executor.precompute_probe`):
-  channel synthesis, synchronizer cross-correlations, pilot receive
-  FFTs and ambient-similarity fingerprints run as stacked batches;
-* **otp** — one worker, everything above plus the wave-batched Phase-2
-  OTP transmit/receive (:func:`repro.fleet.executor.precompute_otp`):
-  frame assembly, channel convolution, stacked receive FFTs and
-  batched pilot equalization for every session that reaches Phase 2;
+  per-cell DTW recurrence, the full Phase-1 probe DSP and the Phase-2
+  OTP modem in-stage, the way a plain loop over
+  :class:`~repro.core.system.WearLock` attempts would;
+* **otp** — one worker, every phase staged: the shard-level
+  anti-diagonal DTW wavefront (:func:`repro.sensors.dtw.
+  normalized_dtw_batch`), the shard-batched Phase-1 probe DSP
+  (:func:`repro.fleet.executor.precompute_probe`) and the wave-batched
+  Phase-2 OTP transmit/receive (:func:`repro.fleet.executor.
+  precompute_otp`): isolates the *algorithmic* speedup;
 * **sharded** — the otp level plus a process pool sized to the
   machine: adds the *parallel* speedup on top.
 
-All five must produce **byte-identical** aggregate JSON (the fleet
+All three must produce **byte-identical** aggregate JSON (the fleet
 determinism contract); the benchmark exits non-zero if they do not.
 ``cpu_count`` is recorded alongside the timings because the parallel
 term is machine-dependent: on a single-core container the sharded arm
 cannot beat the otp arm, and the JSON says so rather than hiding it.
 
-Timing protocol: the five arms run **interleaved** for ``--reps``
+Timing protocol: the arms run **interleaved** for ``--reps``
 rounds and each arm reports its *minimum* wall time.  Shared/noisy
 machines stall all arms alike, so the per-arm minimum is the standard
 low-noise estimator (same rationale as ``timeit``), and interleaving
@@ -171,9 +166,7 @@ def main(argv=None) -> int:
 
     arms = [
         ("serial", 1, "none", "workers=1, all live"),
-        ("batched", 1, "dtw", "workers=1, DTW wavefront"),
-        ("staged", 1, "probe", "workers=1, + probe DSP"),
-        ("otp", 1, "otp", "workers=1, + OTP waves"),
+        ("otp", 1, "otp", "workers=1, all phases staged"),
         ("sharded", workers, "otp", f"workers={workers}, otp-staged"),
     ]
     times: dict = {}
@@ -191,24 +184,15 @@ def main(argv=None) -> int:
             f"({sessions / times[name]:6.1f} sessions/s)"
         )
 
-    identical = (
-        docs["serial"] == docs["batched"] == docs["staged"]
-        == docs["otp"] == docs["sharded"]
-    )
+    identical = docs["serial"] == docs["otp"] == docs["sharded"]
     serial_s = times["serial"]
-    batched_s = times["batched"]
-    staged_s = times["staged"]
     otp_s = times["otp"]
     sharded_s = times["sharded"]
     speedup = serial_s / sharded_s if sharded_s > 0 else float("inf")
     algo_speedup = serial_s / otp_s if otp_s > 0 else float("inf")
-    probe_speedup = batched_s / staged_s if staged_s > 0 else float("inf")
-    otp_speedup = staged_s / otp_s if otp_s > 0 else float("inf")
     print(
         f"speedup: {speedup:.2f}x total "
-        f"({algo_speedup:.2f}x algorithmic, "
-        f"{probe_speedup:.2f}x from probe staging, "
-        f"{otp_speedup:.2f}x from OTP staging)  "
+        f"({algo_speedup:.2f}x algorithmic)  "
         f"byte-identical aggregates: {identical}"
     )
 
@@ -248,19 +232,13 @@ def main(argv=None) -> int:
         "reps": reps,
         "shard_users": SHARD_USERS,
         "serial_seconds": serial_s,
-        "batched_seconds": batched_s,
-        "staged_seconds": staged_s,
         "otp_seconds": otp_s,
         "sharded_seconds": sharded_s,
         "serial_sessions_per_s": sessions / serial_s,
-        "batched_sessions_per_s": sessions / batched_s,
-        "staged_sessions_per_s": sessions / staged_s,
         "otp_sessions_per_s": sessions / otp_s,
         "sharded_sessions_per_s": sessions / sharded_s,
         "speedup_total": speedup,
         "speedup_algorithmic": algo_speedup,
-        "speedup_probe_staging": probe_speedup,
-        "speedup_otp_staging": otp_speedup,
         "speedup_parallel": otp_s / sharded_s if sharded_s > 0 else 0.0,
         "aggregates_byte_identical": identical,
         "streaming": streaming,

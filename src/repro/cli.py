@@ -199,7 +199,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             workers=args.workers,
             shard_users=args.shard_users,
             tracer=tracer,
-            staging="none" if args.no_batch else args.staging,
+            staging=args.staging,
         )
     except WearLockError as exc:
         print(f"bad fleet config: {exc}", file=sys.stderr)
@@ -607,20 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
         "0 (the default) reduces bit-for-bit to the independent path",
     )
     fleet_run.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="run every stage live (shorthand for --staging none)",
-    )
-    fleet_run.add_argument(
         "--staging",
-        choices=("none", "dtw", "probe", "otp"),
+        choices=("none", "otp"),
         default="otp",
-        help="shard staging level: none = all-live baseline, dtw = "
-        "batched motion DTW, probe = also batch the Phase-1 probe DSP, "
-        "otp = also wave-batch the Phase-2 OTP modem (a fault plan caps "
-        "it at dtw for acoustic faults at probe-tx, probe for wireless "
-        "faults at otp-tx); the aggregate is byte-identical across "
-        "levels",
+        help="shard staging level: none = all-live baseline, otp = batch "
+        "the prefilter, the Phase-1 probe and the Phase-2 OTP waves, "
+        "less any phase the fault plan reaches (acoustic faults at "
+        "probe-tx drop the probe, wireless faults at otp-tx the OTP "
+        "waves); the aggregate is byte-identical across levels",
     )
     fleet_run.add_argument(
         "--out", default=None, help="write the aggregate JSON here"

@@ -17,42 +17,41 @@ processes; it owns everything that must *not* cross shard boundaries:
   stage rng streams (the exact :class:`~repro.core.stages.StageRng`
   construction the session itself would use) and computes the shard's
   expensive DSP as stacked batches, staged onto
-  :class:`~repro.protocol.session.PrecomputedStages`:
+  :class:`~repro.protocol.session.PrecomputedStages`.  ``staging="otp"``
+  stages every protocol phase the fault plan leaves bit-exact
+  (:func:`staged_phases`); ``"none"`` runs every stage live:
 
-  - ``staging="dtw"`` draws the accelerometer pairs and scores the
-    whole shard's motion DTW in anti-diagonal wavefronts
+  - the **prefilter**: the accelerometer pairs and the whole shard's
+    motion DTW in anti-diagonal wavefronts
     (:func:`repro.sensors.dtw.normalized_dtw_batch` — bit-identical to
     the scalar recurrence, see ``tests/test_fleet.py``);
-  - ``staging="probe"`` (the default) additionally replays each
-    session's ``probe-tx`` stream: the shard's ambient captures, room
-    IRs, probe propagation, synchronizer cross-correlations, pilot
-    receive FFTs and ambient-similarity fingerprints all run as
-    stacked batches through the vectorized signal plane
-    (:func:`precompute_probe`), with each generator's bit state
-    captured so a re-probe retry continues the stream exactly where
-    the live stage would have;
-  - ``staging="otp"`` additionally batches the **Phase-2 OTP
-    transmit/receive**.  Tokens depend on per-user OTP counter state
-    (each session's counter position depends on earlier outcomes), so
-    this level cannot be staged up front: Phase B instead runs in
-    *waves* — every user advances by at most one Phase-2-reaching
-    session, paused just before ``otp-tx``; the wave's frames, channel
-    convolutions, receive FFTs and pilot equalizations run as stacked
-    batches (:func:`precompute_otp`); then each session resumes with
-    its staged result and exact rng bit-state restore.
+  - the **Phase-1 probe**: each session's ``probe-tx`` stream — the
+    shard's ambient captures, room IRs, probe propagation,
+    synchronizer cross-correlations, pilot receive FFTs and
+    ambient-similarity fingerprints run as stacked batches through the
+    vectorized signal plane (:func:`precompute_probe`), with each
+    generator's bit state captured so a re-probe retry continues the
+    stream exactly where the live stage would have;
+  - the **Phase-2 OTP transmit/receive**.  Tokens depend on per-user
+    OTP counter state (each session's counter position depends on
+    earlier outcomes), so this phase cannot be staged up front: Phase B
+    instead runs in *waves* — every user advances by at most one
+    Phase-2-reaching session, paused just before ``otp-tx``; the wave's
+    frames, channel convolutions, receive FFTs and pilot equalizations
+    run as stacked batches (:func:`precompute_otp`); then each session
+    resumes with its staged result and exact rng bit-state restore.
 
   Every staged batch holds at most :data:`STAGING_ROWS` rows, so
-  staging memory does not grow with the shard.  Phase B runs the
-  sessions with those results staged; every staged
-  value is bit-identical to what the live stage would compute, so the
-  aggregate document is byte-identical across staging levels (CI
-  ``cmp``-checks this).  Under fault injection the level degrades per
-  plan, only as far as the plan can reach a phase that level replays
-  out of band (:func:`effective_staging`): an acoustic fault armed at
-  ``probe-tx`` caps it at ``"dtw"``, a wireless fault armed at
-  ``otp-tx`` caps it at ``"probe"``, and every other plan keeps the
-  requested level — the wave driver carries each session's own fault
-  injector through the batched OTP chain.
+  staging memory does not grow with the shard.  Phase B has one driver
+  (:func:`_run_waves`); with the OTP phase unstaged no session pauses
+  and it runs each user's day straight through.  Every staged value is
+  bit-identical to what the live stage would compute, so the aggregate
+  document is byte-identical across staging levels (CI ``cmp``-checks
+  this).  Under fault injection a phase is dropped only when the plan
+  can reach it out of band: an acoustic fault armed at ``probe-tx``
+  drops the probe replay, a wireless fault armed at ``otp-tx`` drops
+  the OTP waves, and each session's own fault injector rides the
+  batched OTP chain.
 
 The output is a list of compact :class:`~repro.fleet.aggregate.
 SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
@@ -63,7 +62,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,7 +134,7 @@ __all__ = [
     "precompute_prefilter",
     "precompute_probe",
     "precompute_otp",
-    "effective_staging",
+    "staged_phases",
     "partition_indices",
     "PIN_FALLBACK_DELAY_S",
     "STAGING_LEVELS",
@@ -146,8 +145,8 @@ __all__ = [
 #: attempt's delay when a lockout forces the fallback).
 PIN_FALLBACK_DELAY_S = 2.5
 
-#: Valid shard staging levels, least to most batched.
-STAGING_LEVELS = ("none", "dtw", "probe", "otp")
+#: Valid shard staging levels: the all-live oracle and full staging.
+STAGING_LEVELS = ("none", "otp")
 
 #: Row cap of every staged DSP batch: each DTW wavefront, each probe
 #: (band, environment) group and each OTP wave block.  Every staging
@@ -193,44 +192,42 @@ def _staging_blocks(items: Sequence) -> Iterator[Sequence]:
         yield items[lo:lo + STAGING_ROWS]
 
 
-def effective_staging(staging: str, faults: Optional[FaultPlan]) -> str:
-    """Degrade a requested staging level to what can run bit-exactly.
+def staged_phases(staging: str, faults: Optional[FaultPlan]) -> FrozenSet[str]:
+    """The protocol phases a shard stages out of band.
 
-    Every fault spec draws from its own stream, and an acoustic fault
-    acts only inside :meth:`~repro.channel.link.AcousticLink.transmit`
-    while its stage is armed, so a level degrades only when the plan
-    can reach a phase that level replays out of band:
+    ``"none"`` stages nothing.  ``"otp"`` stages every phase the fault
+    plan cannot make diverge from its live run.  Every fault spec draws
+    from its own stream, and an acoustic fault acts only inside
+    :meth:`~repro.channel.link.AcousticLink.transmit` while its stage is
+    armed, so each cap removes exactly one phase:
 
-    * an acoustic spec armed at ``probe-tx`` caps the level at
-      ``"dtw"`` — the out-of-band probe replay has no injector;
-    * otherwise, a wireless spec armed at ``otp-tx`` caps it at
-      ``"probe"`` — the channel-config message is delivered *before*
-      the live transmit, so a wave-staged transmit would add or
-      reorder injector events;
-    * otherwise the requested level stands: the wave driver applies
-      each session's own injector inside the batched OTP chain
-      (:func:`precompute_otp`).
+    * ``"prefilter"`` (sensor pair and DTW) is always staged;
+    * ``"probe"`` is dropped when an acoustic spec is armed at
+      ``probe-tx`` — the out-of-band probe replay has no injector;
+    * ``"otp"`` is dropped when a wireless spec is armed at ``otp-tx`` —
+      the channel-config message is delivered *before* the live
+      transmit, so a wave-staged transmit would add or reorder injector
+      events.  Every other fault rides the waves: the driver applies
+      each session's own injector inside :func:`precompute_otp`.
 
-    The map is monotone (never stages more than requested; fault-free
-    runs are untouched) and idempotent.
+    Adding specs to a plan never adds a phase.
     """
     if staging not in STAGING_LEVELS:
         raise ConfigurationError(
             f"staging must be one of {STAGING_LEVELS}, got {staging!r}"
         )
-    if not faults:
-        return staging
+    if staging == "none":
+        return frozenset()
 
     def armed(kinds: Tuple[str, ...], stage: str) -> bool:
-        return any(s.kind in kinds and s.matches(stage) for s in faults)
+        return any(s.kind in kinds and s.matches(stage) for s in faults or ())
 
-    if armed(ACOUSTIC_FAULTS, _PROBE_STAGE):
-        cap = "dtw"
-    elif armed(WIRELESS_FAULTS, _OTP_STAGE):
-        cap = "probe"
-    else:
-        return staging
-    return min(staging, cap, key=STAGING_LEVELS.index)
+    phases = {"prefilter"}
+    if not armed(ACOUSTIC_FAULTS, _PROBE_STAGE):
+        phases.add("probe")
+    if not armed(WIRELESS_FAULTS, _OTP_STAGE):
+        phases.add("otp")
+    return frozenset(phases)
 
 
 def _user_secret(fleet_seed: int, user_id: int) -> bytes:
@@ -844,33 +841,41 @@ def precompute_otp(
 
 
 def _stage_shard(
-    specs: Sequence[SessionSpec], staging: str
+    specs: Sequence[SessionSpec],
+    phases: FrozenSet[str],
+    anns: Sequence[Optional[SceneAnnotation]],
 ) -> List[Optional[PrecomputedPrefilter]]:
-    """Phase A for a whole shard at the given staging level.
+    """Phase A for a whole shard: the prefilter, plus the probe replay
+    when ``phases`` (from :func:`staged_phases`) holds it.
 
-    ``staging`` must already be the :func:`effective_staging` level for
-    the run's fault plan: the probe replay runs whenever the level asks
-    for it, because that level is only kept when no acoustic fault is
-    armed at ``probe-tx``.
+    A contention-aborted session never executes, so staging its DSP
+    would be pure waste.  Every staged value is bit-identical per row
+    regardless of batch composition (the staging contract), so carving
+    aborted rows out of the batches cannot perturb the survivors.
     """
-    if staging == "none":
-        return [None] * len(specs)
-    staged = precompute_prefilter(specs)
-    if staging not in ("probe", "otp"):
+    staged: List[Optional[PrecomputedPrefilter]] = [None] * len(specs)
+    if not phases:
         return staged
-    probes, sims, mb_sims = precompute_probe(specs)
-    return [
-        replace(
-            staged[i],
-            probe=probes[i],
-            evidence=replace(
-                staged[i].evidence,
-                noise_similarity=sims[i],
-                multiband_similarity=mb_sims[i],
-            ),
-        )
-        for i in range(len(specs))
-    ]
+    live = [i for i, ann in enumerate(anns) if ann is None or not ann.aborted]
+    live_specs = [specs[i] for i in live]
+    prefilters = precompute_prefilter(live_specs)
+    if "probe" in phases:
+        probes, sims, mb_sims = precompute_probe(live_specs)
+        prefilters = [
+            replace(
+                pre,
+                probe=probes[j],
+                evidence=replace(
+                    pre.evidence,
+                    noise_similarity=sims[j],
+                    multiband_similarity=mb_sims[j],
+                ),
+            )
+            for j, pre in enumerate(prefilters)
+        ]
+    for i, pre in zip(live, prefilters):
+        staged[i] = pre
+    return staged
 
 
 def _scene_fields(ann: Optional[SceneAnnotation]) -> Dict[str, object]:
@@ -887,47 +892,28 @@ def _scene_fields(ann: Optional[SceneAnnotation]) -> Dict[str, object]:
     }
 
 
-def _stage_shard_contended(
-    flat: Sequence[SessionSpec],
-    staging: str,
-    anns_flat: Sequence[Optional[SceneAnnotation]],
-) -> List[Optional[PrecomputedPrefilter]]:
-    """Phase A, minus the sessions the contention kernel aborted.
-
-    A contention-aborted session never executes, so staging its DSP
-    would be pure waste.  Every staged value is bit-identical per row
-    regardless of batch composition (the staging contract), so carving
-    aborted rows out of the batches cannot perturb the survivors.
-    """
-    aborted = [ann is not None and ann.aborted for ann in anns_flat]
-    if not any(aborted):
-        return _stage_shard(flat, staging)
-    live = [i for i, dead in enumerate(aborted) if not dead]
-    staged_live = _stage_shard([flat[i] for i in live], staging)
-    staged_flat: List[Optional[PrecomputedPrefilter]] = [None] * len(flat)
-    for j, i in enumerate(live):
-        staged_flat[i] = staged_live[j]
-    return staged_flat
+def _spec_fields(spec: SessionSpec) -> Dict[str, object]:
+    """The record fields a session's spec fixes."""
+    return {
+        "user_id": spec.user_id,
+        "session_index": spec.session_index,
+        "environment": spec.environment,
+        "phone": spec.phone,
+        "band": spec.band,
+        "activity": spec.activity,
+        "co_located": spec.co_located,
+    }
 
 
 def _record(
-    spec: SessionSpec,
-    outcome,
-    pin_fallback: bool,
-    ann: Optional[SceneAnnotation] = None,
+    spec: SessionSpec, outcome, ann: Optional[SceneAnnotation] = None
 ) -> SessionRecord:
     # Carrier-sense wait is wall time the user spent staring at a
     # locked screen; it lands in the recorded latency, never in the
     # session's own DSP (see repro.fleet.events).
     extra_delay = ann.backoff_delay_s if ann is not None else 0.0
     return SessionRecord(
-        user_id=spec.user_id,
-        session_index=spec.session_index,
-        environment=spec.environment,
-        phone=spec.phone,
-        band=spec.band,
-        activity=spec.activity,
-        co_located=spec.co_located,
+        **_spec_fields(spec),
         unlocked=outcome.unlocked,
         abort_reason=(
             outcome.abort_reason.value
@@ -943,7 +929,7 @@ def _record(
         faults_injected=len(outcome.faults_injected),
         watch_energy_j=outcome.watch_energy_j,
         phone_energy_j=outcome.phone_energy_j,
-        pin_fallback=pin_fallback,
+        pin_fallback=False,
         verifier_results=tuple(
             (r.name, r.score, bool(r.passed), bool(r.skipped))
             for r in outcome.verifier_results
@@ -952,28 +938,32 @@ def _record(
     )
 
 
-def _pin_fallback_record(
-    spec: SessionSpec, ann: Optional[SceneAnnotation] = None
+def _unexecuted_record(
+    spec: SessionSpec,
+    reason: AbortReason,
+    ann: Optional[SceneAnnotation],
 ) -> SessionRecord:
-    """A lockout turned this attempt into a manual PIN entry."""
-    # A locked-out attempt never probes, so it contends with nobody —
-    # the scene identity is kept (the lockout belongs to this scene's
-    # density bucket) but the channel tallies are zeroed.
+    """An attempt that never ran the protocol.
+
+    ``LOCKED_OUT``: a lockout turned it into a manual PIN entry.  A
+    locked-out attempt never probes, so it contends with nobody — the
+    scene identity is kept (the lockout belongs to this scene's density
+    bucket) but the channel tallies are zeroed.
+
+    ``CHANNEL_CONTENTION``: the CSMA kernel exhausted the session's
+    backoff budget, so the probe never got airtime; the wait is its
+    latency, and the caller strikes the keyguard.
+    """
     scene = _scene_fields(ann)
-    if scene:
+    pin_fallback = reason is AbortReason.LOCKED_OUT
+    if pin_fallback and scene:
         scene.update(backoffs=0, backoff_delay_s=0.0, noise_penalty_db=0.0)
     return SessionRecord(
-        user_id=spec.user_id,
-        session_index=spec.session_index,
-        environment=spec.environment,
-        phone=spec.phone,
-        band=spec.band,
-        activity=spec.activity,
-        co_located=spec.co_located,
+        **_spec_fields(spec),
         unlocked=False,
-        abort_reason=AbortReason.LOCKED_OUT.value,
+        abort_reason=reason.value,
         mode="",
-        delay_s=PIN_FALLBACK_DELAY_S,
+        delay_s=PIN_FALLBACK_DELAY_S if pin_fallback else ann.backoff_delay_s,
         raw_ber=None,
         attempts=0,
         reprobes=0,
@@ -981,38 +971,8 @@ def _pin_fallback_record(
         faults_injected=0,
         watch_energy_j=0.0,
         phone_energy_j=0.0,
-        pin_fallback=True,
+        pin_fallback=pin_fallback,
         **scene,
-    )
-
-
-def _contention_abort_record(
-    spec: SessionSpec, ann: SceneAnnotation
-) -> SessionRecord:
-    """The CSMA kernel exhausted this session's backoff budget: the
-    probe never got airtime, the attempt fails without executing, and
-    the keyguard takes a strike (the caller updates that state)."""
-    return SessionRecord(
-        user_id=spec.user_id,
-        session_index=spec.session_index,
-        environment=spec.environment,
-        phone=spec.phone,
-        band=spec.band,
-        activity=spec.activity,
-        co_located=spec.co_located,
-        unlocked=False,
-        abort_reason=AbortReason.CHANNEL_CONTENTION.value,
-        mode="",
-        delay_s=ann.backoff_delay_s,
-        raw_ber=None,
-        attempts=0,
-        reprobes=0,
-        recovered=False,
-        faults_injected=0,
-        watch_energy_j=0.0,
-        phone_energy_j=0.0,
-        pin_fallback=False,
-        **_scene_fields(ann),
     )
 
 
@@ -1022,9 +982,7 @@ def _session_config(
     faults: Optional[FaultPlan],
     retry: Optional[RetryPolicy],
 ) -> SessionConfig:
-    """The session configuration one spec describes (shared by both
-    Phase-B drivers, so wave batching can never drift from the live
-    construction)."""
+    """The session configuration one spec describes."""
     return SessionConfig(
         system=system,
         environment=spec.environment,
@@ -1057,7 +1015,7 @@ def _user_phone(
     return otp, PhoneController(phone_system, otp)
 
 
-def _run_shard_otp(
+def _run_waves(
     config: FleetConfig,
     system: SystemConfig,
     faults: Optional[FaultPlan],
@@ -1065,14 +1023,15 @@ def _run_shard_otp(
     shard: Sequence[Tuple[UserProfile, List[SessionSpec], int]],
     staged_flat: List[Optional[PrecomputedPrefilter]],
     anns_flat: Sequence[Optional[SceneAnnotation]],
+    pause_before: Optional[str],
 ) -> List[SessionRecord]:
-    """Phase B with wave-batched Phase-2 staging (``staging="otp"``).
+    """Phase B: run every session, wave-batching Phase 2.
 
     A session's OTP token depends on its user's counter state, which
     depends on the *outcomes* of that user's earlier sessions — so the
     Phase-2 DSP cannot be staged up front the way the probe can.
     Instead sessions run in **waves**: each user holds at most one
-    *active* session, paused just before ``otp-tx``
+    *active* session, paused just before ``pause_before``
     (:meth:`~repro.protocol.session.UnlockSession.begin`); every
     round, the wave's transmit/receive DSP runs as batches of at most
     :data:`STAGING_ROWS` sessions (:func:`precompute_otp`) and each
@@ -1088,8 +1047,11 @@ def _run_shard_otp(
     Tokens are exact by construction: each is staged from the paused
     session's own OTP counter at its own attempt.  Faulted sessions
     ride the waves as well, each with its own fault injector applied
-    inside :func:`precompute_otp`.  Records are re-sorted to the
-    canonical ``(user_id, session_index)`` order the live driver emits.
+    inside :func:`precompute_otp`.
+
+    With ``pause_before=None`` no session pauses, so the first top-up
+    sweep runs every user's whole day live and no wave forms.  Records
+    are sorted to the canonical ``(user_id, session_index)`` order.
     """
     states = []
     for user, specs, offset in shard:
@@ -1107,6 +1069,8 @@ def _run_shard_otp(
             otp, phone, specs, offset, cursor = state
             while cursor < len(specs):
                 spec = specs[cursor]
+                # Consume the staged entry (drop the reference at once,
+                # so staged results are freed as the sweep walks them).
                 staged = staged_flat[offset + cursor]
                 staged_flat[offset + cursor] = None
                 ann = anns_flat[offset + cursor]
@@ -1114,7 +1078,9 @@ def _run_shard_otp(
                 if otp.locked_out or phone.keyguard.pin_required:
                     phone.keyguard.pin_unlock()
                     otp.unlock_with_pin()
-                    records.append(_pin_fallback_record(spec, ann))
+                    records.append(
+                        _unexecuted_record(spec, AbortReason.LOCKED_OUT, ann)
+                    )
                     continue
                 if ann is not None and ann.aborted:
                     # The CSMA kernel starved this probe: a failed
@@ -1122,7 +1088,11 @@ def _run_shard_otp(
                     # air, striking the keyguard like any other.
                     phone.keyguard.lock()
                     phone.keyguard.trusted_failure()
-                    records.append(_contention_abort_record(spec, ann))
+                    records.append(
+                        _unexecuted_record(
+                            spec, AbortReason.CHANNEL_CONTENTION, ann
+                        )
+                    )
                     continue
                 phone.keyguard.lock()
                 session = UnlockSession(
@@ -1130,14 +1100,14 @@ def _run_shard_otp(
                     otp=otp,
                     phone=phone,
                 )
-                pending = session.begin(precomputed=staged)
+                pending = session.begin(
+                    precomputed=staged, pause_before=pause_before
+                )
                 if pending.paused:
                     active[ui] = (spec, ann, pending)
                     break  # one in-flight session per user
-                # Aborted before otp-tx: the outcome is already final.
-                records.append(
-                    _record(spec, pending.finish(), pin_fallback=False, ann=ann)
-                )
+                # Finished without pausing: the outcome is already final.
+                records.append(_record(spec, pending.finish(), ann))
             state[4] = cursor
         if not active:
             break
@@ -1151,10 +1121,7 @@ def _run_shard_otp(
             ):
                 if pending.feed(staged_otp):
                     continue  # paused again: next round stages the retry
-                outcome = pending.finish()
-                records.append(
-                    _record(spec, outcome, pin_fallback=False, ann=ann)
-                )
+                records.append(_record(spec, pending.finish(), ann))
                 del active[ui]
     records.sort(key=lambda r: (r.user_id, r.session_index))
     return records
@@ -1206,8 +1173,7 @@ def run_shard(
     config: FleetConfig,
     user_lo: int,
     user_hi: int,
-    batched: bool = True,
-    staging: Optional[str] = None,
+    staging: str = "otp",
     contention: Optional[Dict[Tuple[int, int], SceneAnnotation]] = None,
     population: Optional[ShardPopulation] = None,
 ) -> List[SessionRecord]:
@@ -1220,17 +1186,12 @@ def run_shard(
     only the :class:`~repro.fleet.population.FleetConfig` and the range
     cross the process boundary.
 
-    ``staging`` selects the Phase-A fast path (:data:`STAGING_LEVELS`):
-    ``"none"`` runs every stage live (the benchmark's serial baseline),
-    ``"dtw"`` stages the batched motion DTW, ``"probe"`` additionally
-    stages the batched Phase-1 probe DSP, and ``"otp"`` additionally
-    wave-batches the Phase-2 OTP transmit/receive
-    (:func:`_run_shard_otp`).  When ``staging`` is omitted the legacy
-    ``batched`` flag maps ``True`` to ``"probe"`` and ``False`` to
-    ``"none"``.  Under fault injection the level degrades only as far
-    as the parsed fault plan requires (:func:`effective_staging`), and
-    the plan is parsed once per shard and shared by every session.
-    All levels produce byte-identical aggregates.
+    ``staging`` is one of :data:`STAGING_LEVELS`: ``"none"`` runs every
+    stage live (the oracle), ``"otp"`` stages every phase
+    :func:`staged_phases` allows for the config's fault plan — the
+    prefilter and probe in Phase A, the OTP waves in Phase B
+    (:func:`_run_waves`).  The plan is parsed once per shard and shared
+    by every session.  Both levels produce byte-identical aggregates.
 
     ``contention`` is this shard's slice of the discrete-event kernel's
     plan (:func:`~repro.fleet.events.build_contention_plan`).  The
@@ -1240,11 +1201,9 @@ def run_shard(
     process (a pure function, so the records cannot depend on who
     computed it).
     """
-    if staging is None:
-        staging = "probe" if batched else "none"
     # Parsed once per shard; every session shares the immutable plan.
     faults = config.fault_plan()
-    staging = effective_staging(staging, faults)
+    phases = staged_phases(staging, faults)
     system = SystemConfig()
     retry = RetryPolicy() if config.retry else None
     if contention is None and config.scene_density > 0.0:
@@ -1265,42 +1224,13 @@ def run_shard(
         else None
         for spec in flat
     ]
-    staged_flat = _stage_shard_contended(flat, staging, anns_flat)
-
-    if staging == "otp":
-        return _run_shard_otp(
-            config, system, faults, retry, shard, staged_flat, anns_flat
-        )
-
-    records: List[SessionRecord] = []
-    for user, specs, offset in shard:
-        otp, phone = _user_phone(config, system, user)
-        for k, spec in enumerate(specs):
-            # Consume the staged entry (drop the reference immediately
-            # so a shard's precomputed recordings are freed as Phase B
-            # walks it, instead of accumulating until the shard ends).
-            staged = staged_flat[offset + k]
-            staged_flat[offset + k] = None
-            ann = anns_flat[offset + k]
-            if otp.locked_out or phone.keyguard.pin_required:
-                phone.keyguard.pin_unlock()
-                otp.unlock_with_pin()
-                records.append(_pin_fallback_record(spec, ann))
-                continue
-            if ann is not None and ann.aborted:
-                # The CSMA kernel starved this probe: a failed
-                # trusted-unlock attempt that never reached the air,
-                # striking the keyguard like any other.
-                phone.keyguard.lock()
-                phone.keyguard.trusted_failure()
-                records.append(_contention_abort_record(spec, ann))
-                continue
-            phone.keyguard.lock()
-            session = UnlockSession(
-                _session_config(system, spec, faults, retry),
-                otp=otp,
-                phone=phone,
-            )
-            outcome = session.run(precomputed=staged)
-            records.append(_record(spec, outcome, pin_fallback=False, ann=ann))
-    return records
+    return _run_waves(
+        config,
+        system,
+        faults,
+        retry,
+        shard,
+        _stage_shard(flat, phases, anns_flat),
+        anns_flat,
+        pause_before=_OTP_STAGE if "otp" in phases else None,
+    )

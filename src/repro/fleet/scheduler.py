@@ -15,6 +15,11 @@ sessions (:meth:`FleetScheduler.dispatch_target`).  A sparse day then
 hands the staging primitives a few full batches instead of many
 near-empty ones.
 
+Every shard runs at the scheduler's ``staging`` level: ``"none"`` runs
+each session live, ``"otp"`` stages every protocol phase the fault
+plan allows (:func:`~repro.fleet.executor.staged_phases`).  Either way
+a shard's records are the same.
+
 Folding in shard-index order (not completion order) is what pins the
 float-summation order and makes the aggregate document byte-identical
 for any ``workers`` value — the property CI checks on every push.
@@ -93,19 +98,13 @@ class FleetScheduler:
     tracer:
         Optional :class:`~repro.core.trace.Tracer`; the run is wrapped
         in a ``fleet.run`` span carrying session/shard/user counters.
-    batched:
-        Legacy switch: ``False`` forces the all-live path (staging
-        ``"none"``), ``True`` the full fast path (staging ``"probe"``).
-        Ignored when ``staging`` is given explicitly.
     staging:
         Shard staging level (see :data:`~repro.fleet.executor.
-        STAGING_LEVELS`): ``"none"`` runs every stage live, ``"dtw"``
-        batches the motion DTW per shard, ``"probe"`` additionally
-        batches the Phase-1 probe DSP, and ``"otp"`` additionally
-        wave-batches the Phase-2 OTP transmit/receive (a fault plan
-        lowers the level only as far as
-        :func:`~repro.fleet.executor.effective_staging` requires).
-        Every level produces a byte-identical aggregate.
+        STAGING_LEVELS`): ``"none"`` runs every stage live, ``"otp"``
+        (the default) stages the prefilter, the Phase-1 probe and the
+        Phase-2 OTP waves, minus any phase the fault plan reaches
+        (:func:`~repro.fleet.executor.staged_phases`).  Both levels
+        produce a byte-identical aggregate.
     """
 
     def __init__(
@@ -114,8 +113,7 @@ class FleetScheduler:
         workers: int = 1,
         shard_users: int = 25,
         tracer: Optional[Tracer] = None,
-        batched: bool = True,
-        staging: Optional[str] = None,
+        staging: str = "otp",
     ):
         for name, value in (
             ("shard_users", shard_users),
@@ -131,8 +129,6 @@ class FleetScheduler:
             raise ConfigurationError("shard_users must be positive")
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
-        if staging is None:
-            staging = "probe" if batched else "none"
         if staging not in STAGING_LEVELS:
             raise ConfigurationError(
                 f"staging must be one of {STAGING_LEVELS}, got {staging!r}"
@@ -142,7 +138,6 @@ class FleetScheduler:
         self.shard_users = int(shard_users)
         self.tracer = tracer if tracer is not None else NullTracer()
         self.staging = staging
-        self.batched = staging != "none"
 
     def shard_bounds(self) -> List[Tuple[int, int]]:
         """Contiguous ``[lo, hi)`` user ranges covering the population."""
@@ -231,7 +226,6 @@ class FleetScheduler:
                     self.config,
                     lo,
                     hi,
-                    self.batched,
                     self.staging,
                     plan.for_user_range(lo, hi) if plan else None,
                     population,

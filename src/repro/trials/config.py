@@ -535,15 +535,13 @@ TRIAL_MATRIX: Tuple[TrialCell, ...] = (
             "variants": [
                 {"workers": 1, "staging": "otp"},
                 {"workers": 4, "staging": "otp"},
-                {"workers": 1, "staging": "probe"},
-                {"workers": 1, "staging": "dtw"},
                 {"workers": 1, "staging": "none"},
             ],
         },
         judges=(
             JudgeSpec("determinism", {"path": "metrics/digests"}),
         ),
-        describes="200-user day identical across 4 staging levels",
+        describes="200-user day identical across workers and staging",
     ),
 )
 

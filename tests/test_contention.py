@@ -288,7 +288,7 @@ class TestOnePopulationPass:
         bounds = self._bounds(CONTENDED)
         assert len(bounds) > 1
         for lo, hi in bounds:
-            run_shard(CONTENDED, lo, hi, staging="dtw")
+            run_shard(CONTENDED, lo, hi, staging="otp")
         assert pass_counts["plans"] == 1
         # One pass for the plan plus each shard's own synthesis.
         assert pass_counts["user_sessions"] == 2 * CONTENDED.n_users
@@ -300,11 +300,11 @@ class TestOnePopulationPass:
         contention = build_contention_plan(CONTENDED).for_user_range(0, 8)
         before = dict(pass_counts)
         given = run_shard(
-            CONTENDED, 0, 8, staging="dtw",
+            CONTENDED, 0, 8, staging="otp",
             contention=contention, population=population,
         )
         assert pass_counts == before
-        assert given == run_shard(CONTENDED, 0, 8, staging="dtw")
+        assert given == run_shard(CONTENDED, 0, 8, staging="otp")
 
 
 class TestHistogramFromDictValidation:

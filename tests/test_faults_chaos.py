@@ -299,12 +299,12 @@ class TestInjectorUnit:
 class TestStagedFleetUnderFaults:
     """Fault injection against the fleet's staged fast paths.
 
-    :func:`repro.fleet.executor.effective_staging` lowers a requested
-    level only as far as the fault plan reaches a phase that level
-    replays out of band; the wave driver carries each session's own
-    injector through the batched OTP chain.  Whatever level survives
-    must run without raising and stay byte-identical to a fully live
-    run — records *and* each session's ordered fault labels.
+    :func:`repro.fleet.executor.staged_phases` drops a phase from
+    ``staging="otp"`` only when the fault plan reaches it out of band;
+    the wave driver carries each session's own injector through the
+    batched OTP chain.  Whatever phases survive must run without
+    raising and stay byte-identical to a fully live run — records *and*
+    each session's ordered fault labels.
     """
 
     @staticmethod
@@ -319,10 +319,10 @@ class TestStagedFleetUnderFaults:
         probe = executor.precompute_probe
         otp = executor.precompute_otp
 
-        def capture(spec, outcome, pin_fallback, ann=None):
+        def capture(spec, outcome, ann=None):
             key = (spec.user_id, spec.session_index)
             labels[key] = outcome.faults_injected
-            return record(spec, outcome, pin_fallback, ann)
+            return record(spec, outcome, ann)
 
         def count_probe(specs):
             rows["probe"] += len(specs)
@@ -343,18 +343,18 @@ class TestStagedFleetUnderFaults:
 
     def _check_matches_live(self, faults, monkeypatch):
         from repro.fleet import FleetConfig
-        from repro.fleet.executor import effective_staging
+        from repro.fleet.executor import staged_phases
 
         cfg = FleetConfig(n_users=3, hours=24.0, seed=11, faults=faults)
         live, live_labels, _ = self._run(cfg, "none", monkeypatch)
         staged, staged_labels, rows = self._run(cfg, "otp", monkeypatch)
         assert staged == live
         assert staged_labels == live_labels
-        # The predicted level is the one that actually ran (e.g.
-        # burst_noise@otp-tx keeps "otp", so precompute_otp sees rows).
-        level = effective_staging("otp", cfg.fault_plan())
-        assert (rows["probe"] > 0) == (level in ("probe", "otp"))
-        assert (rows["otp"] > 0) == (level == "otp")
+        # The derived phases are the ones that actually ran (e.g.
+        # mic_dropout@* replays the probe live but keeps the OTP waves).
+        phases = staged_phases("otp", cfg.fault_plan())
+        assert (rows["probe"] > 0) == ("probe" in phases)
+        assert (rows["otp"] > 0) == ("otp" in phases)
 
     @pytest.mark.parametrize("stage", ("probe-tx", "otp-tx", "verify", "*"))
     @pytest.mark.parametrize("kind", FAULT_KINDS)
@@ -370,36 +370,40 @@ class TestStagedFleetUnderFaults:
         (
             "burst_noise@otp-tx;msg_drop@otp-tx",
             "snr_collapse@otp-tx;latency_spike@otp-tx",
+            # Both caps: only the prefilter stays staged.
+            "mic_dropout@probe-tx;msg_drop@otp-tx",
         ),
     )
     def test_mixed_plans_match_live(self, faults, monkeypatch):
         self._check_matches_live(faults, monkeypatch)
 
     def test_acoustic_levels_degrade_only_when_faulted(self):
-        from repro.fleet.executor import STAGING_LEVELS, effective_staging
+        from repro.fleet.executor import staged_phases
 
-        def level(faults, requested="otp"):
+        def phases(faults, requested="otp"):
             plan = FaultPlan.parse(faults) if faults else None
-            return effective_staging(requested, plan)
+            return staged_phases(requested, plan)
 
-        for requested in STAGING_LEVELS:
-            assert level(None, requested) == requested
-        # Acoustic at probe-tx (or everywhere): no out-of-band probe.
-        assert level("burst_noise@probe-tx") == "dtw"
-        assert level("mic_dropout@*") == "dtw"
-        assert level("jammer_onset@probe-tx", "none") == "none"
-        # Wireless at otp-tx (or everywhere): the probe stays staged.
-        assert level("msg_drop@otp-tx") == "probe"
-        assert level("msg_late@*") == "probe"
-        assert level("msg_drop@otp-tx", "dtw") == "dtw"
-        # Everything else keeps the requested level.
+        every = {"prefilter", "probe", "otp"}
+        assert phases(None) == every
+        assert phases(None, "none") == set()
+        assert phases("jammer_onset@probe-tx", "none") == set()
+        # Acoustic at probe-tx (or everywhere): only the probe is live.
+        assert phases("burst_noise@probe-tx") == {"prefilter", "otp"}
+        assert phases("mic_dropout@*") == {"prefilter", "otp"}
+        # Wireless at otp-tx (or everywhere): only the OTP waves are.
+        assert phases("msg_drop@otp-tx") == {"prefilter", "probe"}
+        assert phases("msg_late@*") == {"prefilter", "probe"}
+        # The two caps are independent.
+        assert phases("mic_dropout@*;msg_drop@otp-tx") == {"prefilter"}
+        # Everything else stages every phase.
         for faults in (
             "burst_noise@otp-tx",
             "frame_truncation@otp-tx;latency_spike@*",
             "msg_drop@probe-tx;msg_late@verify",
             "energy_spike@*",
         ):
-            assert level(faults) == "otp"
+            assert phases(faults) == every
 
     def test_faulted_scheduler_worker_invariance(self):
         """Faulted waves must not break the worker-count contract."""

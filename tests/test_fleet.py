@@ -186,8 +186,8 @@ class TestFleetRun:
         assert _doc(base, SMALL.hours) == _doc(pooled, SMALL.hours)
 
     def test_batched_prefilter_invariance(self):
-        fast = FleetScheduler(SMALL, workers=1, batched=True).run()
-        slow = FleetScheduler(SMALL, workers=1, batched=False).run()
+        fast = FleetScheduler(SMALL, workers=1, staging="otp").run()
+        slow = FleetScheduler(SMALL, workers=1, staging="none").run()
         assert _doc(fast, SMALL.hours) == _doc(slow, SMALL.hours)
 
     def test_shard_merge_equals_whole(self):

@@ -12,9 +12,11 @@ mirroring ``tests/test_probe_staging_equivalence.py``:
 * a staged ``begin``/``feed``/``finish`` session equals a live
   ``run()`` field-for-field, including the ``otp-tx`` stream position;
 * whole shards and scheduled fleets produce byte-identical aggregates
-  at every staging level and worker count;
-* the order-preserving-partition and monotone-degradation invariants
-  the wave driver leans on hold for arbitrary inputs (hypothesis).
+  at both staging levels and any worker count, with the OTP waves
+  staged or live;
+* the order-preserving partition the wave driver leans on, and the
+  fault plan's map to staged phases, hold for arbitrary inputs
+  (hypothesis).
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.fleet import FleetConfig, FleetScheduler, run_shard
+from repro.fleet import FleetConfig, FleetScheduler, executor, run_shard
 from repro.fleet.executor import (
     STAGING_LEVELS,
-    effective_staging,
     partition_indices,
     precompute_otp,
+    staged_phases,
 )
 from repro.modem.constellation import QPSK
 from repro.modem.frame import frame_layout
@@ -438,19 +440,31 @@ class TestStagedSessionEquivalence:
         assert any(reached), "no chosen seed exercises the OTP stage"
 
 
+def _staged_run(cfg, monkeypatch):
+    """``run_shard`` records at ``staging="otp"`` and the rows
+    :func:`~repro.fleet.executor.precompute_otp` saw."""
+    rows = []
+
+    def counted(pendings):
+        rows.append(len(pendings))
+        return precompute_otp(pendings)
+
+    with monkeypatch.context() as m:
+        m.setattr(executor, "precompute_otp", counted)
+        records = run_shard(cfg, 0, cfg.n_users, staging="otp")
+    return records, sum(rows)
+
+
 class TestStagedOtpFleet:
     """Whole-shard and scheduled-fleet identity at ``staging='otp'``."""
 
-    def test_records_identical_across_all_staging_levels(self):
-        cfg = FleetConfig(n_users=5, hours=24.0, seed=9)
-        per_level = {
-            level: run_shard(cfg, 0, 5, staging=level)
-            for level in STAGING_LEVELS
-        }
-        assert (
-            per_level["none"] == per_level["dtw"]
-            == per_level["probe"] == per_level["otp"]
-        )
+    def test_records_identical_across_all_staging_levels(self, monkeypatch):
+        # An acoustic fault at probe-tx leaves the OTP waves staged.
+        for faults in ("", "mic_dropout@*:p=0.5"):
+            cfg = FleetConfig(n_users=5, hours=24.0, seed=9, faults=faults)
+            staged, rows = _staged_run(cfg, monkeypatch)
+            assert rows > 0
+            assert staged == run_shard(cfg, 0, 5, staging="none")
 
     def test_shard_split_invariance(self):
         """The wave batching must not couple sessions across shard
@@ -462,14 +476,14 @@ class TestStagedOtpFleet:
         )
         assert whole == halves
 
-    def test_faulted_shard_degrades_but_stays_identical(self):
-        """A wireless fault at otp-tx caps the level at ``"probe"``."""
+    def test_faulted_shard_degrades_but_stays_identical(self, monkeypatch):
+        """A wireless fault at otp-tx runs Phase 2 live, unpaused."""
         cfg = FleetConfig(
             n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
         )
-        live = run_shard(cfg, 0, 4, staging="none")
-        staged = run_shard(cfg, 0, 4, staging="otp")
-        assert live == staged
+        staged, rows = _staged_run(cfg, monkeypatch)
+        assert rows == 0
+        assert staged == run_shard(cfg, 0, 4, staging="none")
 
     def test_scheduler_staging_and_worker_invariance(self):
         cfg = FleetConfig(n_users=8, hours=24.0, seed=4)
@@ -547,24 +561,21 @@ class TestWaveInvariants:
         _FAULT_PLANS,
     )
     @settings(max_examples=300, deadline=None)
-    def test_effective_staging_monotone_degradation(
-        self, level, plan, more
-    ):
-        rank = {name: i for i, name in enumerate(STAGING_LEVELS)}
-        effective = effective_staging(level, plan)
-        # Never stages more than requested; fault-free is untouched.
-        assert rank[effective] <= rank[level]
-        if plan is None:
-            assert effective == level
-        # Each rung of the ladder.
-        elif _armed(plan, ACOUSTIC_FAULTS, "probe-tx"):
-            assert rank[effective] == min(rank[level], rank["dtw"])
-        elif _armed(plan, WIRELESS_FAULTS, "otp-tx"):
-            assert rank[effective] == min(rank[level], rank["probe"])
+    def test_staged_phases_follow_the_plan(self, level, plan, more):
+        phases = staged_phases(level, plan)
+        if level == "none":
+            assert phases == frozenset()
+        elif plan is None:
+            assert phases == {"prefilter", "probe", "otp"}
         else:
-            assert effective == level
-        # Idempotent: re-checking a degraded level cannot move it.
-        assert effective_staging(effective, plan) == effective
+            # Each cap drops exactly its own phase.
+            assert "prefilter" in phases
+            assert ("probe" in phases) != _armed(
+                plan, ACOUSTIC_FAULTS, "probe-tx"
+            )
+            assert ("otp" in phases) != _armed(
+                plan, WIRELESS_FAULTS, "otp-tx"
+            )
         # Monotone in the plan: more specs never stage more.
         bigger = FaultPlan.of(tuple(plan or ()) + tuple(more))
-        assert rank[effective_staging(level, bigger)] <= rank[effective]
+        assert staged_phases(level, bigger) <= phases

@@ -1,6 +1,6 @@
 """Bit-identity of the shard-batched Phase-1 probe DSP.
 
-The fleet's ``staging="probe"`` fast path replays every session's
+The fleet's ``staging="otp"`` fast path replays every session's
 probe-tx rng stream out of band and runs the channel synthesis,
 synchronizer correlations and pilot receive FFTs as stacked batches.
 These tests pin the contract at both layers: each batch primitive is
@@ -8,7 +8,7 @@ bit-identical to its scalar counterpart (including the generator
 stream positions it leaves behind) — or, where the scalar function is
 a one-row call of the batch kernel, to the independent 1-D bodies in
 ``tests/kernel_oracle.py`` — and whole shards produce the same session
-records at every staging level.
+records whether the probe replay is staged or live.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from repro.dsp.correlation import sliding_normalized_correlation_batch
 from repro.dsp.filters import design_bandpass_fir, fir_filter_batch
 from repro.dsp.spectrum import welch_psd, welch_psd_batch
 from repro.errors import ConfigurationError, ModemError
-from repro.fleet import FleetConfig, FleetScheduler, run_shard
-from repro.fleet.executor import STAGING_LEVELS
+from repro.fleet import FleetConfig, FleetScheduler, executor, run_shard
 from repro.modem.probe import ChannelProber
 from tests import kernel_oracle as oracle
 
@@ -183,30 +182,53 @@ class TestBatchPrimitives:
         assert batch[0] is not None and batch[0].detected
 
 
+def _staged_run(cfg, monkeypatch):
+    """``run_shard`` records at ``staging="otp"`` and the rows
+    :func:`~repro.fleet.executor.precompute_probe` saw."""
+    rows = []
+    probe = executor.precompute_probe
+
+    def counted(specs):
+        rows.append(len(specs))
+        return probe(specs)
+
+    with monkeypatch.context() as m:
+        m.setattr(executor, "precompute_probe", counted)
+        records = run_shard(cfg, 0, cfg.n_users, staging="otp")
+    return records, sum(rows)
+
+
 class TestStagedProbeFleet:
-    """Whole-shard identity across staging levels."""
+    """Whole-shard identity with the probe replay staged or live."""
 
-    def test_records_identical_across_staging_levels(self):
-        cfg = FleetConfig(n_users=5, hours=24.0, seed=9)
-        per_level = {
-            level: run_shard(cfg, 0, 5, staging=level)
-            for level in STAGING_LEVELS
-        }
-        assert per_level["none"] == per_level["dtw"] == per_level["probe"]
+    def test_records_identical_across_staging_levels(self, monkeypatch):
+        # An acoustic fault at probe-tx replays the probe live and keeps
+        # the rest staged; either way the records match the oracle.
+        for faults, probe_staged in (
+            ("", True),
+            ("mic_dropout@*:p=0.5", False),
+        ):
+            cfg = FleetConfig(n_users=5, hours=24.0, seed=13, faults=faults)
+            staged, rows = _staged_run(cfg, monkeypatch)
+            assert (rows > 0) == probe_staged
+            assert staged == run_shard(cfg, 0, 5, staging="none")
 
-    def test_faulted_shard_degrades_but_stays_identical(self):
-        """A wireless fault at otp-tx leaves probe staging on (it caps
-        only the ``"otp"`` level); the records must still match the
-        all-live run."""
+    def test_faulted_shard_degrades_but_stays_identical(self, monkeypatch):
+        """A wireless fault at otp-tx drops only the OTP waves: the probe
+        stays staged, and the records must still match the all-live
+        run."""
         cfg = FleetConfig(
             n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
         )
-        live = run_shard(cfg, 0, 4, staging="none")
-        staged = run_shard(cfg, 0, 4, staging="probe")
-        assert live == staged
+        staged, rows = _staged_run(cfg, monkeypatch)
+        assert rows > 0
+        assert staged == run_shard(cfg, 0, 4, staging="none")
 
     def test_scheduler_staging_and_worker_invariance(self):
-        cfg = FleetConfig(n_users=6, hours=24.0, seed=4)
+        # Probe staged, OTP live (the wireless cap), across workers.
+        cfg = FleetConfig(
+            n_users=6, hours=24.0, seed=4, faults="msg_drop@otp-tx:p=0.5"
+        )
 
         def doc(result):
             import json
@@ -217,17 +239,26 @@ class TestStagedProbeFleet:
             )
 
         base = doc(FleetScheduler(cfg, workers=1, staging="none").run())
-        staged = doc(FleetScheduler(cfg, workers=1, staging="probe").run())
+        staged = doc(FleetScheduler(cfg, workers=1, staging="otp").run())
         pooled = doc(
             FleetScheduler(
-                cfg, workers=2, shard_users=2, staging="probe"
+                cfg, workers=2, shard_users=2, staging="otp"
             ).run()
         )
         assert base == staged == pooled
 
     def test_invalid_staging_rejected(self):
+        from repro.cli import main
+
         cfg = FleetConfig(n_users=2, hours=24.0, seed=1)
-        with pytest.raises(ConfigurationError):
-            run_shard(cfg, 0, 2, staging="bogus")
-        with pytest.raises(ConfigurationError):
-            FleetScheduler(cfg, staging="bogus")
+        # The retired ladder rungs are rejected like any unknown level.
+        for level in ("bogus", "dtw", "probe"):
+            with pytest.raises(ConfigurationError):
+                run_shard(cfg, 0, 2, staging=level)
+            with pytest.raises(ConfigurationError):
+                FleetScheduler(cfg, staging=level)
+            with pytest.raises(SystemExit) as exited:
+                main(["fleet", "run", "--users", "1", "--staging", level])
+            assert exited.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["fleet", "run", "--users", "1", "--no-batch"])

@@ -57,11 +57,9 @@ def _traced_run(config, shard_users, workers, staging_rows):
     calls = []
     rows = []
 
-    def dispatched(config, lo, hi, batched, staging, contention, population):
+    def dispatched(config, lo, hi, staging, contention, population):
         calls.append((lo, hi, population))
-        return run_shard(
-            config, lo, hi, batched, staging, contention, population
-        )
+        return run_shard(config, lo, hi, staging, contention, population)
 
     def counted(fn, rows_of):
         def wrapper(*args):
