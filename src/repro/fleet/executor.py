@@ -77,7 +77,12 @@ from ..core.stages import StageRng
 from ..devices.profiles import DEVICES
 from ..dsp.energy import rms, spl_to_amplitude
 from ..dsp.plane import KeyedCache
-from ..errors import ChannelError, ConfigurationError, WearLockError
+from ..errors import (
+    ChannelError,
+    ConfigurationError,
+    ModemError,
+    WearLockError,
+)
 from ..faults import ACOUSTIC_FAULTS, WIRELESS_FAULTS, FaultPlan
 from ..modem.constellation import get_constellation
 from ..modem.context import signal_plane
@@ -427,7 +432,12 @@ def _stage_probe_group(
     recorded = mic.record_batch(at_mic, gens)
     states = [gen.bit_generator.state for gen in gens]
 
-    reports = prober.analyze_batch(recorded)
+    # A row whose live analysis would raise aborts the live stage as
+    # ``probe_not_detected``; the staged report marks it ``None``.
+    reports = [
+        None if isinstance(report, ModemError) else report
+        for report in prober.analyze_batch(recorded)
+    ]
 
     sims: List[Optional[float]] = [None] * len(group)
     mb_sims: List[Optional[float]] = [None] * len(group)
@@ -587,10 +597,14 @@ def precompute_otp(
     3. **Receive.**  The watch-side plane is rebuilt exactly the way
        :meth:`~repro.protocol.controllers.WatchController.demodulate`
        rebuilds it from the channel-config message, and sessions
-       sharing (plane, recording length, bit count) go through one
-       :meth:`~repro.modem.receiver.OfdmReceiver.receive_batch`.  A
-       ``None`` bits entry marks exactly the frames whose scalar
-       receive would raise (→ ``data_not_detected`` downstream).
+       sharing sync geometry (modem config, mode, data-channel count,
+       recording length, bit count) go through one
+       :func:`~repro.modem.receiver.receive_batch_grouped` whatever
+       their plans.  It returns the
+       :class:`~repro.errors.ModemError` instance for each frame whose
+       live :meth:`~repro.modem.receiver.OfdmReceiver.receive` raises;
+       those frames get ``None`` bits (→ ``data_not_detected``
+       downstream).
 
     Recordings are dropped here: only the sample count survives (for
     the offload arithmetic), plus the post-draw generator state so a
@@ -825,7 +839,9 @@ def precompute_otp(
             expected_bits=msgs[idxs[0]].n_bits,
         )
         for res, i in zip(received, idxs):
-            bits_out[i] = res.bits if res is not None else None
+            # A failed row carries the ModemError the live receive
+            # raises; its staged bits are None (→ data_not_detected).
+            bits_out[i] = None if isinstance(res, ModemError) else res.bits
 
     for i in range(n):
         lite = replace(

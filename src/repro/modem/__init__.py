@@ -42,11 +42,7 @@ from .frame import (
     FrameLayout,
 )
 from .transmitter import OfdmTransmitter
-from .synchronizer import (
-    Synchronizer,
-    fine_sync_offset,
-    fine_sync_offsets_batch,
-)
+from .synchronizer import Synchronizer
 from .equalizer import (
     estimate_channel,
     estimate_channel_rows,
@@ -106,8 +102,6 @@ __all__ = [
     "FrameLayout",
     "OfdmTransmitter",
     "Synchronizer",
-    "fine_sync_offset",
-    "fine_sync_offsets_batch",
     "estimate_channel",
     "estimate_channel_rows",
     "equalize",

@@ -220,6 +220,19 @@ class PreambleDetector:
             )
         return tuple(out)
 
+    def detect_rows(
+        self, recordings: np.ndarray
+    ) -> Tuple[Tuple[Optional[PreambleMatch], float], ...]:
+        """:meth:`matches_from_scores` of a stack of equal-length rows.
+
+        Rows too short for the template all fail with peak score 0.0,
+        exactly as :meth:`detect` reports them.
+        """
+        try:
+            return self.matches_from_scores(self.scores_batch(recordings))
+        except DspError:
+            return ((None, 0.0),) * len(recordings)
+
     def _delay_profile(
         self,
         scores: np.ndarray,

@@ -17,14 +17,12 @@ the :class:`~repro.modem.context.SignalPlane`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Union
 
 import numpy as np
 
-from typing import List
-
 from ..config import ModemConfig
-from ..errors import DspError, ModemError, PreambleNotFoundError
+from ..errors import DemodulationError, ModemError
 from ..dsp.energy import SILENCE_FLOOR_SPL_DB, signal_spl
 from ..dsp.spectrum import noise_power_per_bin
 from ..channel.multipath import rms_delay_spread
@@ -116,129 +114,69 @@ class ChannelProber:
         return waveform
 
     def analyze(self, recording: np.ndarray) -> ProbeReport:
-        """Analyze the watch-side recording of a probing packet."""
-        x = np.asarray(recording, dtype=np.float64)
-        layout = frame_layout(self._config, self._n_pilot_symbols)
-        try:
-            match = self._sync.locate(x)
-        except PreambleNotFoundError as exc:
-            return ProbeReport.failed(exc.score)
+        """Analyze the watch-side recording of a probing packet.
 
-        bodies = self._probe_bodies(x, match, layout)
-        spectra = (
-            demodulate_blocks(self._config, bodies)
-            if bodies.shape[0]
-            else None
-        )
-        return self._finish(x, match, layout, spectra)
+        The one-row call of :meth:`analyze_batch`; raises the
+        :class:`~repro.errors.ModemError` its row carries.
+        """
+        x = np.asarray(recording, dtype=np.float64)
+        report = self.analyze_batch(x[None, :])[0]
+        if isinstance(report, Exception):
+            raise report
+        return report
 
     def analyze_batch(
         self, recordings: np.ndarray
-    ) -> "List[Optional[ProbeReport]]":
-        """Analyze many equal-length probe recordings in one pass.
+    ) -> List[Union[ProbeReport, ModemError]]:
+        """Analyze equal-length probe recordings, one per row, in one pass.
 
-        Entry ``i`` equals ``analyze(recordings[i])`` bit-for-bit: the
-        preamble search runs as one stacked correlation, the pilot
-        receive FFTs as one stacked :func:`demodulate_blocks`, and the
-        per-recording tails (delay spread, ambient noise ranking, SNR
-        rows) reuse the scalar code on identical inputs.  An entry is
-        ``None`` where the scalar ``analyze`` would have *raised* a
-        :class:`~repro.errors.ModemError` (so a staged caller can
-        re-raise or abort exactly where the live path would).
+        Entry ``i`` is the :class:`ProbeReport` of ``recordings[i]`` (a
+        :meth:`ProbeReport.failed` one where no preamble locks), or the
+        :class:`~repro.errors.ModemError` instance its analysis raised —
+        returned without its traceback, not raised, so a staged caller
+        can abort exactly where the live path would.  The preamble
+        search runs as one stacked correlation and the pilot receive
+        FFTs as one stacked :func:`demodulate_blocks`; the per-recording
+        tails (delay spread, ambient noise ranking, SNR rows) run row
+        by row.  A probe whose bodies run past the recording is scored
+        at zero bodies (``-inf`` pilot SNR) rather than failing.
         """
-        recs = [np.asarray(r, dtype=np.float64) for r in recordings]
-        if not recs:
-            return []
+        xs = np.asarray(recordings, dtype=np.float64)
+        if xs.ndim != 2:
+            raise DemodulationError("recordings must be 2-D")
         layout = frame_layout(self._config, self._n_pilot_symbols)
-        detector = self._sync.detector
-
-        # Coarse sync: one stacked correlation per recording length.
-        matches: List[Optional[PreambleMatch]] = [None] * len(recs)
-        fail_scores = [0.0] * len(recs)
-        by_len: dict = {}
-        for i, rec in enumerate(recs):
-            by_len.setdefault(rec.size, []).append(i)
-        for size, idxs in by_len.items():
-            try:
-                scores = detector.scores_batch(
-                    np.stack([recs[i] for i in idxs])
-                )
-            except DspError:
-                continue  # too short: every row fails with score 0.0
-            finished = detector.matches_from_scores(scores)
-            for i, (match, peak_score) in zip(idxs, finished):
-                matches[i] = match
-                if match is None:
-                    fail_scores[i] = peak_score
-
-        # Fine sync + body extraction batched per recording length, one
-        # stacked receive FFT across every detected probe in the batch.
-        # Stacking follows the length buckets; the stacked transforms
-        # are row-independent, so the order is immaterial.
-        bodies_list: List[Optional[np.ndarray]] = [None] * len(recs)
-        stacked: List[np.ndarray] = []
-        offsets: dict = {}
-        offset = 0
-        for size, idxs in by_len.items():
-            locked = [i for i in idxs if matches[i] is not None]
-            if not locked:
-                continue
-            extracted = self._sync.extract_bodies_rows(
-                np.stack([recs[i] for i in locked]),
-                [matches[i] for i in locked],
-                layout,
-            )
-            for i, res in zip(locked, extracted):
-                if isinstance(res, Exception):
-                    # Mirrors :meth:`_probe_bodies`'s tolerance.
-                    bodies = np.zeros((0, self._config.fft_size))
-                else:
-                    bodies = res[0]
-                bodies_list[i] = bodies
-                if bodies.shape[0]:
-                    offsets[i] = offset
-                    offset += bodies.shape[0]
-                    stacked.append(bodies)
+        finished = self._sync.detector.detect_rows(xs)
+        extracted = self._sync.extract_bodies_rows(
+            xs, [match for match, _ in finished], layout
+        )
+        bodies = [res[0] for res in extracted if isinstance(res, tuple)]
         spectra_all = (
-            demodulate_blocks(self._config, np.concatenate(stacked))
-            if stacked
+            demodulate_blocks(self._config, np.concatenate(bodies))
+            if bodies
             else None
         )
 
-        reports: List[Optional[ProbeReport]] = []
-        for i, match in enumerate(matches):
+        n = layout.n_symbols
+        reports: List[Union[ProbeReport, ModemError]] = []
+        k = 0
+        for i, (match, peak_score) in enumerate(finished):
             if match is None:
-                reports.append(ProbeReport.failed(fail_scores[i]))
+                reports.append(ProbeReport.failed(peak_score))
                 continue
             spectra = None
-            if i in offsets:
-                n_rows = bodies_list[i].shape[0]
-                spectra = spectra_all[offsets[i]: offsets[i] + n_rows]
+            if isinstance(extracted[i], tuple):
+                spectra = spectra_all[k * n: (k + 1) * n]
+                k += 1
             try:
-                reports.append(self._finish(recs[i], match, layout, spectra))
-            except ModemError:
-                reports.append(None)
+                reports.append(self._finish(xs[i], match, layout, spectra))
+            except ModemError as exc:
+                reports.append(exc.with_traceback(None))
         return reports
-
-    def _probe_bodies(
-        self, x: np.ndarray, match, layout
-    ) -> np.ndarray:
-        """Fine-synced symbol bodies of one detected probe.
-
-        Mirrors :meth:`analyze`'s tolerance: any extraction failure
-        yields zero bodies (the probe is then reported at ``-inf``
-        pilot SNR rather than crashing the session).
-        """
-        try:
-            bodies, _ = self._sync.extract_bodies(x, match, layout)
-        except Exception:
-            bodies = np.zeros((0, self._config.fft_size))
-        return bodies
 
     def _finish(
         self, x: np.ndarray, match, layout, spectra: Optional[np.ndarray]
     ) -> ProbeReport:
-        """Per-recording report tail shared by scalar and batch paths.
+        """Per-recording report tail of :meth:`analyze_batch`.
 
         ``spectra`` is the demodulated pilot spectra (``None`` when no
         bodies could be extracted — reported as ``-inf`` pilot SNR).

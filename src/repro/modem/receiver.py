@@ -7,9 +7,11 @@ payload bits the receiver reports the diagnostics the protocol layer
 needs: preamble score, pilot SNR, fine-sync offsets, and the preamble
 delay profile for NLOS detection.
 
-The demodulation chain is batched: all symbol bodies go through one
-stacked 2-D FFT, one batched pilot estimate/equalization and one demap
-call, bit-identical to the historical per-body loop (see
+The demodulation chain has one implementation,
+:func:`receive_batch_grouped`, and :meth:`OfdmReceiver.receive` is its
+one-row call: all symbol bodies go through one stacked 2-D FFT, one
+batched pilot estimate/equalization and one demap call, bit-identical
+to the historical per-body loop in :mod:`repro.modem.reference` (see
 ``tests/test_vectorized_equivalence.py``).  Shared templates (preamble,
 detector, plan index arrays) come from the
 :class:`~repro.modem.context.SignalPlane`.
@@ -18,17 +20,12 @@ detector, plan index arrays) come from the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..config import ModemConfig
-from ..errors import (
-    DemodulationError,
-    DspError,
-    ModemError,
-    PreambleNotFoundError,
-)
+from ..errors import DemodulationError, ModemError, PreambleNotFoundError
 from ..dsp.energy import SILENCE_FLOOR_SPL_DB, EnergyDetector, signal_spl
 from .constellation import Constellation
 from .context import SignalPlane, signal_plane
@@ -39,7 +36,7 @@ from .equalizer import (
     estimate_channel_magnitude_rows,
     estimate_channel_rows,
 )
-from .frame import demodulate_blocks, frame_layout
+from .frame import FrameLayout, demodulate_blocks, frame_layout
 from .preamble import PreambleDetector, PreambleMatch
 from .snr import ebn0_db_from_psnr, pilot_snr_db_rows
 from .subchannels import ChannelPlan
@@ -153,255 +150,91 @@ class OfdmReceiver:
     ) -> ReceiveResult:
         """Demodulate a frame carrying ``expected_bits`` payload bits.
 
+        The one-row call of :func:`receive_batch_grouped`.
+
         Raises
         ------
         PreambleNotFoundError
             If no preamble crosses the detection threshold.
         SynchronizationError
             If the frame runs past the end of the recording.
+        DemodulationError
+            If the recording is empty or its pilot bins carry nothing.
         """
-        x = np.asarray(recording, dtype=np.float64)
-        if x.ndim != 1 or x.size == 0:
-            raise DemodulationError("recording must be a non-empty 1-D array")
-
-        n_symbols = self.n_symbols_for_bits(expected_bits)
-        layout = frame_layout(self._config, n_symbols)
-
-        match = self._sync.locate(x)
-
-        # Ambient noise SPL from the audio before the preamble — the
-        # paper measures noise in the pre-signal portion of the stream.
-        # An empty or all-zero slice has no SPL; clamp to the finite
-        # silence floor so downstream SNR arithmetic never sees -inf.
-        noise_start = max(0, match.start - layout.preamble_length)
-        ambient = x[:noise_start]
-        noise_spl = (
-            signal_spl(ambient) if ambient.size else SILENCE_FLOOR_SPL_DB
-        )
-        if not np.isfinite(noise_spl):
-            noise_spl = SILENCE_FLOOR_SPL_DB
-
-        bodies, offsets = self._sync.extract_bodies(x, match, layout)
-
-        spectra = demodulate_blocks(self._config, bodies)
-        psnr_rows = pilot_snr_db_rows(
-            spectra, self._plan, null_bins=self._plane.quiet_nulls
-        )
-        estimate = self._estimate_rows(spectra)
-        equalized = equalize_rows(spectra, self._plan, estimate)
-        symbols = equalized.reshape(-1)
-        bits = self._constellation.demap(symbols)[:expected_bits]
-
-        psnr = float(np.mean(psnr_rows))
-        ebn0 = ebn0_db_from_psnr(
-            psnr, self._config, self._plan, self._constellation
-        )
-        return ReceiveResult(
-            bits=bits,
-            preamble_score=match.score,
-            psnr_db=psnr,
-            ebn0_db=ebn0,
-            fine_offsets=offsets,
-            delay_profile=match.delay_profile,
-            equalized_symbols=symbols,
-            noise_spl=noise_spl,
-        )
-
-    def receive_batch(
-        self,
-        recordings,
-        expected_bits: int,
-    ) -> List[Optional[ReceiveResult]]:
-        """Demodulate many frames of the same payload size in one pass.
-
-        Entry ``i`` equals ``receive(recordings[i], expected_bits)``
-        bit-for-bit: the preamble search runs as one stacked
-        correlation per recording length, the symbol bodies of every
-        locked frame go through one stacked receive FFT, and the pilot
-        SNR / channel estimation / equalization — all per-row
-        transforms — run on the concatenated symbol rows.  An entry is
-        ``None`` where the scalar ``receive`` would have *raised* a
-        :class:`~repro.errors.ModemError` (no preamble, frame past the
-        end of the recording), so a staged caller can abort exactly
-        where the live path would.  Mirrors
-        :meth:`~repro.modem.probe.ChannelProber.analyze_batch`.
-        """
-        recs = [np.asarray(r, dtype=np.float64) for r in recordings]
-        out: List[Optional[ReceiveResult]] = [None] * len(recs)
-        if not recs:
-            return out
-
-        n_symbols = self.n_symbols_for_bits(expected_bits)
-        layout = frame_layout(self._config, n_symbols)
-        detector = self._sync.detector
-
-        # Coarse sync: one stacked correlation per recording length.
-        matches: List[Optional[PreambleMatch]] = [None] * len(recs)
-        by_len: dict = {}
-        for i, x in enumerate(recs):
-            if x.ndim != 1 or x.size == 0:
-                continue  # scalar receive raises DemodulationError
-            by_len.setdefault(x.size, []).append(i)
-        for size, idxs in by_len.items():
-            try:
-                scores = detector.scores_batch(
-                    np.stack([recs[i] for i in idxs])
-                )
-            except DspError:
-                continue  # too short for the template: all rows fail
-            finished = detector.matches_from_scores(scores)
-            for i, (match, _) in zip(idxs, finished):
-                matches[i] = match
-
-        # Fine sync + body extraction batched per recording length, one
-        # stacked receive FFT (and one batched estimate/equalize/demap)
-        # across every locked frame.  The stacked row order follows the
-        # length buckets rather than the input order; every stacked
-        # transform below is row-independent, so each frame's rows are
-        # bit-identical either way and ``bodies_at`` keeps the mapping.
-        bodies_at: List[Optional[int]] = [None] * len(recs)
-        offsets_of: List[Optional[Tuple[int, ...]]] = [None] * len(recs)
-        stacked: List[np.ndarray] = []
-        row_cursor = 0
-        for size, idxs in by_len.items():
-            locked = [i for i in idxs if matches[i] is not None]
-            if not locked:
-                continue
-            extracted = self._sync.extract_bodies_rows(
-                np.stack([recs[i] for i in locked]),
-                [matches[i] for i in locked],
-                layout,
-            )
-            for i, res in zip(locked, extracted):
-                if isinstance(res, ModemError):
-                    matches[i] = None  # frame ran past the recording
-                    continue
-                if isinstance(res, Exception):
-                    raise res  # what the scalar extraction would do
-                bodies, offsets = res
-                bodies_at[i] = row_cursor
-                offsets_of[i] = offsets
-                row_cursor += bodies.shape[0]
-                stacked.append(bodies)
-        if not stacked:
-            return out
-
-        spectra_all = demodulate_blocks(self._config, np.concatenate(stacked))
-        try:
-            psnr_all = pilot_snr_db_rows(
-                spectra_all, self._plan, null_bins=self._plane.quiet_nulls
-            )
-            estimate_all = self._estimate_rows(spectra_all)
-            equalized_all = equalize_rows(
-                spectra_all, self._plan, estimate_all
-            )
-        except ModemError:
-            # A frame with dead pilot bins fails the *stacked* estimate
-            # for everyone; the scalar path fails only that frame.  Re-
-            # run the locked frames one by one so each gets exactly its
-            # scalar outcome (rare: a locked preamble with empty pilots).
-            for i, match in enumerate(matches):
-                if match is None:
-                    continue
-                try:
-                    out[i] = self.receive(recs[i], expected_bits)
-                except ModemError:
-                    out[i] = None
-            return out
-
-        for i, match in enumerate(matches):
-            if match is None or bodies_at[i] is None:
-                continue
-            lo = bodies_at[i]
-            hi = lo + n_symbols
-            symbols = equalized_all[lo:hi].reshape(-1)
-            bits = self._constellation.demap(symbols)[:expected_bits]
-
-            noise_start = max(0, match.start - layout.preamble_length)
-            ambient = recs[i][:noise_start]
-            noise_spl = (
-                signal_spl(ambient) if ambient.size else SILENCE_FLOOR_SPL_DB
-            )
-            if not np.isfinite(noise_spl):
-                noise_spl = SILENCE_FLOOR_SPL_DB
-
-            psnr = float(np.mean(psnr_all[lo:hi]))
-            ebn0 = ebn0_db_from_psnr(
-                psnr, self._config, self._plan, self._constellation
-            )
-            out[i] = ReceiveResult(
-                bits=bits,
-                preamble_score=match.score,
-                psnr_db=psnr,
-                ebn0_db=ebn0,
-                fine_offsets=offsets_of[i],
-                delay_profile=match.delay_profile,
-                equalized_symbols=symbols,
-                noise_spl=noise_spl,
-            )
-        return out
+        res = receive_batch_grouped([self], [recording], expected_bits)[0]
+        if isinstance(res, Exception):
+            raise res
+        return res
 
     def _finish_rows(
         self,
-        out: List[Optional[ReceiveResult]],
-        idxs: List[int],
-        recs: List[np.ndarray],
-        matches: List[Optional[PreambleMatch]],
-        offsets_of: List[Optional[Tuple[int, ...]]],
         spectra: np.ndarray,
-        layout,
-        n_symbols: int,
+        frames: List[Tuple[np.ndarray, PreambleMatch, Tuple[int, ...]]],
+        layout: FrameLayout,
         expected_bits: int,
-    ) -> None:
-        """Equalize/demap ``idxs``'s frames from their stacked spectra.
+    ) -> List[Union[ReceiveResult, ModemError]]:
+        """Plan-dependent tail: pilot SNR, estimate, equalize, demap.
 
-        ``spectra`` holds ``n_symbols`` consecutive rows per entry of
-        ``idxs``, in order.  The plan-dependent tail of
-        :meth:`receive_batch`, factored out so grouped callers can run
-        it once per plane over a sync stack shared across plans.  On a
-        stacked-estimate failure every frame re-runs scalar, exactly
-        like :meth:`receive_batch`'s fallback.
+        ``spectra`` holds ``layout.n_symbols`` consecutive rows per
+        ``(recording, match, fine_offsets)`` entry of ``frames``, in
+        order.  Entry ``i`` of the result is that frame's
+        :class:`ReceiveResult`, or the :class:`~repro.errors.ModemError`
+        its tail raised.  A frame with dead pilot bins fails the
+        *stacked* estimate for everyone, so on a failure each frame
+        re-runs the tail alone and gets exactly its own outcome.
         """
+        n_symbols = layout.n_symbols
         try:
             psnr_all = pilot_snr_db_rows(
                 spectra, self._plan, null_bins=self._plane.quiet_nulls
             )
-            estimate_all = self._estimate_rows(spectra)
-            equalized_all = equalize_rows(spectra, self._plan, estimate_all)
-        except ModemError:
-            for i in idxs:
-                try:
-                    out[i] = self.receive(recs[i], expected_bits)
-                except ModemError:
-                    out[i] = None
-            return
-        for row, i in enumerate(idxs):
-            lo = row * n_symbols
-            hi = lo + n_symbols
-            symbols = equalized_all[lo:hi].reshape(-1)
+            estimate = self._estimate_rows(spectra)
+            equalized = equalize_rows(spectra, self._plan, estimate)
+        except ModemError as exc:
+            if len(frames) == 1:
+                # Stored without its traceback: the traceback would pin
+                # the callers' frames (and their batch matrices) in a
+                # reference cycle until the cyclic collector runs.
+                return [exc.with_traceback(None)]
+            return [
+                self._finish_rows(
+                    spectra[k * n_symbols: (k + 1) * n_symbols],
+                    [frame], layout, expected_bits,
+                )[0]
+                for k, frame in enumerate(frames)
+            ]
+        out: List[Union[ReceiveResult, ModemError]] = []
+        for k, (x, match, offsets) in enumerate(frames):
+            lo = k * n_symbols
+            symbols = equalized[lo: lo + n_symbols].reshape(-1)
             bits = self._constellation.demap(symbols)[:expected_bits]
-            match = matches[i]
-            noise_start = max(0, match.start - layout.preamble_length)
-            ambient = recs[i][:noise_start]
+            # Ambient noise SPL from the audio before the preamble — the
+            # paper measures noise in the pre-signal portion of the
+            # stream.  An empty or all-zero slice has no SPL; clamp to
+            # the finite silence floor so downstream SNR arithmetic
+            # never sees -inf.
+            ambient = x[: max(0, match.start - layout.preamble_length)]
             noise_spl = (
                 signal_spl(ambient) if ambient.size else SILENCE_FLOOR_SPL_DB
             )
             if not np.isfinite(noise_spl):
                 noise_spl = SILENCE_FLOOR_SPL_DB
-            psnr = float(np.mean(psnr_all[lo:hi]))
-            ebn0 = ebn0_db_from_psnr(
-                psnr, self._config, self._plan, self._constellation
+            psnr = float(np.mean(psnr_all[lo: lo + n_symbols]))
+            out.append(
+                ReceiveResult(
+                    bits=bits,
+                    preamble_score=match.score,
+                    psnr_db=psnr,
+                    ebn0_db=ebn0_db_from_psnr(
+                        psnr, self._config, self._plan, self._constellation
+                    ),
+                    fine_offsets=offsets,
+                    delay_profile=match.delay_profile,
+                    equalized_symbols=symbols,
+                    noise_spl=noise_spl,
+                )
             )
-            out[i] = ReceiveResult(
-                bits=bits,
-                preamble_score=match.score,
-                psnr_db=psnr,
-                ebn0_db=ebn0,
-                fine_offsets=offsets_of[i],
-                delay_profile=match.delay_profile,
-                equalized_symbols=symbols,
-                noise_spl=noise_spl,
-            )
+        return out
 
     def detect_only(self, recording: np.ndarray) -> PreambleMatch:
         """Run silence + preamble detection without demodulating.
@@ -421,36 +254,45 @@ def receive_batch_grouped(
     receivers: List[OfdmReceiver],
     recordings,
     expected_bits: int,
-) -> List[Optional[ReceiveResult]]:
-    """Demodulate frames that share sync geometry but not a plan.
+) -> List[Union[ReceiveResult, ModemError]]:
+    """Demodulate equal-length frames that share sync geometry, not a plan.
 
-    Entry ``i`` equals ``receivers[i].receive(recordings[i],
-    expected_bits)`` bit-for-bit, with ``None`` where that call would
-    raise a :class:`~repro.errors.ModemError` — the same contract as
-    :meth:`OfdmReceiver.receive_batch`, except the rows may come from
-    *different* sub-channel plans.  Coarse sync, fine sync and the
-    symbol-body FFT depend only on the modem config and the frame
-    geometry, so they run as one stack across every plan; only the
-    cheap plan-dependent tail (pilot SNR, channel estimate,
-    equalization, demap) runs per distinct plane.  This matters to the
-    fleet's Phase-2 waves, where nearly every session carries its own
-    probe-selected plan: per-plane batching would shatter a wave into
-    single-row "stacks".
+    Entry ``i`` is the :class:`ReceiveResult` of ``recordings[i]``
+    under ``receivers[i]``'s plan, or the
+    :class:`~repro.errors.ModemError` instance for a frame that fails
+    (no preamble, a frame past the end of the recording, dead pilot
+    bins) — returned without its traceback, not raised, so a staged
+    caller can abort exactly where the live path would.
+    :meth:`OfdmReceiver.receive` is the one-row call and raises it.
+
+    Coarse sync, fine sync and the symbol-body FFT depend only on the
+    modem config and the frame geometry, so they run as one stack
+    across every plan; only the cheap plan-dependent tail (pilot SNR,
+    channel estimate, equalization, demap) runs per distinct plane.
+    This matters to the fleet's Phase-2 waves, where nearly every
+    session carries its own probe-selected plan: per-plane batching
+    would shatter a wave into single-row "stacks".
 
     Every receiver must agree on config, fine-sync setting, detection
     threshold and the symbol count implied by ``expected_bits``, and
-    the recordings must share one length; mismatches raise
-    :class:`~repro.errors.DemodulationError`.
+    the recordings must be non-empty, 1-D and of one length;
+    mismatches raise :class:`~repro.errors.DemodulationError`.
     """
-    recs = [np.asarray(r, dtype=np.float64) for r in recordings]
-    out: List[Optional[ReceiveResult]] = [None] * len(recs)
-    if not recs:
-        return out
-    if len(receivers) != len(recs):
+    if len(receivers) != len(recordings):
         raise DemodulationError("one receiver per recording required")
+    recs = [np.asarray(r, dtype=np.float64) for r in recordings]
+    if not recs:
+        return []
+    for x in recs:
+        if x.ndim != 1 or x.size == 0:
+            raise DemodulationError("recording must be a non-empty 1-D array")
+        if x.size != recs[0].size:
+            raise DemodulationError(
+                "grouped receive requires equal-length recordings"
+            )
     r0 = receivers[0]
     n_symbols = r0.n_symbols_for_bits(expected_bits)
-    for r in receivers:
+    for r in receivers[1:]:
         if (
             r._config != r0._config
             or r._sync._fine != r0._sync._fine
@@ -461,63 +303,49 @@ def receive_batch_grouped(
             raise DemodulationError(
                 "grouped receive requires matching sync geometry"
             )
-    for x in recs:
-        if x.ndim != 1 or x.size != recs[0].size or x.size == 0:
-            raise DemodulationError(
-                "grouped receive requires equal-length 1-D recordings"
-            )
     layout = frame_layout(r0._config, n_symbols)
     detector = r0._sync.detector
+    xs = np.stack(recs)
 
-    matches: List[Optional[PreambleMatch]] = [None] * len(recs)
-    try:
-        scores = detector.scores_batch(np.stack(recs))
-    except DspError:
-        return out  # too short for the template: every row fails
-    for i, (match, _) in enumerate(detector.matches_from_scores(scores)):
-        matches[i] = match
+    out: List[Union[ReceiveResult, ModemError, None]] = [None] * len(recs)
+    finished = detector.detect_rows(xs)
+    matches = [match for match, _ in finished]
+    for i, (match, peak_score) in enumerate(finished):
+        if match is None:
+            out[i] = PreambleNotFoundError(peak_score, detector.threshold)
 
-    locked = [i for i in range(len(recs)) if matches[i] is not None]
-    if not locked:
-        return out
-    extracted = r0._sync.extract_bodies_rows(
-        np.stack([recs[i] for i in locked]),
-        [matches[i] for i in locked],
-        layout,
-    )
-    offsets_of: List[Optional[Tuple[int, ...]]] = [None] * len(recs)
     kept: List[int] = []
-    stacked: List[np.ndarray] = []
-    for i, res in zip(locked, extracted):
+    frames: List[Tuple[np.ndarray, PreambleMatch, Tuple[int, ...]]] = []
+    bodies: List[np.ndarray] = []
+    extracted = r0._sync.extract_bodies_rows(xs, matches, layout)
+    for i, res in enumerate(extracted):
         if isinstance(res, ModemError):
-            matches[i] = None  # frame ran past the recording
-            continue
-        if isinstance(res, Exception):
-            raise res  # what the scalar extraction would do
-        bodies, offsets = res
-        offsets_of[i] = offsets
-        kept.append(i)
-        stacked.append(bodies)
+            out[i] = res  # frame ran past the recording
+        elif res is not None:
+            kept.append(i)
+            frames.append((recs[i], matches[i], res[1]))
+            bodies.append(res[0])
     if not kept:
         return out
-    spectra_all = demodulate_blocks(r0._config, np.concatenate(stacked))
+    spectra = demodulate_blocks(r0._config, np.concatenate(bodies))
 
-    # Plan-dependent tail, once per distinct plane.  Each sub-stack is
-    # a C-ordered copy of its frames' rows; every transform in the
-    # tail is row-wise, so sub-stack rows equal full-stack rows.
-    by_plane: dict = {}
-    for row, i in enumerate(kept):
-        by_plane.setdefault(id(receivers[i]._plane), []).append((row, i))
-    for entries in by_plane.values():
-        idxs = [i for _, i in entries]
-        sub = np.concatenate(
-            [
-                spectra_all[row * n_symbols: (row + 1) * n_symbols]
-                for row, _ in entries
-            ]
+    # Plan-dependent tail, once per distinct plane (and equalizer).
+    # Each sub-stack is a C-ordered copy of its frames' rows; every
+    # transform in the tail is row-wise, so sub-stack rows equal
+    # full-stack rows.
+    per_frame = spectra.reshape(len(kept), n_symbols, spectra.shape[1])
+    groups: dict = {}
+    for k, i in enumerate(kept):
+        rx = receivers[i]
+        groups.setdefault((id(rx._plane), rx._linear_eq), []).append(k)
+    for ks in groups.values():
+        rx = receivers[kept[ks[0]]]
+        tail = rx._finish_rows(
+            per_frame[ks].reshape(-1, spectra.shape[1]),
+            [frames[k] for k in ks],
+            layout,
+            expected_bits,
         )
-        receivers[idxs[0]]._finish_rows(
-            out, idxs, recs, matches, offsets_of, sub,
-            layout, n_symbols, expected_bits,
-        )
+        for k, res in zip(ks, tail):
+            out[kept[k]] = res
     return out

@@ -16,7 +16,7 @@ from repro.modem.equalizer import (
 from repro.modem.frame import demodulate_block
 from repro.modem.receiver import OfdmReceiver
 from repro.modem.subchannels import ChannelPlan
-from repro.modem.synchronizer import Synchronizer, fine_sync_offset
+from repro.modem.synchronizer import Synchronizer, fine_sync_offsets_rows
 from repro.modem.transmitter import OfdmTransmitter
 
 
@@ -128,6 +128,14 @@ class TestLoopback:
             rx.detect_only(np.zeros(20000))
 
 
+def _one_anchor(signal, cp_start, config, search_range):
+    """One-row, one-anchor call of the fine-sync kernel."""
+    rows = fine_sync_offsets_rows(
+        np.asarray(signal)[None, :], [[cp_start]], config, search_range
+    )
+    return int(rows[0, 0])
+
+
 class TestFineSync:
     def test_finds_injected_offset(self, config, plan):
         tx = OfdmTransmitter(config, QPSK)
@@ -135,13 +143,13 @@ class TestFineSync:
         wave = result.waveform
         cp_start = result.layout.first_symbol_offset
         # Perfect alignment: offset 0 must win.
-        assert fine_sync_offset(wave, cp_start, config, 8) == 0
+        assert _one_anchor(wave, cp_start, config, 8) == 0
         # Shift the nominal position by +5: search should recover -5.
-        assert fine_sync_offset(wave, cp_start + 5, config, 8) == -5
+        assert _one_anchor(wave, cp_start + 5, config, 8) == -5
 
     def test_zero_cp_returns_zero(self, plan):
         config = ModemConfig(cp_length=0)
-        assert fine_sync_offset(np.zeros(1000), 100, config, 8) == 0
+        assert _one_anchor(np.zeros(1000), 100, config, 8) == 0
 
     def test_synchronizer_extracts_all_bodies(self, config):
         tx = OfdmTransmitter(config, QPSK)

@@ -8,7 +8,9 @@ precompute_otp`).  These tests pin the contract at every layer,
 mirroring ``tests/test_probe_staging_equivalence.py``:
 
 * each batch primitive equals its scalar counterpart bit-for-bit,
-  including the generator stream positions it leaves behind;
+  including the generator stream positions it leaves behind; the
+  receive chain, whose scalars are its one-row calls, equals the
+  sequential oracle in :mod:`repro.modem.reference`;
 * a staged ``begin``/``feed``/``finish`` session equals a live
   ``run()`` field-for-field, including the ``otp-tx`` stream position;
 * whole shards and scheduled fleets produce byte-identical aggregates
@@ -36,7 +38,7 @@ from repro.channel.multipath import (
 from repro.channel.noise import NoiseScene, tone_jammer
 from repro.channel.hardware import SpeakerModel
 from repro.config import ModemConfig
-from repro.errors import ModemError, WearLockError
+from repro.errors import DemodulationError, ModemError, WearLockError
 from repro.faults import (
     ACOUSTIC_FAULTS,
     FAULT_KINDS,
@@ -55,11 +57,11 @@ from repro.modem.constellation import QPSK
 from repro.modem.frame import frame_layout
 from repro.modem.receiver import OfdmReceiver, receive_batch_grouped
 from repro.modem.subchannels import ChannelPlan
-from repro.modem.synchronizer import (
-    Synchronizer,
-    fine_sync_offsets_batch,
-    fine_sync_offsets_rows,
+from repro.modem.reference import (
+    reference_fine_sync_offset,
+    reference_receive,
 )
+from repro.modem.synchronizer import Synchronizer, fine_sync_offsets_rows
 from repro.modem.transmitter import OfdmTransmitter
 from repro.protocol.session import RetryPolicy, SessionConfig, UnlockSession
 from repro.protocol.stages import UNLOCK_STAGE_NAMES
@@ -69,14 +71,17 @@ BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
 FS = 44_100.0
 
 
-def _frame_recordings(config, n_rows, seed, drop_row=None, cut_row=None):
+def _frame_recordings(
+    config, n_rows, seed, drop_row=None, cut_row=None, mute_row=None
+):
     """Equal-length recordings embedding one QPSK frame each."""
     tx = OfdmTransmitter(config, QPSK)
     rng = np.random.default_rng(seed)
     recs = []
     n_bits = 2 * len(tx.plan.data)
     for i in range(n_rows):
-        frame = tx.modulate(rng.integers(0, 2, n_bits)).waveform
+        sent = tx.modulate(rng.integers(0, 2, n_bits))
+        frame = sent.waveform
         lead = np.zeros(300 + 40 * i)
         rec = np.concatenate([lead, 0.4 * frame, np.zeros(900 - 40 * i)])
         rec += 1e-4 * rng.standard_normal(rec.size)
@@ -89,8 +94,33 @@ def _frame_recordings(config, n_rows, seed, drop_row=None, cut_row=None):
                 [lead, 0.4 * frame, np.zeros(900 - 40 * i)]
             )[: lead.size + frame.size // 2]
             rec = np.pad(rec, (0, recs[0].size - rec.size))
+        if mute_row is not None and i == mute_row:
+            # Noise-free preamble, exactly-zero symbols: coarse sync
+            # locks, every pilot bin is empty.
+            muted = frame.copy()
+            muted[sent.layout.first_symbol_offset:] = 0.0
+            rec = np.concatenate([lead, 0.4 * muted, np.zeros(900 - 40 * i)])
         recs.append(rec)
     return recs, n_bits
+
+
+def _assert_same_result(got, want):
+    assert np.array_equal(got.bits, want.bits)
+    assert got.preamble_score == want.preamble_score
+    assert got.psnr_db == want.psnr_db
+    assert got.ebn0_db == want.ebn0_db
+    assert got.fine_offsets == want.fine_offsets
+    assert got.noise_spl == want.noise_spl
+    assert np.array_equal(got.delay_profile, want.delay_profile)
+    assert np.array_equal(got.equalized_symbols, want.equalized_symbols)
+
+
+def _reference_outcome(config, rec, n_bits, plan=None):
+    """``reference_receive``'s result, or the ModemError it raises."""
+    try:
+        return reference_receive(config, QPSK, rec, n_bits, plan=plan)
+    except ModemError as exc:
+        return exc
 
 
 class TestBatchPrimitives:
@@ -182,16 +212,18 @@ class TestBatchPrimitives:
         config = ModemConfig()
         rng = np.random.default_rng(3)
         xs = rng.standard_normal((6, 6000))
-        # Interior anchors, plus one row with a boundary-clipped anchor
-        # (exercises the per-frame delegation path).
+        # Interior anchors, plus one row with a boundary-clipped anchor.
         anchors = rng.integers(100, 5000, size=(6, 4))
         anchors[5, 0] = 2
         rows = fine_sync_offsets_rows(xs, anchors, config, search_range=24)
         for r in range(6):
-            want = fine_sync_offsets_batch(
-                xs[r], anchors[r], config, search_range=24
-            )
-            assert np.array_equal(rows[r], want), r
+            want = [
+                reference_fine_sync_offset(
+                    xs[r], int(a), config, search_range=24
+                )
+                for a in anchors[r]
+            ]
+            assert rows[r].tolist() == want, r
 
     def test_extract_bodies_rows_matches_scalar(self):
         config = ModemConfig()
@@ -207,16 +239,24 @@ class TestBatchPrimitives:
             if match is None:
                 assert res is None
                 continue
-            try:
-                want_bodies, want_offsets = sync.extract_bodies(
-                    rec, match, layout
-                )
-            except Exception as exc:  # noqa: BLE001 — mirrored verbatim
-                assert type(res) is type(exc)
-                continue
+            # Oracle: the sequential fine-sync loop, then plain slicing.
+            anchors = match.start - layout.preamble_length + (
+                layout.symbol_offsets()
+            )
+            want_offsets = tuple(
+                reference_fine_sync_offset(rec, int(a), config, 24)
+                for a in anchors
+            )
             bodies, offsets = res
-            assert np.array_equal(bodies, want_bodies)
             assert offsets == want_offsets
+            for body, a, tf in zip(bodies, anchors, want_offsets):
+                start = int(a) + tf + layout.cp_length
+                assert np.array_equal(
+                    body, rec[start: start + layout.fft_size]
+                )
+            one_row = sync.extract_bodies(rec, match, layout)
+            assert np.array_equal(one_row[0], bodies)
+            assert one_row[1] == offsets
 
     def test_extract_bodies_rows_drops_tracebacks(self):
         """A failing row's exception carries no traceback, so it cannot
@@ -235,53 +275,34 @@ class TestBatchPrimitives:
             sync.extract_bodies(recs[1], matches[1], layout)
         assert str(scalar.value) == str(results[1])
 
-    def test_receiver_reraises_stored_exception(self, monkeypatch):
-        """The receiver's re-raise of a non-modem extraction failure keeps
-        the exception's type and message."""
-        config = ModemConfig()
-        recs, n_bits = _frame_recordings(config, 4, seed=5, cut_row=3)
-
-        def broken(self, recording, match, layout):
-            raise RuntimeError("extraction exploded")
-
-        monkeypatch.setattr(Synchronizer, "extract_bodies", broken)
-        rx = OfdmReceiver(config, QPSK)
-        with pytest.raises(RuntimeError, match="^extraction exploded$"):
-            rx.receive_batch(np.stack(recs), expected_bits=n_bits)
-
     def test_receive_batch_matches_scalar(self):
+        """One grouped call over a single plan equals the sequential
+        reference receiver row for row, failures included."""
         config = ModemConfig()
         recs, n_bits = _frame_recordings(
             config, 5, seed=5, drop_row=1, cut_row=3
         )
         rx = OfdmReceiver(config, QPSK)
-        batch = rx.receive_batch(np.stack(recs), expected_bits=n_bits)
+        batch = receive_batch_grouped(
+            [rx] * len(recs), recs, expected_bits=n_bits
+        )
         decoded = 0
         for rec, got in zip(recs, batch):
-            try:
-                want = rx.receive(rec, n_bits)
-            except ModemError:
-                assert got is None
+            want = _reference_outcome(config, rec, n_bits)
+            if isinstance(want, ModemError):
+                assert type(got) is type(want)
+                assert str(got) == str(want)
                 continue
             decoded += 1
-            assert got is not None
-            assert np.array_equal(got.bits, want.bits)
-            assert got.preamble_score == want.preamble_score
-            assert got.psnr_db == want.psnr_db
-            assert got.ebn0_db == want.ebn0_db
-            assert got.fine_offsets == want.fine_offsets
-            assert got.noise_spl == want.noise_spl
-            assert np.array_equal(got.delay_profile, want.delay_profile)
-            assert np.array_equal(
-                got.equalized_symbols, want.equalized_symbols
-            )
-        assert decoded >= 3  # frames actually demodulated, not all-None
+            _assert_same_result(got, want)
+        assert decoded >= 3  # frames actually demodulated, not all failed
 
     def test_receive_batch_grouped_mixes_plans(self):
         # Two plans with the same geometry (12 data bins, one pilot
         # comb) but different bin assignments: the wave driver's common
         # case, where every session probes its own sub-channels.  The
-        # grouped path must still equal the matching scalar receive.
+        # grouped path must still equal the reference receive under
+        # each row's own plan.
         config = ModemConfig()
         plan_a = ChannelPlan.from_config(config)
         plan_b = ChannelPlan(
@@ -309,24 +330,35 @@ class TestBatchPrimitives:
             receivers, [rec for _, rec in rows], expected_bits=n_bits
         )
         decoded = 0
-        for rx, (_, rec), got in zip(receivers, rows, grouped):
-            try:
-                want = rx.receive(rec, n_bits)
-            except ModemError:
-                assert got is None
+        for (plan, rec), got in zip(rows, grouped):
+            want = _reference_outcome(config, rec, n_bits, plan=plan)
+            if isinstance(want, ModemError):
+                assert type(got) is type(want)
                 continue
             decoded += 1
-            assert got is not None
-            assert np.array_equal(got.bits, want.bits)
-            assert got.preamble_score == want.preamble_score
-            assert got.psnr_db == want.psnr_db
-            assert got.ebn0_db == want.ebn0_db
-            assert got.fine_offsets == want.fine_offsets
-            assert got.noise_spl == want.noise_spl
-            assert np.array_equal(
-                got.equalized_symbols, want.equalized_symbols
-            )
+            _assert_same_result(got, want)
         assert decoded >= 3
+
+    def test_stacked_estimate_failure_reruns_each_frame(self):
+        """A locked frame with empty pilots fails the stacked channel
+        estimate; every frame then re-runs the tail alone, so only that
+        row fails, and the one-row ``receive`` raises the same error."""
+        config = ModemConfig()
+        recs, n_bits = _frame_recordings(config, 4, seed=9, mute_row=2)
+        rx = OfdmReceiver(config, QPSK)
+        batch = receive_batch_grouped(
+            [rx] * len(recs), recs, expected_bits=n_bits
+        )
+        assert isinstance(batch[2], DemodulationError)
+        with pytest.raises(DemodulationError):
+            reference_receive(config, QPSK, recs[2], n_bits)
+        for i in (0, 1, 3):
+            _assert_same_result(
+                batch[i], reference_receive(config, QPSK, recs[i], n_bits)
+            )
+        with pytest.raises(DemodulationError) as live:
+            rx.receive(recs[2], n_bits)
+        assert str(live.value) == str(batch[2])
 
     def test_receive_batch_grouped_rejects_mixed_geometry(self):
         config = ModemConfig()

@@ -26,7 +26,11 @@ from repro.dsp.filters import design_bandpass_fir, fir_filter_batch
 from repro.dsp.spectrum import welch_psd, welch_psd_batch
 from repro.errors import ConfigurationError, ModemError
 from repro.fleet import FleetConfig, FleetScheduler, executor, run_shard
+from repro.modem import probe as probe_module
+from repro.modem.frame import demodulate_blocks, frame_layout
+from repro.modem.preamble import PreambleDetector
 from repro.modem.probe import ChannelProber
+from repro.modem.reference import reference_fine_sync_offset
 from tests import kernel_oracle as oracle
 
 BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
@@ -145,8 +149,12 @@ class TestBatchPrimitives:
         for i in range(4):
             assert batch[i] == comparator.similarity(a[i], b[i])
 
-    def test_analyze_batch_matches_scalar(self):
-        prober = ChannelProber(ModemConfig())
+    def test_analyze_batch_matches_scalar(self, monkeypatch):
+        """Batch rows equal one-row calls (no row depends on the rows
+        batched with it), and the bodies analyzed are the slices the
+        sequential fine-sync loop picks."""
+        config = ModemConfig()
+        prober = ChannelProber(config)
         probe = prober.build_probe()
         rng = np.random.default_rng(6)
         recs = []
@@ -156,16 +164,24 @@ class TestBatchPrimitives:
             )
             rec += 1e-4 * rng.standard_normal(rec.size)
             recs.append(rec)
-        # A probe-free row: the scalar path reports a failed detection.
+        # A probe-free row (at this threshold its noise still locks).
         recs.append(1e-4 * rng.standard_normal(recs[0].size))
+        stacked = []
+
+        def capture(cfg, blocks):
+            stacked.append(np.array(blocks))
+            return demodulate_blocks(cfg, blocks)
+
+        monkeypatch.setattr(probe_module, "demodulate_blocks", capture)
         batch = prober.analyze_batch(np.stack(recs))
+        (bodies,) = stacked
+        monkeypatch.undo()
         for rec, got in zip(recs, batch):
             try:
                 want = prober.analyze(rec)
-            except ModemError:
-                assert got is None
+            except ModemError as exc:
+                assert type(got) is type(exc)
                 continue
-            assert got is not None
             assert got.detected == want.detected
             assert got.preamble_score == want.preamble_score
             assert got.tau_rms == want.tau_rms
@@ -179,7 +195,23 @@ class TestBatchPrimitives:
                 assert got.recommended_plan is None
             else:
                 assert got.recommended_plan.data == want.recommended_plan.data
-        assert batch[0] is not None and batch[0].detected
+        assert batch[0].detected and batch[1].detected
+
+        layout = frame_layout(config, 2)
+        want_bodies = []
+        for rec, report in zip(recs, batch):
+            if not report.detected:
+                continue
+            anchor = PreambleDetector(config).detect(rec).start - (
+                layout.preamble_length
+            )
+            for nominal in layout.symbol_offsets():
+                cp_start = anchor + int(nominal)
+                start = cp_start + layout.cp_length + (
+                    reference_fine_sync_offset(rec, cp_start, config, 24)
+                )
+                want_bodies.append(rec[start: start + layout.fft_size])
+        assert np.array_equal(bodies, np.stack(want_bodies))
 
 
 def _staged_run(cfg, monkeypatch):

@@ -28,10 +28,8 @@ from repro.modem.reference import (
     reference_modulate,
     reference_receive,
 )
-from repro.modem.synchronizer import (
-    fine_sync_offset,
-    fine_sync_offsets_batch,
-)
+from repro.modem import synchronizer
+from repro.modem.synchronizer import fine_sync_offsets_rows
 
 MODES = ("QASK", "QPSK", "8PSK")
 EQUALIZERS = (False, True)  # linear_equalizer ablation flag
@@ -138,12 +136,19 @@ class TestReceiveEquivalence:
             assert ref.psnr_db == new.psnr_db, seed
 
 
+def _one_row(x, cp_start, config):
+    """The fine-sync kernel called on one signal with one anchor."""
+    return int(fine_sync_offsets_rows(x[None, :], [[cp_start]], config)[0, 0])
+
+
 class TestFineSyncEquivalence:
-    """The banded batch fine-sync must reproduce the scalar loop exactly."""
+    """The one banded fine-sync kernel must reproduce the scalar loop
+    exactly, called with one row or many."""
 
     def test_fuzz_against_reference(self, modem_config):
         rng = np.random.default_rng(2024)
         n = modem_config.fft_size + modem_config.cp_length
+        signals, anchors, wants = [], [], []
         for trial in range(50):
             x = rng.standard_normal(6 * n)
             # Plant a genuine CP structure at a random spot so the
@@ -153,35 +158,82 @@ class TestFineSyncEquivalence:
             cp = body[-modem_config.cp_length:]
             x[start: start + cp.size] += 3.0 * cp
             x[start + cp.size: start + cp.size + body.size] += 3.0 * body
-            for cp_start in (start - 5, start, start + 7):
-                assert fine_sync_offset(
-                    x, cp_start, modem_config
-                ) == reference_fine_sync_offset(
-                    x, cp_start, modem_config
-                ), (trial, cp_start)
+            # The last two anchors sit within the search range of either
+            # end, so the signal clips part of their candidate window.
+            starts = (start - 5, start, start + 7, 3, x.size - n - 10)
+            want = [
+                reference_fine_sync_offset(x, s, modem_config)
+                for s in starts
+            ]
+            for cp_start, w in zip(starts, want):
+                assert _one_row(x, cp_start, modem_config) == w, (
+                    trial, cp_start,
+                )
+            signals.append(x)
+            anchors.append(starts)
+            wants.append(want)
+        many = fine_sync_offsets_rows(
+            np.stack(signals), np.array(anchors), modem_config
+        )
+        assert many.tolist() == wants
 
     def test_edges_match_reference(self, modem_config):
         rng = np.random.default_rng(7)
         n = modem_config.fft_size + modem_config.cp_length
         x = rng.standard_normal(3 * n)
-        for cp_start in (-100, 0, 5, x.size - n, x.size + 50):
-            assert fine_sync_offset(
+        cp_starts = (-100, 0, 5, x.size - n, x.size + 50)
+        row = fine_sync_offsets_rows(x[None, :], [cp_starts], modem_config)
+        for cp_start, got in zip(cp_starts, row[0]):
+            assert got == reference_fine_sync_offset(
                 x, cp_start, modem_config
-            ) == reference_fine_sync_offset(x, cp_start, modem_config)
+            ), cp_start
 
     def test_all_zero_signal(self, modem_config):
         x = np.zeros(4 * (modem_config.fft_size + modem_config.cp_length))
-        assert fine_sync_offset(x, 100, modem_config) == 0
+        assert _one_row(x, 100, modem_config) == 0
         assert reference_fine_sync_offset(x, 100, modem_config) == 0
 
+    def test_silent_row_nominates_no_candidate(
+        self, modem_config, monkeypatch
+    ):
+        """Windows without energy never enter the nomination band, so a
+        silent row makes no exact re-score at all."""
+        calls = []
+        exact = synchronizer._select_exact
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(synchronizer, "_select_exact", counted)
+        n = modem_config.fft_size + modem_config.cp_length
+        x = np.zeros((1, 8 * n))
+        anchors = [[n, 2 * n, 3 * n, 4 * n]]
+        out = fine_sync_offsets_rows(x, anchors, modem_config, 24)
+        assert out.tolist() == [[0, 0, 0, 0]]
+        assert calls == []
+
     def test_batch_matches_scalar(self, modem_config):
-        """The per-frame batch must equal per-start scalar calls."""
+        """A many-row call equals its one-row calls and the loop."""
         rng = np.random.default_rng(31)
         n = modem_config.fft_size + modem_config.cp_length
-        x = rng.standard_normal(8 * n)
-        cp_starts = [-50, 0, n, 2 * n + 3, 5 * n, x.size - n, x.size]
-        batch = fine_sync_offsets_batch(x, cp_starts, modem_config)
-        for start, got in zip(cp_starts, batch):
-            assert got == reference_fine_sync_offset(
-                x, start, modem_config
-            ), start
+        xs = rng.standard_normal((3, 8 * n))
+        xs[1, : 4 * n] = 0.0  # half-silent row
+        # An FFT-periodic row: every candidate's head equals its tail up
+        # to rounding, so wide bands go to the exact re-score.
+        t = np.arange(8 * n) / modem_config.fft_size
+        xs[2] = np.sin(2 * np.pi * 5 * t)
+        cp_starts = [-50, 0, n, 2 * n + 3, 5 * n, xs.shape[1] - n,
+                     xs.shape[1]]
+        batch = fine_sync_offsets_rows(
+            xs, [cp_starts] * 3, modem_config
+        )
+        for r, x in enumerate(xs):
+            one_row = fine_sync_offsets_rows(
+                x[None, :], [cp_starts], modem_config
+            )
+            assert np.array_equal(one_row[0], batch[r])
+            for start, got in zip(cp_starts, batch[r]):
+                assert got == reference_fine_sync_offset(
+                    x, start, modem_config
+                ), (r, start)
