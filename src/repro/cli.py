@@ -574,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sessions-per-day",
         type=float,
         default=4.0,
-        help="mean unlock attempts per user per 24 h",
+        help="mean unlock attempts per user per 24 h (at most 1440, "
+        "one a minute)",
     )
     fleet_run.add_argument(
         "--faults",

@@ -128,6 +128,7 @@ from .population import (
     FleetConfig,
     SessionSpec,
     UserProfile,
+    has_sessions,
     synthesize_user,
     user_sessions,
     user_stream_states,
@@ -1155,22 +1156,34 @@ def shard_population(
 
     Every user's two generator states are derived for the whole range
     in one batch (:func:`~repro.fleet.population.user_stream_states`);
-    one reused generator is then positioned at each stream in turn —
-    bit-identical to the per-user ``default_rng`` construction.
+    one reused generator per stream is then positioned at each user in
+    turn — bit-identical to the per-user ``default_rng`` construction.
+
+    A draw-only pass (:func:`~repro.fleet.population.has_sessions`)
+    first replays just the draws that decide whether the user schedules
+    anything: the profile draws and the hourly Poisson counts up to the
+    first non-zero one.  Users without a session are skipped before any
+    profile or spec is built; the rest are repositioned and materialized
+    in full.  The skip is bit-exact: a zero count consumes only its own
+    draw (the per-session draws run ``count`` times), and a user with an
+    empty schedule is left out of the population either way.
     """
     user_ids = range(user_lo, user_hi)
     profile_states, schedule_states = user_stream_states(config, user_ids)
-    rng = np.random.Generator(np.random.PCG64())
+    profile_rng = np.random.Generator(np.random.PCG64())
+    schedule_rng = np.random.Generator(np.random.PCG64())
     population: ShardPopulation = []
     for user_id, profile_state, schedule_state in zip(
         user_ids, profile_states, schedule_states
     ):
-        rng.bit_generator.state = profile_state
-        user = synthesize_user(config, user_id, rng=rng)
-        rng.bit_generator.state = schedule_state
-        specs = user_sessions(config, user, rng=rng)
-        if specs:
-            population.append((user, specs))
+        profile_rng.bit_generator.state = profile_state
+        schedule_rng.bit_generator.state = schedule_state
+        if not has_sessions(config, profile_rng, schedule_rng):
+            continue
+        profile_rng.bit_generator.state = profile_state
+        schedule_rng.bit_generator.state = schedule_state
+        user = synthesize_user(config, user_id, rng=profile_rng)
+        population.append((user, user_sessions(config, user, rng=schedule_rng)))
     return population
 
 

@@ -41,11 +41,13 @@ __all__ = [
     "DIURNAL_WEIGHTS",
     "ARCHETYPES",
     "FUSION_MIXES",
+    "MAX_SESSIONS_PER_DAY",
     "FleetConfig",
     "UserProfile",
     "SessionSpec",
     "synthesize_user",
     "user_sessions",
+    "has_sessions",
     "default_rng_states",
     "user_stream_states",
     "verifier_assignment",
@@ -106,6 +108,12 @@ _ARCHETYPE_CDF = _categorical_cdf(tuple(w for _, w, _, _ in ARCHETYPES))
 _SORTED_DAY_MIX = tuple(tuple(sorted(mix.items())) for _, _, mix, _ in ARCHETYPES)
 _MEAN_DIURNAL_WEIGHT = sum(DIURNAL_WEIGHTS) / len(DIURNAL_WEIGHTS)
 
+#: Ceiling on :attr:`FleetConfig.sessions_per_day`: one attempt a
+#: minute.  Far above any realistic unlock rate, and low enough that a
+#: schedule stays simulable (a runaway rate would otherwise overflow
+#: numpy's Poisson sampler or try to build ~1e17 specs).
+MAX_SESSIONS_PER_DAY = 1440.0
+
 #: Valid values of :attr:`FleetConfig.fusion_mix`.
 FUSION_MIXES = ("legacy", "score", "archetype")
 
@@ -158,7 +166,7 @@ class FleetConfig:
     #: Mean unlock attempts per user per 24 h.  Kept well below real
     #: phone-unlock telemetry (~50/day) so a 1 000-user day stays
     #: simulable in seconds; rates scale linearly if you want realism
-    #: over speed.
+    #: over speed.  At most :data:`MAX_SESSIONS_PER_DAY`.
     sessions_per_day: float = 4.0
     #: Fraction of users paired with the low-end Galaxy Nexus phone.
     low_end_phone_rate: float = 0.4
@@ -209,8 +217,10 @@ class FleetConfig:
                 raise ConfigurationError(f"{name} must be finite")
         if self.hours <= 0:
             raise ConfigurationError("hours must be positive")
-        if self.sessions_per_day < 0:
-            raise ConfigurationError("sessions_per_day must be >= 0")
+        if not 0 <= self.sessions_per_day <= MAX_SESSIONS_PER_DAY:
+            raise ConfigurationError(
+                f"sessions_per_day must be in [0, {MAX_SESSIONS_PER_DAY:g}]"
+            )
         for name in ("low_end_phone_rate", "ultrasound_rate", "stranger_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -384,7 +394,62 @@ def user_stream_states(
     """
     profile = cell_seeds(config.seed, _USER_STREAM, user_ids)
     schedule = cell_seeds(config.seed, _SCHEDULE_STREAM, user_ids)
-    return default_rng_states(profile), default_rng_states(schedule)
+    # One derivation for both streams: its array work costs per call,
+    # not per seed, at shard sizes.
+    states = default_rng_states(profile + schedule)
+    return states[: len(profile)], states[len(profile) :]
+
+
+def _profile_draws(
+    config: FleetConfig, rng: np.random.Generator
+) -> Tuple[int, bool, bool, float]:
+    """Every draw of one user's profile stream, in stream order.
+
+    Returns ``(archetype index, low-end phone?, ultrasound band?,
+    personal sessions per day)``.  The one copy of this sequence, shared
+    by :func:`synthesize_user` and :func:`has_sessions`.
+    """
+    idx = _categorical_pick(_ARCHETYPE_CDF, rng)
+    low_end = rng.random() < config.low_end_phone_rate
+    ultrasound = rng.random() < config.ultrasound_rate
+    # Personal rate: lognormal spread around the configured mean, so a
+    # few heavy users dominate volume the way real telemetry does.
+    personal_rate = float(
+        config.sessions_per_day * rng.lognormal(mean=-0.125, sigma=0.5)
+    )
+    return idx, low_end, ultrasound, personal_rate
+
+
+def _hourly_rate(config: FleetConfig, per_hour: float, h: int) -> float:
+    """Poisson mean of wall-clock hour ``h`` (partial last hour scaled).
+
+    The one copy of this product, shared by :func:`user_sessions` and
+    :func:`has_sessions`; its operand order is part of the determinism
+    contract (pre-folding ``weight / mean * frac`` re-rounds it).
+    """
+    frac = min(1.0, config.hours - h)
+    return per_hour * (DIURNAL_WEIGHTS[h % 24] / _MEAN_DIURNAL_WEIGHT) * frac
+
+
+def has_sessions(
+    config: FleetConfig,
+    profile_rng: np.random.Generator,
+    schedule_rng: np.random.Generator,
+) -> bool:
+    """Whether the user whose streams these are schedules any session.
+
+    Draw-only: makes the profile draws, then the hourly Poisson counts
+    up to the first non-zero one, and builds no profile or spec.  It
+    answers exactly ``bool(user_sessions(config, synthesize_user(...)))``
+    for generators at the same positions, because an hour with a zero
+    count consumes only its own Poisson draw.  Both generators are left
+    advanced.
+    """
+    per_hour = _profile_draws(config, profile_rng)[3] / 24.0
+    for h in range(math.ceil(config.hours)):
+        if schedule_rng.poisson(_hourly_rate(config, per_hour, h)):
+            return True
+    return False
 
 
 def synthesize_user(
@@ -402,19 +467,10 @@ def synthesize_user(
         rng = np.random.default_rng(
             cell_seed(config.seed, _USER_STREAM, user_id)
         )
-    idx = _categorical_pick(_ARCHETYPE_CDF, rng)
+    idx, low_end, ultrasound, personal_rate = _profile_draws(config, rng)
     name, _, _, activity_mix = ARCHETYPES[idx]
-    phone = (
-        "Galaxy Nexus"
-        if rng.random() < config.low_end_phone_rate
-        else "Nexus 6"
-    )
-    band = "ultrasound" if rng.random() < config.ultrasound_rate else "audible"
-    # Personal rate: lognormal spread around the configured mean, so a
-    # few heavy users dominate volume the way real telemetry does.
-    personal_rate = float(
-        config.sessions_per_day * rng.lognormal(mean=-0.125, sigma=0.5)
-    )
+    phone = "Galaxy Nexus" if low_end else "Nexus 6"
+    band = "ultrasound" if ultrasound else "audible"
     # Assignment is computed *after* every rng draw above and consumes
     # none itself — see verifier_assignment's purity note.
     verifiers, fusion = verifier_assignment(config.fusion_mix, name)
@@ -468,8 +524,7 @@ def user_sessions(
     activity_cdf = _categorical_cdf(user.activity_mix)
     for h in range(n_hours):
         frac = min(1.0, config.hours - h)
-        rate = per_hour * (DIURNAL_WEIGHTS[h % 24] / _MEAN_DIURNAL_WEIGHT) * frac
-        count = int(rng.poisson(rate))
+        count = int(rng.poisson(_hourly_rate(config, per_hour, h)))
         for _ in range(count):
             idx = len(specs)
             offset = float(rng.random())

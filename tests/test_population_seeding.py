@@ -3,8 +3,9 @@
 ``shard_population`` derives every user's two generator states for a
 whole shard at once (:func:`~repro.eval.batch.cell_seeds` plus
 :func:`~repro.fleet.population.default_rng_states`) and positions one
-reused generator per stream; the scalar ``default_rng(cell_seed(...))``
-construction is the oracle it must match bit for bit.  Also covers
+reused generator per stream, and skips users without a session after a
+draw-only pass; the scalar ``default_rng(cell_seed(...))`` construction
+is the oracle it must match bit for bit.  Also covers
 :class:`~repro.fleet.population.FleetConfig`'s numeric validation and
 the ``fleet run`` CLI's config-error exit.
 """
@@ -23,7 +24,11 @@ from repro.errors import ConfigurationError
 from repro.eval.batch import cell_seed, cell_seeds
 from repro.fleet import FleetConfig, synthesize_user, user_sessions
 from repro.fleet.executor import _emitted_probe, shard_population
-from repro.fleet.population import FUSION_MIXES, default_rng_states
+from repro.fleet.population import (
+    FUSION_MIXES,
+    MAX_SESSIONS_PER_DAY,
+    default_rng_states,
+)
 from repro.modem.probe import ChannelProber
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -82,6 +87,17 @@ class TestCellSeeds:
         ]
 
 
+#: Mean attempts per day for the population oracle: zero, sparse,
+#: moderate, and heavy enough (>= 300) that the hourly Poisson mean
+#: reaches 10+, where numpy switches to its PTRS sampler.
+RATES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.floats(min_value=1.0, max_value=20.0),
+    st.floats(min_value=300.0, max_value=400.0),
+)
+
+
 class TestShardPopulation:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -91,13 +107,26 @@ class TestShardPopulation:
             st.floats(min_value=24.0, max_value=60.0),
         ),
         fusion_mix=st.sampled_from(FUSION_MIXES),
+        sessions_per_day=RATES,
         lo=st.integers(min_value=0, max_value=40),
-        width=st.integers(min_value=0, max_value=13),
+        width=st.integers(min_value=0, max_value=40),
     )
-    def test_matches_scalar_loop(self, seed, hours, fusion_mix, lo, width):
+    # User 5 of seed 0 has an empty first hour and a session in the
+    # second: the draw-only pass must read past hour 0.
+    @example(
+        seed=0, hours=3.0, fusion_mix="legacy", sessions_per_day=4.0,
+        lo=5, width=1,
+    )
+    def test_matches_scalar_loop(
+        self, seed, hours, fusion_mix, sessions_per_day, lo, width
+    ):
         hi = lo + width
         config = FleetConfig(
-            n_users=max(hi, 1), hours=hours, seed=seed, fusion_mix=fusion_mix
+            n_users=max(hi, 1),
+            hours=hours,
+            seed=seed,
+            fusion_mix=fusion_mix,
+            sessions_per_day=sessions_per_day,
         )
         expected = []
         for user_id in range(lo, hi):
@@ -106,6 +135,30 @@ class TestShardPopulation:
             if specs:
                 expected.append((user, specs))
         assert shard_population(config, lo, hi) == expected
+
+    def test_zero_session_users_never_materialize(self, monkeypatch):
+        import repro.fleet.executor as executor
+
+        calls = {"synthesize_user": 0, "user_sessions": 0}
+
+        def counted(name):
+            real = getattr(executor, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(executor, name, wrapper)
+
+        counted("synthesize_user")
+        counted("user_sessions")
+        config = FleetConfig(n_users=2000, hours=0.5, seed=0)
+        population = shard_population(config, 0, config.n_users)
+        assert 0 < len(population) < config.n_users // 10
+        assert calls == {
+            "synthesize_user": len(population),
+            "user_sessions": len(population),
+        }
 
 
 class TestProbeWaveformMemo:
@@ -149,6 +202,10 @@ class TestFleetConfigNumbers:
             {"hours": float("inf")},
             {"sessions_per_day": float("nan")},
             {"sessions_per_day": float("inf")},
+            {"sessions_per_day": -1.0},
+            {"sessions_per_day": 1440.5},
+            {"sessions_per_day": 1e19},
+            {"sessions_per_day": 1e300},
             {"scene_density": float("nan")},
             {"scene_density": float("inf")},
             {"seed": 2**63},
@@ -164,6 +221,11 @@ class TestFleetConfigNumbers:
         with pytest.raises(ConfigurationError):
             FleetConfig(**kwargs)
 
+    def test_sessions_per_day_ceiling_is_inclusive(self):
+        assert FleetConfig(
+            sessions_per_day=MAX_SESSIONS_PER_DAY
+        ).sessions_per_day == MAX_SESSIONS_PER_DAY
+
     def test_seed_range_edges_and_numpy_integers_accepted(self):
         assert FleetConfig(seed=2**63 - 1).seed == 2**63 - 1
         assert FleetConfig(seed=-(2**63)).seed == -(2**63)
@@ -174,7 +236,12 @@ class TestFleetConfigNumbers:
 
 @pytest.mark.parametrize(
     "flags",
-    [["--shard-users", "0"], ["--workers", "-1"], ["--hours", "nan"]],
+    [
+        ["--shard-users", "0"],
+        ["--workers", "-1"],
+        ["--hours", "nan"],
+        ["--sessions-per-day", "1e300"],
+    ],
 )
 def test_fleet_run_cli_reports_bad_config(flags, capsys):
     from repro.cli import main
