@@ -24,7 +24,6 @@ import numpy as np
 from ..errors import ChannelError
 from ..dsp.filters import (
     design_lowpass_fir,
-    fir_filter,
     fir_filter_batch_pair,
 )
 from ..dsp.plane import KeyedCache
@@ -34,8 +33,8 @@ from ..dsp.windows import raised_cosine_ramp
 #: function of its ripple realization and the transform length.  The
 #: fleet staging path replays thousands of equal-length frames through
 #: identically configured speakers, so the factors are memoized
-#: module-wide; the scalar :meth:`SpeakerModel.play` stays the from-
-#: scratch reference implementation.
+#: module-wide; the from-scratch reference body lives in the test
+#: oracle (``tests/kernel_oracle.py``).
 _RIPPLE_FACTORS = KeyedCache("channel.ripple_factors", maxsize=32)
 
 
@@ -82,8 +81,11 @@ class SpeakerModel:
     device_seed: int = 1717
 
     def __post_init__(self) -> None:
-        if self.rise_time < 0 or self.ringing_time < 0:
-            raise ChannelError("time constants must be non-negative")
+        for value in (self.rise_time, self.ringing_time):
+            if not 0.0 <= value < np.inf:
+                raise ChannelError(
+                    "time constants must be finite and non-negative"
+                )
         if self.clip_level <= 0:
             raise ChannelError("clip_level must be positive")
         if self.phase_ripple_rad < 0:
@@ -112,14 +114,6 @@ class SpeakerModel:
             phi += a * np.cos(2.0 * np.pi * f * tau + theta)
         return phi
 
-    def _apply_phase_ripple(self, signal: np.ndarray) -> np.ndarray:
-        if self.phase_ripple_rad <= 0 or signal.size < 2:
-            return signal
-        spec = np.fft.rfft(signal)
-        freqs = np.fft.rfftfreq(signal.size, d=1.0 / self.sample_rate)
-        spec *= np.exp(1j * self.phase_response(freqs))
-        return np.fft.irfft(spec, signal.size)
-
     def _ripple_factor(self, n: int) -> np.ndarray:
         """Memoized ``exp(j*phi(f))`` for an ``n``-sample transform."""
         key = (
@@ -141,15 +135,12 @@ class SpeakerModel:
     def play_batch(self, signals: np.ndarray) -> np.ndarray:
         """Render each row of ``signals`` through the speaker, in one pass.
 
-        Row ``i`` equals ``play(signals[i])`` bit-for-bit: the rise
-        ramp and the final clip broadcast row-wise (the same
-        elementwise operations the scalar call applies), the ringing
-        convolution runs per row (a short direct convolution, kept
-        identical by construction), and the phase ripple applies one
-        stacked rFFT/irFFT whose spectral factor is memoized in
-        :data:`_RIPPLE_FACTORS` — the exact values the scalar call
-        recomputes from scratch.  Used by the fleet staging path to
-        render a whole wave's frames at once.
+        The rise ramp and the final clip broadcast row-wise, the
+        ringing convolution runs per row (a short direct convolution),
+        and the phase ripple applies one stacked rFFT/irFFT whose
+        spectral factor is memoized in :data:`_RIPPLE_FACTORS`; no row
+        depends on the rows beside it.  Used by the fleet staging path
+        to render a whole wave's frames at once.
         """
         x = np.asarray(signals, dtype=np.float64)
         if x.ndim != 2:
@@ -182,32 +173,15 @@ class SpeakerModel:
 
         The output is longer than the input by the ringing tail —
         matching the paper's observation that the speaker "generates a
-        longer output than the real length of input".
+        longer output than the real length of input".  One-row call of
+        :meth:`play_batch`; an empty signal plays as an empty output.
         """
         x = np.asarray(signal, dtype=np.float64)
         if x.ndim != 1:
             raise ChannelError("signal must be 1-D")
         if x.size == 0:
             return x.copy()
-
-        # Rise effect: multiply the head by a raised-cosine ramp.
-        rise_samples = int(self.rise_time * self.sample_rate)
-        out = x.copy()
-        if rise_samples > 1:
-            n = min(rise_samples, out.size)
-            out[:n] *= raised_cosine_ramp(n, rising=True)
-
-        # Ringing: convolve with 1 + g * exponential tail.
-        if self.ringing_gain > 0 and self.ringing_time > 0:
-            tail_len = int(4 * self.ringing_time * self.sample_rate)
-            tail_len = max(tail_len, 1)
-            t = np.arange(1, tail_len + 1) / self.sample_rate
-            tail = self.ringing_gain * np.exp(-t / self.ringing_time)
-            ir = np.concatenate(([1.0], tail))
-            out = np.convolve(out, ir)
-
-        out = self._apply_phase_ripple(out)
-        return np.clip(out, -self.clip_level, self.clip_level)
+        return self.play_batch(x[None, :])[0]
 
 
 @dataclass
@@ -255,28 +229,16 @@ class MicrophoneModel:
         signal: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """Record ``signal`` through the microphone model."""
-        from ..dsp.energy import spl_to_amplitude  # local to avoid cycle
+        """Record ``signal`` through the microphone model.
 
+        One-row call of :meth:`record_batch`; without ``rng`` the noise
+        floor comes from a fresh unseeded generator.
+        """
         x = np.asarray(signal, dtype=np.float64)
         if x.ndim != 1:
             raise ChannelError("signal must be 1-D")
-        out = x.copy()
-        if self.lowpass_hz is not None and out.size:
-            self._ensure_filters()
-            sharp = fir_filter(out, self._taps)
-            soft = fir_filter(out, self._knee_taps)
-            blend = 10.0 ** (-self.knee_loss_db / 20.0)
-            # Progressive fade: mix the 7 kHz-limited signal with a
-            # 5 kHz-limited copy so the 5-7 kHz region loses knee_loss_db.
-            out = blend * sharp + (1.0 - blend) * soft
-        if self.noise_floor_spl > -np.inf and out.size:
-            generator = rng if rng is not None else np.random.default_rng()
-            floor = generator.standard_normal(out.size)
-            level = spl_to_amplitude(self.noise_floor_spl)
-            floor *= level / max(np.sqrt(np.mean(floor ** 2)), 1e-300)
-            out = out + floor
-        return np.clip(out, -self.clip_level, self.clip_level)
+        generator = rng if rng is not None else np.random.default_rng()
+        return self.record_batch(x[None, :], [generator])[0]
 
     def record_batch(
         self,
@@ -286,12 +248,12 @@ class MicrophoneModel:
     ) -> np.ndarray:
         """Record each row of ``signals`` with its own generator.
 
-        Row ``i`` equals ``record(signals[i], rng=rngs[i])``
-        bit-for-bit: the low-pass/knee FIRs run as stacked row
-        transforms (same plan as the 1-D calls), while the noise floor
-        is drawn per row from that row's generator in the scalar draw
-        order.  Used by the fleet staging path to run a whole shard's
-        microphone captures in one pass.
+        The low-pass/knee FIRs run as stacked row transforms, and
+        generator ``i`` draws row ``i``'s noise floor (one
+        ``standard_normal`` of the row length), so row ``i`` depends
+        only on ``signals[i]`` and ``rngs[i]``.  Used by the fleet
+        staging path to run a whole shard's microphone captures in one
+        pass.
 
         ``values=False`` draws each row's noise floor (so the
         generators advance exactly as a real capture would) but skips
@@ -312,15 +274,14 @@ class MicrophoneModel:
             return np.zeros_like(x)
         if self.lowpass_hz is not None and x.shape[1]:
             self._ensure_filters()
-            # The FIR pair reads ``x`` and returns fresh arrays, so the
-            # defensive copy the scalar path makes is pure overhead here.
+            # The FIR pair reads ``x`` and returns fresh arrays, so no
+            # defensive copy is needed.
             sharp, soft = fir_filter_batch_pair(
                 x, self._taps, self._knee_taps
             )
             blend = 10.0 ** (-self.knee_loss_db / 20.0)
-            # ``blend*sharp + (1-blend)*soft`` evaluated in place: the
-            # two rounded products and their rounded sum are the exact
-            # operations of the scalar expression.
+            # ``blend*sharp + (1-blend)*soft`` evaluated in place: two
+            # rounded products and their rounded sum.
             sharp *= blend
             soft *= 1.0 - blend
             sharp += soft
@@ -329,10 +290,9 @@ class MicrophoneModel:
             out = x.copy()
         if self.noise_floor_spl > -np.inf and out.shape[1]:
             level = spl_to_amplitude(self.noise_floor_spl)
-            # Each generator fills its own row in the scalar draw
-            # order; the RMS calibration then reduces along the last
-            # axis, the same per-row pairwise summation the scalar
-            # ``np.mean(floor ** 2)`` applies.
+            # Each generator fills its own row; the RMS calibration
+            # then reduces along the last axis, the pairwise summation
+            # ``np.mean(floor ** 2)`` applies to a 1-D floor.
             floors = np.empty_like(out)
             for i, generator in enumerate(generators):
                 generator.standard_normal(out=floors[i])

@@ -19,7 +19,6 @@ from ..dsp.energy import rms, spl_to_amplitude
 from ..dsp.filters import (
     design_bandpass_fir,
     design_lowpass_fir,
-    fir_filter,
     fir_filter_batch,
 )
 
@@ -85,28 +84,12 @@ def shaped_noise(
 
     ``bands`` is a sequence of ``(low_hz, high_hz, relative_weight)``;
     each band contributes white noise filtered to that band, weighted,
-    and the sum is calibrated to ``spl_db``.
+    and the sum is calibrated to ``spl_db``.  One-row call of
+    :func:`shaped_noise_batch`.
     """
-    if not bands:
-        raise ChannelError("bands must be non-empty")
-    generator = _rng(rng)
-    total = np.zeros(n_samples)
-    for low, high, weight in bands:
-        if weight < 0:
-            raise ChannelError("band weights must be non-negative")
-        if weight == 0.0 or n_samples == 0:
-            continue
-        raw = generator.standard_normal(n_samples)
-        if low <= 0.0:
-            taps = design_lowpass_fir(high, sample_rate, num_taps=257)
-        else:
-            taps = design_bandpass_fir(low, high, sample_rate, num_taps=257)
-        component = fir_filter(raw, taps)
-        level = rms(component)
-        if level > 0:
-            component = component / level * weight
-        total = total + component
-    return _scale_to_spl(total, spl_db)
+    return shaped_noise_batch(
+        n_samples, spl_db, sample_rate, bands, [_rng(rng)]
+    )[0]
 
 
 def shaped_noise_batch(
@@ -119,11 +102,10 @@ def shaped_noise_batch(
 ) -> np.ndarray:
     """One :func:`shaped_noise` realization per generator, in one pass.
 
-    Row ``i`` equals ``shaped_noise(n_samples, spl_db, sample_rate,
-    bands, rng=rngs[i])`` bit-for-bit *and* consumes generator ``i``'s
-    stream in the scalar draw order: the band loop stays outermost, so
-    each generator still draws its bands in sequence, while the FIR
-    shaping runs as stacked row transforms.
+    Row ``i`` depends only on generator ``i``, and each generator draws
+    one ``standard_normal(n_samples)`` per weighted band, in band order:
+    the band loop stays outermost, while the FIR shaping runs as
+    stacked row transforms.
 
     ``values=False`` consumes exactly the same draws but skips the FIR
     shaping and returns zeros — for callers that must advance the
@@ -132,6 +114,8 @@ def shaped_noise_batch(
     """
     if not bands:
         raise ChannelError("bands must be non-empty")
+    if n_samples < 0:
+        raise ChannelError("n_samples must be non-negative")
     generators = list(rngs)
     total = np.zeros((len(generators), n_samples))
     for low, high, weight in bands:
@@ -141,8 +125,7 @@ def shaped_noise_batch(
             continue
         # Each generator fills its own row (out= skips the stack copy);
         # the reductions below run along the last axis, which applies
-        # the same pairwise summation to each row as the scalar
-        # :func:`rms` does to a 1-D signal.
+        # the pairwise summation :func:`rms` does to a 1-D signal.
         raw = np.empty((len(generators), n_samples))
         for i, generator in enumerate(generators):
             generator.standard_normal(out=raw[i])
@@ -154,10 +137,9 @@ def shaped_noise_batch(
             taps = design_bandpass_fir(low, high, sample_rate, num_taps=257)
         component = fir_filter_batch(raw, taps)
         levels = np.sqrt(np.mean(component * component, axis=1))
-        # Scalar path: ``row / level * weight`` (divide, then scale) —
-        # keep the exact op order so rows stay bit-identical.  Every
-        # level is positive in practice (filtered white noise), so the
-        # masked variant only materializes on the degenerate path.
+        # ``row / level * weight`` (divide, then scale).  Every level is
+        # positive in practice (filtered white noise), so the masked
+        # variant only materializes on the degenerate path.
         if np.all(levels > 0.0):
             component /= levels[:, None]
             component *= weight
@@ -170,8 +152,8 @@ def shaped_noise_batch(
     if n_samples == 0 or not values:
         return total
     levels = np.sqrt(np.mean(total * total, axis=1))
-    # Scalar ``_scale_to_spl``: ``signal * (amplitude / level)`` — the
-    # quotient is formed first, per row, then broadcast-multiplied.
+    # :func:`_scale_to_spl` per row: ``signal * (amplitude / level)``,
+    # the quotient formed first, then broadcast-multiplied.
     factors = np.where(
         levels > 0.0,
         spl_to_amplitude(spl_db) / np.where(levels > 0.0, levels, 1.0),
@@ -190,23 +172,12 @@ def tone_jammer(
     """Sum of pure tones at ``freqs_hz``, calibrated to ``spl_db`` SPL.
 
     Emulates the paper's Fig. 9 jammer: an external tone generator
-    (Audacity) playing up to 6 simultaneous mono tracks.
+    (Audacity) playing up to 6 simultaneous mono tracks.  One-row call
+    of :func:`_tone_jammer_rows`.
     """
-    if len(freqs_hz) == 0:
-        return np.zeros(n_samples)
-    if len(freqs_hz) > 6:
-        raise ChannelError(
-            "the paper's jammer (Audacity) supports at most 6 tones"
-        )
-    generator = _rng(rng)
-    t = np.arange(n_samples) / sample_rate
-    total = np.zeros(n_samples)
-    for f in freqs_hz:
-        if not 0 < f < sample_rate / 2:
-            raise ChannelError(f"jammer tone {f} Hz outside (0, Nyquist)")
-        phase = generator.uniform(0, 2 * np.pi)
-        total += np.sin(2 * np.pi * f * t + phase)
-    return _scale_to_spl(total, spl_db)
+    return _tone_jammer_rows(
+        n_samples, sample_rate, freqs_hz, spl_db, [_rng(rng)]
+    )[0]
 
 
 def _tone_jammer_rows(
@@ -219,15 +190,15 @@ def _tone_jammer_rows(
 ) -> np.ndarray:
     """One :func:`tone_jammer` realization per generator, stacked.
 
-    Row ``i`` equals ``tone_jammer(..., rng=generators[i])`` bit-for-
-    bit: each generator draws its tone phases in the scalar order (one
-    uniform per tone, ascending), then the sine synthesis and the RMS
-    calibration run across the stack with the scalar call's elementwise
-    arithmetic — the per-row mean reduces along the last axis of a
-    C-ordered stack, matching the 1-D pairwise summation.  With
-    ``values=False`` only the phase draws happen (stream advance) and
-    the rows are zeros.
+    Each generator draws its tone phases (one uniform per tone, in
+    order); the sine synthesis and the RMS calibration then run across
+    the stack.  The per-row mean reduces along the last axis of a
+    C-ordered stack, the pairwise summation of a 1-D signal, so row
+    ``i`` depends only on generator ``i``.  With ``values=False`` only
+    the phase draws happen (stream advance) and the rows are zeros.
     """
+    if n_samples < 0:
+        raise ChannelError("n_samples must be non-negative")
     if len(freqs_hz) > 6:
         raise ChannelError(
             "the paper's jammer (Audacity) supports at most 6 tones"
@@ -280,22 +251,31 @@ class NoiseScene:
     jam_spl_db: float = -np.inf
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        nyquist = self.sample_rate / 2
+        for low, high, weight in self.bands:
+            if not 0.0 <= low < high < nyquist:
+                raise ChannelError(
+                    f"band ({low}, {high}) Hz needs 0 <= low < high < Nyquist"
+                )
+            if not weight >= 0.0:
+                raise ChannelError("band weights must be non-negative")
+        if len(self.jam_tones_hz) > 6:
+            raise ChannelError(
+                "the paper's jammer (Audacity) supports at most 6 tones"
+            )
+        for f in self.jam_tones_hz:
+            if not 0 < f < nyquist:
+                raise ChannelError(f"jammer tone {f} Hz outside (0, Nyquist)")
+
     def sample(self, n_samples: int, rng=None) -> np.ndarray:
-        """Generate ``n_samples`` of scene noise."""
+        """Generate ``n_samples`` of scene noise.
+
+        One-row call of :meth:`sample_batch`; without ``rng`` the
+        scene's own ``seed`` fixes the draw.
+        """
         generator = _rng(rng if rng is not None else self.seed)
-        if self.bands:
-            bed = shaped_noise(
-                n_samples, self.spl_db, self.sample_rate,
-                self.bands, rng=generator,
-            )
-        else:
-            bed = white_noise(n_samples, self.spl_db, rng=generator)
-        if self.jam_tones_hz and np.isfinite(self.jam_spl_db):
-            bed = bed + tone_jammer(
-                n_samples, self.sample_rate, self.jam_tones_hz,
-                self.jam_spl_db, rng=generator,
-            )
-        return bed
+        return self.sample_batch(n_samples, [generator])[0]
 
     def sample_batch(
         self,
@@ -305,9 +285,8 @@ class NoiseScene:
     ) -> np.ndarray:
         """Generate one scene realization per generator, in one pass.
 
-        Row ``i`` equals ``sample(n_samples, rng=rngs[i])`` bit-for-bit
-        and consumes each generator's stream in the scalar draw order
-        (band beds first, jam-tone phases last), so a staged caller can
+        Row ``i`` depends only on generator ``i``, which draws its band
+        beds first and its jam-tone phases last, so a staged caller can
         hand the generators back to live code afterwards.  Used by the
         fleet executor to synthesize a whole shard's ambient noise at
         once.
@@ -316,6 +295,8 @@ class NoiseScene:
         draw sequence but skips the expensive spectral shaping; the
         returned samples are then meaningless and must not be read.
         """
+        if n_samples < 0:
+            raise ChannelError("n_samples must be non-negative")
         generators = [_rng(r) for r in rngs]
         if self.bands:
             bed = shaped_noise_batch(

@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..dsp.spectrum import welch_psd, welch_psd_batch
+from ..dsp.spectrum import welch_psd_batch
 from ..errors import WearLockError
 
 
@@ -57,30 +57,24 @@ class AmbientComparator:
             raise WearLockError("threshold must be a correlation value")
 
     def band_profile(self, recording: np.ndarray) -> np.ndarray:
-        """Log band-power fingerprint of one recording."""
+        """Log band-power fingerprint of one recording.
+
+        One-row call of :meth:`band_profile_batch`.
+        """
         x = np.asarray(recording, dtype=np.float64)
         if x.ndim != 1 or x.size < 64:
             raise WearLockError(
                 "recording must be 1-D with at least 64 samples"
             )
-        freqs, psd = welch_psd(x, self.sample_rate, segment_size=512)
-        edges = np.geomspace(self.low_hz, self.high_hz, self.n_bands + 1)
-        profile = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mask = (freqs >= lo) & (freqs < hi)
-            if not np.any(mask):
-                continue
-            profile.append(np.log10(float(np.mean(psd[mask])) + 1e-20))
-        if len(profile) < 3:
-            raise WearLockError("too few usable bands — recording too short")
-        return np.asarray(profile)
+        return self.band_profile_batch(x[None, :])[0]
 
     def band_profile_batch(self, recordings: np.ndarray) -> np.ndarray:
         """Band-power fingerprints of many equal-length recordings.
 
-        Row ``i`` equals ``band_profile(recordings[i])`` bit-for-bit:
-        the Welch PSDs run as one stacked pass and the per-band log
-        means reuse the scalar reduction on each row.
+        Row ``i`` is the fingerprint of ``recordings[i]``: the log10
+        mean Welch PSD in each of the ``n_bands`` log-spaced bands that
+        holds at least one PSD bin.  The Welch PSDs run as one stacked
+        pass.
         """
         x = np.asarray(recordings, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] < 64:
@@ -99,54 +93,51 @@ class AmbientComparator:
         profiles = np.empty((x.shape[0], len(masks)))
         # One reduction per band, all rows at once.  A column-mask
         # gather comes back Fortran-ordered, whose axis-1 reduction
-        # rounds differently from the scalar path's 1-D sum; re-laying
-        # the band as C-order makes the per-row pairwise summation
-        # match ``np.mean(psd[mask])`` bit-for-bit.
+        # rounds differently from a 1-D sum; re-laying the band as
+        # C-order gives every row the pairwise summation of
+        # ``np.mean(psd[mask])``, whatever the row count.
         for j, mask in enumerate(masks):
             band = np.ascontiguousarray(psds[:, mask])
             profiles[:, j] = np.log10(np.mean(band, axis=1) + 1e-20)
         return profiles
 
-    @staticmethod
-    def _profile_correlation(pa: np.ndarray, pb: np.ndarray) -> float:
-        """Pearson correlation of two band profiles, hardened to [-1, 1].
-
-        ``np.corrcoef`` can drift a hair past ±1 by float rounding and
-        returns NaN when a profile is near-constant *just above* the
-        std guard (the normalization divides by a denormal variance),
-        so the result is NaN-mapped to 0.0 ("no evidence either way",
-        matching the constant-profile guard) and clamped.  Both the
-        scalar and batch similarity paths call this one helper, which
-        is what keeps them bit-identical per pair.
-        """
-        if np.std(pa) < 1e-12 or np.std(pb) < 1e-12:
-            return 0.0
-        r = float(np.corrcoef(pa, pb)[0, 1])
-        if not np.isfinite(r):
-            return 0.0
-        return min(1.0, max(-1.0, r))
-
     def similarity_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`similarity` over two stacks of recordings.
+        """Row-wise :meth:`similarity` of two equal-height stacks.
 
-        Entry ``i`` equals ``similarity(a[i], b[i])`` bit-for-bit; the
-        fingerprints are batched, the (cheap, 18-point) correlation
-        tail stays scalar per pair.
+        The fingerprints are batched; the (cheap, 18-point) correlation
+        tail runs per pair.  ``np.corrcoef`` can drift a hair past ±1 by
+        float rounding and returns NaN when a profile is near-constant
+        *just above* the std guard (the normalization divides by a
+        denormal variance), so each score is NaN-mapped to 0.0 ("no
+        evidence either way", matching the constant-profile guard) and
+        clamped.
         """
         pa = self.band_profile_batch(a)
         pb = self.band_profile_batch(b)
+        if pa.shape[0] != pb.shape[0]:
+            raise WearLockError(
+                "similarity_batch needs the same number of rows in a and b"
+            )
         n = min(pa.shape[1], pb.shape[1])
-        out = np.empty(pa.shape[0])
+        out = np.zeros(pa.shape[0])
         for i in range(pa.shape[0]):
-            out[i] = self._profile_correlation(pa[i, :n], pb[i, :n])
+            ra, rb = pa[i, :n], pb[i, :n]
+            if np.std(ra) < 1e-12 or np.std(rb) < 1e-12:
+                continue
+            r = float(np.corrcoef(ra, rb)[0, 1])
+            if np.isfinite(r):
+                out[i] = min(1.0, max(-1.0, r))
         return out
 
     def similarity(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Pearson correlation of the two band profiles, in [-1, 1]."""
-        pa = self.band_profile(a)
-        pb = self.band_profile(b)
-        n = min(pa.size, pb.size)
-        return self._profile_correlation(pa[:n], pb[:n])
+        """Pearson correlation of the two band profiles, in [-1, 1].
+
+        The recordings may differ in length.  One-row call of
+        :meth:`similarity_batch`.
+        """
+        x = np.asarray(a, dtype=np.float64)
+        y = np.asarray(b, dtype=np.float64)
+        return float(self.similarity_batch(x[None, :], y[None, :])[0])
 
     def co_located(self, a: np.ndarray, b: np.ndarray) -> Tuple[bool, float]:
         """Decision + score: are these two recordings from one place?"""

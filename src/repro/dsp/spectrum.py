@@ -27,35 +27,15 @@ def welch_psd(
     Returns ``(freqs, psd)`` where ``psd[k]`` is power per Hz at
     ``freqs[k]``.  Hann-tapered segments with fractional ``overlap`` are
     averaged; a signal shorter than one segment is zero-padded into a
-    single segment.
+    single segment.  One-row call of :func:`welch_psd_batch`.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise DspError("signal must be a non-empty 1-D array")
-    if sample_rate <= 0:
-        raise DspError("sample_rate must be positive")
-    if segment_size < 8:
-        raise DspError("segment_size must be >= 8")
-    if not 0.0 <= overlap < 1.0:
-        raise DspError("overlap must be in [0, 1)")
-
-    if x.size < segment_size:
-        x = np.pad(x, (0, segment_size - x.size))
-    window = hann_window(segment_size)
-    win_power = float(np.sum(window * window))
-    step = max(1, int(segment_size * (1.0 - overlap)))
-    n_segments = 1 + (x.size - segment_size) // step
-
-    acc = np.zeros(segment_size // 2 + 1)
-    for s in range(n_segments):
-        seg = x[s * step: s * step + segment_size] * window
-        spec = np.fft.rfft(seg)
-        acc += (spec.real ** 2 + spec.imag ** 2)
-    psd = acc / (n_segments * win_power * sample_rate)
-    # One-sided correction: double everything except DC and Nyquist.
-    psd[1:-1] *= 2.0
-    freqs = np.fft.rfftfreq(segment_size, d=1.0 / sample_rate)
-    return freqs, psd
+    freqs, psds = welch_psd_batch(
+        x[None, :], sample_rate, segment_size=segment_size, overlap=overlap
+    )
+    return freqs, psds[0]
 
 
 def welch_psd_batch(
@@ -66,11 +46,11 @@ def welch_psd_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Welch PSD of each row of ``signals`` in one stacked pass.
 
-    Returns ``(freqs, psds)`` where ``psds[i]`` equals the ``psd`` from
-    ``welch_psd(signals[i], ...)`` bit-for-bit: all segments of all
-    rows go through one stacked rFFT (same per-segment plan as the 1-D
-    calls) and each row's segment powers are accumulated in the scalar
-    loop order.
+    Returns ``(freqs, psds)``; ``psds[i]`` is the :func:`welch_psd` of
+    row ``i``.  All segments of all rows go through one stacked rFFT
+    (the per-segment plan of a 1-D transform), and each row's segment
+    powers are summed in segment order, so a row's PSD does not depend
+    on the rows beside it.
     """
     x = np.asarray(signals, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:

@@ -25,8 +25,8 @@ produces **byte-identical** aggregate documents for any worker count
 and any shard size.  Every stochastic choice is drawn from a SHA-256
 derived per-user or per-session stream (the :func:`repro.eval.batch.
 cell_seed` construction), records fold in canonical ``(user, session)``
-order, and the batched DTW fast path is bit-identical to the scalar
-one.
+order, and the live motion score is the one-row call of the batched
+DTW wavefront the fast path runs.
 """
 
 from .aggregate import FleetAggregate, Histogram

@@ -23,8 +23,8 @@ processes; it owns everything that must *not* cross shard boundaries:
 
   - the **prefilter**: the accelerometer pairs and the whole shard's
     motion DTW in anti-diagonal wavefronts
-    (:func:`repro.sensors.dtw.normalized_dtw_batch` — bit-identical to
-    the scalar recurrence, see ``tests/test_fleet.py``);
+    (:func:`repro.sensors.dtw.normalized_dtw_batch`, whose one-row
+    call is the live score; see ``tests/test_fleet.py``);
   - the **Phase-1 probe**: each session's ``probe-tx`` stream — the
     shard's ambient captures, room IRs, probe propagation,
     synchronizer cross-correlations, pilot receive FFTs and

@@ -3,68 +3,50 @@
 DTW finds the best monotone alignment between two series, so the phone
 and watch traces need no clock synchronization — the paper cites
 uWave [27] for this property.  Complexity is O(n·m); the paper notes
-this is cheap at n ∈ [50, 150].  A Sakoe-Chiba band is available to cap
-pathological warping and cost.
+this is cheap at n ∈ [50, 150].  Warping is unconstrained.
+
+Each score has one implementation, the batched wavefront
+(:func:`dtw_distance_batch`, :func:`normalized_dtw_batch`);
+:func:`dtw_distance` and :func:`normalized_dtw` are its one-row calls.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import WearLockError
 
 
-def dtw_distance(
-    a: np.ndarray,
-    b: np.ndarray,
-    band: Optional[int] = None,
-) -> float:
-    """Raw DTW distance between two 1-D series (absolute difference cost).
+def _check_pairs(X: np.ndarray, Y: np.ndarray) -> None:
+    """Validate a ``(batch, n)``/``(batch, m)`` pair stack."""
+    if X.ndim != 2 or Y.ndim != 2:
+        raise WearLockError("batched DTW inputs must be 2-D (batch, n)")
+    if X.shape[0] != Y.shape[0]:
+        raise WearLockError("batched DTW inputs must have equal batch size")
+    if X.shape[1] == 0 or Y.shape[1] == 0:
+        raise WearLockError("DTW inputs must be non-empty")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise WearLockError("DTW inputs must be finite")
 
-    Parameters
-    ----------
-    a, b:
-        Input series (need not be the same length).
-    band:
-        Optional Sakoe-Chiba band half-width; alignments straying more
-        than ``band`` steps from the diagonal are forbidden.  ``None``
-        allows unconstrained warping.
-    """
+
+def _one_row(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Two 1-D series as a one-row pair stack."""
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
         raise WearLockError("DTW inputs must be 1-D")
-    if x.size == 0 or y.size == 0:
-        raise WearLockError("DTW inputs must be non-empty")
-    n, m = x.size, y.size
-    if band is not None:
-        if band < 0:
-            raise WearLockError("band must be non-negative")
-        band = max(band, abs(n - m))
+    return x[None, :], y[None, :]
 
-    inf = np.inf
-    prev = np.full(m + 1, inf)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = np.full(m + 1, inf)
-        if band is None:
-            lo, hi = 1, m
-        else:
-            center = int(round(i * m / n))
-            lo = max(1, center - band)
-            hi = min(m, center + band)
-        for j in range(lo, hi + 1):
-            cost = abs(x[i - 1] - y[j - 1])
-            cur[j] = cost + min(prev[j], cur[j - 1], prev[j - 1])
-        prev = cur
-    result = float(prev[m])
-    if not np.isfinite(result):
-        raise WearLockError(
-            "no valid DTW path — band too narrow for these lengths"
-        )
-    return result
+
+def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Raw DTW distance between two 1-D series (absolute difference cost).
+
+    The series need not be the same length.  One-row call of
+    :func:`dtw_distance_batch`.
+    """
+    return float(dtw_distance_batch(*_one_row(a, b))[0])
 
 
 def dtw_distance_batch(
@@ -79,24 +61,15 @@ def dtw_distance_batch(
     ``(i-1, j)``, ``(i, j-1)`` and ``(i-1, j-1)``, so all cells on one
     anti-diagonal — across the whole batch — are independent and can be
     filled by vectorized ``minimum``/``add`` steps.  Each cell computes
-    ``|x_i - y_j| + min(...)`` over exactly the same three operands as
-    the scalar loop in :func:`dtw_distance`, so the result is
-    **bit-identical** to calling it once per pair (the fleet executor's
-    determinism contract rests on this; see
-    ``tests/test_fleet.py::test_batched_dtw_matches_scalar``).
-
-    Unconstrained warping only (no Sakoe-Chiba band): the band makes the
-    wavefront ragged, and the motion pre-filter — the batch user — runs
-    unbanded.
+    ``|x_i - y_j| + min(...)`` over the same three operands as the
+    textbook row-by-row loop, so every row is **bit-identical** to that
+    loop run on its pair alone, whatever else shares the batch (the
+    fleet executor's determinism contract rests on this; the loop lives
+    on as the test oracle).  Non-finite inputs are refused.
     """
     X = np.asarray(xs, dtype=np.float64)
     Y = np.asarray(ys, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise WearLockError("batched DTW inputs must be 2-D (batch, n)")
-    if X.shape[0] != Y.shape[0]:
-        raise WearLockError("batched DTW inputs must have equal batch size")
-    if X.shape[1] == 0 or Y.shape[1] == 0:
-        raise WearLockError("DTW inputs must be non-empty")
+    _check_pairs(X, Y)
     batch, n = X.shape
     m = Y.shape[1]
     if batch == 0:
@@ -134,38 +107,29 @@ def dtw_distance_batch(
     return prev1[:, n]
 
 
-def normalized_dtw(
-    a: np.ndarray,
-    b: np.ndarray,
-    band: Optional[int] = None,
-) -> float:
+def normalized_dtw(a: np.ndarray, b: np.ndarray) -> float:
     """DTW distance normalized by path-length scale: score in ~[0, ∞).
 
     Both inputs are z-normalized first (the paper normalizes magnitude
     traces), and the raw distance is divided by ``n + m`` so scores are
     comparable across window sizes.  Identical series score 0;
-    independent unit-variance noise scores around 0.2-0.5.
+    independent unit-variance noise scores around 0.2-0.5.  One-row
+    call of :func:`normalized_dtw_batch`.
     """
-    from .traces import normalize_trace  # late import avoids cycle
-
-    x = normalize_trace(np.asarray(a, dtype=np.float64))
-    y = normalize_trace(np.asarray(b, dtype=np.float64))
-    return dtw_distance(x, y, band=band) / (x.size + y.size)
+    return float(normalized_dtw_batch(*_one_row(a, b))[0])
 
 
 def normalized_dtw_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Batched :func:`normalized_dtw` over same-length pairs.
+    """:func:`normalized_dtw` of every ``(xs[k], ys[k])`` pair.
 
-    Equivalent to ``[normalized_dtw(x, y) for x, y in zip(xs, ys)]`` but
-    evaluated through :func:`dtw_distance_batch`'s shared wavefront —
-    bit-identical per pair, one vectorized pass for the lot.
+    Each row is z-normalized on its own, then all pairs share
+    :func:`dtw_distance_batch`'s wavefront.
     """
     from .traces import normalize_trace  # late import avoids cycle
 
     X = np.asarray(xs, dtype=np.float64)
     Y = np.asarray(ys, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise WearLockError("batched DTW inputs must be 2-D (batch, n)")
+    _check_pairs(X, Y)
     Xn = np.stack([normalize_trace(row) for row in X]) if X.shape[0] else X
     Yn = np.stack([normalize_trace(row) for row in Y]) if Y.shape[0] else Y
     return dtw_distance_batch(Xn, Yn) / (X.shape[1] + Y.shape[1])

@@ -108,6 +108,20 @@ class TestSpeakerModel:
         # All-pass: magnitudes match within numerical tolerance.
         assert np.allclose(mx[10:-10], my[10:-10], rtol=1e-6)
 
+    @pytest.mark.parametrize(
+        "field", ["rise_time", "ringing_time"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3])
+    def test_rejects_bad_time_constants(self, field, value):
+        with pytest.raises(ChannelError, match="time constants"):
+            SpeakerModel(**{field: value})
+
+    def test_empty_signal_plays_empty(self):
+        sp = SpeakerModel()
+        assert sp.play(np.zeros(0)).size == 0
+        with pytest.raises(ChannelError):
+            sp.play_batch(np.zeros((1, 0)))
+
     def test_phase_response_deterministic_per_device(self):
         a = SpeakerModel(device_seed=5)
         b = SpeakerModel(device_seed=5)

@@ -7,9 +7,11 @@ from repro.channel.noise import (
     NoiseScene,
     pink_noise,
     shaped_noise,
+    shaped_noise_batch,
     tone_jammer,
     white_noise,
 )
+from repro.channel.scenarios import ENVIRONMENTS
 from repro.dsp.energy import signal_spl
 from repro.dsp.spectrum import band_power
 from repro.errors import ChannelError
@@ -71,6 +73,15 @@ class TestShapedNoise:
         with pytest.raises(ChannelError):
             shaped_noise(100, 40.0, FS, bands=[])
 
+    def test_rejects_negative_count(self):
+        bands = [(100.0, 2000.0, 1.0)]
+        with pytest.raises(ChannelError, match="non-negative"):
+            shaped_noise(-1, 40.0, FS, bands)
+        with pytest.raises(ChannelError, match="non-negative"):
+            shaped_noise_batch(
+                -1, 40.0, FS, bands, [np.random.default_rng(0)]
+            )
+
 
 class TestToneJammer:
     def test_energy_at_tone_frequencies(self):
@@ -90,6 +101,11 @@ class TestToneJammer:
 
     def test_empty_freqs_silent(self):
         assert np.all(tone_jammer(100, FS, [], 60.0) == 0.0)
+
+    @pytest.mark.parametrize("freqs", [[], [1000.0]])
+    def test_rejects_negative_count(self, freqs):
+        with pytest.raises(ChannelError, match="non-negative"):
+            tone_jammer(-1, FS, freqs, 60.0)
 
 
 class TestNoiseScene:
@@ -114,3 +130,42 @@ class TestNoiseScene:
 
     def test_effective_spl_without_jammer(self):
         assert NoiseScene(spl_db=42.0).effective_spl() == pytest.approx(42.0)
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            NoiseScene(spl_db=40.0),
+            NoiseScene(spl_db=40.0, bands=((100.0, 2000.0, 1.0),)),
+            NoiseScene(spl_db=40.0).with_jammer([3000.0], 50.0),
+        ],
+    )
+    def test_sample_rejects_negative_count(self, scene):
+        with pytest.raises(ChannelError, match="non-negative"):
+            scene.sample(-1, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(jam_tones_hz=tuple(1000.0 * k for k in range(1, 8))),
+            dict(jam_tones_hz=(0.0,)),
+            dict(jam_tones_hz=(FS / 2,)),
+            dict(bands=((100.0, FS / 2, 1.0),)),
+            dict(bands=((100.0, 30_000.0, 1.0),)),
+            dict(bands=((-10.0, 2000.0, 1.0),)),
+            dict(bands=((2000.0, 2000.0, 1.0),)),
+            dict(bands=((100.0, 2000.0, -0.5),)),
+            dict(bands=((100.0, 2000.0, np.nan),)),
+        ],
+    )
+    def test_construction_rejects_bad_bands_and_tones(self, kwargs):
+        with pytest.raises(ChannelError):
+            NoiseScene(spl_db=40.0, **kwargs)
+
+    def test_with_jammer_validates(self):
+        with pytest.raises(ChannelError):
+            NoiseScene(spl_db=40.0).with_jammer([25_000.0], 50.0)
+
+    def test_builtin_environments_construct(self):
+        assert "grocery_store" in ENVIRONMENTS  # the one with jam tones
+        for env in ENVIRONMENTS.values():
+            NoiseScene(**vars(env.noise))

@@ -151,6 +151,18 @@ class TestAmbientComparator:
         with pytest.raises(WearLockError):
             AmbientComparator(low_hz=5000.0, high_hz=100.0)
 
+    @pytest.mark.parametrize("rows_a, rows_b", [(3, 2), (2, 3)])
+    def test_similarity_batch_rejects_unequal_row_counts(
+        self, rows_a, rows_b
+    ):
+        rng = np.random.default_rng(0)
+        comparator = AmbientComparator()
+        with pytest.raises(WearLockError, match="same number of rows"):
+            comparator.similarity_batch(
+                rng.standard_normal((rows_a, 2048)),
+                rng.standard_normal((rows_b, 2048)),
+            )
+
 
 class TestWavIo:
     def test_roundtrip(self, tmp_path):

@@ -30,14 +30,10 @@ from repro.protocol.session import (
     SessionConfig,
     UnlockSession,
 )
-from repro.sensors.dtw import (
-    dtw_distance,
-    dtw_distance_batch,
-    normalized_dtw,
-    normalized_dtw_batch,
-)
+from repro.sensors.dtw import dtw_distance_batch, normalized_dtw_batch
 from repro.sensors.traces import ActivityKind, co_located_pair, magnitude
 from repro.verifiers import PrecomputedVerifierEvidence
+from tests import kernel_oracle as oracle
 
 
 SMALL = FleetConfig(n_users=12, hours=24.0, seed=42)
@@ -56,10 +52,11 @@ class TestBatchedDtw:
         ys = rng.standard_normal((7, 55))
         batch = dtw_distance_batch(xs, ys)
         scalar = np.array(
-            [dtw_distance(x, y) for x, y in zip(xs, ys)]
+            [oracle.dtw_distance(x, y) for x, y in zip(xs, ys)]
         )
         # Bit-identical, not approximately equal: the wavefront runs
-        # the same |x-y| + min(three neighbours) float ops per cell.
+        # the oracle loop's |x-y| + min(three neighbours) float ops per
+        # cell.
         assert np.array_equal(batch, scalar)
 
     def test_normalized_batch_matches_scalar(self):
@@ -68,7 +65,7 @@ class TestBatchedDtw:
         ys = rng.standard_normal((5, 60))
         batch = normalized_dtw_batch(xs, ys)
         scalar = np.array(
-            [normalized_dtw(x, y) for x, y in zip(xs, ys)]
+            [oracle.normalized_dtw(x, y) for x, y in zip(xs, ys)]
         )
         assert np.array_equal(batch, scalar)
 

@@ -8,9 +8,11 @@ precompute_otp`).  These tests pin the contract at every layer,
 mirroring ``tests/test_probe_staging_equivalence.py``:
 
 * each batch primitive equals its scalar counterpart bit-for-bit,
-  including the generator stream positions it leaves behind; the
-  receive chain, whose scalars are its one-row calls, equals the
-  sequential oracle in :mod:`repro.modem.reference`;
+  including the generator stream positions it leaves behind; where the
+  scalar is the kernel's one-row call, the rows are compared with an
+  independent oracle instead — the 1-D bodies in
+  ``tests/kernel_oracle.py`` for the channel synthesis, the sequential
+  path in :mod:`repro.modem.reference` for the receive chain;
 * a staged ``begin``/``feed``/``finish`` session equals a live
   ``run()`` field-for-field, including the ``otp-tx`` stream position;
 * whole shards and scheduled fleets produce byte-identical aggregates
@@ -149,7 +151,9 @@ class TestBatchPrimitives:
         signals = 0.2 * rng.standard_normal((4, 3000))
         batch = speaker.play_batch(signals)
         for i in range(signals.shape[0]):
-            assert np.array_equal(batch[i], speaker.play(signals[i]))
+            assert np.array_equal(
+                batch[i], oracle.speaker_play(speaker, signals[i])
+            )
 
     def test_convolve_rows_pairwise_matches_apply(self):
         room = RoomImpulseResponse()
@@ -175,7 +179,9 @@ class TestBatchPrimitives:
         batch = scene.sample_batch(4000, gens)
         for i, seed in enumerate((5, 6, 7)):
             mirror = np.random.default_rng(seed)
-            assert np.array_equal(batch[i], scene.sample(4000, rng=mirror))
+            assert np.array_equal(
+                batch[i], oracle.scene_sample(scene, 4000, mirror)
+            )
             assert gens[i].bit_generator.state == mirror.bit_generator.state
 
     def test_jammed_scene_draws_only_mode_advances_streams(self):
@@ -190,19 +196,18 @@ class TestBatchPrimitives:
         assert not out.any()
         for seed, gen in zip((8, 9), gens):
             mirror = np.random.default_rng(seed)
-            scene.sample(2048, rng=mirror)
+            oracle.scene_sample(scene, 2048, mirror)
             assert gen.bit_generator.state == mirror.bit_generator.state
 
     def test_jammer_rejects_more_than_six_tones(self):
-        scene = NoiseScene(
-            spl_db=60.0, bands=BANDS,
-            jam_tones_hz=tuple(500.0 * k for k in range(1, 8)),
-            jam_spl_db=50.0,
-        )
         from repro.errors import ChannelError
 
         with pytest.raises(ChannelError):
-            scene.sample_batch(256, [np.random.default_rng(0)])
+            NoiseScene(
+                spl_db=60.0, bands=BANDS,
+                jam_tones_hz=tuple(500.0 * k for k in range(1, 8)),
+                jam_spl_db=50.0,
+            )
         with pytest.raises(ChannelError):
             tone_jammer(
                 256, FS, tuple(500.0 * k for k in range(1, 8)), 50.0

@@ -3,12 +3,12 @@
 The fleet's ``staging="otp"`` fast path replays every session's
 probe-tx rng stream out of band and runs the channel synthesis,
 synchronizer correlations and pilot receive FFTs as stacked batches.
-These tests pin the contract at both layers: each batch primitive is
-bit-identical to its scalar counterpart (including the generator
-stream positions it leaves behind) — or, where the scalar function is
-a one-row call of the batch kernel, to the independent 1-D bodies in
-``tests/kernel_oracle.py`` — and whole shards produce the same session
-records whether the probe replay is staged or live.
+These tests pin the contract at both layers: every row of each batch
+primitive is bit-identical to the independent 1-D bodies in
+``tests/kernel_oracle.py`` (the scalar entry points are the kernels'
+one-row calls), including the generator stream positions it leaves
+behind, and whole shards produce the same session records whether the
+probe replay is staged or live.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import pytest
 
 from repro.channel.hardware import MicrophoneModel
 from repro.channel.multipath import RoomImpulseResponse, convolve_ir_rows
-from repro.channel.noise import NoiseScene, shaped_noise, shaped_noise_batch
+from repro.channel.noise import NoiseScene, shaped_noise_batch
 from repro.config import ModemConfig
 from repro.core.colocation import AmbientComparator
 from repro.dsp.correlation import sliding_normalized_correlation_batch
 from repro.dsp.filters import design_bandpass_fir, fir_filter_batch
-from repro.dsp.spectrum import welch_psd, welch_psd_batch
+from repro.dsp.spectrum import welch_psd_batch
 from repro.errors import ConfigurationError, ModemError
 from repro.fleet import FleetConfig, FleetScheduler, executor, run_shard
 from repro.modem import probe as probe_module
@@ -38,8 +38,8 @@ FS = 44_100.0
 
 
 class TestBatchPrimitives:
-    """Each stacked transform equals its scalar counterpart (or the 1-D
-    oracle) bit-for-bit."""
+    """Each row of each stacked transform equals the 1-D oracle
+    bit-for-bit."""
 
     def test_fir_filter_batch_matches_rows(self):
         rng = np.random.default_rng(0)
@@ -64,7 +64,7 @@ class TestBatchPrimitives:
         rows = rng.standard_normal((3, 5000))
         freqs_b, psds = welch_psd_batch(rows, FS)
         for i, row in enumerate(rows):
-            freqs, psd = welch_psd(row, FS)
+            freqs, psd = oracle.welch_psd(row, FS)
             assert np.array_equal(freqs_b, freqs)
             assert np.array_equal(psds[i], psd)
 
@@ -87,10 +87,10 @@ class TestBatchPrimitives:
         batch = shaped_noise_batch(4096, 55.0, FS, BANDS, gens)
         for i, seed in enumerate(seeds):
             mirror = np.random.default_rng(seed)
-            scalar = shaped_noise(4096, 55.0, FS, BANDS, rng=mirror)
+            scalar = oracle.shaped_noise(4096, 55.0, FS, BANDS, mirror)
             assert np.array_equal(batch[i], scalar)
             # The staged path hands the generators back to live code, so
-            # the stream must stop at exactly the scalar position.
+            # the stream must stop at exactly the oracle's position.
             assert gens[i].bit_generator.state == mirror.bit_generator.state
 
     def test_shaped_noise_batch_draws_only_mode(self):
@@ -101,7 +101,7 @@ class TestBatchPrimitives:
         assert not out.any()
         for seed, gen in zip((20, 21), gens):
             mirror = np.random.default_rng(seed)
-            shaped_noise(2048, 55.0, FS, BANDS, rng=mirror)
+            oracle.shaped_noise(2048, 55.0, FS, BANDS, mirror)
             assert gen.bit_generator.state == mirror.bit_generator.state
 
     def test_scene_sample_batch_matches_scalar(self):
@@ -113,7 +113,9 @@ class TestBatchPrimitives:
         batch = scene.sample_batch(3000, gens)
         for i, seed in enumerate((30, 31)):
             mirror = np.random.default_rng(seed)
-            assert np.array_equal(batch[i], scene.sample(3000, rng=mirror))
+            assert np.array_equal(
+                batch[i], oracle.scene_sample(scene, 3000, mirror)
+            )
             assert gens[i].bit_generator.state == mirror.bit_generator.state
 
     def test_record_batch_matches_scalar_and_stream(self):
@@ -125,7 +127,7 @@ class TestBatchPrimitives:
         for i, seed in enumerate((40, 41, 42)):
             mirror = np.random.default_rng(seed)
             assert np.array_equal(
-                batch[i], mic.record(signals[i], rng=mirror)
+                batch[i], oracle.mic_record(mic, signals[i], mirror)
             )
             assert gens[i].bit_generator.state == mirror.bit_generator.state
 
@@ -137,7 +139,7 @@ class TestBatchPrimitives:
         assert not out.any()
         for seed, gen in zip((50, 51), gens):
             mirror = np.random.default_rng(seed)
-            mic.record(np.zeros(1000), rng=mirror)
+            oracle.mic_record(mic, np.zeros(1000), mirror)
             assert gen.bit_generator.state == mirror.bit_generator.state
 
     def test_similarity_batch_matches_scalar(self):
@@ -147,7 +149,7 @@ class TestBatchPrimitives:
         b = a + 0.3 * rng.standard_normal((4, 8000))
         batch = comparator.similarity_batch(a, b)
         for i in range(4):
-            assert batch[i] == comparator.similarity(a[i], b[i])
+            assert batch[i] == oracle.similarity(comparator, a[i], b[i])
 
     def test_analyze_batch_matches_scalar(self, monkeypatch):
         """Batch rows equal one-row calls (no row depends on the rows

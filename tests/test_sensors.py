@@ -5,7 +5,12 @@ import pytest
 
 from repro.config import MotionFilterConfig
 from repro.errors import WearLockError
-from repro.sensors.dtw import dtw_distance, normalized_dtw
+from repro.sensors.dtw import (
+    dtw_distance,
+    dtw_distance_batch,
+    normalized_dtw,
+    normalized_dtw_batch,
+)
 from repro.sensors.motion_filter import MotionDecision, MotionFilter
 from repro.sensors.traces import (
     GRAVITY,
@@ -85,18 +90,39 @@ class TestDtw:
         rng = np.random.default_rng(6)
         assert dtw_distance(rng.standard_normal(30), rng.standard_normal(30)) >= 0
 
-    def test_band_constraint_matches_unconstrained_for_aligned(self):
-        x = np.sin(np.linspace(0, 10, 64))
-        assert dtw_distance(x, x, band=2) == pytest.approx(0.0, abs=1e-12)
-
-    def test_band_never_below_unconstrained(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.standard_normal(50), rng.standard_normal(50)
-        assert dtw_distance(a, b, band=3) >= dtw_distance(a, b) - 1e-9
-
     def test_rejects_empty(self):
         with pytest.raises(WearLockError):
             dtw_distance(np.zeros(0), np.ones(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_one_row(self, bad):
+        x = np.linspace(0.0, 1.0, 20)
+        y = x.copy()
+        y[7] = bad
+        for fn in (dtw_distance, normalized_dtw):
+            with pytest.raises(WearLockError, match="finite"):
+                fn(x, y)
+            with pytest.raises(WearLockError, match="finite"):
+                fn(y, x)
+
+    def test_rejects_non_finite_in_any_row(self):
+        """One poisoned pair refuses the whole batch: a ``nan`` score
+        would otherwise read as CONTINUE in the motion filter."""
+        rng = np.random.default_rng(11)
+        xs = rng.standard_normal((4, 30))
+        ys = rng.standard_normal((4, 25))
+        ys[2, 3] = np.nan
+        for fn in (dtw_distance_batch, normalized_dtw_batch):
+            with pytest.raises(WearLockError, match="finite"):
+                fn(xs, ys)
+            with pytest.raises(WearLockError, match="finite"):
+                fn(ys[:, :20], xs[:, :20] * np.inf)
+
+    def test_rejects_non_1d(self):
+        with pytest.raises(WearLockError, match="1-D"):
+            dtw_distance(np.zeros((2, 3)), np.ones(3))
+        with pytest.raises(WearLockError, match="1-D"):
+            normalized_dtw(np.ones(3), np.zeros((3, 1)))
 
     def test_normalized_score_scale_invariant(self):
         rng = np.random.default_rng(8)
