@@ -68,20 +68,29 @@ class AmbientComparator:
             )
         return self.band_profile_batch(x[None, :])[0]
 
-    def band_profile_batch(self, recordings: np.ndarray) -> np.ndarray:
-        """Band-power fingerprints of many equal-length recordings.
+    def psd_batch(
+        self, recordings: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Welch spectra ``(freqs, psds)`` of many equal-length recordings.
 
-        Row ``i`` is the fingerprint of ``recordings[i]``: the log10
-        mean Welch PSD in each of the ``n_bands`` log-spaced bands that
-        holds at least one PSD bin.  The Welch PSDs run as one stacked
-        pass.
+        The costly half of a fingerprint, and the half that depends on
+        the sample rate alone: comparators that differ only in their
+        band layout can reduce one call's spectra with
+        :meth:`band_profiles`.  ``freqs`` is the same for every input.
         """
         x = np.asarray(recordings, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] < 64:
             raise WearLockError(
                 "recordings must be 2-D with at least 64 samples per row"
             )
-        freqs, psds = welch_psd_batch(x, self.sample_rate, segment_size=512)
+        return welch_psd_batch(x, self.sample_rate, segment_size=512)
+
+    def band_profiles(self, freqs: np.ndarray, psds: np.ndarray) -> np.ndarray:
+        """Band-power fingerprints of :meth:`psd_batch` spectra.
+
+        Row ``i`` is the log10 mean PSD of ``psds[i]`` in each of the
+        ``n_bands`` log-spaced bands that holds at least one PSD bin.
+        """
         edges = np.geomspace(self.low_hz, self.high_hz, self.n_bands + 1)
         masks = [
             mask
@@ -90,7 +99,7 @@ class AmbientComparator:
         ]
         if len(masks) < 3:
             raise WearLockError("too few usable bands — recording too short")
-        profiles = np.empty((x.shape[0], len(masks)))
+        profiles = np.empty((psds.shape[0], len(masks)))
         # One reduction per band, all rows at once.  A column-mask
         # gather comes back Fortran-ordered, whose axis-1 reduction
         # rounds differently from a 1-D sum; re-laying the band as
@@ -101,22 +110,27 @@ class AmbientComparator:
             profiles[:, j] = np.log10(np.mean(band, axis=1) + 1e-20)
         return profiles
 
-    def similarity_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`similarity` of two equal-height stacks.
+    def band_profile_batch(self, recordings: np.ndarray) -> np.ndarray:
+        """Band-power fingerprints of many equal-length recordings.
 
-        The fingerprints are batched; the (cheap, 18-point) correlation
-        tail runs per pair.  ``np.corrcoef`` can drift a hair past ±1 by
-        float rounding and returns NaN when a profile is near-constant
-        *just above* the std guard (the normalization divides by a
-        denormal variance), so each score is NaN-mapped to 0.0 ("no
-        evidence either way", matching the constant-profile guard) and
-        clamped.
+        :meth:`band_profiles` of one stacked :meth:`psd_batch` pass.
         """
-        pa = self.band_profile_batch(a)
-        pb = self.band_profile_batch(b)
+        return self.band_profiles(*self.psd_batch(recordings))
+
+    @staticmethod
+    def profile_similarity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        """Row-wise correlation of two equal-height fingerprint stacks.
+
+        The (cheap, 18-point) correlation runs per pair.
+        ``np.corrcoef`` can drift a hair past ±1 by float rounding and
+        returns NaN when a profile is near-constant *just above* the
+        std guard (the normalization divides by a denormal variance),
+        so each score is NaN-mapped to 0.0 ("no evidence either way",
+        matching the constant-profile guard) and clamped.
+        """
         if pa.shape[0] != pb.shape[0]:
             raise WearLockError(
-                "similarity_batch needs the same number of rows in a and b"
+                "fingerprint stacks need the same number of rows"
             )
         n = min(pa.shape[1], pb.shape[1])
         out = np.zeros(pa.shape[0])
@@ -128,6 +142,16 @@ class AmbientComparator:
             if np.isfinite(r):
                 out[i] = min(1.0, max(-1.0, r))
         return out
+
+    def similarity_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`similarity` of two equal-height stacks.
+
+        :meth:`profile_similarity` of the two stacks' batched
+        fingerprints.
+        """
+        return self.profile_similarity(
+            self.band_profile_batch(a), self.band_profile_batch(b)
+        )
 
     def similarity(self, a: np.ndarray, b: np.ndarray) -> float:
         """Pearson correlation of the two band profiles, in [-1, 1].

@@ -117,11 +117,17 @@ from ..sensors.traces import (
 )
 from ..verifiers import (
     PrecomputedVerifierEvidence,
-    multiband_similarity,
+    multiband_similarity_batch,
     needs_sensor_pair,
+    probe_head_samples,
     resolve_verifier_names,
     vibration_similarity,
 )
+
+# Not called here since the probe group stages the multi-band score as
+# a batch; the name stays bound because perfbench's tracer wraps it at
+# both its staged and live sites.
+from ..verifiers import multiband_similarity  # noqa: F401
 from .aggregate import SessionRecord
 from .events import ContentionPlan, SceneAnnotation, build_contention_plan
 from .population import (
@@ -331,6 +337,45 @@ def _emitted_probe(
     return _PROBE_WAVEFORMS.get(key, build)
 
 
+def _ambient_scores(
+    fs: float,
+    ambients: np.ndarray,
+    heads: np.ndarray,
+    mb_rows: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both ambient fingerprints' scores from one Welch pass per matrix.
+
+    Returns the 18-band similarity of every (ambient, probe head) row
+    pair and the 24-band multi-band score of the rows in ``mb_rows``.
+    The two fingerprints differ only in their band layout, so both
+    reduce the same two :meth:`~repro.core.colocation.AmbientComparator.
+    psd_batch` spectra.  Mirrors the live scalars: recordings too
+    short to fingerprint score every pair 0.0.
+    """
+    comparator = AmbientComparator(
+        sample_rate=fs, high_hz=min(18_000.0, fs / 2.2)
+    )
+    sims = np.zeros(ambients.shape[0])
+    mb = np.zeros(len(mb_rows))
+    try:
+        freqs, psds_a = comparator.psd_batch(ambients)
+        _, psds_b = comparator.psd_batch(heads)
+    except WearLockError:
+        return sims, mb
+    try:
+        sims = comparator.profile_similarity(
+            comparator.band_profiles(freqs, psds_a),
+            comparator.band_profiles(freqs, psds_b),
+        )
+    except WearLockError:
+        pass
+    if mb_rows:
+        mb = multiband_similarity_batch(
+            freqs, psds_a[mb_rows], psds_b[mb_rows], fs
+        )
+    return sims, mb
+
+
 def _stage_probe_group(
     system: SystemConfig,
     band: str,
@@ -351,6 +396,13 @@ def _stage_probe_group(
     scalar factors (spreading loss, no-room NLOS blocking) reuse the
     exact scalar expressions, so each row is bit-identical to the live
     :meth:`~repro.channel.link.AcousticLink.transmit`.
+
+    When the scene is loud enough for the ambient gate, the detected
+    rows' two ambient scores come from one Welch pass over the
+    ambient recordings and one over the probe heads
+    (:func:`_ambient_scores`): the 18-band similarity for every row,
+    the 24-band multi-band score for the rows whose verifier set runs
+    ``multiband``.
     """
     env = get_environment(env_name)
     modem_system = system
@@ -450,31 +502,21 @@ def _stage_probe_group(
             i for i, r in enumerate(reports) if r is not None and r.detected
         ]
         if live:
-            comparator = AmbientComparator(
-                sample_rate=fs, high_hz=min(18_000.0, fs / 2.2)
+            # The multi-band fingerprint is staged only for sessions
+            # whose verifier set runs that channel.
+            mb_rows = [
+                row
+                for row, i in enumerate(live)
+                if "multiband" in resolve_verifier_names(group[i].verifiers)
+            ]
+            head_n = probe_head_samples(fs, modem)
+            scores, mb_scores = _ambient_scores(
+                fs, ambients[live], recorded[live, :head_n], mb_rows
             )
-            head_n = max(int(0.1 * fs), modem.fft_size)
-            try:
-                scores = comparator.similarity_batch(
-                    ambients[live], recorded[live, :head_n]
-                )
-            except WearLockError:
-                # Mirrors ambient_similarity(): a comparator that cannot
-                # fingerprint these lengths scores every pair 0.0.
-                scores = np.zeros(len(live))
             for row, i in enumerate(live):
                 sims[i] = float(scores[row])
-            # The multi-band fingerprint is staged only for sessions
-            # whose verifier set runs that channel, via the exact
-            # scalar the live verifier computes on the same
-            # ambient/probe-head pair — bit-identical by construction.
-            for i in live:
-                if "multiband" in resolve_verifier_names(
-                    group[i].verifiers
-                ):
-                    mb_sims[i] = multiband_similarity(
-                        ambients[i], recorded[i, :head_n], fs
-                    )
+            for row, score in zip(mb_rows, mb_scores):
+                mb_sims[live[row]] = float(score)
 
     # Only the clip length survives staging: every downstream consumer
     # of the recording is itself staged (report, similarity) or needs
@@ -507,7 +549,8 @@ def precompute_probe(
     Returns per-spec
     :class:`~repro.protocol.session.PrecomputedProbe` results plus the
     ambient-similarity and multi-band scores for the verifiers
-    (``None`` where the live verifier would not compute one).
+    (``None`` where the live verifier would not compute one); both
+    scores of a group share its Welch spectra.
     """
     probes: List[Optional[PrecomputedProbe]] = [None] * len(specs)
     sims: List[Optional[float]] = [None] * len(specs)

@@ -35,6 +35,7 @@ from .ambient import (
     NOISE_FILTER_MIN_SPL,
     AmbientNoiseVerifier,
     probe_head,
+    probe_head_samples,
 )
 from .base import (
     PrecomputedVerifierEvidence,
@@ -49,6 +50,7 @@ from .multiband import (
     MULTIBAND_MIN_SIMILARITY,
     MultibandAmbientVerifier,
     multiband_similarity,
+    multiband_similarity_batch,
 )
 from .vibration import (
     VIBRATION_MIN_SIMILARITY,
@@ -75,8 +77,10 @@ __all__ = [
     "needs_sensor_pair",
     "ensure_sensor_message",
     "multiband_similarity",
+    "multiband_similarity_batch",
     "vibration_similarity",
     "probe_head",
+    "probe_head_samples",
     "NOISE_FILTER_MIN_SPL",
     "NOISE_FILTER_MIN_SIMILARITY",
     "MULTIBAND_MIN_SIMILARITY",

@@ -20,6 +20,8 @@ __all__ = [
     "AmbientNoiseVerifier",
     "NOISE_FILTER_MIN_SPL",
     "NOISE_FILTER_MIN_SIMILARITY",
+    "probe_head",
+    "probe_head_samples",
 ]
 
 #: Sound-Proof-style gate parameters (paper §V / DESIGN.md §5).  These
@@ -29,16 +31,21 @@ NOISE_FILTER_MIN_SPL = 35.0
 NOISE_FILTER_MIN_SIMILARITY = 0.25
 
 
-def probe_head(ctx: Any) -> np.ndarray:
-    """The probe-recording head slice the ambient verifiers score.
+def probe_head_samples(sample_rate: float, modem: Any) -> int:
+    """Length of the probe-recording head the ambient verifiers score.
 
-    One definition shared by the live session path and the fleet
-    executor's batched scoring — the slice length is part of the
-    bit-identity contract.
+    One definition shared by the live session path (:func:`probe_head`)
+    and the fleet executor's batched scoring — the slice length is part
+    of the bit-identity contract.  ``modem`` is the session's
+    :class:`~repro.config.ModemConfig`.
     """
-    modem = ctx.system.modem
+    return max(int(0.1 * sample_rate), modem.fft_size)
+
+
+def probe_head(ctx: Any) -> np.ndarray:
+    """The probe-recording head slice the ambient verifiers score."""
     return ctx.probe_recording[
-        : max(int(0.1 * ctx.sample_rate), modem.fft_size)
+        : probe_head_samples(ctx.sample_rate, ctx.system.modem)
     ]
 
 

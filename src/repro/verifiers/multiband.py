@@ -25,6 +25,7 @@ from .base import ProximityEvidence, VerifierResult
 __all__ = [
     "MultibandAmbientVerifier",
     "multiband_similarity",
+    "multiband_similarity_batch",
     "MULTIBAND_N_BANDS",
     "MULTIBAND_N_GROUPS",
     "MULTIBAND_MIN_SIMILARITY",
@@ -43,6 +44,52 @@ MULTIBAND_N_GROUPS = 3
 MULTIBAND_MIN_SIMILARITY = 0.2
 
 
+def _comparator(sample_rate: float) -> AmbientComparator:
+    return AmbientComparator(
+        sample_rate=sample_rate,
+        high_hz=min(18_000.0, sample_rate / 2.2),
+        n_bands=MULTIBAND_N_BANDS,
+    )
+
+
+def multiband_similarity_batch(
+    freqs: np.ndarray,
+    psds_a: np.ndarray,
+    psds_b: np.ndarray,
+    sample_rate: float,
+) -> np.ndarray:
+    """Row-wise :func:`multiband_similarity` of two stacks' Welch spectra.
+
+    ``(freqs, psds_a)`` and ``(freqs, psds_b)`` come from
+    :meth:`~repro.core.colocation.AmbientComparator.psd_batch` at
+    ``sample_rate`` — any comparator's, since the spectra depend on the
+    sample rate alone, so a caller that already scores the pair at 18
+    bands hands its spectra on.  Each stack is fingerprinted in one
+    band reduction; the per-group correlations run per pair.  Spectra
+    too coarse to fill three bands score 0.0 in every row.
+    """
+    comparator = _comparator(sample_rate)
+    out = np.zeros(psds_a.shape[0])
+    try:
+        pa = comparator.band_profiles(freqs, psds_a)
+        pb = comparator.band_profiles(freqs, psds_b)
+    except WearLockError:
+        return out
+    # One ``freqs`` gives both stacks the same bands, so rows align.
+    for i in range(out.size):
+        corrs = []
+        for ga, gb in zip(
+            np.array_split(pa[i], MULTIBAND_N_GROUPS),
+            np.array_split(pb[i], MULTIBAND_N_GROUPS),
+        ):
+            if ga.size < 2 or np.std(ga) < 1e-12 or np.std(gb) < 1e-12:
+                corrs.append(0.0)
+            else:
+                corrs.append(float(np.corrcoef(ga, gb)[0, 1]))
+        out[i] = float(np.mean(corrs))
+    return out
+
+
 def multiband_similarity(
     a: np.ndarray, b: np.ndarray, sample_rate: float
 ) -> float:
@@ -51,29 +98,16 @@ def multiband_similarity(
     Degenerate inputs score 0.0 rather than raising: a recording too
     short to fingerprint, or a group with a flat profile, carries no
     co-location evidence either way — same convention as
-    :func:`repro.protocol.session.ambient_similarity`.
+    :func:`repro.protocol.session.ambient_similarity`.  One-row call of
+    :func:`multiband_similarity_batch`.
     """
-    comparator = AmbientComparator(
-        sample_rate=sample_rate,
-        high_hz=min(18_000.0, sample_rate / 2.2),
-        n_bands=MULTIBAND_N_BANDS,
-    )
+    comparator = _comparator(sample_rate)
     try:
-        pa = comparator.band_profile(np.asarray(a, dtype=float))
-        pb = comparator.band_profile(np.asarray(b, dtype=float))
+        freqs, pa = comparator.psd_batch(np.asarray(a, dtype=float)[None, ...])
+        _, pb = comparator.psd_batch(np.asarray(b, dtype=float)[None, ...])
     except WearLockError:
         return 0.0
-    n = min(pa.size, pb.size)
-    corrs = []
-    for ga, gb in zip(
-        np.array_split(pa[:n], MULTIBAND_N_GROUPS),
-        np.array_split(pb[:n], MULTIBAND_N_GROUPS),
-    ):
-        if ga.size < 2 or np.std(ga) < 1e-12 or np.std(gb) < 1e-12:
-            corrs.append(0.0)
-        else:
-            corrs.append(float(np.corrcoef(ga, gb)[0, 1]))
-    return float(np.mean(corrs))
+    return float(multiband_similarity_batch(freqs, pa, pb, sample_rate)[0])
 
 
 class MultibandAmbientVerifier:

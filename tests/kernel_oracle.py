@@ -14,8 +14,9 @@ in the package:
 * sensing — :func:`repro.sensors.dtw.dtw_distance`,
   :func:`repro.sensors.dtw.normalized_dtw`,
   :func:`repro.dsp.spectrum.welch_psd`,
-  :meth:`repro.core.colocation.AmbientComparator.band_profile` and
-  :meth:`~repro.core.colocation.AmbientComparator.similarity`.
+  :meth:`repro.core.colocation.AmbientComparator.band_profile`,
+  :meth:`~repro.core.colocation.AmbientComparator.similarity` and
+  :func:`repro.verifiers.multiband.multiband_similarity`.
 
 This module keeps the straight 1-D bodies those functions used to
 carry, so the equivalence suites can compare every row of every stacked
@@ -35,9 +36,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.core.colocation import AmbientComparator
 from repro.dsp.fftops import fft_length
 from repro.dsp.filters import design_bandpass_fir, design_lowpass_fir
 from repro.dsp.windows import hann_window, raised_cosine_ramp
+from repro.verifiers.multiband import MULTIBAND_N_BANDS, MULTIBAND_N_GROUPS
 
 
 def convolve(signal: np.ndarray, ir: np.ndarray) -> np.ndarray:
@@ -163,6 +166,42 @@ def similarity(comparator, a: np.ndarray, b: np.ndarray) -> float:
     if not np.isfinite(r):
         return 0.0
     return min(1.0, max(-1.0, r))
+
+
+def multiband_similarity(
+    a: np.ndarray, b: np.ndarray, sample_rate: float
+) -> float:
+    """Mean per-group correlation of two 24-band fingerprints.
+
+    A recording too short to fingerprint, or one whose spectrum fills
+    fewer than three bands, scores 0.0; so does a flat group.  The
+    comparator only carries the band layout into :func:`band_profile`.
+    """
+    comparator = AmbientComparator(
+        sample_rate=sample_rate,
+        high_hz=min(18_000.0, sample_rate / 2.2),
+        n_bands=MULTIBAND_N_BANDS,
+    )
+    profiles = []
+    for x in (np.asarray(a, dtype=float), np.asarray(b, dtype=float)):
+        if x.ndim != 1 or x.size < 64:
+            return 0.0
+        profile = band_profile(comparator, x)
+        if profile.size < 3:
+            return 0.0
+        profiles.append(profile)
+    pa, pb = profiles
+    n = min(pa.size, pb.size)
+    corrs = []
+    for ga, gb in zip(
+        np.array_split(pa[:n], MULTIBAND_N_GROUPS),
+        np.array_split(pb[:n], MULTIBAND_N_GROUPS),
+    ):
+        if ga.size < 2 or np.std(ga) < 1e-12 or np.std(gb) < 1e-12:
+            corrs.append(0.0)
+        else:
+            corrs.append(float(np.corrcoef(ga, gb)[0, 1]))
+    return float(np.mean(corrs))
 
 
 # -- channel synthesis: noise, jammer, scene, speaker, microphone ------

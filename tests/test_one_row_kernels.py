@@ -1,12 +1,13 @@
 """Each scalar channel-synthesis and sensing call against the 1-D oracle.
 
-The ten scalar entry points below are one-row calls of their stacked
+The eleven scalar entry points below are one-row calls of their stacked
 kernels; their old 1-D bodies live in ``tests/kernel_oracle.py``.  One
 hypothesis property per kernel draws lengths, parameters and seeds and
 checks that the one-row call equals the oracle bit for bit and leaves
 its generator at the oracle's stream position.  The draws include
 empty and length-1 inputs, signals shorter than one Welch segment, DTW
-pairs of unequal length, speakers with stages switched off and the
+pairs of unequal length, multi-band pairs too short to fingerprint or
+silent, speakers with stages switched off and the
 wide-band microphone.  Many-row calls are compared with the same oracle
 in the staging equivalence suites.
 """
@@ -24,6 +25,7 @@ from repro.core.colocation import AmbientComparator
 from repro.dsp.spectrum import welch_psd
 from repro.errors import ChannelError, WearLockError
 from repro.sensors.dtw import dtw_distance, normalized_dtw
+from repro.verifiers.multiband import multiband_similarity
 from tests import kernel_oracle as oracle
 
 FS = 44_100.0
@@ -116,6 +118,25 @@ def _similarity(data):
         )
 
 
+def _multiband_similarity(data):
+    fs = data.draw(st.sampled_from([8_000.0, 16_000.0, FS, 48_000.0]))
+    a = _series(data, 4000)
+    kind = data.draw(st.sampled_from(["independent", "shared", "silent"]))
+    if kind == "independent":
+        b = _series(data, 4000)
+    elif kind == "shared":
+        # Same scene at the second microphone: the correlated case.
+        n = data.draw(st.integers(1, a.size))
+        noise = np.random.default_rng(data.draw(seeds)).standard_normal(n)
+        b = a[:n] + 0.3 * np.std(a) * noise
+    else:
+        b = np.zeros(data.draw(st.integers(1, 4000)))
+    got = multiband_similarity(a, b, fs)
+    assert np.array_equal(
+        got, oracle.multiband_similarity(a, b, fs), equal_nan=True
+    )
+
+
 def _shaped_noise(data):
     n = data.draw(st.integers(0, 3000))
     bands = _bands(data)
@@ -193,6 +214,7 @@ CASES = {
     "welch_psd": _welch_psd,
     "band_profile": _band_profile,
     "similarity": _similarity,
+    "multiband_similarity": _multiband_similarity,
     "shaped_noise": _shaped_noise,
     "tone_jammer": _tone_jammer,
     "NoiseScene.sample": _scene_sample,

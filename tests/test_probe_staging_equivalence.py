@@ -19,18 +19,20 @@ import pytest
 from repro.channel.hardware import MicrophoneModel
 from repro.channel.multipath import RoomImpulseResponse, convolve_ir_rows
 from repro.channel.noise import NoiseScene, shaped_noise_batch
-from repro.config import ModemConfig
+from repro.config import ModemConfig, SystemConfig
 from repro.core.colocation import AmbientComparator
 from repro.dsp.correlation import sliding_normalized_correlation_batch
 from repro.dsp.filters import design_bandpass_fir, fir_filter_batch
 from repro.dsp.spectrum import welch_psd_batch
 from repro.errors import ConfigurationError, ModemError
 from repro.fleet import FleetConfig, FleetScheduler, executor, run_shard
+from repro.fleet.population import SessionSpec
 from repro.modem import probe as probe_module
 from repro.modem.frame import demodulate_blocks, frame_layout
 from repro.modem.preamble import PreambleDetector
 from repro.modem.probe import ChannelProber
 from repro.modem.reference import reference_fine_sync_offset
+from repro.verifiers import probe_head_samples, resolve_verifier_names
 from tests import kernel_oracle as oracle
 
 BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
@@ -214,6 +216,72 @@ class TestBatchPrimitives:
                 )
                 want_bodies.append(rec[start: start + layout.fft_size])
         assert np.array_equal(bodies, np.stack(want_bodies))
+
+
+class TestStagedAmbientScores:
+    """A staged probe group's two ambient fingerprints, row by row."""
+
+    # Near-ultrasound in the cafe: the LOS rows within 2 m detect the
+    # probe, the 12 m NLOS rows do not.
+    PLACEMENTS = ((0.3, True), (0.8, True), (2.0, True), (12.0, False))
+    VERIFIER_SETS = (
+        ("ambient", "multiband"),
+        ("multiband",),
+        None,
+        ("multiband", "vibration"),
+        ("ambient",),
+    )
+
+    def test_precompute_probe_matches_oracle(self, monkeypatch):
+        specs = [
+            SessionSpec(
+                user_id=i, session_index=0, hour=9.0, environment="cafe",
+                distance_m=distance, los=los, activity="still",
+                co_located=True, band="ultrasound", wireless="bluetooth",
+                phone="Nexus 6", watch="Moto 360", seed=500 + i,
+                verifiers=self.VERIFIER_SETS[i % len(self.VERIFIER_SETS)],
+            )
+            for i, (distance, los) in enumerate(self.PLACEMENTS * 3)
+        ]
+        # The group's two recordings, in draw order: the phone's
+        # ambient self-recordings, then the watch's probe captures.
+        recordings = []
+        record_batch = MicrophoneModel.record_batch
+
+        def record(mic, signals, rngs, values=True):
+            out = record_batch(mic, signals, rngs, values=values)
+            recordings.append(out.copy())
+            return out
+
+        monkeypatch.setattr(MicrophoneModel, "record_batch", record)
+        probes, sims, mb_sims = executor.precompute_probe(specs)
+        ambients, recorded = recordings
+
+        modem = SystemConfig().modem.near_ultrasound()
+        fs = modem.sample_rate
+        head_n = probe_head_samples(fs, modem)
+        comparator = AmbientComparator(
+            sample_rate=fs, high_hz=min(18_000.0, fs / 2.2)
+        )
+        kinds = set()
+        for i, spec in enumerate(specs):
+            report = probes[i].report
+            detected = report is not None and report.detected
+            multiband = "multiband" in resolve_verifier_names(spec.verifiers)
+            kinds.add((detected, multiband))
+            head = recorded[i, :head_n]
+            if not detected:
+                assert sims[i] is None and mb_sims[i] is None
+                continue
+            assert sims[i] == oracle.similarity(comparator, ambients[i], head)
+            if multiband:
+                assert mb_sims[i] == oracle.multiband_similarity(
+                    ambients[i], head, fs
+                )
+            else:
+                assert mb_sims[i] is None
+        # Detected and failed rows, each with and without multiband.
+        assert kinds == {(d, m) for d in (True, False) for m in (True, False)}
 
 
 def _staged_run(cfg, monkeypatch):

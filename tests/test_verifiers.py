@@ -1,12 +1,14 @@
 """Pluggable proximity verifiers, fusion policies, and their algebra."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SystemConfig
 from repro.dsp.energy import SILENCE_FLOOR_SPL_DB, signal_spl
 from repro.errors import WearLockError
 from repro.protocol.session import (
@@ -29,9 +31,15 @@ from repro.verifiers import (
     ProximityVerifier,
     VerifierResult,
     get_verifier,
+    MULTIBAND_MIN_SIMILARITY,
+    NOISE_FILTER_MIN_SPL,
+    MultibandAmbientVerifier,
+    multiband_similarity,
     needs_sensor_pair,
+    probe_head_samples,
     resolve_verifier_names,
 )
+from tests import kernel_oracle as oracle
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +111,106 @@ class TestSilenceSemantics:
         rng = np.random.default_rng(1)
         loud = rng.standard_normal(8192) * 0.1
         assert ambient_similarity(loud, loud, 44100.0) > 0.9
+
+
+# ---------------------------------------------------------------------------
+# Multi-band verifier: silence gate, staging, degenerate input, threshold
+# ---------------------------------------------------------------------------
+
+
+def _multiband_ctx(spl=60.0, use_noise_filter=True, staged=None, seed=0):
+    """The session-context fields the multi-band verifier reads."""
+    modem = SystemConfig().modem
+    rng = np.random.default_rng(seed)
+    scene = 0.1 * rng.standard_normal(9000)
+    evidence = PrecomputedVerifierEvidence(multiband_similarity=staged)
+    return SimpleNamespace(
+        config=SimpleNamespace(use_noise_filter=use_noise_filter),
+        noise_spl_estimate=spl,
+        precomputed=None if staged is None else SimpleNamespace(
+            evidence=evidence
+        ),
+        extras={},
+        sample_rate=modem.sample_rate,
+        system=SimpleNamespace(modem=modem),
+        phone_ambient=scene[:4410],
+        probe_recording=scene + 0.05 * rng.standard_normal(scene.size),
+    )
+
+
+def _live_score(ctx):
+    head = ctx.probe_recording[
+        : probe_head_samples(ctx.sample_rate, ctx.system.modem)
+    ]
+    return oracle.multiband_similarity(
+        ctx.phone_ambient, head, ctx.sample_rate
+    )
+
+
+class TestMultibandVerifier:
+    verifier = MultibandAmbientVerifier()
+
+    @pytest.mark.parametrize(
+        "spl, use_noise_filter",
+        [(NOISE_FILTER_MIN_SPL - 0.1, True), (60.0, False)],
+    )
+    def test_silence_gate_skips(self, spl, use_noise_filter):
+        ctx = _multiband_ctx(spl, use_noise_filter, staged=0.9)
+        result = self.verifier.verify(ctx)
+        assert result.skipped and result.passed and result.score is None
+        # A skipped verify leaves the staged score unconsumed.
+        assert "multiband_sim_staged" not in ctx.extras
+
+    def test_gate_opens_at_threshold_spl(self):
+        ctx = _multiband_ctx(NOISE_FILTER_MIN_SPL)
+        result = self.verifier.verify(ctx)
+        assert not result.skipped
+        # One scene heard by both microphones: a co-located pass.
+        assert result.score == _live_score(ctx) > 0.5
+        assert result.passed
+
+    def test_staged_score_consumed_once(self):
+        ctx = _multiband_ctx(staged=-0.5)
+        assert self.verifier.verify(ctx).score == -0.5
+        # The re-probe records fresh audio, which is scored live.
+        ctx.probe_recording = _multiband_ctx(seed=1).probe_recording
+        live = self.verifier.verify(ctx)
+        assert live.score == _live_score(ctx) != -0.5
+
+    def test_unstaged_score_is_live(self):
+        ctx = _multiband_ctx()
+        assert self.verifier.verify(ctx).score == _live_score(ctx)
+
+    def test_too_short_recording_scores_zero(self):
+        ctx = _multiband_ctx()
+        ctx.probe_recording = ctx.probe_recording[:63]
+        assert multiband_similarity(
+            ctx.phone_ambient, ctx.probe_recording, ctx.sample_rate
+        ) == 0.0
+        result = self.verifier.verify(ctx)
+        assert result.score == 0.0 and not result.passed
+
+    def test_flat_groups_score_zero(self):
+        """Silence has a flat profile: no group carries evidence."""
+        ctx = _multiband_ctx()
+        ctx.phone_ambient = np.zeros(4410)
+        result = self.verifier.verify(ctx)
+        assert result.score == 0.0 and not result.passed
+
+    @pytest.mark.parametrize(
+        "sim, passed",
+        [
+            (MULTIBAND_MIN_SIMILARITY, True),
+            (np.nextafter(MULTIBAND_MIN_SIMILARITY, 0.0), False),
+            (0.9, True),
+            (-0.3, False),
+        ],
+    )
+    def test_pass_threshold(self, sim, passed):
+        result = self.verifier.verify(_multiband_ctx(staged=sim))
+        assert result.score == sim
+        assert result.passed is passed
+        assert result.normalized == pytest.approx((sim + 1.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
