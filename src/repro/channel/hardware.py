@@ -16,7 +16,7 @@ survive:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -36,6 +36,11 @@ from ..dsp.windows import raised_cosine_ramp
 #: module-wide; the from-scratch reference body lives in the test
 #: oracle (``tests/kernel_oracle.py``).
 _RIPPLE_FACTORS = KeyedCache("channel.ripple_factors", maxsize=32)
+
+#: The ripple realization itself is a pure function of ``device_seed``
+#: and the ripple parameters; every session, and every probe row the
+#: fleet replays, builds its own speaker, so it is memoized as well.
+_RIPPLES = KeyedCache("channel.ripples", maxsize=32)
 
 
 @dataclass
@@ -90,19 +95,30 @@ class SpeakerModel:
             raise ChannelError("clip_level must be positive")
         if self.phase_ripple_rad < 0:
             raise ChannelError("phase_ripple_rad must be non-negative")
+        key = (
+            int(self.device_seed),
+            float(self.phase_ripple_rad),
+            float(self.phase_ripple_detail_hz),
+        )
+        self._ripple_delays, self._ripple_phases, self._ripple_amps = (
+            _RIPPLES.get(key, self._draw_ripple)
+        )
+
+    def _draw_ripple(self) -> tuple:
         # The ripple is a fixed random Fourier series in frequency —
         # equivalent to a sparse all-pass with echo delays up to
         # ~1/detail_hz, i.e. a stable per-device response.
         rng = np.random.default_rng(self.device_seed)
         n_terms = 24
         max_delay = 1.0 / max(self.phase_ripple_detail_hz, 1e-6)
-        self._ripple_delays = rng.uniform(0.2 * max_delay, max_delay, n_terms)
-        self._ripple_phases = rng.uniform(0.0, 2.0 * np.pi, n_terms)
+        delays = rng.uniform(0.2 * max_delay, max_delay, n_terms)
+        phases = rng.uniform(0.0, 2.0 * np.pi, n_terms)
         amps = rng.uniform(0.5, 1.0, n_terms)
         norm = np.sqrt(0.5 * np.sum(amps ** 2))
-        self._ripple_amps = (
-            amps * (self.phase_ripple_rad / norm) if norm > 0 else amps * 0.0
-        )
+        amps = amps * (self.phase_ripple_rad / norm if norm > 0 else 0.0)
+        for values in (delays, phases, amps):
+            values.setflags(write=False)
+        return delays, phases, amps
 
     def phase_response(self, freqs_hz: np.ndarray) -> np.ndarray:
         """The device's phase ripple φ(f) in radians at ``freqs_hz``."""
@@ -113,6 +129,12 @@ class SpeakerModel:
         ):
             phi += a * np.cos(2.0 * np.pi * f * tau + theta)
         return phi
+
+    def fingerprint(self) -> tuple:
+        """Hashable identity of the rendering: speakers with equal
+        fingerprints render any input identically (``device_seed`` fixes
+        the ripple), so their rows share one :meth:`play_batch`."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def _ripple_factor(self, n: int) -> np.ndarray:
         """Memoized ``exp(j*phi(f))`` for an ``n``-sample transform."""
@@ -211,6 +233,12 @@ class MicrophoneModel:
             raise ChannelError("clip_level must be positive")
         self._taps: Optional[np.ndarray] = None
         self._knee_taps: Optional[np.ndarray] = None
+
+    def fingerprint(self) -> tuple:
+        """Hashable identity of the capture: microphones with equal
+        fingerprints record any input through identical filters and
+        noise-floor scaling, so their rows share a :meth:`record_batch`."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def _ensure_filters(self) -> None:
         if self.lowpass_hz is None or self._taps is not None:

@@ -15,7 +15,7 @@ adaptive-modulation logic consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..dsp.plane import KeyedCache
 from ..dsp.resample import apply_clock_skew
 from .acoustics import D0_METERS, received_spl, spreading_loss_db
 from .hardware import MicrophoneModel, SpeakerModel
-from .multipath import RoomImpulseResponse
+from .multipath import RoomImpulseResponse, convolve_ir_rows
 from .noise import NoiseScene
 
 #: NLOS room variants keyed by the parent room's parameters — building
@@ -144,26 +144,6 @@ class AcousticLink:
             distance_m=self.distance_m,
         )
 
-    def emitted_waveform(
-        self, waveform: np.ndarray, tx_spl: float
-    ) -> np.ndarray:
-        """The deterministic speaker-side half of :meth:`transmit`.
-
-        Renormalizes ``waveform`` so its RMS at the speaker face
-        corresponds to ``tx_spl`` dB SPL and renders it through the
-        speaker model.  No randomness is consumed, so a staged caller
-        can compute this once per (waveform, level) and share it
-        across every session in a shard.
-        """
-        x = np.asarray(waveform, dtype=np.float64)
-        if x.ndim != 1 or x.size == 0:
-            raise ChannelError("waveform must be a non-empty 1-D array")
-        level = rms(x)
-        if level <= 0.0:
-            raise ChannelError("waveform has zero energy")
-        driven = x * (spl_to_amplitude(tx_spl) / level)
-        return self.speaker.play(driven)
-
     def effective_room(self) -> Optional[RoomImpulseResponse]:
         """The room IR generator transmissions actually draw from.
 
@@ -186,69 +166,224 @@ class AcousticLink:
 
         The waveform's own scale is irrelevant: it is renormalized so its
         RMS at the speaker face corresponds to ``tx_spl`` dB SPL, then
-        every impairment in the chain is applied.
+        every impairment in the chain is applied.  One-row call of
+        :meth:`transmit_rows`.
         """
-        emitted = self.emitted_waveform(waveform, tx_spl)
         generator = self._generator(rng)
-        budget = self.budget(tx_spl)
-
-        room = self.effective_room()
-        if room is not None:
-            # The IR's direct tap is unit gain; NLOS attenuation of the
-            # direct path is inside the IR, so only spreading loss is
-            # applied separately below.
-            propagated = room.apply(emitted, rng=generator)
-        else:
-            propagated = emitted
-            if not self.los:
-                propagated = propagated * 10.0 ** (
-                    -self.nlos_blocking_db / 20.0
-                )
-
-        loss_db = spreading_loss_db(self.distance_m, d0=D0_METERS)
-        propagated = propagated * 10.0 ** (-loss_db / 20.0)
-
-        if self.clock_skew_ppm:
-            propagated = apply_clock_skew(propagated, self.clock_skew_ppm)
-
-        if self.injector is not None:
-            # Signal-only faults (SNR collapse) apply before the noise
-            # is mixed in, so the collapse genuinely degrades SNR.
-            propagated = self.injector.apply_signal(propagated)
-
-        lead = int(self.leading_silence * self.sample_rate)
-        trail = int(self.trailing_silence * self.sample_rate)
-        at_mic = np.concatenate(
-            [np.zeros(lead), propagated, np.zeros(trail)]
-        )
-
-        if self.noise is not None:
-            at_mic = at_mic + self.noise.sample(at_mic.size, rng=generator)
-
-        recorded = self.microphone.record(at_mic, rng=generator)
-        if self.injector is not None:
-            # Recording-level faults (bursts, truncation, jamming,
-            # dropouts) corrupt what the receiver actually sees; they
-            # draw from the injector's own derived streams so enabling
-            # one never perturbs the channel's noise sequence.
-            recorded = self.injector.apply_recording(
-                recorded, self.sample_rate
-            )
-        return recorded, budget
+        recorded = AcousticLink.transmit_rows(
+            [self], [waveform], [tx_spl], [generator]
+        )[0]
+        return recorded, self.budget(tx_spl)
 
     def record_ambient(self, duration_s: float, rng=None) -> np.ndarray:
         """Record ``duration_s`` of ambient noise only (no signal).
 
         Used for the noise-floor measurement in Phase 1 and for the
-        ambient-noise similarity filter.
+        ambient-noise similarity filter.  One-row call of
+        :meth:`record_ambient_rows`.
+        """
+        return AcousticLink.record_ambient_rows(
+            [self], duration_s, [self._generator(rng)]
+        )[0]
+
+    @staticmethod
+    def transmit_rows(
+        links: Sequence["AcousticLink"],
+        waveforms: Sequence[np.ndarray],
+        tx_spls: Sequence[float],
+        gens: Sequence[np.random.Generator],
+    ) -> List[np.ndarray]:
+        """Send ``waveforms[i]`` at ``tx_spls[i]`` over ``links[i]``, stacked.
+
+        Row ``i`` is what ``links[i].transmit(waveforms[i], tx_spls[i],
+        rng=gens[i])`` records, bit for bit, and leaves ``gens[i]`` and
+        ``links[i].injector`` where that call would.  Each step runs for
+        every row before the next, in transmit's order: (1) one
+        ``play_batch`` per speaker fingerprint and length, rows passing
+        the *same* waveform object at the same level sharing a render;
+        (2) room IR draws via :func:`~repro.channel.multipath.
+        convolve_ir_rows`, spreading loss, no-room NLOS blocking; (3)
+        clock skew; (4) ``injector.apply_signal``; (5) the noise bed;
+        (6) one ``record_batch`` per microphone fingerprint and width,
+        across environments; (7) ``injector.apply_recording``.  Every
+        row needs its own generator and injector; widths may differ.
+        """
+        n = len(links)
+        if not len(waveforms) == len(tx_spls) == len(gens) == n:
+            raise ChannelError(
+                "need one waveform, level and generator per link"
+            )
+
+        # 1 — one render per distinct (speaker, waveform object, level),
+        # stacked per (speaker fingerprint, length).
+        renders = partition_indices(
+            (link.speaker.fingerprint(), id(waveform), float(tx_spl))
+            for link, waveform, tx_spl in zip(links, waveforms, tx_spls)
+        )
+        source = [0] * n
+        driven = []
+        for u, rows in enumerate(renders.values()):
+            x = np.asarray(waveforms[rows[0]], dtype=np.float64)
+            if x.ndim != 1 or x.size == 0:
+                raise ChannelError("waveform must be a non-empty 1-D array")
+            level = rms(x)
+            if level <= 0.0:
+                raise ChannelError("waveform has zero energy")
+            driven.append(x * (spl_to_amplitude(tx_spls[rows[0]]) / level))
+            for i in rows:
+                source[i] = u
+        firsts = [rows[0] for rows in renders.values()]
+        emitted: List[np.ndarray] = [None] * len(driven)
+        for us in partition_indices(
+            (links[i].speaker.fingerprint(), x.size)
+            for i, x in zip(firsts, driven)
+        ).values():
+            played = links[firsts[us[0]]].speaker.play_batch(
+                np.stack([driven[u] for u in us])
+            )
+            for u, row in zip(us, played):
+                emitted[u] = row
+
+        # 2 — room IR draws, convolved per (signal length, IR length):
+        # one broadcast spectrum when the rows share a render.  The
+        # IR's direct tap is unit gain; NLOS attenuation of the direct
+        # path is inside the IR, so only spreading loss follows.
+        irs = [
+            None if room is None else room.sample(gen)
+            for room, gen in zip((ln.effective_room() for ln in links), gens)
+        ]
+        propagated: List[np.ndarray] = [None] * n
+        roomed = [i for i in range(n) if irs[i] is not None]
+        for group in partition_indices(
+            (emitted[source[i]].size, irs[i].size) for i in roomed
+        ).values():
+            rows = [roomed[j] for j in group]
+            us = [source[i] for i in rows]
+            signals = (
+                emitted[us[0]][None, :]
+                if len(set(us)) == 1
+                else np.stack([emitted[u] for u in us])
+            )
+            convolved = convolve_ir_rows(
+                signals, np.stack([irs[i] for i in rows])
+            )
+            for i, row in zip(rows, convolved):
+                propagated[i] = row
+        for i, link in enumerate(links):
+            row = propagated[i]
+            if row is None:
+                row = emitted[source[i]]
+                if not link.los:
+                    row = row * 10.0 ** (-link.nlos_blocking_db / 20.0)
+            loss_db = spreading_loss_db(link.distance_m, d0=D0_METERS)
+            row = row * 10.0 ** (-loss_db / 20.0)
+            # 3, 4 — clock skew, then signal-only faults (SNR collapse),
+            # before the noise is mixed in so a collapse degrades SNR.
+            if link.clock_skew_ppm:
+                row = apply_clock_skew(row, link.clock_skew_ppm)
+            if link.injector is not None:
+                row = link.injector.apply_signal(row)
+            propagated[i] = row
+
+        # 5, 6 — the noise bed around the signal, then the microphone.
+        leads = [int(ln.leading_silence * ln.sample_rate) for ln in links]
+        widths = [
+            lead + row.size + int(ln.trailing_silence * ln.sample_rate)
+            for ln, row, lead in zip(links, propagated, leads)
+        ]
+        recorded = _capture(links, gens, widths, propagated, leads)
+
+        # 7 — recording-level faults (bursts, truncation, jamming,
+        # dropouts) draw from the injector's own derived streams, so
+        # enabling one never perturbs the channel's noise sequence.
+        return [
+            row
+            if link.injector is None
+            else link.injector.apply_recording(row, link.sample_rate)
+            for link, row in zip(links, recorded)
+        ]
+
+    @staticmethod
+    def record_ambient_rows(
+        links: Sequence["AcousticLink"],
+        duration_s: float,
+        gens: Sequence[np.random.Generator],
+        values: bool = True,
+    ) -> List[np.ndarray]:
+        """Record ``duration_s`` of ambient noise on every link, stacked.
+
+        Row ``i`` is ``links[i].record_ambient(duration_s,
+        rng=gens[i])``, generator state included (steps 5 and 6 of
+        :meth:`transmit_rows`).  ``values=False`` advances every
+        generator exactly as a capture would but skips the DSP; the
+        returned samples must not be read then.
         """
         if duration_s <= 0:
             raise ChannelError("duration must be positive")
-        generator = self._generator(rng)
-        n = int(duration_s * self.sample_rate)
-        ambient = (
-            self.noise.sample(n, rng=generator)
-            if self.noise is not None
-            else np.zeros(n)
+        widths = [int(duration_s * link.sample_rate) for link in links]
+        return _capture(links, gens, widths, values=values)
+
+
+def partition_indices(keys) -> Dict[object, List[int]]:
+    """Order-preserving partition of positions by key.
+
+    Returns ``{key: [positions]}`` with keys in first-seen order and
+    every position list strictly ascending.  The stacked paths (here
+    and in the fleet executor) lean on the induced invariant:
+    scattering per-group results back through the position lists
+    reproduces the original sequence order exactly, for *any* grouping
+    key — the property ``tests/test_otp_staging_equivalence.py``
+    checks.
+    """
+    groups: Dict[object, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _capture(
+    links: Sequence[AcousticLink],
+    gens: Sequence[np.random.Generator],
+    widths: Sequence[int],
+    signals: Optional[Sequence[np.ndarray]] = None,
+    leads: Optional[Sequence[int]] = None,
+    values: bool = True,
+) -> List[np.ndarray]:
+    """Each row's noise bed (plus ``signals[i]`` at ``leads[i]``), then
+    its microphone: one ``record_batch`` per (microphone fingerprint,
+    width), its beds drawn by one ``sample_batch`` per scene."""
+    out: List[np.ndarray] = [None] * len(links)
+    for rows in partition_indices(
+        (link.microphone.fingerprint(), width)
+        for link, width in zip(links, widths)
+    ).values():
+        width = widths[rows[0]]
+        scenes = partition_indices(id(links[i].noise) for i in rows)
+        beds = np.empty((len(rows), width)) if len(scenes) > 1 else None
+        for picks in scenes.values():
+            noise = links[rows[picks[0]]].noise
+            block = (
+                np.zeros((len(picks), width))
+                if noise is None
+                else noise.sample_batch(
+                    width, [gens[rows[j]] for j in picks], values=values
+                )
+            )
+            if beds is None:
+                beds = block
+            else:
+                beds[picks] = block
+        for j, i in enumerate(rows if signals is not None else ()):
+            span = slice(leads[i], leads[i] + signals[i].size)
+            if links[i].noise is None:
+                beds[j, span] = signals[i]
+            else:
+                # ``bed + row`` is commutative bit for bit, and the
+                # silence padding contributes nothing.
+                beds[j, span] += signals[i]
+        captured = links[rows[0]].microphone.record_batch(
+            beds, [gens[i] for i in rows], values=values
         )
-        return self.microphone.record(ambient, rng=generator)
+        for i, row in zip(rows, captured):
+            out[i] = row
+    return out

@@ -78,58 +78,24 @@ def rms_delay_spread(profile: np.ndarray, sample_rate: float) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
-def convolve_ir_rows(signal: np.ndarray, irs: np.ndarray) -> np.ndarray:
-    """Convolve one signal against each row of a stack of IR draws.
+def convolve_ir_rows(signals: np.ndarray, irs: np.ndarray) -> np.ndarray:
+    """Convolve signal rows with a stack of IR draws.
 
-    Row ``i`` is ``irfft(rfft(signal, nfft) * rfft(irs[i], nfft),
-    nfft)[:n]`` with ``nfft = fft_length(n)``: the signal spectrum is
-    computed once and broadcast over the per-row IR spectra, and rows
-    are independent of the batch they sit in.  This is the one room-IR
-    convolution kernel — :meth:`RoomImpulseResponse.apply` is its
-    one-row call, and the fleet staging path applies a whole shard's
-    channel realizations to the one shared probe waveform in a single
-    pass.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    h = np.asarray(irs, dtype=np.float64)
-    if x.ndim != 1:
-        raise ChannelError("signal must be 1-D")
-    if h.ndim != 2 or h.shape[1] == 0:
-        raise ChannelError("irs must be 2-D with non-empty rows")
-    if x.size == 0:
-        return np.zeros((h.shape[0], 0))
-    n = x.size + h.shape[1] - 1
-    nfft = fft_length(n)
-    return np.fft.irfft(
-        np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft, axis=1),
-        nfft,
-        axis=1,
-    )[:, :n]
-
-
-def convolve_rows_pairwise(
-    signals: np.ndarray, irs: np.ndarray
-) -> np.ndarray:
-    """Convolve signal row ``i`` with IR row ``i``, stacked.
-
-    The pairwise sibling of :func:`convolve_ir_rows` for the staged
-    Phase-2 path, where every session transmits its *own* OTP frame
-    (unlike the shared probe waveform): row ``i`` equals
-    ``RoomImpulseResponse.apply``'s convolution of ``signals[i]`` with
-    ``irs[i]`` bit-for-bit — same ``nfft = fft_length(n)`` from
-    ``n = signal_len + ir_len - 1``, same rfft/irfft composition, with
-    every row transformed by the same plan.
+    A ``(1, n)`` signal broadcasts over the IR rows (one spectrum for a
+    shared waveform); a ``(k, n)`` signal pairs row ``i`` with
+    ``irs[i]``.  Row ``i`` is ``irfft(rfft(signal_i, nfft) * rfft(irs[i],
+    nfft), nfft)[:n]`` with ``nfft = fft_length(n)``, independent of the
+    rows beside it.  :meth:`RoomImpulseResponse.apply` is the one-row
+    call.
     """
     x = np.asarray(signals, dtype=np.float64)
     h = np.asarray(irs, dtype=np.float64)
-    if x.ndim != 2 or h.ndim != 2:
-        raise ChannelError("signals and irs must both be 2-D")
-    if x.shape[0] != h.shape[0]:
-        raise ChannelError("need exactly one IR row per signal row")
-    if h.shape[1] == 0:
-        raise ChannelError("irs must have non-empty rows")
+    if h.ndim != 2 or h.shape[1] == 0:
+        raise ChannelError("irs must be 2-D with non-empty rows")
+    if x.ndim != 2 or x.shape[0] not in (1, h.shape[0]):
+        raise ChannelError("signals must be 2-D with one row or one per IR")
     if x.shape[1] == 0:
-        return np.zeros((x.shape[0], 0))
+        return np.zeros((h.shape[0], 0))
     n = x.shape[1] + h.shape[1] - 1
     nfft = fft_length(n)
     return np.fft.irfft(
@@ -250,7 +216,8 @@ class RoomImpulseResponse:
 
         A one-row call of :func:`convolve_ir_rows`.
         """
-        return convolve_ir_rows(signal, self.sample(rng)[None, :])[0]
+        x = np.asarray(signal, dtype=np.float64)[None, :]
+        return convolve_ir_rows(x, self.sample(rng)[None, :])[0]
 
     def delay_profile(
         self, rng: Optional[np.random.Generator] = None

@@ -37,7 +37,7 @@ from .plan import (
     FaultSpec,
 )
 
-__all__ = ["InjectedFault", "FaultInjector"]
+__all__ = ["InjectedFault", "InjectorState", "FaultInjector"]
 
 #: dB of extra path loss a severity-1.0 SNR collapse applies.
 SNR_COLLAPSE_DB_PER_SEVERITY = 25.0
@@ -76,6 +76,18 @@ class InjectedFault:
 
     def label(self) -> str:
         return f"{self.kind}@{self.stage}#{self.hit}"
+
+
+@dataclass(frozen=True)
+class InjectorState:
+    """An injector's spec stream states, hit counts and fired events.
+
+    Taken by :meth:`FaultInjector.snapshot`, carried into another
+    injector by :meth:`FaultInjector.restore`."""
+
+    streams: Tuple[Tuple[int, dict], ...] = ()
+    hits: Tuple[Tuple[int, int], ...] = ()
+    events: Tuple[InjectedFault, ...] = ()
 
 
 class FaultInjector:
@@ -125,6 +137,35 @@ class FaultInjector:
     def enter_stage(self, name: str) -> None:
         """Stage-engine hook: scope subsequent faults to ``name``."""
         self._stage = name
+
+    def snapshot(self) -> InjectorState:
+        """The streams, hit counts and events this injector has so far."""
+        return InjectorState(
+            streams=tuple(
+                (index, rng.bit_generator.state)
+                for index, rng in self._rngs.items()
+            ),
+            hits=tuple(self._hits.items()),
+            events=tuple(self.events),
+        )
+
+    def restore(self, state: InjectorState) -> None:
+        """Carry a replayed injector's :meth:`snapshot` into this one.
+
+        Its streams and hit counts overwrite this injector's, other
+        specs are left alone, and its events are appended in order,
+        each passed to the observer — as if the replayed calls had run
+        here, which holds when the replay started from this injector's
+        state for those specs.
+        """
+        for index, bits in state.streams:
+            rng = self._rng_for(index, self.plan.specs[index])
+            rng.bit_generator.state = bits
+        self._hits.update(state.hits)
+        for event in state.events:
+            self.events.append(event)
+            if self.observer is not None:
+                self.observer(event)
 
     def _rng_for(self, index: int, spec: FaultSpec) -> np.random.Generator:
         if index not in self._rngs:

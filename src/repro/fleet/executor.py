@@ -25,13 +25,13 @@ processes; it owns everything that must *not* cross shard boundaries:
     motion DTW in anti-diagonal wavefronts
     (:func:`repro.sensors.dtw.normalized_dtw_batch`, whose one-row
     call is the live score; see ``tests/test_fleet.py``);
-  - the **Phase-1 probe**: each session's ``probe-tx`` stream — the
-    shard's ambient captures, room IRs, probe propagation,
-    synchronizer cross-correlations, pilot receive FFTs and
-    ambient-similarity fingerprints run as stacked batches through the
-    vectorized signal plane (:func:`precompute_probe`), with each
-    generator's bit state captured so a re-probe retry continues the
-    stream exactly where the live stage would have;
+  - the **Phase-1 probe**: each session's ``probe-tx`` stream and
+    fault injector — the shard's ambient captures and probe channels
+    (:meth:`~repro.channel.link.AcousticLink.transmit_rows`, the
+    kernel of the live transmit), synchronizer cross-correlations,
+    pilot receive FFTs and ambient fingerprints run as stacked batches
+    (:func:`precompute_probe`), with the generator's and injector's
+    states captured so a re-probe continues both where live would;
   - the **Phase-2 OTP transmit/receive**.  Tokens depend on per-user
     OTP counter state (each session's counter position depends on
     earlier outcomes), so this phase cannot be staged up front: Phase B
@@ -47,11 +47,9 @@ processes; it owns everything that must *not* cross shard boundaries:
   and it runs each user's day straight through.  Every staged value is
   bit-identical to what the live stage would compute, so the aggregate
   document is byte-identical across staging levels (CI ``cmp``-checks
-  this).  Under fault injection a phase is dropped only when the plan
-  can reach it out of band: an acoustic fault armed at ``probe-tx``
-  drops the probe replay, a wireless fault armed at ``otp-tx`` drops
-  the OTP waves, and each session's own fault injector rides the
-  batched OTP chain.
+  this).  Under fault injection each session's own injector rides
+  both batched channels; only a wireless fault armed at ``otp-tx``,
+  which the plan reaches out of band, drops the OTP waves.
 
 The output is a list of compact :class:`~repro.fleet.aggregate.
 SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
@@ -66,24 +64,14 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..channel.acoustics import D0_METERS, spreading_loss_db
-from ..channel.hardware import MicrophoneModel, SpeakerModel
-from ..channel.link import AcousticLink
-from ..channel.multipath import convolve_ir_rows, convolve_rows_pairwise
+from ..channel.link import AcousticLink, partition_indices
 from ..channel.scenarios import get_environment
-from ..config import ModemConfig, SystemConfig
+from ..config import SystemConfig
 from ..core.colocation import AmbientComparator
 from ..core.stages import StageRng
 from ..devices.profiles import DEVICES
-from ..dsp.energy import rms, spl_to_amplitude
-from ..dsp.plane import KeyedCache
-from ..errors import (
-    ChannelError,
-    ConfigurationError,
-    ModemError,
-    WearLockError,
-)
-from ..faults import ACOUSTIC_FAULTS, WIRELESS_FAULTS, FaultPlan
+from ..errors import ConfigurationError, ModemError, WearLockError
+from ..faults import WIRELESS_FAULTS, FaultPlan
 from ..modem.constellation import get_constellation
 from ..modem.context import signal_plane
 from ..modem.probe import ChannelProber
@@ -104,6 +92,7 @@ from ..protocol.session import (
     RetryPolicy,
     SessionConfig,
     UnlockSession,
+    session_link,
 )
 from ..security.tokens import token_to_bits
 from ..protocol.stages import NOISE_FILTER_MIN_SPL, ProbeTxStage
@@ -181,22 +170,6 @@ _PROBE_STAGE = "probe-tx"
 _OTP_STAGE = "otp-tx"
 
 
-def partition_indices(keys) -> Dict[object, List[int]]:
-    """Order-preserving partition of positions by key.
-
-    Returns ``{key: [positions]}`` with keys in first-seen order and
-    every position list strictly ascending.  The staged fleet paths
-    lean on the induced invariant: scattering per-group results back
-    through the position lists reproduces the original sequence order
-    exactly, for *any* grouping key — the property
-    ``tests/test_otp_staging_equivalence.py`` checks.
-    """
-    groups: Dict[object, List[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
 def _staging_blocks(items: Sequence) -> Iterator[Sequence]:
     """Consecutive slices of ``items``, each at most :data:`STAGING_ROWS`
     long (the cap is read at call time)."""
@@ -209,20 +182,12 @@ def staged_phases(staging: str, faults: Optional[FaultPlan]) -> FrozenSet[str]:
 
     ``"none"`` stages nothing.  ``"otp"`` stages every phase the fault
     plan cannot make diverge from its live run.  Every fault spec draws
-    from its own stream, and an acoustic fault acts only inside
-    :meth:`~repro.channel.link.AcousticLink.transmit` while its stage is
-    armed, so each cap removes exactly one phase:
-
-    * ``"prefilter"`` (sensor pair and DTW) is always staged;
-    * ``"probe"`` is dropped when an acoustic spec is armed at
-      ``probe-tx`` — the out-of-band probe replay has no injector;
-    * ``"otp"`` is dropped when a wireless spec is armed at ``otp-tx`` —
-      the channel-config message is delivered *before* the live
-      transmit, so a wave-staged transmit would add or reorder injector
-      events.  Every other fault rides the waves: the driver applies
-      each session's own injector inside :func:`precompute_otp`.
-
-    Adding specs to a plan never adds a phase.
+    from its own stream, and both acoustic replays run each session's
+    own injector, so ``"prefilter"`` and ``"probe"`` are always staged.
+    ``"otp"`` is dropped when a wireless spec is armed at ``otp-tx``:
+    the channel-config message is delivered *before* the live
+    transmit, so a wave-staged transmit would add or reorder injector
+    events.  Adding specs to a plan never adds a phase.
     """
     if staging not in STAGING_LEVELS:
         raise ConfigurationError(
@@ -230,14 +195,11 @@ def staged_phases(staging: str, faults: Optional[FaultPlan]) -> FrozenSet[str]:
         )
     if staging == "none":
         return frozenset()
-
-    def armed(kinds: Tuple[str, ...], stage: str) -> bool:
-        return any(s.kind in kinds and s.matches(stage) for s in faults or ())
-
-    phases = {"prefilter"}
-    if not armed(ACOUSTIC_FAULTS, _PROBE_STAGE):
-        phases.add("probe")
-    if not armed(WIRELESS_FAULTS, _OTP_STAGE):
+    phases = {"prefilter", "probe"}
+    if not any(
+        s.kind in WIRELESS_FAULTS and s.matches(_OTP_STAGE)
+        for s in faults or ()
+    ):
         phases.add("otp")
     return frozenset(phases)
 
@@ -310,65 +272,41 @@ def precompute_prefilter(
     ]
 
 
-#: Speaker-rendered probe waveforms.  Every probe group of every shard
-#: with the same band and volume emits the same samples, so the speaker
-#: render (an FFT at a prime-factor length) runs once per process.
-_PROBE_WAVEFORMS = KeyedCache("fleet.probe_waveforms", maxsize=16)
-
-
-def _emitted_probe(
-    link: AcousticLink, modem: ModemConfig, tx_spl: float
-) -> np.ndarray:
-    """``link.emitted_waveform(ChannelProber(modem).build_probe(), tx_spl)``,
-    memoized.
-
-    The key holds everything the render reads — the modem config (which
-    fixes the probe), the speaker's fingerprint and the level — and the
-    shared array is read-only.
-    """
-
-    def build() -> np.ndarray:
-        probe = ChannelProber(modem).build_probe()
-        emitted = link.emitted_waveform(probe, tx_spl)
-        emitted.setflags(write=False)
-        return emitted
-
-    key = (modem, _speaker_fingerprint(link.speaker), float(tx_spl))
-    return _PROBE_WAVEFORMS.get(key, build)
-
-
 def _ambient_scores(
     fs: float,
     ambients: np.ndarray,
     heads: np.ndarray,
+    amb_rows: Sequence[int],
     mb_rows: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Both ambient fingerprints' scores from one Welch pass per matrix.
 
-    Returns the 18-band similarity of every (ambient, probe head) row
-    pair and the 24-band multi-band score of the rows in ``mb_rows``.
-    The two fingerprints differ only in their band layout, so both
-    reduce the same two :meth:`~repro.core.colocation.AmbientComparator.
-    psd_batch` spectra.  Mirrors the live scalars: recordings too
-    short to fingerprint score every pair 0.0.
+    Returns the 18-band similarity of the (ambient, probe head) row
+    pairs in ``amb_rows`` and the 24-band multi-band score of those in
+    ``mb_rows``.  The two fingerprints differ only in their band
+    layout, so both reduce the same two :meth:`~repro.core.colocation.
+    AmbientComparator.psd_batch` spectra.  Mirrors the live scalars:
+    recordings too short to fingerprint score every pair 0.0, and so
+    does an all-zero (silent) head.
     """
     comparator = AmbientComparator(
         sample_rate=fs, high_hz=min(18_000.0, fs / 2.2)
     )
-    sims = np.zeros(ambients.shape[0])
+    sims = np.zeros(len(amb_rows))
     mb = np.zeros(len(mb_rows))
     try:
         freqs, psds_a = comparator.psd_batch(ambients)
         _, psds_b = comparator.psd_batch(heads)
     except WearLockError:
         return sims, mb
-    try:
-        sims = comparator.profile_similarity(
-            comparator.band_profiles(freqs, psds_a),
-            comparator.band_profiles(freqs, psds_b),
-        )
-    except WearLockError:
-        pass
+    if amb_rows:
+        try:
+            sims = comparator.profile_similarity(
+                comparator.band_profiles(freqs, psds_a[amb_rows]),
+                comparator.band_profiles(freqs, psds_b[amb_rows]),
+            )
+        except WearLockError:
+            pass
     if mb_rows:
         mb = multiband_similarity_batch(
             freqs, psds_a[mb_rows], psds_b[mb_rows], fs
@@ -381,28 +319,28 @@ def _stage_probe_group(
     band: str,
     env_name: str,
     group: Sequence[SessionSpec],
+    faults: Optional[FaultPlan] = None,
 ) -> Tuple[
     List[PrecomputedProbe], List[Optional[float]], List[Optional[float]]
 ]:
     """Replay one (band, environment) group's probe-tx stages batched.
 
-    Every session in the group shares the emitted probe waveform (same
-    modem band, same environment-driven volume rule), so the channel
-    synthesis stacks: ambient noise beds and microphone captures via
-    the batched noise/hardware paths, the per-session room IR draws
-    against the one shared waveform via :func:`~repro.channel.
-    multipath.convolve_ir_rows`, and the probe analysis via
-    :meth:`~repro.modem.probe.ChannelProber.analyze_batch`.  Per-row
-    scalar factors (spreading loss, no-room NLOS blocking) reuse the
-    exact scalar expressions, so each row is bit-identical to the live
-    :meth:`~repro.channel.link.AcousticLink.transmit`.
+    Every session in the group emits the same probe at the same level,
+    so the group is one :meth:`~repro.channel.link.AcousticLink.
+    record_ambient_rows` and one :meth:`~repro.channel.link.
+    AcousticLink.transmit_rows` call (one speaker render, one signal
+    spectrum) on the sessions' own links and fault injectors
+    (:func:`~repro.protocol.session.session_link`), then one
+    :meth:`~repro.modem.probe.ChannelProber.analyze_batch` per
+    recording length.  Each staged probe carries its generator's and
+    its injector's post-draw states.
 
     When the scene is loud enough for the ambient gate, the detected
-    rows' two ambient scores come from one Welch pass over the
-    ambient recordings and one over the probe heads
-    (:func:`_ambient_scores`): the 18-band similarity for every row,
-    the 24-band multi-band score for the rows whose verifier set runs
-    ``multiband``.
+    rows' ambient scores come from one Welch pass over the ambient
+    recordings and one over the probe heads (:func:`_ambient_scores`):
+    the 18-band similarity for the rows whose verifier set runs
+    ``ambient``, the 24-band multi-band score for the rows whose set
+    runs ``multiband``.
     """
     env = get_environment(env_name)
     modem_system = system
@@ -410,133 +348,99 @@ def _stage_probe_group(
         modem_system = replace(system, modem=system.modem.near_ultrasound())
     modem = modem_system.modem
     fs = modem.sample_rate
-    mic = (
-        MicrophoneModel(sample_rate=fs)
-        if band == "audible"
-        else MicrophoneModel.wide_band(fs)
-    )
-    template = AcousticLink(
-        sample_rate=fs,
-        speaker=SpeakerModel(sample_rate=fs),
-        microphone=mic,
-        room=env.room,
-        noise=env.noise,
-        distance_m=group[0].distance_m,
-        los=True,
-    )
+    stage_rngs = [StageRng(seed=spec.seed) for spec in group]
+    gens = [rng.for_stage(_PROBE_STAGE) for rng in stage_rngs]
+    links = [
+        session_link(_session_config(system, spec, faults, None), rng)
+        for spec, rng in zip(group, stage_rngs)
+    ]
+    for link in links:
+        if link.injector is not None:
+            link.injector.enter_stage(_PROBE_STAGE)
     prober = ChannelProber(modem)
     noise_spl_est = float(env.noise.effective_spl())
     _, tx_spl = choose_volume_spl(modem_system, noise_spl_est)
-    emitted = _emitted_probe(template, modem, tx_spl)
-
-    gens = [
-        StageRng(seed=spec.seed).for_stage(_PROBE_STAGE) for spec in group
-    ]
 
     # Draw 1 — the phone's ambient self-recording.  Its samples feed
     # only the noise-similarity gate; when the scene is too quiet for
     # the gate to fire, advance the streams without the shaping DSP.
     need_sims = noise_spl_est >= NOISE_FILTER_MIN_SPL
-    n_ambient = int(ProbeTxStage.AMBIENT_SECONDS * fs)
-    ambient_beds = (
-        env.noise.sample_batch(n_ambient, gens, values=need_sims)
-        if env.noise is not None
-        else np.zeros((len(gens), n_ambient))
+    ambients = AcousticLink.record_ambient_rows(
+        links, ProbeTxStage.AMBIENT_SECONDS, gens, values=need_sims
     )
-    ambients = mic.record_batch(ambient_beds, gens, values=need_sims)
-
-    # Draw 2 — per-session channel IR, applied to the shared waveform
-    # as one stacked convolution.  ``los`` picks the room variant per
-    # session; variants share the tail length, so rows stay equal.
-    rooms = {}
-    if env.room is not None:
-        for los in (True, False):
-            template.los = los
-            rooms[los] = template.effective_room()
-        irs = np.stack(
-            [rooms[spec.los].sample(gen) for spec, gen in zip(group, gens)]
-        )
-        propagated = convolve_ir_rows(emitted, irs)
-
-    rows = []
-    for i, spec in enumerate(group):
-        if env.room is not None:
-            row = propagated[i]
-        else:
-            row = emitted
-            if not spec.los:
-                row = row * 10.0 ** (-template.nlos_blocking_db / 20.0)
-        loss_db = spreading_loss_db(spec.distance_m, d0=D0_METERS)
-        rows.append(row * 10.0 ** (-loss_db / 20.0))
-
-    # Draws 3 + 4 — receiver-side noise bed, then the microphone.  The
-    # propagated rows are added into the bed in place (``bed + row`` is
-    # commutative bit-for-bit, and the silence padding contributes
-    # nothing), which avoids a second shard-sized matrix.
-    lead = int(template.leading_silence * fs)
-    trail = int(template.trailing_silence * fs)
-    width = lead + rows[0].size + trail
-    if env.noise is not None:
-        at_mic = env.noise.sample_batch(width, gens)
-    else:
-        at_mic = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        at_mic[i, lead:lead + row.size] += row
-    recorded = mic.record_batch(at_mic, gens)
+    # Draws 2-4 — the probe through each session's channel.
+    probe = prober.build_probe()
+    recordings = AcousticLink.transmit_rows(
+        links, [probe] * len(group), [tx_spl] * len(group), gens
+    )
     states = [gen.bit_generator.state for gen in gens]
 
     # A row whose live analysis would raise aborts the live stage as
     # ``probe_not_detected``; the staged report marks it ``None``.
-    reports = [
-        None if isinstance(report, ModemError) else report
-        for report in prober.analyze_batch(recorded)
-    ]
+    reports: List[Optional[object]] = [None] * len(group)
+    for rows in partition_indices(r.size for r in recordings).values():
+        analyzed = prober.analyze_batch(
+            np.stack([recordings[i] for i in rows])
+        )
+        for i, report in zip(rows, analyzed):
+            if not isinstance(report, ModemError):
+                reports[i] = report
 
     sims: List[Optional[float]] = [None] * len(group)
     mb_sims: List[Optional[float]] = [None] * len(group)
     if need_sims:
         # Sessions whose probe analysis failed abort before the noise
-        # gate ever reads a similarity score, so only detected rows are
-        # fingerprinted.
-        live = [
-            i for i, r in enumerate(reports) if r is not None and r.detected
+        # gate ever reads a similarity score, and a score is staged
+        # only for sessions whose verifier set runs its channel.  Heads
+        # cut short by a fault take their own Welch pass.
+        sets = [resolve_verifier_names(spec.verifiers) for spec in group]
+        head_n = probe_head_samples(fs, modem)
+        heads = [recording[:head_n] for recording in recordings]
+        scored = [
+            i
+            for i, r in enumerate(reports)
+            if r is not None
+            and r.detected
+            and ("ambient" in sets[i] or "multiband" in sets[i])
         ]
-        if live:
-            # The multi-band fingerprint is staged only for sessions
-            # whose verifier set runs that channel.
-            mb_rows = [
-                row
-                for row, i in enumerate(live)
-                if "multiband" in resolve_verifier_names(group[i].verifiers)
-            ]
-            head_n = probe_head_samples(fs, modem)
+        for rows in partition_indices(heads[i].size for i in scored).values():
+            live = [scored[j] for j in rows]
+            amb_rows = [j for j, i in enumerate(live) if "ambient" in sets[i]]
+            mb_rows = [j for j, i in enumerate(live) if "multiband" in sets[i]]
             scores, mb_scores = _ambient_scores(
-                fs, ambients[live], recorded[live, :head_n], mb_rows
+                fs,
+                np.stack([ambients[i] for i in live]),
+                np.stack([heads[i] for i in live]),
+                amb_rows,
+                mb_rows,
             )
-            for row, i in enumerate(live):
-                sims[i] = float(scores[row])
-            for row, score in zip(mb_rows, mb_scores):
-                mb_sims[live[row]] = float(score)
+            for j, score in zip(amb_rows, scores):
+                sims[live[j]] = float(score)
+            for j, score in zip(mb_rows, mb_scores):
+                mb_sims[live[j]] = float(score)
 
     # Only the clip length survives staging: every downstream consumer
     # of the recording is itself staged (report, similarity) or needs
     # the sample count alone, so the group synthesis matrices are freed
     # here instead of being pinned through the whole shard.
-    n_samples = int(recorded.shape[1])
     probes = [
         PrecomputedProbe(
             tx_spl=tx_spl,
-            recording_samples=n_samples,
+            recording_samples=int(recordings[i].size),
             report=reports[i],
             rng_state=states[i],
+            faults=(
+                None if link.injector is None else link.injector.snapshot()
+            ),
         )
-        for i in range(len(group))
+        for i, link in enumerate(links)
     ]
     return probes, sims, mb_sims
 
 
 def precompute_probe(
     specs: Sequence[SessionSpec],
+    faults: Optional[FaultPlan] = None,
 ) -> Tuple[
     List[PrecomputedProbe], List[Optional[float]], List[Optional[float]]
 ]:
@@ -545,8 +449,9 @@ def precompute_probe(
     Groups the shard by (band, environment) — the keys that fix the
     probe waveform, transmit level and recording length — and replays
     each group's ``probe-tx`` rng streams out of band, in blocks of at
-    most :data:`STAGING_ROWS` sessions (see :func:`_stage_probe_group`).
-    Returns per-spec
+    most :data:`STAGING_ROWS` sessions (see :func:`_stage_probe_group`),
+    each session under its own injector for the shard's fault plan
+    ``faults``.  Returns per-spec
     :class:`~repro.protocol.session.PrecomputedProbe` results plus the
     ambient-similarity and multi-band scores for the verifiers
     (``None`` where the live verifier would not compute one); both
@@ -562,51 +467,13 @@ def precompute_probe(
     for (band, env_name), indices in groups.items():
         for block in _staging_blocks(indices):
             group_probes, group_sims, group_mb = _stage_probe_group(
-                system, band, env_name, [specs[i] for i in block]
+                system, band, env_name, [specs[i] for i in block], faults
             )
             for j, i in enumerate(block):
                 probes[i] = group_probes[j]
                 sims[i] = group_sims[j]
                 mb_sims[i] = group_mb[j]
     return probes, sims, mb_sims
-
-
-def _mic_fingerprint(mic: MicrophoneModel) -> Tuple:
-    """Hashable identity of a microphone's capture behaviour.
-
-    Two microphones with equal fingerprints record any input through
-    identical filters and noise-floor scaling, so their rows can share
-    one :meth:`~repro.channel.hardware.MicrophoneModel.record_batch`.
-    """
-    return (
-        float(mic.sample_rate),
-        None if mic.lowpass_hz is None else float(mic.lowpass_hz),
-        float(mic.knee_hz),
-        float(mic.knee_loss_db),
-        float(mic.noise_floor_spl),
-        float(mic.clip_level),
-        int(mic.num_taps),
-    )
-
-
-def _speaker_fingerprint(speaker: SpeakerModel) -> Tuple:
-    """Hashable identity of a speaker's deterministic response.
-
-    Two speakers with equal fingerprints render any input identically
-    (the ripple realization is fixed by ``device_seed``), so their rows
-    can share one :meth:`~repro.channel.hardware.SpeakerModel.
-    play_batch` call.
-    """
-    return (
-        float(speaker.sample_rate),
-        float(speaker.rise_time),
-        float(speaker.ringing_time),
-        float(speaker.ringing_gain),
-        float(speaker.clip_level),
-        float(speaker.phase_ripple_rad),
-        float(speaker.phase_ripple_detail_hz),
-        int(speaker.device_seed),
-    )
 
 
 def precompute_otp(
@@ -623,21 +490,12 @@ def precompute_otp(
     1. **Frames.**  Token bits are encoded per session, then sessions
        sharing a signal plane and coded length go through one
        :meth:`~repro.modem.transmitter.OfdmTransmitter.modulate_batch`.
-    2. **Channel.**  Each session's ``otp-tx`` generator (the memoized
-       :meth:`~repro.core.stages.SessionContext.rng_for` stream, so the
-       live stage sees the advanced state) replays the exact
-       :meth:`~repro.channel.link.AcousticLink.transmit` draw order —
-       room IR, receiver noise bed, microphone — with the convolutions
-       stacked via :func:`~repro.channel.multipath.
-       convolve_rows_pairwise` and the noise/mic draws batched per
-       (environment, band, frame length) group.  A session's own fault
-       injector, scoped to ``otp-tx``, is applied in band exactly where
-       ``transmit`` applies it: ``apply_signal`` on the propagated row
-       before it meets the noise bed, ``apply_recording`` on the
-       microphone capture (a truncated recording simply lands in its
-       own receive group).  Only sessions whose link has clock skew
-       fall back to the scalar ``transmit`` (same stream, identical by
-       definition).
+    2. **Channel.**  One :meth:`~repro.channel.link.AcousticLink.
+       transmit_rows` call — the live transmit's kernel — on every
+       session's own link, fault injector (scoped to ``otp-tx``) and
+       ``otp-tx`` generator (the memoized :meth:`~repro.core.stages.
+       SessionContext.rng_for` stream, so the live stage sees the
+       advanced state).
     3. **Receive.**  The watch-side plane is rebuilt exactly the way
        :meth:`~repro.protocol.controllers.WatchController.demodulate`
        rebuilds it from the channel-config message, and sessions
@@ -693,130 +551,20 @@ def precompute_otp(
             )
 
     # Pass 2 — the acoustic channel, on each session's own stage
-    # stream.  The emitted waveform is deterministic; everything after
-    # it follows transmit()'s draw order on the memoized generator.
+    # stream and link, fault injector included.
     gens = [p.ctx.rng_for(_OTP_STAGE) for p in pendings]
-    recordings: List[Optional[np.ndarray]] = [None] * n
-    emitted: List[Optional[np.ndarray]] = [None] * n
-    batchable: List[int] = []
-    for i, pending in enumerate(pendings):
-        link = pending.ctx.link
+    links = [p.ctx.link for p in pendings]
+    for link in links:
         if link.injector is not None:
             # The engine paused *before* entering otp-tx, so the
             # injector is still scoped to the previous stage.
             link.injector.enter_stage(_OTP_STAGE)
-        if link.clock_skew_ppm:
-            recordings[i], _ = link.transmit(
-                tts[i].result.waveform, tts[i].tx_spl, rng=gens[i]
-            )
-        else:
-            batchable.append(i)
-    # Speaker rendering, stacked per (frame length, device response):
-    # `emitted_waveform` is deterministic, so rows sharing a length and
-    # an identically configured speaker go through one
-    # :meth:`~repro.channel.hardware.SpeakerModel.play_batch`.
-    for key, positions in partition_indices(
-        (
-            tts[i].result.waveform.size,
-            _speaker_fingerprint(pendings[i].ctx.link.speaker),
-        )
-        for i in batchable
-    ).items():
-        group = [batchable[p] for p in positions]
-        driven = []
-        for i in group:
-            x = np.asarray(tts[i].result.waveform, dtype=np.float64)
-            if x.ndim != 1 or x.size == 0:
-                raise ChannelError("waveform must be a non-empty 1-D array")
-            level = rms(x)
-            if level <= 0.0:
-                raise ChannelError("waveform has zero energy")
-            driven.append(x * (spl_to_amplitude(tts[i].tx_spl) / level))
-        played = pendings[group[0]].ctx.link.speaker.play_batch(
-            np.stack(driven)
-        )
-        for j, i in enumerate(group):
-            emitted[i] = played[j]
-    mic_pending: List[Tuple[List[int], np.ndarray]] = []
-    for key, positions in partition_indices(
-        (
-            pendings[i].ctx.config.environment,
-            pendings[i].ctx.config.band,
-            emitted[i].size,
-        )
-        for i in batchable
-    ).items():
-        group = [batchable[p] for p in positions]
-        link0 = pendings[group[0]].ctx.link
-        fs = link0.sample_rate
-        group_gens = [gens[i] for i in group]
-        if link0.room is not None:
-            # ``los`` picks the LOS room or its cached NLOS variant per
-            # session; variants share the tail length, so rows stack.
-            irs = np.stack(
-                [
-                    pendings[i].ctx.link.effective_room().sample(gens[i])
-                    for i in group
-                ]
-            )
-            propagated = convolve_rows_pairwise(
-                np.stack([emitted[i] for i in group]), irs
-            )
-        rows = []
-        for j, i in enumerate(group):
-            link = pendings[i].ctx.link
-            if link0.room is not None:
-                row = propagated[j]
-            else:
-                row = emitted[i]
-                if not link.los:
-                    row = row * 10.0 ** (-link.nlos_blocking_db / 20.0)
-            loss_db = spreading_loss_db(link.distance_m, d0=D0_METERS)
-            row = row * 10.0 ** (-loss_db / 20.0)
-            if link.injector is not None:
-                row = link.injector.apply_signal(row)
-            rows.append(row)
-        lead = int(link0.leading_silence * fs)
-        trail = int(link0.trailing_silence * fs)
-        width = lead + rows[0].size + trail
-        if link0.noise is not None:
-            at_mic = link0.noise.sample_batch(width, group_gens)
-        else:
-            at_mic = np.zeros((len(group), width))
-        for j, row in enumerate(rows):
-            at_mic[j, lead:lead + row.size] += row
-        mic_pending.append((group, at_mic))
-    # Microphone capture, merged across channel groups: the mic model
-    # is identical fleet-wide per band, so rows from different
-    # environments stack into one ``record_batch`` per (device, width)
-    # — each row's generator draws only its own noise floor, so the
-    # cross-group order is irrelevant to the per-stream draw sequence.
-    flat = [
-        (i, beds, j)
-        for group, beds in mic_pending
-        for j, i in enumerate(group)
-    ]
-    for key, positions in partition_indices(
-        (
-            _mic_fingerprint(pendings[i].ctx.link.microphone),
-            beds.shape[1],
-        )
-        for i, beds, _ in flat
-    ).items():
-        rows_idx = [flat[p] for p in positions]
-        stacked = np.stack([beds[j] for _, beds, j in rows_idx])
-        recorded = pendings[rows_idx[0][0]].ctx.link.microphone.record_batch(
-            stacked, [gens[i] for i, _, _ in rows_idx]
-        )
-        for row, (i, _, _) in enumerate(rows_idx):
-            link = pendings[i].ctx.link
-            recordings[i] = (
-                recorded[row]
-                if link.injector is None
-                else link.injector.apply_recording(
-                    recorded[row], link.sample_rate
-                )
-            )
+    recordings = AcousticLink.transmit_rows(
+        links,
+        [tt.result.waveform for tt in tts],
+        [tt.tx_spl for tt in tts],
+        gens,
+    )
     states = [gen.bit_generator.state for gen in gens]
 
     # Pass 3 — watch-side receive, planes rebuilt from the config
@@ -904,9 +652,11 @@ def _stage_shard(
     specs: Sequence[SessionSpec],
     phases: FrozenSet[str],
     anns: Sequence[Optional[SceneAnnotation]],
+    faults: Optional[FaultPlan] = None,
 ) -> List[Optional[PrecomputedPrefilter]]:
     """Phase A for a whole shard: the prefilter, plus the probe replay
-    when ``phases`` (from :func:`staged_phases`) holds it.
+    under the shard's fault plan when ``phases`` (from
+    :func:`staged_phases`) holds it.
 
     A contention-aborted session never executes, so staging its DSP
     would be pure waste.  Every staged value is bit-identical per row
@@ -920,7 +670,7 @@ def _stage_shard(
     live_specs = [specs[i] for i in live]
     prefilters = precompute_prefilter(live_specs)
     if "probe" in phases:
-        probes, sims, mb_sims = precompute_probe(live_specs)
+        probes, sims, mb_sims = precompute_probe(live_specs, faults)
         prefilters = [
             replace(
                 pre,
@@ -1302,7 +1052,7 @@ def run_shard(
         faults,
         retry,
         shard,
-        _stage_shard(flat, phases, anns_flat),
+        _stage_shard(flat, phases, anns_flat, faults),
         anns_flat,
         pause_before=_OTP_STAGE if "otp" in phases else None,
     )

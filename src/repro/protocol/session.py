@@ -80,6 +80,7 @@ __all__ = [
     "UnlockOutcome",
     "UnlockSession",
     "ambient_similarity",
+    "session_link",
     "BUTTON_TO_APP_DELAY",
     "AUDIO_PATH_START_DELAY",
     "KEYGUARD_DISMISS_DELAY",
@@ -186,6 +187,11 @@ class PrecomputedProbe:
     :class:`~repro.errors.ModemError` (the stage then aborts with
     ``probe_not_detected``, exactly as the live path does).
 
+    ``faults`` is the :class:`~repro.faults.injector.InjectorState` the
+    session's own fault injector, scoped to ``probe-tx``, has after the
+    replayed transmit (``None`` without a fault plan); the consuming
+    stage restores it next to ``rng_state``.
+
     The waveforms themselves are *not* retained: everything downstream
     of the probe-tx stage consumes either the analysis ``report``, the
     staged ambient-similarity score, or the clip *length* (timing and
@@ -200,6 +206,7 @@ class PrecomputedProbe:
     recording_samples: int
     report: Optional[object]
     rng_state: dict
+    faults: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -383,20 +390,23 @@ class UnlockOutcome:
 
 
 def ambient_similarity(
-    a: np.ndarray, b: np.ndarray, sample_rate: float
+    a: np.ndarray,
+    b: np.ndarray,
+    sample_rate: float,
+    spectra: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> float:
     """Sound-Proof-style ambient similarity in [−1, 1].
 
     Thin wrapper over :class:`repro.core.colocation.AmbientComparator`
     (kept as a function because the session only needs the score).
+    ``spectra`` is the pair's ``(freqs, psd_a, psd_b)`` Welch pass when
+    the caller holds it (:func:`repro.verifiers.ambient.probe_spectra`);
+    ``None`` runs it here.
 
     An empty or all-silence segment — at or below
     :data:`~repro.dsp.energy.SILENCE_FLOOR_SPL_DB` — scores a defined
     0.0: silence carries no spectral fingerprint, so it is evidence of
-    nothing, in either direction.  (Previously this fell through to the
-    comparator, which happened to return 0.0 via its flat-profile and
-    too-short guards; the semantics are now explicit rather than an
-    artifact of those internals.)
+    nothing, in either direction.
     """
     from ..core.colocation import AmbientComparator
     from ..dsp.energy import SILENCE_FLOOR_SPL_DB, signal_spl
@@ -415,9 +425,56 @@ def ambient_similarity(
         high_hz=min(18_000.0, sample_rate / 2.2),
     )
     try:
-        return comparator.similarity(a, b)
+        if spectra is None:
+            freqs, psd_a = comparator.psd_batch(a[None, :])
+            _, psd_b = comparator.psd_batch(b[None, :])
+        else:
+            freqs, psd_a, psd_b = spectra
+        return float(
+            comparator.profile_similarity(
+                comparator.band_profiles(freqs, psd_a),
+                comparator.band_profiles(freqs, psd_b),
+            )[0]
+        )
     except WearLockError:
         return 0.0
+
+
+def session_link(config: SessionConfig, stage_rng: StageRng) -> AcousticLink:
+    """The acoustic link an attempt transmits over, as sessions build it.
+
+    It carries the attempt's :class:`~repro.faults.FaultInjector` when
+    the config has a fault plan (seeded *after* the link, so fault-free
+    sessions replay bit-identically).  The fleet's probe replay builds
+    its links here too, so the replayed channel and injector are the
+    session's."""
+    modem = config.system.modem
+    if config.band == "ultrasound":
+        modem = modem.near_ultrasound()
+    fs = modem.sample_rate
+    env = get_environment(config.environment)
+    link = AcousticLink(
+        sample_rate=fs,
+        speaker=SpeakerModel(sample_rate=fs),
+        microphone=(
+            MicrophoneModel(sample_rate=fs)
+            if config.band == "audible"
+            else MicrophoneModel.wide_band(fs)
+        ),
+        room=env.room,
+        noise=env.noise,
+        distance_m=config.distance_m,
+        los=config.los,
+        nlos_blocking_db=config.nlos_blocking_db,
+        seed=stage_rng.seed_for("acoustic-link"),
+    )
+    if config.faults:
+        from ..faults import FaultInjector
+
+        link.injector = FaultInjector(
+            config.faults, seed=stage_rng.seed_for("fault-injector")
+        )
+    return link
 
 
 class UnlockSession:
@@ -451,29 +508,6 @@ class UnlockSession:
         self._env: Environment = get_environment(config.environment)
         self._link_cls = BleLink if config.wireless == "ble" else WifiLink
 
-    # ------------------------------------------------------------------
-    # channel construction
-    # ------------------------------------------------------------------
-
-    def _acoustic_link(self, seed: Optional[int]) -> AcousticLink:
-        fs = self._system.modem.sample_rate
-        mic = (
-            MicrophoneModel(sample_rate=fs)
-            if self.config.band == "audible"
-            else MicrophoneModel.wide_band(fs)
-        )
-        return AcousticLink(
-            sample_rate=fs,
-            speaker=SpeakerModel(sample_rate=fs),
-            microphone=mic,
-            room=self._env.room,
-            noise=self._env.noise,
-            distance_m=self.config.distance_m,
-            los=self.config.los,
-            nlos_blocking_db=self.config.nlos_blocking_db,
-            seed=seed,
-        )
-
     def _build_context(self, rng) -> SessionContext:
         """Assemble the immutable actors + fresh per-attempt state."""
         if isinstance(rng, np.random.Generator):
@@ -486,19 +520,8 @@ class UnlockSession:
             connected=self.config.wireless_connected,
             seed=stage_rng.seed_for("wireless"),
         )
-        link = self._acoustic_link(stage_rng.seed_for("acoustic-link"))
-        injector = None
-        if self.config.faults:
-            from ..faults import FaultInjector
-
-            # Derived only when faults are enabled, *after* the legacy
-            # streams, so fault-free sessions replay bit-identically.
-            injector = FaultInjector(
-                self.config.faults,
-                seed=stage_rng.seed_for("fault-injector"),
-            )
-            link.injector = injector
-            wireless.injector = injector
+        link = session_link(self.config, stage_rng)
+        injector = wireless.injector = link.injector
         ctx = SessionContext(
             config=self.config,
             system=self._system,

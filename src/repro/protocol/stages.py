@@ -182,13 +182,16 @@ class ProbeTxStage:
         if staged is not None and not ctx.extras.get("probe_tx_staged"):
             # First pass with a staged probe: the fleet executor already
             # replayed this stage's stream out of band (same seed, same
-            # draw order) and synthesized ambient + recording in shard
-            # batches.  Restore the generator to its post-draw state so
-            # a later re-probe retry continues the stream exactly where
-            # the live stage would have left it.
+            # draw order, the session's own fault injector) and
+            # synthesized ambient + recording in shard batches.  Restore
+            # the generator and the injector to their post-draw states
+            # so a later re-probe retry continues both exactly where the
+            # live stage would have left them.
             ctx.extras["probe_tx_staged"] = True
             rng = ctx.rng_for(self.name)
             rng.bit_generator.state = staged.rng_state
+            if ctx.faults is not None and staged.faults is not None:
+                ctx.faults.restore(staged.faults)
             ctx.tx_spl = staged.tx_spl
             ctx.probe_samples = staged.recording_samples
         else:

@@ -10,10 +10,12 @@ the pre-refactor gate — the seeded goldens depend on it.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
+from ..core.colocation import AmbientComparator
+from ..errors import WearLockError
 from .base import ProximityEvidence, VerifierResult
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "NOISE_FILTER_MIN_SIMILARITY",
     "probe_head",
     "probe_head_samples",
+    "probe_spectra",
 ]
 
 #: Sound-Proof-style gate parameters (paper §V / DESIGN.md §5).  These
@@ -47,6 +50,34 @@ def probe_head(ctx: Any) -> np.ndarray:
     return ctx.probe_recording[
         : probe_head_samples(ctx.sample_rate, ctx.system.modem)
     ]
+
+
+def probe_spectra(ctx: Any) -> Optional[Tuple[np.ndarray, ...]]:
+    """The Welch pass both ambient verifiers reduce, once per probe.
+
+    ``(freqs, ambient_psd, head_psd)``, or ``None`` when the pair is too
+    short to fingerprint.  Cached on the context against the two
+    recordings themselves, so a re-probe's fresh audio gets fresh
+    spectra."""
+    ambient, recording = ctx.phone_ambient, ctx.probe_recording
+    cached = ctx.extras.get("probe_spectra") or (None, None, None)
+    if cached[0] is not ambient or cached[1] is not recording:
+        comparator = AmbientComparator(
+            sample_rate=ctx.sample_rate,
+            high_hz=min(18_000.0, ctx.sample_rate / 2.2),
+        )
+        try:
+            freqs, psd_a = comparator.psd_batch(
+                np.asarray(ambient, dtype=float)[None, :]
+            )
+            _, psd_b = comparator.psd_batch(
+                np.asarray(probe_head(ctx), dtype=float)[None, :]
+            )
+            spectra = (freqs, psd_a, psd_b)
+        except WearLockError:
+            spectra = None
+        cached = ctx.extras["probe_spectra"] = (ambient, recording, spectra)
+    return cached[2]
 
 
 class AmbientNoiseVerifier:
@@ -117,7 +148,10 @@ class AmbientNoiseVerifier:
             from ..protocol.session import ambient_similarity
 
             sim = ambient_similarity(
-                ctx.phone_ambient, probe_head(ctx), ctx.sample_rate
+                ctx.phone_ambient,
+                probe_head(ctx),
+                ctx.sample_rate,
+                probe_spectra(ctx),
             )
         ctx.noise_similarity = sim
         return self._result(sim)

@@ -13,13 +13,13 @@ target for an attacker who only controls part of the spectrum.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 from ..core.colocation import AmbientComparator
 from ..errors import WearLockError
-from .ambient import NOISE_FILTER_MIN_SPL, probe_head
+from .ambient import NOISE_FILTER_MIN_SPL, probe_head, probe_spectra
 from .base import ProximityEvidence, VerifierResult
 
 __all__ = [
@@ -91,23 +91,32 @@ def multiband_similarity_batch(
 
 
 def multiband_similarity(
-    a: np.ndarray, b: np.ndarray, sample_rate: float
+    a: np.ndarray,
+    b: np.ndarray,
+    sample_rate: float,
+    spectra: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> float:
     """Mean per-group band-profile correlation, in [-1, 1].
 
     Degenerate inputs score 0.0 rather than raising: a recording too
     short to fingerprint, or a group with a flat profile, carries no
     co-location evidence either way — same convention as
-    :func:`repro.protocol.session.ambient_similarity`.  One-row call of
-    :func:`multiband_similarity_batch`.
+    :func:`repro.protocol.session.ambient_similarity`.  ``spectra`` is
+    the pair's ``(freqs, psd_a, psd_b)`` Welch pass when the caller
+    holds it (:func:`~repro.verifiers.ambient.probe_spectra`); ``None``
+    runs it here.  One-row call of :func:`multiband_similarity_batch`.
     """
-    comparator = _comparator(sample_rate)
-    try:
-        freqs, pa = comparator.psd_batch(np.asarray(a, dtype=float)[None, ...])
-        _, pb = comparator.psd_batch(np.asarray(b, dtype=float)[None, ...])
-    except WearLockError:
-        return 0.0
-    return float(multiband_similarity_batch(freqs, pa, pb, sample_rate)[0])
+    if spectra is None:
+        comparator = _comparator(sample_rate)
+        try:
+            freqs, pa = comparator.psd_batch(
+                np.asarray(a, dtype=float)[None, ...]
+            )
+            _, pb = comparator.psd_batch(np.asarray(b, dtype=float)[None, ...])
+        except WearLockError:
+            return 0.0
+        spectra = (freqs, pa, pb)
+    return float(multiband_similarity_batch(*spectra, sample_rate)[0])
 
 
 class MultibandAmbientVerifier:
@@ -171,7 +180,10 @@ class MultibandAmbientVerifier:
             sim = staged_sim
         else:
             sim = multiband_similarity(
-                ctx.phone_ambient, probe_head(ctx), ctx.sample_rate
+                ctx.phone_ambient,
+                probe_head(ctx),
+                ctx.sample_rate,
+                probe_spectra(ctx),
             )
         return self._result(sim)
 

@@ -11,6 +11,10 @@ in the package:
   :meth:`repro.channel.noise.NoiseScene.sample`,
   :meth:`repro.channel.hardware.SpeakerModel.play`,
   :meth:`repro.channel.hardware.MicrophoneModel.record`;
+* the acoustic link — :meth:`repro.channel.link.AcousticLink.transmit`
+  and :meth:`~repro.channel.link.AcousticLink.record_ambient`, composed
+  from this module's own speaker, convolution, scene and microphone
+  bodies;
 * sensing — :func:`repro.sensors.dtw.dtw_distance`,
   :func:`repro.sensors.dtw.normalized_dtw`,
   :func:`repro.dsp.spectrum.welch_psd`,
@@ -36,7 +40,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.channel.acoustics import D0_METERS, spreading_loss_db
 from repro.core.colocation import AmbientComparator
+from repro.dsp.resample import apply_clock_skew
 from repro.dsp.fftops import fft_length
 from repro.dsp.filters import design_bandpass_fir, design_lowpass_fir
 from repro.dsp.windows import hann_window, raised_cosine_ramp
@@ -330,3 +336,47 @@ def mic_record(mic, signal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         floor *= level / max(np.sqrt(np.mean(floor ** 2)), 1e-300)
         out = out + floor
     return np.clip(out, -mic.clip_level, mic.clip_level)
+
+
+# -- the acoustic link -------------------------------------------------
+
+
+def transmit(link, waveform: np.ndarray, tx_spl: float, rng) -> np.ndarray:
+    """What ``link``'s microphone records of one waveform, in draw order:
+    speaker, room IR, spreading loss, clock skew, signal faults, noise
+    bed, microphone, recording faults."""
+    x = np.asarray(waveform, dtype=np.float64)
+    emitted = speaker_play(link.speaker, x * (_amplitude(tx_spl) / _rms(x)))
+    room = link.effective_room()
+    if room is not None:
+        propagated = convolve(emitted, room.sample(rng))
+    else:
+        propagated = emitted
+        if not link.los:
+            propagated = propagated * 10.0 ** (-link.nlos_blocking_db / 20.0)
+    loss_db = spreading_loss_db(link.distance_m, d0=D0_METERS)
+    propagated = propagated * 10.0 ** (-loss_db / 20.0)
+    if link.clock_skew_ppm:
+        propagated = apply_clock_skew(propagated, link.clock_skew_ppm)
+    if link.injector is not None:
+        propagated = link.injector.apply_signal(propagated)
+    lead = int(link.leading_silence * link.sample_rate)
+    trail = int(link.trailing_silence * link.sample_rate)
+    at_mic = np.concatenate([np.zeros(lead), propagated, np.zeros(trail)])
+    if link.noise is not None:
+        at_mic = at_mic + scene_sample(link.noise, at_mic.size, rng)
+    recorded = mic_record(link.microphone, at_mic, rng)
+    if link.injector is not None:
+        recorded = link.injector.apply_recording(recorded, link.sample_rate)
+    return recorded
+
+
+def record_ambient(link, duration_s: float, rng) -> np.ndarray:
+    """``duration_s`` of the link's noise scene through its microphone."""
+    n = int(duration_s * link.sample_rate)
+    ambient = (
+        scene_sample(link.noise, n, rng)
+        if link.noise is not None
+        else np.zeros(n)
+    )
+    return mic_record(link.microphone, ambient, rng)

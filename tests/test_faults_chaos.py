@@ -295,16 +295,55 @@ class TestInjectorUnit:
         assert len(seen) == len(UNLOCK_STAGE_NAMES)
         assert seen == injector.events
 
+    def test_restored_replay_continues_like_the_live_injector(self):
+        """A probe replayed on a fresh injector and restored into the
+        session's own (which already fired at an earlier stage) leaves
+        it where running the calls there would: events, observer,
+        streams, hit counts and every later draw."""
+        import numpy as np
+
+        plan = FaultPlan.parse(
+            "latency_spike@*:hits=none;"
+            "burst_noise@probe-tx:p=0.5,hits=none;"
+            "snr_collapse@*:p=0.5,hits=2"
+        )
+        seen = []
+        live = FaultInjector(plan, seed=5)
+        session = FaultInjector(plan, seed=5, observer=seen.append)
+        replay = FaultInjector(plan, seed=5)
+        for injector in (live, session):
+            injector.enter_stage("sensor-capture")
+            injector.stage_spikes()
+        x = np.ones(400)
+        for injector in (live, replay, session):
+            injector.enter_stage("probe-tx")
+        for injector in (live, replay):
+            for _ in range(4):
+                injector.apply_recording(injector.apply_signal(x), 8000.0)
+        session.restore(replay.snapshot())
+        assert session.events == live.events
+        assert seen == live.events
+        assert dict(session.snapshot().streams) == dict(
+            live.snapshot().streams
+        )
+        assert dict(session.snapshot().hits) == dict(live.snapshot().hits)
+        for _ in range(3):
+            a = live.apply_recording(live.apply_signal(x), 8000.0)
+            b = session.apply_recording(session.apply_signal(x), 8000.0)
+            assert np.array_equal(a, b)
+        assert session.events == live.events
+
 
 class TestStagedFleetUnderFaults:
     """Fault injection against the fleet's staged fast paths.
 
     :func:`repro.fleet.executor.staged_phases` drops a phase from
-    ``staging="otp"`` only when the fault plan reaches it out of band;
-    the wave driver carries each session's own injector through the
-    batched OTP chain.  Whatever phases survive must run without
-    raising and stay byte-identical to a fully live run — records *and*
-    each session's ordered fault labels.
+    ``staging="otp"`` only when the fault plan reaches it out of band
+    (a wireless fault at ``otp-tx`` drops the OTP waves); the probe
+    replay and the wave driver carry each session's own injector
+    through the batched channel.  Whatever phases survive must run
+    without raising and stay byte-identical to a fully live run —
+    records *and* each session's ordered fault labels.
     """
 
     @staticmethod
@@ -324,9 +363,9 @@ class TestStagedFleetUnderFaults:
             labels[key] = outcome.faults_injected
             return record(spec, outcome, ann)
 
-        def count_probe(specs):
+        def count_probe(specs, *args):
             rows["probe"] += len(specs)
-            return probe(specs)
+            return probe(specs, *args)
 
         def count_otp(pendings):
             rows["otp"] += len(pendings)
@@ -350,10 +389,11 @@ class TestStagedFleetUnderFaults:
         staged, staged_labels, rows = self._run(cfg, "otp", monkeypatch)
         assert staged == live
         assert staged_labels == live_labels
-        # The derived phases are the ones that actually ran (e.g.
-        # mic_dropout@* replays the probe live but keeps the OTP waves).
+        # The probe is staged under every plan, and the derived phases
+        # are the ones that actually ran (msg_drop@otp-tx runs the OTP
+        # transmit live).
         phases = staged_phases("otp", cfg.fault_plan())
-        assert (rows["probe"] > 0) == ("probe" in phases)
+        assert rows["probe"] > 0
         assert (rows["otp"] > 0) == ("otp" in phases)
 
     @pytest.mark.parametrize("stage", ("probe-tx", "otp-tx", "verify", "*"))
@@ -370,7 +410,7 @@ class TestStagedFleetUnderFaults:
         (
             "burst_noise@otp-tx;msg_drop@otp-tx",
             "snr_collapse@otp-tx;latency_spike@otp-tx",
-            # Both caps: only the prefilter stays staged.
+            # An acoustic probe fault beside the wireless cap.
             "mic_dropout@probe-tx;msg_drop@otp-tx",
         ),
     )
@@ -388,14 +428,16 @@ class TestStagedFleetUnderFaults:
         assert phases(None) == every
         assert phases(None, "none") == set()
         assert phases("jammer_onset@probe-tx", "none") == set()
-        # Acoustic at probe-tx (or everywhere): only the probe is live.
-        assert phases("burst_noise@probe-tx") == {"prefilter", "otp"}
-        assert phases("mic_dropout@*") == {"prefilter", "otp"}
-        # Wireless at otp-tx (or everywhere): only the OTP waves are.
+        # Acoustic at probe-tx (or everywhere): the probe replay carries
+        # each session's injector, so everything stays staged.
+        assert phases("burst_noise@probe-tx") == every
+        assert phases("mic_dropout@*") == every
+        # Wireless at otp-tx (or everywhere): only the OTP waves are live.
         assert phases("msg_drop@otp-tx") == {"prefilter", "probe"}
         assert phases("msg_late@*") == {"prefilter", "probe"}
-        # The two caps are independent.
-        assert phases("mic_dropout@*;msg_drop@otp-tx") == {"prefilter"}
+        assert phases("mic_dropout@*;msg_drop@otp-tx") == {
+            "prefilter", "probe"
+        }
         # Everything else stages every phase.
         for faults in (
             "burst_noise@otp-tx",

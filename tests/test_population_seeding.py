@@ -1,4 +1,4 @@
-"""Batched population seeding and the memoized probe waveform.
+"""Batched population seeding and fleet config validation.
 
 ``shard_population`` derives every user's two generator states for a
 whole shard at once (:func:`~repro.eval.batch.cell_seeds` plus
@@ -17,19 +17,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.channel.hardware import SpeakerModel
-from repro.channel.link import AcousticLink
-from repro.config import ModemConfig
 from repro.errors import ConfigurationError
 from repro.eval.batch import cell_seed, cell_seeds
 from repro.fleet import FleetConfig, synthesize_user, user_sessions
-from repro.fleet.executor import _emitted_probe, shard_population
+from repro.fleet.executor import shard_population
 from repro.fleet.population import (
     FUSION_MIXES,
     MAX_SESSIONS_PER_DAY,
     default_rng_states,
 )
-from repro.modem.probe import ChannelProber
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -159,39 +155,6 @@ class TestShardPopulation:
             "synthesize_user": len(population),
             "user_sessions": len(population),
         }
-
-
-class TestProbeWaveformMemo:
-    def _render(self, modem, speaker, tx_spl):
-        link = AcousticLink(sample_rate=modem.sample_rate, speaker=speaker)
-        memo = _emitted_probe(link, modem, tx_spl)
-        fresh = link.emitted_waveform(
-            ChannelProber(modem).build_probe(), tx_spl
-        )
-        return memo, fresh
-
-    def test_read_only_and_equal_to_fresh_render(self):
-        modem = ModemConfig()
-        memo, fresh = self._render(modem, SpeakerModel(), 80.0)
-        assert not memo.flags.writeable
-        np.testing.assert_array_equal(memo, fresh)
-        again, _ = self._render(modem, SpeakerModel(), 80.0)
-        assert again is memo
-
-    @pytest.mark.parametrize(
-        "modem, speaker, tx_spl",
-        [
-            (ModemConfig(), SpeakerModel(), 74.0),
-            (ModemConfig(), SpeakerModel(device_seed=99), 80.0),
-            (ModemConfig().near_ultrasound(), SpeakerModel(), 80.0),
-        ],
-    )
-    def test_every_key_field_separates_entries(self, modem, speaker, tx_spl):
-        """Warm the default entry, then change one key field at a time:
-        the memo must render afresh, not hand back the warm array."""
-        self._render(ModemConfig(), SpeakerModel(), 80.0)
-        memo, fresh = self._render(modem, speaker, tx_spl)
-        np.testing.assert_array_equal(memo, fresh)
 
 
 class TestFleetConfigNumbers:

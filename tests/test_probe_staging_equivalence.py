@@ -24,7 +24,7 @@ from repro.core.colocation import AmbientComparator
 from repro.dsp.correlation import sliding_normalized_correlation_batch
 from repro.dsp.filters import design_bandpass_fir, fir_filter_batch
 from repro.dsp.spectrum import welch_psd_batch
-from repro.errors import ConfigurationError, ModemError
+from repro.errors import ChannelError, ConfigurationError, ModemError
 from repro.fleet import FleetConfig, FleetScheduler, executor, run_shard
 from repro.fleet.population import SessionSpec
 from repro.modem import probe as probe_module
@@ -71,17 +71,28 @@ class TestBatchPrimitives:
             assert np.array_equal(psds[i], psd)
 
     def test_convolve_ir_rows_matches_apply(self):
+        """A ``(1, n)`` signal broadcasts over the IR rows (the shared
+        probe); a ``(k, n)`` signal pairs row by row (the OTP frames)."""
         room = RoomImpulseResponse()
         rng = np.random.default_rng(3)
-        signal = rng.standard_normal(4000)
+        signals = rng.standard_normal((4, 4000))
         irs = np.stack(
             [room.sample(np.random.default_rng(s)) for s in range(4)]
         )
-        batch = convolve_ir_rows(signal, irs)
+        shared = convolve_ir_rows(signals[:1], irs)
+        pairwise = convolve_ir_rows(signals, irs)
         for s in range(4):
-            scalar = room.apply(signal, rng=np.random.default_rng(s))
-            assert np.array_equal(batch[s], scalar)
-            assert np.array_equal(batch[s], oracle.convolve(signal, irs[s]))
+            for batch, signal in (
+                (shared, signals[0]),
+                (pairwise, signals[s]),
+            ):
+                scalar = room.apply(signal, rng=np.random.default_rng(s))
+                assert np.array_equal(batch[s], scalar)
+                assert np.array_equal(
+                    batch[s], oracle.convolve(signal, irs[s])
+                )
+        with pytest.raises(ChannelError):
+            convolve_ir_rows(signals[:2], irs)
 
     def test_shaped_noise_batch_matches_scalar_and_stream(self):
         seeds = (10, 11, 12)
@@ -236,8 +247,8 @@ class TestStagedAmbientScores:
         specs = [
             SessionSpec(
                 user_id=i, session_index=0, hour=9.0, environment="cafe",
-                distance_m=distance, los=los, activity="still",
-                co_located=True, band="ultrasound", wireless="bluetooth",
+                distance_m=distance, los=los, activity="sitting",
+                co_located=True, band="ultrasound", wireless="ble",
                 phone="Nexus 6", watch="Moto 360", seed=500 + i,
                 verifiers=self.VERIFIER_SETS[i % len(self.VERIFIER_SETS)],
             )
@@ -267,21 +278,32 @@ class TestStagedAmbientScores:
         for i, spec in enumerate(specs):
             report = probes[i].report
             detected = report is not None and report.detected
-            multiband = "multiband" in resolve_verifier_names(spec.verifiers)
-            kinds.add((detected, multiband))
+            names = resolve_verifier_names(spec.verifiers)
+            ambient, multiband = "ambient" in names, "multiband" in names
+            kinds.add((detected, ambient, multiband))
             head = recorded[i, :head_n]
             if not detected:
                 assert sims[i] is None and mb_sims[i] is None
                 continue
-            assert sims[i] == oracle.similarity(comparator, ambients[i], head)
+            # Each score is staged only where the verifier set reads it.
+            if ambient:
+                assert sims[i] == oracle.similarity(
+                    comparator, ambients[i], head
+                )
+            else:
+                assert sims[i] is None
             if multiband:
                 assert mb_sims[i] == oracle.multiband_similarity(
                     ambients[i], head, fs
                 )
             else:
                 assert mb_sims[i] is None
-        # Detected and failed rows, each with and without multiband.
-        assert kinds == {(d, m) for d in (True, False) for m in (True, False)}
+        # Failed rows, and detected rows with both scores and with
+        # either one alone.
+        assert {(a, m) for d, a, m in kinds if d} == {
+            (True, True), (True, False), (False, True)
+        }
+        assert any(not d for d, _, _ in kinds)
 
 
 def _staged_run(cfg, monkeypatch):
@@ -290,9 +312,9 @@ def _staged_run(cfg, monkeypatch):
     rows = []
     probe = executor.precompute_probe
 
-    def counted(specs):
+    def counted(specs, *args):
         rows.append(len(specs))
-        return probe(specs)
+        return probe(specs, *args)
 
     with monkeypatch.context() as m:
         m.setattr(executor, "precompute_probe", counted)
@@ -304,15 +326,13 @@ class TestStagedProbeFleet:
     """Whole-shard identity with the probe replay staged or live."""
 
     def test_records_identical_across_staging_levels(self, monkeypatch):
-        # An acoustic fault at probe-tx replays the probe live and keeps
-        # the rest staged; either way the records match the oracle.
-        for faults, probe_staged in (
-            ("", True),
-            ("mic_dropout@*:p=0.5", False),
-        ):
+        # An acoustic fault at probe-tx rides the probe replay on each
+        # session's own injector; either way the records match the
+        # oracle.
+        for faults in ("", "mic_dropout@*:p=0.5"):
             cfg = FleetConfig(n_users=5, hours=24.0, seed=13, faults=faults)
             staged, rows = _staged_run(cfg, monkeypatch)
-            assert (rows > 0) == probe_staged
+            assert rows > 0
             assert staged == run_shard(cfg, 0, 5, staging="none")
 
     def test_faulted_shard_degrades_but_stays_identical(self, monkeypatch):
