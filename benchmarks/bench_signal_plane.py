@@ -4,8 +4,8 @@ Runs a Fig. 5-style sweep (modulation × noise level, ~100 cells) twice
 over identical pre-generated recordings:
 
 * **baseline** — the pre-refactor implementation preserved verbatim in
-  :mod:`repro.modem.reference`: per-call template construction,
-  per-symbol modulate/demodulate loops;
+  the test oracle ``tests/modem_oracle.py``: per-call template
+  construction, per-symbol modulate/demodulate loops;
 * **vectorized** — the shared :class:`~repro.modem.context.SignalPlane`
   plus the batched transmit/receive paths.
 
@@ -32,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # for the oracle in tests/
 
 from repro.channel.link import AcousticLink  # noqa: E402
 from repro.channel.scenarios import get_environment  # noqa: E402
@@ -51,7 +53,7 @@ from repro.modem.context import (  # noqa: E402
     clear_plane_cache,
     plane_cache_stats,
 )
-from repro.modem.reference import (  # noqa: E402
+from tests.modem_oracle import (  # noqa: E402
     reference_modulate,
     reference_receive,
 )
@@ -159,10 +161,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=str(
-            Path(__file__).resolve().parent.parent
-            / "BENCH_signal_plane.json"
-        ),
+        default=str(ROOT / "BENCH_signal_plane.json"),
     )
     args = parser.parse_args(argv)
 

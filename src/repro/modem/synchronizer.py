@@ -89,7 +89,7 @@ def fine_sync_offsets_rows(
     matching of eq. (2).  It is 0 when no candidate window lies inside
     the signal and carries energy (callers keep the coarse estimate).
     Each entry equals the sequential per-candidate loop
-    (:func:`~repro.modem.reference.reference_fine_sync_offset`, first
+    (``reference_fine_sync_offset`` in ``tests/modem_oracle.py``, first
     strict maximum in ascending ``tf`` order) bit-for-bit.
 
     Every (frame, symbol) pair is scored in one flat pass,

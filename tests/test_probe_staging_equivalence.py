@@ -31,9 +31,9 @@ from repro.modem import probe as probe_module
 from repro.modem.frame import demodulate_blocks, frame_layout
 from repro.modem.preamble import PreambleDetector
 from repro.modem.probe import ChannelProber
-from repro.modem.reference import reference_fine_sync_offset
 from repro.verifiers import probe_head_samples, resolve_verifier_names
 from tests import kernel_oracle as oracle
+from tests.modem_oracle import reference_fine_sync_offset
 
 BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
 FS = 44_100.0

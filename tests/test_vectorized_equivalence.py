@@ -6,7 +6,7 @@ tests pin the refactor's contract: under fixed seeds, every observable
 output — bits, waveforms, pilot SNR, Eb/N0, fine-sync offsets, delay
 profiles, equalized symbols — is **bit-identical** (``==``, not
 ``approx``) to the pre-refactor implementation preserved verbatim in
-:mod:`repro.modem.reference`.
+``tests/modem_oracle.py``.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from repro.modem import (
     get_constellation,
 )
 from repro.modem.bits import random_bits
-from repro.modem.reference import (
+from repro.modem import synchronizer
+from repro.modem.synchronizer import fine_sync_offsets_rows
+from tests.modem_oracle import (
     reference_fine_sync_offset,
     reference_modulate,
     reference_receive,
 )
-from repro.modem import synchronizer
-from repro.modem.synchronizer import fine_sync_offsets_rows
 
 MODES = ("QASK", "QPSK", "8PSK")
 EQUALIZERS = (False, True)  # linear_equalizer ablation flag
