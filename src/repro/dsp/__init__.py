@@ -13,7 +13,6 @@ from .correlation import (
     best_alignment,
 )
 from .fftops import (
-    fft_interpolate,
     fft_interpolate_rows,
     spectrum_bins,
     goertzel_power,
@@ -47,7 +46,6 @@ __all__ = [
     "normalized_cross_correlation",
     "sliding_normalized_correlation",
     "best_alignment",
-    "fft_interpolate",
     "fft_interpolate_rows",
     "spectrum_bins",
     "goertzel_power",

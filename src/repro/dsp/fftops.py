@@ -1,10 +1,10 @@
 """FFT helpers: padded lengths, interpolation, spectrum bins, Goertzel power.
 
-:func:`fft_interpolate` is the paper's channel-estimation interpolator
-(§III-6): pilot tones are equispaced in frequency, so the pilot vector
-can be expanded to the full band by zero-padding its inverse transform —
-exact for channels whose impulse response is shorter than the pilot
-spacing allows, and smooth otherwise.
+:func:`fft_interpolate_rows` is the paper's channel-estimation
+interpolator (§III-6): pilot tones are equispaced in frequency, so the
+pilot vector can be expanded to the full band by zero-padding its
+inverse transform — exact for channels whose impulse response is
+shorter than the pilot spacing allows, and smooth otherwise.
 """
 
 from __future__ import annotations
@@ -52,51 +52,21 @@ def _fft_length(n: int) -> int:
     return 16 * best
 
 
-def fft_interpolate(values: np.ndarray, factor: int) -> np.ndarray:
-    """Interpolate a complex sequence by ``factor`` using FFT zero-padding.
+def fft_interpolate_rows(values: np.ndarray, factor: int) -> np.ndarray:
+    """Interpolate every row of ``values`` by ``factor`` (FFT zero-padding).
 
-    Given ``M`` equispaced samples of a band-limited function, returns
-    ``M * factor`` samples of the same function on the refined grid.  The
-    first output sample coincides with the first input sample.
+    Given ``M`` equispaced samples of a band-limited function per row,
+    returns ``M * factor`` samples of the same function on the refined
+    grid; the first output sample of a row coincides with its first
+    input sample.  Rows are independent (one stacked transform), and a
+    single sequence is a one-row batch.
 
     Parameters
     ----------
     values:
-        Complex (or real) 1-D array of equispaced samples.
+        Complex (or real) ``(rows, M)`` array with ``M >= 1``.
     factor:
         Integer interpolation factor ≥ 1.
-    """
-    v = np.asarray(values, dtype=np.complex128)
-    if v.ndim != 1 or v.size == 0:
-        raise DspError("values must be a non-empty 1-D array")
-    if factor < 1:
-        raise DspError("interpolation factor must be >= 1")
-    if factor == 1:
-        return v.copy()
-    m = v.size
-    spec = np.fft.fft(v)
-    padded = np.zeros(m * factor, dtype=np.complex128)
-    half = m // 2
-    padded[: half + 1] = spec[: half + 1]
-    if half:
-        tail = m - half - 1
-        if tail:
-            padded[-tail:] = spec[half + 1:]
-        # Split the Nyquist coefficient if m is even to keep the
-        # interpolant real-valued for real inputs.
-        if m % 2 == 0:
-            padded[half] *= 0.5
-            padded[m * factor - half] = padded[half]
-    return np.fft.ifft(padded) * factor
-
-
-def fft_interpolate_rows(values: np.ndarray, factor: int) -> np.ndarray:
-    """Row-wise :func:`fft_interpolate` over a 2-D batch.
-
-    Each row is interpolated independently with the exact arithmetic of
-    the 1-D version (same slice layout, same Nyquist split), so row
-    ``i`` of the output is bit-identical to
-    ``fft_interpolate(values[i], factor)``.
     """
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] == 0:
@@ -114,6 +84,8 @@ def fft_interpolate_rows(values: np.ndarray, factor: int) -> np.ndarray:
         tail = m - half - 1
         if tail:
             padded[:, -tail:] = spec[:, half + 1:]
+        # Split the Nyquist coefficient if m is even to keep the
+        # interpolant real-valued for real inputs.
         if m % 2 == 0:
             padded[:, half] *= 0.5
             padded[:, m * factor - half] = padded[:, half]

@@ -6,17 +6,21 @@ band with FFT interpolation.  Equalization divides every occupied bin by
 the interpolated response: by construction the pilots come out at unit
 power, and the data bins are corrected by the same factors — including
 the global ``1/2`` from the paper's real-part OFDM construction.
+
+Every function here works on a stack of ``(n_symbols, fft_size)``
+spectra, one row per received symbol; a single spectrum is a one-row
+stack.  Their scalar pre-refactor bodies are the oracle in
+``tests/modem_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
 from ..errors import DemodulationError
-from ..dsp.fftops import fft_interpolate
+from ..dsp.fftops import fft_interpolate_rows
 from .subchannels import ChannelPlan
 
 
@@ -24,57 +28,56 @@ from .subchannels import ChannelPlan
 class ChannelEstimate:
     """Frequency response over the plan's occupied band.
 
-    ``response[k - band_start]`` is the estimated complex channel gain
-    at bin ``k`` for ``band_start <= k <= band_end``.
+    ``response[i, k - band_start]`` is the estimated complex channel
+    gain of row ``i`` at bin ``k`` for ``band_start <= k <= band_end``.
     """
 
     band_start: int
     response: np.ndarray
 
-    def at_bin(self, k: int) -> complex:
-        idx = k - self.band_start
-        if not 0 <= idx < self.response.size:
-            raise DemodulationError(
-                f"bin {k} outside estimated band "
-                f"[{self.band_start}, {self.band_start + self.response.size})"
-            )
-        return complex(self.response[idx])
 
-
-def estimate_channel(
-    spectrum: np.ndarray, plan: ChannelPlan
-) -> ChannelEstimate:
-    """Estimate the channel from one received OFDM spectrum.
-
-    Extracts the pilot bins ``z(k), k ∈ P``, FFT-interpolates by the
-    pilot spacing, and returns the response over
-    ``[min(P), max(P)]``.  ``H(k) = z(k)`` exactly at the pilots.
-    """
-    x = np.asarray(spectrum, dtype=np.complex128)
-    if x.ndim != 1 or x.size < plan.fft_size:
+def _spectra(spectra: np.ndarray, plan: ChannelPlan) -> np.ndarray:
+    """``spectra`` as a complex stack, checked to cover the full FFT."""
+    x = np.asarray(spectra, dtype=np.complex128)
+    if x.ndim != 2 or x.shape[1] < plan.fft_size:
         raise DemodulationError(
-            f"spectrum must have at least fft_size={plan.fft_size} bins"
+            f"spectra must be 2-D with at least fft_size={plan.fft_size} bins"
         )
+    return x
+
+
+def estimate_channel_rows(
+    spectra: np.ndarray, plan: ChannelPlan
+) -> ChannelEstimate:
+    """Estimate the channel of every received OFDM spectrum.
+
+    Extracts the pilot bins ``z(k), k ∈ P`` of each row, FFT-interpolates
+    by the pilot spacing, and returns the ``(n_symbols, band_len)``
+    response over ``[min(P), max(P)]``.  ``H(k) = z(k)`` exactly at the
+    pilots.  Raises :class:`~repro.errors.DemodulationError` if any row's
+    pilot bins are all empty.
+    """
+    x = _spectra(spectra, plan)
     pilots = sorted(plan.pilots)
-    z = x[pilots]
-    if np.all(np.abs(z) < 1e-300):
+    z = x[:, pilots]
+    if np.any(np.all(np.abs(z) < 1e-300, axis=1)):
         raise DemodulationError("all pilot bins are empty — no signal")
     spacing = plan.pilot_spacing
-    interpolated = fft_interpolate(z, spacing)
-    # interpolated[i] estimates bin pilots[0] + i for
+    interpolated = fft_interpolate_rows(z, spacing)
+    # interpolated[:, i] estimates bin pilots[0] + i for
     # i in [0, len(pilots)*spacing); keep only up to the last pilot.
     band_len = pilots[-1] - pilots[0] + 1
-    response = interpolated[:band_len].copy()
+    response = interpolated[:, :band_len].copy()
     # Pin the exact pilot measurements (interpolation is exact there up
     # to numeric noise, but pinning keeps the equalized pilots at
     # exactly unit power).
     for i, p in enumerate(pilots):
-        response[p - pilots[0]] = z[i]
+        response[:, p - pilots[0]] = z[:, i]
     return ChannelEstimate(band_start=pilots[0], response=response)
 
 
-def estimate_channel_magnitude(
-    spectrum: np.ndarray, plan: ChannelPlan
+def estimate_channel_magnitude_rows(
+    spectra: np.ndarray, plan: ChannelPlan
 ) -> ChannelEstimate:
     """Magnitude-only channel estimate for envelope (ASK) detection.
 
@@ -85,77 +88,7 @@ def estimate_channel_magnitude(
     ugliness lives in the phase response — and return a real, positive
     estimate.
     """
-    x = np.asarray(spectrum, dtype=np.complex128)
-    pilots = sorted(plan.pilots)
-    z = np.abs(x[pilots])
-    if np.all(z < 1e-300):
-        raise DemodulationError("all pilot bins are empty — no signal")
-    spacing = plan.pilot_spacing
-    interpolated = np.abs(fft_interpolate(z.astype(np.complex128), spacing))
-    band_len = pilots[-1] - pilots[0] + 1
-    response = interpolated[:band_len].astype(np.complex128)
-    for i, p in enumerate(pilots):
-        response[p - pilots[0]] = z[i]
-    return ChannelEstimate(band_start=pilots[0], response=response)
-
-
-def estimate_channel_linear(
-    spectrum: np.ndarray, plan: ChannelPlan
-) -> ChannelEstimate:
-    """Ablation: linear interpolation between pilots instead of FFT.
-
-    Kept for the ablation benchmark comparing interpolation schemes.
-    """
-    x = np.asarray(spectrum, dtype=np.complex128)
-    pilots = sorted(plan.pilots)
-    z = x[pilots]
-    band = np.arange(pilots[0], pilots[-1] + 1)
-    real = np.interp(band, pilots, z.real)
-    imag = np.interp(band, pilots, z.imag)
-    return ChannelEstimate(
-        band_start=pilots[0], response=real + 1j * imag
-    )
-
-
-def estimate_channel_rows(
-    spectra: np.ndarray, plan: ChannelPlan
-) -> ChannelEstimate:
-    """Batched :func:`estimate_channel` over ``(n_symbols, fft_size)``.
-
-    Returns a :class:`ChannelEstimate` whose ``response`` is 2-D,
-    ``(n_symbols, band_len)``; row ``i`` is bit-identical to
-    ``estimate_channel(spectra[i], plan).response``.  (``at_bin`` is for
-    1-D estimates only — index ``response[:, k - band_start]`` here.)
-    """
-    from ..dsp.fftops import fft_interpolate_rows
-
-    x = np.asarray(spectra, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[1] < plan.fft_size:
-        raise DemodulationError(
-            f"spectra must be 2-D with at least fft_size={plan.fft_size} bins"
-        )
-    pilots = sorted(plan.pilots)
-    z = x[:, pilots]
-    if np.any(np.all(np.abs(z) < 1e-300, axis=1)):
-        raise DemodulationError("all pilot bins are empty — no signal")
-    spacing = plan.pilot_spacing
-    interpolated = fft_interpolate_rows(z, spacing)
-    band_len = pilots[-1] - pilots[0] + 1
-    response = interpolated[:, :band_len].copy()
-    for i, p in enumerate(pilots):
-        response[:, p - pilots[0]] = z[:, i]
-    return ChannelEstimate(band_start=pilots[0], response=response)
-
-
-def estimate_channel_magnitude_rows(
-    spectra: np.ndarray, plan: ChannelPlan
-) -> ChannelEstimate:
-    """Batched :func:`estimate_channel_magnitude` (row-identical)."""
-    from ..dsp.fftops import fft_interpolate_rows
-
-    x = np.asarray(spectra, dtype=np.complex128)
-    if x.ndim != 2:
-        raise DemodulationError("spectra must be 2-D")
+    x = _spectra(spectra, plan)
     pilots = sorted(plan.pilots)
     z = np.abs(x[:, pilots])
     if np.any(np.all(z < 1e-300, axis=1)):
@@ -174,16 +107,14 @@ def estimate_channel_magnitude_rows(
 def estimate_channel_linear_rows(
     spectra: np.ndarray, plan: ChannelPlan
 ) -> ChannelEstimate:
-    """Batched :func:`estimate_channel_linear` (row-identical).
+    """Ablation: linear interpolation between pilots instead of FFT.
 
     ``np.interp`` is 1-D only, so each row interpolates separately —
     still one estimate object and no per-row Python in the equalize
     step.  This is the ablation path; the FFT interpolator above is the
     hot one.
     """
-    x = np.asarray(spectra, dtype=np.complex128)
-    if x.ndim != 2:
-        raise DemodulationError("spectra must be 2-D")
+    x = _spectra(spectra, plan)
     pilots = sorted(plan.pilots)
     z = x[:, pilots]
     band = np.arange(pilots[0], pilots[-1] + 1)
@@ -201,12 +132,15 @@ def equalize_rows(
     estimate: ChannelEstimate,
     regularization: float = 1e-9,
 ) -> np.ndarray:
-    """Batched :func:`equalize`: all symbols' data bins in one division.
+    """Equalize the data bins of every row: ``ŝ(k) = z(k) / H(k)``.
 
     ``estimate.response`` must be 2-D (from the ``*_rows`` estimators).
     Returns ``(n_symbols, n_data)`` equalized symbols with columns in
-    ascending data-bin order — the order the sequential receiver built
-    by sorting the :func:`equalize` dict keys.
+    ascending data-bin order.  ``regularization`` avoids division
+    blow-ups on bins the channel has nulled out (those bins will demap
+    to garbage, surfacing as bit errors — which is honest: the channel
+    destroyed them).  A data bin outside the estimated band raises
+    :class:`~repro.errors.DemodulationError`.
     """
     x = np.asarray(spectra, dtype=np.complex128)
     response = np.asarray(estimate.response)
@@ -224,25 +158,3 @@ def equalize_rows(
     h = response[:, cols]
     denom = np.where(np.abs(h) > regularization, h, complex(regularization))
     return x[:, data_bins] / denom
-
-
-def equalize(
-    spectrum: np.ndarray,
-    plan: ChannelPlan,
-    estimate: ChannelEstimate,
-    regularization: float = 1e-9,
-) -> Dict[int, complex]:
-    """Equalize the data bins: ``ŝ(k) = z(k) / H(k)``.
-
-    Returns ``{bin: equalized complex symbol}`` for every data bin.
-    ``regularization`` avoids division blow-ups on bins the channel has
-    nulled out (those bins will demap to garbage, surfacing as bit
-    errors — which is honest: the channel destroyed them).
-    """
-    x = np.asarray(spectrum, dtype=np.complex128)
-    out: Dict[int, complex] = {}
-    for k in sorted(plan.data):
-        h = estimate.at_bin(k)
-        denom = h if abs(h) > regularization else complex(regularization)
-        out[k] = complex(x[k] / denom)
-    return out

@@ -83,11 +83,10 @@ def modulate_symbols(
     """Build a whole symbol train as one ``(n_symbols, stride)`` array.
 
     Row ``i`` is the time-domain symbol (CP + body + guard) carrying
-    ``data_symbols[i]``, bit-identical to assembling each row with
-    :func:`modulate_symbol`: the spectra are filled with one fancy
-    column write, the IFFTs run as one stacked transform, and the
-    CP/body/guard layout is a single preallocated write instead of
-    per-symbol concatenation.
+    ``data_symbols[i]``: the spectra are filled with one fancy column
+    write, the IFFTs run as one stacked transform, and the CP/body/guard
+    layout is a single preallocated write instead of per-symbol
+    concatenation.  :func:`modulate_symbol` is its one-row call.
     """
     s = np.asarray(data_symbols, dtype=np.complex128)
     if s.ndim != 2:
@@ -159,8 +158,7 @@ def demodulate_blocks(
 
     ``blocks`` is ``(n_symbols, samples)`` with ``samples >= fft_size``;
     returns the ``(n_symbols, fft_size)`` complex spectra in one stacked
-    transform.  Row ``i`` equals ``demodulate_block(config, blocks[i])``
-    bit-for-bit.
+    transform.
     """
     x = np.asarray(blocks, dtype=np.float64)
     if x.ndim != 2:
@@ -176,14 +174,14 @@ def demodulate_blocks(
 def demodulate_block(
     config: ModemConfig, block: np.ndarray
 ) -> np.ndarray:
-    """FFT one received OFDM body (CP already stripped) to all bins."""
+    """FFT one received OFDM body (CP already stripped) to all bins.
+
+    The one-row call of :func:`demodulate_blocks`.
+    """
     x = np.asarray(block, dtype=np.float64)
-    if x.size < config.fft_size:
-        raise ModemError(
-            f"block of {x.size} samples shorter than FFT size "
-            f"{config.fft_size}"
-        )
-    return np.fft.fft(x[: config.fft_size])
+    if x.ndim != 1:
+        raise ModemError("block must be a 1-D sample array")
+    return demodulate_blocks(config, x[None, :])[0]
 
 
 def assemble_frame(

@@ -17,10 +17,7 @@ import numpy as np
 from ..config import ModemConfig
 from ..errors import DspError, PreambleNotFoundError
 from ..dsp.chirp import linear_chirp
-from ..dsp.correlation import (
-    sliding_normalized_correlation,
-    sliding_normalized_correlation_batch,
-)
+from ..dsp.correlation import sliding_normalized_correlation_batch
 from ..dsp.plane import KeyedCache
 
 _PREAMBLES = KeyedCache("modem.preamble", maxsize=32)
@@ -114,15 +111,11 @@ class PreambleDetector:
     def threshold(self) -> float:
         return self._threshold
 
-    def scores(self, recording: np.ndarray) -> np.ndarray:
-        """NCC score at every lag of ``recording``."""
-        return sliding_normalized_correlation(recording, self._template)
-
     def scores_batch(self, recordings: np.ndarray) -> np.ndarray:
         """NCC scores for every row of ``recordings`` in one pass.
 
-        Row ``i`` equals ``scores(recordings[i])`` bit-for-bit (stacked
-        row FFTs share the 1-D plan).  Rows must share one length.
+        Rows must share one length; row ``i`` does not depend on the
+        other rows (stacked row FFTs share one plan).
         """
         return sliding_normalized_correlation_batch(
             recordings, self._template
@@ -131,55 +124,34 @@ class PreambleDetector:
     def detect(self, recording: np.ndarray) -> PreambleMatch:
         """Locate the preamble; raise PreambleNotFoundError below threshold.
 
-        The returned :class:`PreambleMatch` carries the approximate
-        delay profile around the peak (squared correlation over a window
-        after the main peak), which the NLOS filter turns into an RMS
-        delay spread.
+        The one-row call of :meth:`detect_rows`.  The returned
+        :class:`PreambleMatch` carries the approximate delay profile
+        around the peak (squared correlation over a window after the
+        main peak), which the NLOS filter turns into an RMS delay
+        spread.  Recordings that are not 1-D, or shorter than the
+        template, fail with peak score 0.0.
         """
         x = np.asarray(recording, dtype=np.float64)
-        if x.size < self._template.size:
+        if x.ndim != 1:
             raise PreambleNotFoundError(0.0, self._threshold)
-        try:
-            scores = self.scores(x)
-        except DspError:
-            raise PreambleNotFoundError(0.0, self._threshold) from None
-        return self.match_from_scores(scores)
-
-    def match_from_scores(self, scores: np.ndarray) -> PreambleMatch:
-        """Turn one score trace into a :class:`PreambleMatch`.
-
-        The thresholding/peak/delay-profile tail of :meth:`detect`,
-        split out so batched callers can score many recordings in one
-        stacked correlation and finish each row here.  Raises
-        :class:`PreambleNotFoundError` below the threshold, exactly as
-        :meth:`detect` does.
-        """
-        peak = int(np.argmax(scores))
-        best = float(scores[peak])
-        if best < self._threshold:
-            raise PreambleNotFoundError(best, self._threshold)
-
-        profile = self._delay_profile(scores, peak)
-        return PreambleMatch(
-            start=peak + self._template.size,
-            score=best,
-            delay_profile=profile,
-        )
+        match, peak = self.detect_rows(x[None, :])[0]
+        if match is None:
+            raise PreambleNotFoundError(peak, self._threshold)
+        return match
 
     def matches_from_scores(
         self, scores: np.ndarray
     ) -> Tuple[Tuple[Optional[PreambleMatch], float], ...]:
         """Finish a whole stack of score traces in one pass.
 
-        Entry ``i`` is ``(match, peak_score)`` where ``match`` equals
-        ``match_from_scores(scores[i])`` bit-for-bit and is ``None``
-        where that call would have raised
-        :class:`~repro.errors.PreambleNotFoundError` (``peak_score`` is
-        then the score the exception would carry).  The peak argmax and
-        the noise-floor median — the two full-trace reductions — run
-        batched over the stack; ``np.argmax``/``np.median`` along a row
-        of a C-ordered stack select exactly the elements the 1-D calls
-        do.
+        Entry ``i`` is ``(match, peak_score)``: ``match`` is ``None``
+        where the trace's peak falls below the threshold
+        (``peak_score`` is then the score a
+        :class:`~repro.errors.PreambleNotFoundError` carries).  The peak
+        argmax and the noise-floor median — the two full-trace
+        reductions — run batched over the stack; ``np.argmax``/
+        ``np.median`` along a row of a C-ordered stack select exactly
+        the elements the 1-D calls do.
         """
         stack = np.asarray(scores, dtype=np.float64)
         if stack.ndim != 2:
@@ -225,8 +197,9 @@ class PreambleDetector:
     ) -> Tuple[Tuple[Optional[PreambleMatch], float], ...]:
         """:meth:`matches_from_scores` of a stack of equal-length rows.
 
-        Rows too short for the template all fail with peak score 0.0,
-        exactly as :meth:`detect` reports them.
+        This is the one detection kernel; :meth:`detect` is its one-row
+        call.  Rows too short for the template all fail with peak score
+        0.0.
         """
         try:
             return self.matches_from_scores(self.scores_batch(recordings))
@@ -234,10 +207,7 @@ class PreambleDetector:
             return ((None, 0.0),) * len(recordings)
 
     def _delay_profile(
-        self,
-        scores: np.ndarray,
-        peak: int,
-        baseline: Optional[float] = None,
+        self, scores: np.ndarray, peak: int, baseline: float
     ) -> np.ndarray:
         """Approximate power delay profile from the correlation trace.
 
@@ -259,40 +229,8 @@ class PreambleDetector:
         # sidelobes; under NLOS the "peak" is itself an echo and its
         # siblings pass the gate, inflating τ_rms — which is exactly the
         # signature the detector needs.  Absolute part: the correlation
-        # noise floor, so loud scenes don't masquerade as echoes.
-        if baseline is None:
-            baseline = float(np.median(np.abs(scores)))
+        # noise floor (the median ``|score|``), so loud scenes don't
+        # masquerade as echoes.
         gate = max(0.25 * segment[0], 3.0 * baseline)
         segment = np.where(segment >= gate, segment, 0.0)
         return segment * segment
-
-    def detect_all(
-        self, recording: np.ndarray, min_gap: Optional[int] = None
-    ) -> Tuple[PreambleMatch, ...]:
-        """Find every preamble occurrence (for multi-packet recordings).
-
-        Peaks closer than ``min_gap`` samples (default: one preamble
-        length) to a stronger peak are suppressed.
-        """
-        x = np.asarray(recording, dtype=np.float64)
-        if x.size < self._template.size:
-            return ()
-        gap = min_gap if min_gap is not None else self._template.size
-        scores = self.scores(x)
-        order = np.argsort(scores)[::-1]
-        kept = []
-        for idx in order:
-            if scores[idx] < self._threshold:
-                break
-            if all(abs(idx - k) >= gap for k in kept):
-                kept.append(int(idx))
-        matches = []
-        for peak in sorted(kept):
-            matches.append(
-                PreambleMatch(
-                    start=peak + self._template.size,
-                    score=float(scores[peak]),
-                    delay_profile=self._delay_profile(scores, peak),
-                )
-            )
-        return tuple(matches)

@@ -16,7 +16,7 @@ with ``B`` the occupied bandwidth and ``R`` the data rate
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,58 +26,16 @@ from .constellation import Constellation
 from .subchannels import ChannelPlan
 
 
-def _mean_power(spectrum: np.ndarray, bins: Iterable[int]) -> float:
-    idx = list(bins)
-    if not idx:
-        raise DemodulationError("bin set is empty")
-    x = spectrum[idx]
-    return float(np.mean(x.real ** 2 + x.imag ** 2))
-
-
-def pilot_snr_linear(
-    spectrum: np.ndarray,
-    plan: ChannelPlan,
-    null_bins: Optional[Sequence[int]] = None,
-) -> float:
-    """PSNR (linear) from one received OFDM spectrum — eq. (3).
-
-    ``null_bins`` overrides the plan's own null set (useful for the
-    block-pilot probe symbol where only the margin bins stay silent).
-    Clamped below at a small positive value: a spectrum where pilots are
-    weaker than nulls means "no usable signal", not a negative ratio.
-    """
-    x = np.asarray(spectrum, dtype=np.complex128)
-    if x.ndim != 1 or x.size < plan.fft_size:
-        raise DemodulationError("spectrum must cover the full FFT")
-    nulls = tuple(null_bins) if null_bins is not None else plan.null_channels()
-    if not nulls:
-        raise DemodulationError("no null bins available for noise estimate")
-    p_pilot = _mean_power(x, plan.pilots)
-    p_null = _mean_power(x, nulls)
-    if p_null <= 0.0:
-        # Perfectly clean simulation: return a very high but finite SNR.
-        return 1e12
-    return max((p_pilot - p_null) / p_null, 1e-12)
-
-
-def pilot_snr_db(
-    spectrum: np.ndarray,
-    plan: ChannelPlan,
-    null_bins: Optional[Sequence[int]] = None,
-) -> float:
-    """PSNR in dB."""
-    return float(10.0 * np.log10(pilot_snr_linear(spectrum, plan, null_bins)))
-
-
 def _row_means(power: np.ndarray) -> np.ndarray:
     """Per-row means via 1-D reductions.
 
     ``np.mean(power, axis=1)`` associates the sum differently from the
-    1-D reduction the scalar estimators use (NumPy's pairwise/unrolled
+    1-D reduction of ``np.mean`` over one row (NumPy's pairwise/unrolled
     accumulation), which drifts by an ULP on some inputs.  Reducing each
-    contiguous row separately keeps the batched estimators bit-identical
-    to their scalar counterparts; the row count is the symbol count, so
-    the Python loop is negligible next to the FFTs.
+    contiguous row separately keeps every row bit-identical to the
+    scalar estimator in ``tests/modem_oracle.py`` (and so keeps every
+    recorded digest); the row count is the symbol count, so the Python
+    loop is negligible next to the FFTs.
     """
     n_rows, width = power.shape
     out = np.empty(n_rows)
@@ -93,10 +51,14 @@ def pilot_snr_linear_rows(
     plan: ChannelPlan,
     null_bins: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Batched :func:`pilot_snr_linear` over ``(n_symbols, fft_size)``.
+    """PSNR (linear) of every received OFDM spectrum — eq. (3).
 
-    Entry ``i`` is bit-identical to ``pilot_snr_linear(spectra[i], ...)``
-    (same raw pilot-bin ordering, same clamps).
+    ``spectra`` is ``(n_symbols, fft_size)``; a single spectrum is a
+    one-row stack.  ``null_bins`` overrides the plan's own null set
+    (useful for the block-pilot probe symbol where only the margin bins
+    stay silent).  Clamped below at a small positive value: a spectrum
+    where pilots are weaker than nulls means "no usable signal", not a
+    negative ratio.
     """
     x = np.asarray(spectra, dtype=np.complex128)
     if x.ndim != 2 or x.shape[1] < plan.fft_size:
@@ -110,8 +72,7 @@ def pilot_snr_linear_rows(
     p_null = _row_means(q.real ** 2 + q.imag ** 2)
     out = np.empty(x.shape[0])
     clean = p_null <= 0.0
-    # Perfectly clean simulation: very high but finite SNR (matches the
-    # scalar path's early return).
+    # Perfectly clean simulation: very high but finite SNR.
     out[clean] = 1e12
     live = ~clean
     out[live] = np.maximum(
@@ -125,7 +86,7 @@ def pilot_snr_db_rows(
     plan: ChannelPlan,
     null_bins: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Batched :func:`pilot_snr_db` (per-row dB conversion)."""
+    """PSNR in dB of every row of ``spectra``."""
     return 10.0 * np.log10(pilot_snr_linear_rows(spectra, plan, null_bins))
 
 

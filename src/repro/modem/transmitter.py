@@ -117,45 +117,28 @@ class OfdmTransmitter:
     def modulate(self, bits: np.ndarray) -> TransmitResult:
         """Modulate ``bits`` into a complete frame.
 
-        The payload is zero-padded up to a whole number of OFDM symbols;
-        the receiver truncates back using the expected bit count.
+        The one-row call of :meth:`modulate_batch`.  The payload is
+        zero-padded up to a whole number of OFDM symbols; the receiver
+        truncates back using the expected bit count.
         """
-        b = np.asarray(bits).astype(np.uint8)
-        if b.ndim != 1 or b.size == 0:
-            raise ModemError("bits must be a non-empty 1-D array")
-        n_symbols = self.symbols_for_bits(b.size)
-        per = self.bits_per_symbol
-        padded = np.zeros(n_symbols * per, dtype=np.uint8)
-        padded[: b.size] = b
-
-        data_symbols = self._constellation.map(padded).reshape(n_symbols, -1)
-        train = modulate_symbols(
-            self._config, self._plan, data_symbols, hermitian=self._hermitian
-        ).reshape(-1)
-
-        waveform = self._finish_frame(train)
-        layout = frame_layout(self._config, n_symbols)
-        return TransmitResult(
-            waveform=waveform,
-            layout=layout,
-            padded_bits=padded,
-            n_payload_bits=b.size,
-        )
+        return self.modulate_batch([bits])[0]
 
     def modulate_batch(self, bit_rows) -> "list[TransmitResult]":
         """Modulate many equal-length payloads in one stacked pass.
 
-        Entry ``i`` equals ``modulate(bit_rows[i])`` bit-for-bit: the
-        constellation mapping and the per-symbol IFFT/CP assembly run
-        on the concatenated symbol rows (the same per-row transforms
-        the scalar path applies, sharing one plan), and the per-frame
-        tail (RMS match, preamble, edge fade) reuses the scalar code.
-        Used by the fleet staging path to assemble a whole wave's OTP
-        frames at once.  All payloads must have the same bit count —
-        that is what lets the symbol rows stack — so callers group by
-        coded length first.
+        This is the one transmit kernel: the constellation mapping and
+        the per-symbol IFFT/CP assembly run on the concatenated symbol
+        rows (sharing one plan), and each frame then gets its own tail
+        (RMS match, preamble, edge fade), so entry ``i`` does not depend
+        on the other rows.  The fleet staging path assembles a whole
+        wave's OTP frames at once; :meth:`modulate` is the one-row call.
+        All payloads must have the same bit count — that is what lets
+        the symbol rows stack — so callers group by coded length first.
+        Every value must be a bit (0 or 1); anything else raises
+        :class:`~repro.errors.ModemError` before the ``uint8`` cast
+        could wrap or truncate it.
         """
-        rows = [np.asarray(b).astype(np.uint8) for b in bit_rows]
+        rows = [np.asarray(b) for b in bit_rows]
         if not rows:
             return []
         size = rows[0].size
@@ -167,11 +150,13 @@ class OfdmTransmitter:
                     "modulate_batch needs equal-length payloads; group "
                     f"by bit count first (got {b.size} and {size})"
                 )
+        raw = np.stack(rows)
+        if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1)).all():
+            raise ModemError("bits must be 0 or 1")
         n_symbols = self.symbols_for_bits(size)
         per = self.bits_per_symbol
         padded = np.zeros((len(rows), n_symbols * per), dtype=np.uint8)
-        for i, b in enumerate(rows):
-            padded[i, : b.size] = b
+        padded[:, :size] = raw
 
         data_symbols = self._constellation.map(padded.reshape(-1)).reshape(
             len(rows) * n_symbols, -1
@@ -181,14 +166,14 @@ class OfdmTransmitter:
         )
         layout = frame_layout(self._config, n_symbols)
         results = []
-        for i, b in enumerate(rows):
+        for i in range(len(rows)):
             train = train_all[i * n_symbols : (i + 1) * n_symbols].reshape(-1)
             results.append(
                 TransmitResult(
                     waveform=self._finish_frame(train),
                     layout=layout,
                     padded_bits=padded[i],
-                    n_payload_bits=b.size,
+                    n_payload_bits=size,
                 )
             )
         return results

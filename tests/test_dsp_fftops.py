@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.dsp.fftops import fft_interpolate, goertzel_power, spectrum_bins
+from repro.dsp.fftops import (
+    fft_interpolate_rows,
+    goertzel_power,
+    spectrum_bins,
+)
 from repro.errors import DspError
+
+
+def fft_interpolate(values, factor):
+    """One-row call of :func:`fft_interpolate_rows`."""
+    return fft_interpolate_rows(np.asarray(values)[None, :], factor)[0]
 
 
 class TestFftInterpolate:

@@ -64,18 +64,6 @@ class TestPreambleDetector:
         match = det.detect(recording)
         assert np.argmax(match.delay_profile) == 0
 
-    def test_detect_all_finds_two_packets(self, config):
-        det = PreambleDetector(config)
-        preamble = build_preamble(config)
-        recording = np.concatenate(
-            [np.zeros(500), preamble, np.zeros(2000), preamble, np.zeros(500)]
-        )
-        matches = det.detect_all(recording)
-        assert len(matches) == 2
-        starts = sorted(m.start for m in matches)
-        assert starts[0] == 500 + 256
-        assert starts[1] == 500 + 256 + 2000 + 256
-
     def test_threshold_default_from_config(self, config):
         det = PreambleDetector(config)
         assert det.threshold == config.detection_threshold == 0.05

@@ -15,8 +15,8 @@ from repro.modem.snr import (
     data_rate,
     ebn0_db_from_psnr,
     occupied_bandwidth,
-    pilot_snr_db,
-    pilot_snr_linear,
+    pilot_snr_db_rows,
+    pilot_snr_linear_rows,
 )
 from repro.modem.subchannels import ChannelPlan
 
@@ -29,6 +29,16 @@ def config():
 @pytest.fixture
 def plan(config):
     return ChannelPlan.from_config(config)
+
+
+def pilot_snr_linear(spectrum, plan):
+    """One-row call of :func:`pilot_snr_linear_rows`."""
+    return float(pilot_snr_linear_rows(spectrum[None, :], plan)[0])
+
+
+def pilot_snr_db(spectrum, plan):
+    """One-row call of :func:`pilot_snr_db_rows`."""
+    return float(pilot_snr_db_rows(spectrum[None, :], plan)[0])
 
 
 class TestPilotSnr:
@@ -60,12 +70,15 @@ class TestPilotSnr:
         spectrum = np.zeros(config.fft_size, dtype=complex)
         for k in plan.pilots:
             spectrum[k] = 1.0
-        assert pilot_snr_linear(spectrum, plan) >= 1e6
+        assert pilot_snr_linear(spectrum, plan) == 1e12
 
     def test_noise_only_clamped_positive(self, config, plan):
         rng = np.random.default_rng(1)
         spectrum = rng.standard_normal(config.fft_size) + 0j
-        assert pilot_snr_linear(spectrum, plan) > 0.0
+        assert pilot_snr_linear(spectrum, plan) >= 1e-12
+        # Pilots weaker than the nulls: clamped to the floor, not negative.
+        spectrum[list(plan.pilots)] = 0.0
+        assert pilot_snr_linear(spectrum, plan) == 1e-12
 
     def test_db_conversion(self, config, plan):
         rng = np.random.default_rng(2)

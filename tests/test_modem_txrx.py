@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.config import ModemConfig
-from repro.errors import ModemError, PreambleNotFoundError
+from repro.errors import DemodulationError, ModemError, PreambleNotFoundError
 from repro.modem.bits import bit_error_rate, random_bits
 from repro.modem.constellation import PSK8, QAM16, QASK, QPSK
 from repro.modem.equalizer import (
-    estimate_channel,
-    estimate_channel_linear,
-    estimate_channel_magnitude,
-    equalize,
+    equalize_rows,
+    estimate_channel_linear_rows,
+    estimate_channel_magnitude_rows,
+    estimate_channel_rows,
 )
 from repro.modem.frame import demodulate_block
 from repro.modem.receiver import OfdmReceiver
@@ -57,6 +57,26 @@ class TestTransmitter:
         tx = OfdmTransmitter(config, QPSK)
         with pytest.raises(ModemError):
             tx.modulate(np.zeros(0, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[256, 1, 0, 1], [0.7, 1, 0, 1], [2, 0, 1, 1], [-1, 0, 1, 1]],
+    )
+    def test_rejects_payload_that_is_not_bits(self, config, payload):
+        """A value outside {0, 1} is refused before the ``uint8`` cast
+        could wrap 256 to 0, truncate 0.7 to 0 or index past the
+        constellation."""
+        tx = OfdmTransmitter(config, QPSK)
+        with pytest.raises(ModemError, match="0 or 1"):
+            tx.modulate(np.asarray(payload))
+        with pytest.raises(ModemError, match="0 or 1"):
+            tx.modulate_batch([np.array([0, 1, 0, 1]), np.asarray(payload)])
+
+    def test_accepts_bool_and_float_bits(self, config):
+        tx = OfdmTransmitter(config, QPSK)
+        want = tx.modulate(np.array([0, 1, 1, 0], dtype=np.uint8)).waveform
+        for bits in ([False, True, True, False], [0.0, 1.0, 1.0, 0.0]):
+            assert np.array_equal(tx.modulate(np.asarray(bits)).waveform, want)
 
     def test_probe_waveform_has_layout(self, config):
         tx = OfdmTransmitter(config, QPSK)
@@ -122,10 +142,6 @@ class TestLoopback:
         with pytest.raises(PreambleNotFoundError):
             rx.receive(0.001 * rng.standard_normal(20000), expected_bits=24)
 
-    def test_detect_only_on_silence_raises(self, config):
-        rx = OfdmReceiver(config, QPSK)
-        with pytest.raises(PreambleNotFoundError):
-            rx.detect_only(np.zeros(20000))
 
 
 def _one_anchor(signal, cp_start, config, search_range):
@@ -163,7 +179,20 @@ class TestFineSync:
         assert len(offsets) == 3
 
 
+def _at_bin(estimate, k):
+    """Row 0 of a one-row estimate at bin ``k``."""
+    return estimate.response[0, k - estimate.band_start]
+
+
+def _equalized(spectrum, plan, estimate):
+    """``{data bin: equalized symbol}`` of one spectrum."""
+    row = equalize_rows(spectrum[None, :], plan, estimate)[0]
+    return dict(zip(sorted(plan.data), row))
+
+
 class TestEqualizer:
+    """One-row calls of the ``*_rows`` estimators and ``equalize_rows``."""
+
     def _spectrum_with_channel(self, config, plan, gain):
         """Build a received spectrum: unit pilots through channel `gain`."""
         spectrum = np.zeros(config.fft_size, dtype=complex)
@@ -177,47 +206,64 @@ class TestEqualizer:
         spectrum = self._spectrum_with_channel(
             config, plan, lambda k: 0.5 * np.exp(1j * 0.3)
         )
-        est = estimate_channel(spectrum, plan)
-        eq = equalize(spectrum, plan, est)
+        est = estimate_channel_rows(spectrum[None, :], plan)
+        eq = _equalized(spectrum, plan, est)
         for k in plan.data:
             assert eq[k] == pytest.approx(0.7 + 0.7j, abs=1e-9)
 
     def test_smooth_channel_recovered(self, config, plan):
         gain = lambda k: (0.4 + 0.01 * k) * np.exp(1j * 0.02 * k)
         spectrum = self._spectrum_with_channel(config, plan, gain)
-        est = estimate_channel(spectrum, plan)
-        eq = equalize(spectrum, plan, est)
+        est = estimate_channel_rows(spectrum[None, :], plan)
+        eq = _equalized(spectrum, plan, est)
         for k in plan.data:
             assert eq[k] == pytest.approx(0.7 + 0.7j, abs=0.05)
 
     def test_pilots_pinned_exactly(self, config, plan):
         gain = lambda k: (0.3 + 0.02 * k) * np.exp(1j * 0.05 * k)
         spectrum = self._spectrum_with_channel(config, plan, gain)
-        est = estimate_channel(spectrum, plan)
+        est = estimate_channel_rows(spectrum[None, :], plan)
         for k in plan.pilots:
-            assert est.at_bin(k) == pytest.approx(gain(k), abs=1e-12)
+            assert _at_bin(est, k) == spectrum[k]
 
     def test_magnitude_estimate_is_real_positive(self, config, plan):
         gain = lambda k: 0.5 * np.exp(1j * np.sin(k))  # wild phase
         spectrum = self._spectrum_with_channel(config, plan, gain)
-        est = estimate_channel_magnitude(spectrum, plan)
+        est = estimate_channel_magnitude_rows(spectrum[None, :], plan)
         assert np.all(est.response.imag == 0.0)
         assert np.all(est.response.real > 0.0)
         # Magnitude tracked despite the wild phase.
         for k in plan.data:
-            assert abs(est.at_bin(k)) == pytest.approx(0.5, abs=0.05)
+            assert abs(_at_bin(est, k)) == pytest.approx(0.5, abs=0.05)
 
     def test_linear_estimate_interpolates(self, config, plan):
         gain = lambda k: 0.2 + 0.01 * k
         spectrum = self._spectrum_with_channel(config, plan, gain)
-        est = estimate_channel_linear(spectrum, plan)
+        est = estimate_channel_linear_rows(spectrum[None, :], plan)
         for k in plan.data:
-            assert est.at_bin(k).real == pytest.approx(gain(k), abs=1e-9)
+            assert _at_bin(est, k).real == pytest.approx(gain(k), abs=1e-9)
 
     def test_at_bin_out_of_band_raises(self, config, plan):
+        """A data bin outside the estimated band is refused by
+        ``equalize_rows``."""
         spectrum = self._spectrum_with_channel(config, plan, lambda k: 1.0)
-        est = estimate_channel(spectrum, plan)
-        from repro.errors import DemodulationError
+        est = estimate_channel_rows(spectrum[None, :], plan)
+        narrow = type(est)(est.band_start, est.response[:, :1])
+        with pytest.raises(DemodulationError, match="outside estimated band"):
+            equalize_rows(spectrum[None, :], plan, narrow)
 
-        with pytest.raises(DemodulationError):
-            est.at_bin(100)
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            estimate_channel_rows,
+            estimate_channel_magnitude_rows,
+            estimate_channel_linear_rows,
+        ],
+    )
+    def test_estimators_reject_spectra_narrower_than_the_fft(
+        self, config, plan, estimator
+    ):
+        spectrum = self._spectrum_with_channel(config, plan, lambda k: 1.0)
+        for bad in (spectrum[None, :10], spectrum[None, :-1], spectrum):
+            with pytest.raises(DemodulationError, match="fft_size"):
+                estimator(bad, plan)

@@ -1,16 +1,21 @@
-"""Each scalar channel-synthesis and sensing call against the 1-D oracle.
+"""Each scalar channel, sensing and modem call against its 1-D oracle.
 
-The thirteen scalar entry points below are one-row calls of their
-stacked kernels; their old 1-D bodies live in ``tests/kernel_oracle.py``.  One
-hypothesis property per kernel draws lengths, parameters and seeds and
-checks that the one-row call equals the oracle bit for bit and leaves
-its generator at the oracle's stream position.  The draws include
-empty and length-1 inputs, signals shorter than one Welch segment, DTW
-pairs of unequal length, multi-band pairs too short to fingerprint or
-silent, speakers with stages switched off and the
-wide-band microphone.  The acoustic link's row kernels are checked
-row by row here too, on one mixed batch; the other many-row calls are
-compared with the same oracle in the staging equivalence suites.
+The sixteen scalar entry points below are one-row calls of their
+stacked kernels; their old 1-D bodies live in ``tests/kernel_oracle.py``
+(channel synthesis, acoustic link, sensing) and ``tests/modem_oracle.py``
+(transmitter, preamble detection, block FFT).  One hypothesis property
+per kernel draws lengths, parameters and seeds and checks that the
+one-row call equals the oracle bit for bit and leaves its generator at
+the oracle's stream position.  The draws include empty and length-1
+inputs, signals shorter than one Welch segment, DTW pairs of unequal
+length, multi-band pairs too short to fingerprint or silent, speakers
+with stages switched off, the wide-band microphone, and recordings too
+short, silent, not 1-D or below the detection threshold.  The acoustic
+link's row kernels are checked row by row here too, on one mixed
+batch, and so is the modem receive tail (pilot SNR, the three channel
+estimators, equalization, FFT interpolation) on random spectra over
+random plans; the other many-row calls are compared with the same
+oracles in the staging equivalence suites.
 """
 
 from __future__ import annotations
@@ -24,13 +29,34 @@ from repro.channel.hardware import MicrophoneModel, SpeakerModel
 from repro.channel.link import AcousticLink
 from repro.channel.noise import NoiseScene, shaped_noise, tone_jammer
 from repro.channel.scenarios import get_environment
+from repro.config import ModemConfig
 from repro.core.colocation import AmbientComparator
+from repro.dsp.fftops import fft_interpolate_rows
 from repro.dsp.spectrum import welch_psd
-from repro.errors import ChannelError, WearLockError
+from repro.errors import (
+    ChannelError,
+    DspError,
+    ModemError,
+    PreambleNotFoundError,
+    WearLockError,
+)
 from repro.faults import FaultInjector, FaultPlan
+from repro.modem import CONSTELLATIONS, ChannelPlan
+from repro.modem.equalizer import (
+    ChannelEstimate,
+    equalize_rows,
+    estimate_channel_linear_rows,
+    estimate_channel_magnitude_rows,
+    estimate_channel_rows,
+)
+from repro.modem.frame import demodulate_block
+from repro.modem.preamble import PreambleDetector, build_preamble
+from repro.modem.snr import pilot_snr_db_rows, pilot_snr_linear_rows
+from repro.modem.transmitter import OfdmTransmitter
 from repro.sensors.dtw import dtw_distance, normalized_dtw
 from repro.verifiers.multiband import multiband_similarity
 from tests import kernel_oracle as oracle
+from tests import modem_oracle
 
 FS = 44_100.0
 
@@ -275,6 +301,99 @@ def _record_ambient(data):
     assert _same_stream(g1, g2)
 
 
+MODEM = ModemConfig()
+
+
+def _plan(data, fft_size):
+    """A random valid plan: equispaced pilots, data inside their span."""
+    half = fft_size // 2
+    spacing = data.draw(st.integers(2, 6))
+    n_pilots = data.draw(st.integers(2, min(12, (half - 2) // spacing + 1)))
+    span = spacing * (n_pilots - 1)
+    first = data.draw(st.integers(1, half - 1 - span))
+    pilots = tuple(first + spacing * i for i in range(n_pilots))
+    candidates = [b for b in range(first, first + span) if b not in pilots]
+    chosen = data.draw(
+        st.lists(st.sampled_from(candidates), min_size=1, unique=True)
+    )
+    return ChannelPlan(fft_size, tuple(sorted(chosen)), pilots)
+
+
+def _modulate(data):
+    constellation = CONSTELLATIONS[
+        data.draw(st.sampled_from(sorted(CONSTELLATIONS)))
+    ]
+    plan = data.draw(
+        st.sampled_from([None, _plan(data, MODEM.fft_size)])
+    )
+    hermitian = data.draw(st.booleans())
+    n = data.draw(st.integers(1, 400))
+    rng = np.random.default_rng(data.draw(seeds))
+    bits = rng.integers(0, 2, n).astype(np.uint8)
+    tx = OfdmTransmitter(MODEM, constellation, plan=plan, hermitian=hermitian)
+    got = tx.modulate(bits)
+    want = modem_oracle.reference_modulate(
+        MODEM, constellation, bits, plan=plan, hermitian=hermitian
+    )
+    assert np.array_equal(got.waveform, want.waveform)
+    assert np.array_equal(got.padded_bits, want.padded_bits)
+    assert got.n_payload_bits == want.n_payload_bits
+    assert got.layout == want.layout
+
+
+def _detect(data):
+    threshold = data.draw(st.sampled_from([None, 0.05, 0.5, 0.95]))
+    m = MODEM.preamble_length
+    rng = np.random.default_rng(data.draw(seeds))
+    kind = data.draw(
+        st.sampled_from(["frame", "noise", "short", "silent", "2-D"])
+    )
+    if kind == "frame":
+        x = np.concatenate(
+            [
+                np.zeros(data.draw(st.integers(0, 600))),
+                build_preamble(MODEM),
+                np.zeros(data.draw(st.integers(0, 600))),
+            ]
+        )
+        x += 10.0 ** data.draw(st.integers(-3, 0)) * rng.standard_normal(
+            x.size
+        )
+    elif kind == "noise":
+        x = rng.standard_normal(data.draw(st.integers(m, 3000)))
+    elif kind == "short":
+        x = rng.standard_normal(data.draw(st.integers(0, m - 1)))
+    elif kind == "silent":
+        x = np.zeros(data.draw(st.integers(m, 3000)))
+    else:
+        x = rng.standard_normal((2, data.draw(st.integers(m, 1500))))
+    detector = PreambleDetector(MODEM, threshold)
+    try:
+        want = modem_oracle.detect(MODEM, x, threshold)
+    except PreambleNotFoundError as exc:
+        with pytest.raises(PreambleNotFoundError) as got:
+            detector.detect(x)
+        assert got.value.score == exc.score
+        if kind != "frame" and kind != "noise":
+            assert exc.score == 0.0
+        return
+    got = detector.detect(x)
+    assert (got.start, got.score) == (want.start, want.score)
+    assert np.array_equal(got.delay_profile, want.delay_profile)
+
+
+def _demodulate_block(data):
+    n = data.draw(st.integers(0, 2 * MODEM.fft_size))
+    x = np.random.default_rng(data.draw(seeds)).standard_normal(n)
+    try:
+        want = modem_oracle.demodulate_block(MODEM, x)
+    except ModemError:
+        with pytest.raises(ModemError):
+            demodulate_block(MODEM, x)
+        return
+    assert np.array_equal(demodulate_block(MODEM, x), want)
+
+
 CASES = {
     "dtw_distance": _dtw_distance,
     "normalized_dtw": _normalized_dtw,
@@ -289,6 +408,9 @@ CASES = {
     "MicrophoneModel.record": _record,
     "AcousticLink.transmit": _transmit,
     "AcousticLink.record_ambient": _record_ambient,
+    "OfdmTransmitter.modulate": _modulate,
+    "PreambleDetector.detect": _detect,
+    "demodulate_block": _demodulate_block,
 }
 
 
@@ -383,3 +505,100 @@ def test_transmit_rows_rejects_bad_rows():
         AcousticLink.transmit_rows([link], [np.zeros(8)], [70.0], [gen])
     with pytest.raises(ChannelError):
         AcousticLink.transmit_rows([link], [np.ones((2, 8))], [70.0], [gen])
+
+
+def _row_outcomes(scalar, rows, *args):
+    """The oracle's value for each row, or the type of what it raised."""
+    out = []
+    for row in rows:
+        try:
+            out.append(scalar(row, *args))
+        except (ModemError, DspError) as exc:
+            out.append(type(exc))
+    return out
+
+
+def _check_rows(kernel, scalar, stack, *args, same):
+    """``kernel(stack, *args)`` row ``i`` equals ``scalar(stack[i],
+    *args)``, or both raise one type when any row of the oracle does.
+    Returns the kernel's result (``None`` when it raised)."""
+    want = _row_outcomes(scalar, stack, *args)
+    raised = [w for w in want if isinstance(w, type)]
+    if raised:
+        with pytest.raises(raised[0]):
+            kernel(stack, *args)
+        return None
+    got = kernel(stack, *args)
+    for i, w in enumerate(want):
+        assert same(got, i, w), i
+    return got
+
+
+def _same_scalar(got, i, want):
+    return got[i] == want
+
+
+def _same_estimate(got, i, want):
+    return got.band_start == want.band_start and np.array_equal(
+        got.response[i], want.response
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_modem_tail_rows_match_oracle_row_by_row(data):
+    """Row ``i`` of each modem receive-tail kernel equals the oracle's
+    scalar on spectrum ``i`` bit for bit, over random plans.  A stack
+    with an all-zero-pilot row must raise in both for the FFT and
+    magnitude estimators."""
+    plan = _plan(data, data.draw(st.sampled_from([64, 128, 256])))
+    n_rows = data.draw(st.integers(1, 5))
+    width = plan.fft_size + data.draw(st.sampled_from([0, 3]))
+    rng = np.random.default_rng(data.draw(seeds))
+    scale = 10.0 ** data.draw(st.integers(-4, 3))
+    spectra = scale * (
+        rng.standard_normal((n_rows, width))
+        + 1j * rng.standard_normal((n_rows, width))
+    )
+    dead = data.draw(st.booleans())
+    if dead:
+        spectra[data.draw(st.integers(0, n_rows - 1)), list(plan.pilots)] = 0
+    nulls = data.draw(st.sampled_from([None, plan.quiet_null_channels()]))
+
+    _check_rows(
+        pilot_snr_linear_rows, modem_oracle.pilot_snr_linear,
+        spectra, plan, nulls, same=_same_scalar,
+    )
+    _check_rows(
+        pilot_snr_db_rows, modem_oracle.pilot_snr_db,
+        spectra, plan, nulls, same=_same_scalar,
+    )
+    for kernel, scalar in (
+        (estimate_channel_rows, modem_oracle.estimate_channel),
+        (estimate_channel_magnitude_rows,
+         modem_oracle.estimate_channel_magnitude),
+        (estimate_channel_linear_rows, modem_oracle.estimate_channel_linear),
+    ):
+        estimate = _check_rows(
+            kernel, scalar, spectra, plan, same=_same_estimate
+        )
+        if dead and scalar is not modem_oracle.estimate_channel_linear:
+            assert estimate is None
+            continue
+        equalized = equalize_rows(spectra, plan, estimate)
+        for i in range(n_rows):
+            row = modem_oracle.equalize(
+                spectra[i], plan,
+                ChannelEstimate(estimate.band_start, estimate.response[i]),
+            )
+            assert np.array_equal(
+                equalized[i], [row[k] for k in sorted(plan.data)]
+            )
+
+    m = data.draw(st.integers(1, 20))
+    factor = data.draw(st.integers(1, 6))
+    _check_rows(
+        fft_interpolate_rows, modem_oracle.fft_interpolate,
+        spectra[:, :m], factor,
+        same=lambda got, i, want: np.array_equal(got[i], want),
+    )

@@ -9,7 +9,7 @@ from repro.config import ModemConfig
 from repro.core.metrics import TailStats
 from repro.dsp.correlation import normalized_cross_correlation
 from repro.dsp.energy import amplitude_to_spl, spl_to_amplitude
-from repro.dsp.fftops import fft_interpolate
+from repro.dsp.fftops import fft_interpolate_rows
 from repro.modem.bits import (
     bit_error_rate,
     pack_bits,
@@ -156,7 +156,7 @@ class TestFftInterpolateProperties:
     )
     def test_original_samples_preserved(self, values, factor):
         v = np.asarray(values, dtype=complex)
-        out = fft_interpolate(v, factor)
+        out = fft_interpolate_rows(v[None, :], factor)[0]
         assert out.size == v.size * factor
         assert np.allclose(out[::factor], v, atol=1e-8)
 
