@@ -10,36 +10,11 @@ chain, (c) a different physical device.
 import numpy as np
 
 from repro.channel.hardware import SpeakerModel
-from repro.channel.link import AcousticLink
-from repro.channel.scenarios import get_environment
 from repro.config import ModemConfig
 from repro.eval.reporting import format_table
-from repro.modem.frame import demodulate_block, frame_layout
-from repro.modem.probe import ChannelProber
 from repro.modem.subchannels import ChannelPlan
-from repro.modem.synchronizer import Synchronizer
 from repro.security.attacks import RelayAttacker
-from repro.security.fingerprint import HardwareFingerprint
-
-
-def _spectrum(config, seed, distort=None, speaker=None):
-    env = get_environment("quiet_room")
-    prober = ChannelProber(config)
-    sync = Synchronizer(config)
-    kwargs = {"speaker": speaker} if speaker is not None else {}
-    link = AcousticLink(
-        room=env.room, noise=env.noise, distance_m=0.3, seed=seed,
-        **kwargs,
-    )
-    rec, _ = link.transmit(
-        prober.build_probe(), tx_spl=72.0,
-        rng=np.random.default_rng(seed),
-    )
-    if distort is not None:
-        rec = distort(rec)
-    match = sync.locate(rec)
-    bodies, _ = sync.extract_bodies(rec, match, frame_layout(config, 2))
-    return demodulate_block(config, bodies[0])
+from repro.security.fingerprint import HardwareFingerprint, probe_spectrum
 
 
 def test_extension_fingerprint_vs_relay(benchmark):
@@ -47,19 +22,19 @@ def test_extension_fingerprint_vs_relay(benchmark):
     plan = ChannelPlan.from_config(config)
 
     def run():
-        enroll = [_spectrum(config, seed=s) for s in range(4)]
+        enroll = [probe_spectrum(config, s) for s in range(4)]
         fp = HardwareFingerprint.enroll(enroll, plan)
         relay = RelayAttacker(extra_phase_ripple_rad=0.5)
         other = SpeakerModel(device_seed=4242)
 
         results = {"genuine": [], "relay": [], "other_device": []}
         for trial in range(6):
-            ok, d = fp.verify(_spectrum(config, seed=100 + trial), plan)
+            ok, d = fp.verify(probe_spectrum(config, 100 + trial), plan)
             results["genuine"].append((ok, d))
             ok, d = fp.verify(
-                _spectrum(
+                probe_spectrum(
                     config,
-                    seed=200 + trial,
+                    200 + trial,
                     distort=lambda r: relay.distort(
                         r, config.sample_rate
                     ),
@@ -68,7 +43,7 @@ def test_extension_fingerprint_vs_relay(benchmark):
             )
             results["relay"].append((ok, d))
             ok, d = fp.verify(
-                _spectrum(config, seed=300 + trial, speaker=other), plan
+                probe_spectrum(config, 300 + trial, speaker=other), plan
             )
             results["other_device"].append((ok, d))
         return results

@@ -120,10 +120,6 @@ class ModemConfig:
         """Seconds per OFDM symbol including CP and trailing guard."""
         return self.symbol_length / self.sample_rate
 
-    def bin_frequency(self, index: int) -> float:
-        """Center frequency in Hz of FFT bin ``index``."""
-        return index * self.subchannel_bandwidth
-
     def near_ultrasound(self) -> "ModemConfig":
         """Return a copy of this config shifted to the 15-20 kHz band.
 

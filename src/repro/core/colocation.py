@@ -56,18 +56,6 @@ class AmbientComparator:
         if not -1.0 <= self.threshold <= 1.0:
             raise WearLockError("threshold must be a correlation value")
 
-    def band_profile(self, recording: np.ndarray) -> np.ndarray:
-        """Log band-power fingerprint of one recording.
-
-        One-row call of :meth:`band_profile_batch`.
-        """
-        x = np.asarray(recording, dtype=np.float64)
-        if x.ndim != 1 or x.size < 64:
-            raise WearLockError(
-                "recording must be 1-D with at least 64 samples"
-            )
-        return self.band_profile_batch(x[None, :])[0]
-
     def psd_batch(
         self, recordings: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

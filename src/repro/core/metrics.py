@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -64,12 +64,6 @@ class DelayStats:
             p90=float(np.percentile(arr, 90)),
             n=arr.size,
         )
-
-    def speedup_vs(self, baseline_median: float) -> float:
-        """Relative speedup of this delay against a baseline median."""
-        if baseline_median <= 0:
-            raise WearLockError("baseline must be positive")
-        return (baseline_median - self.median) / baseline_median
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,6 @@ class FilterResult:
     stopped_by: Optional[str]
     scores: Tuple[Tuple[str, Optional[float]], ...]
 
-    @property
-    def n_filters_run(self) -> int:
-        return len(self.scores)
-
 
 class FilterChain:
     """Ordered cascade of cheap co-location gates."""

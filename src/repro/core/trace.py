@@ -130,13 +130,6 @@ class TraceReport:
                 totals[name] = totals.get(name, 0.0) + float(value)
         return totals
 
-    def sim_total_s(self) -> float:
-        """Simulated time covered by the top-level spans."""
-        tops = [s for s in self.spans if s.parent is None]
-        if not tops:
-            return 0.0
-        return max(s.sim_end_s for s in tops) - min(s.sim_start_s for s in tops)
-
 
 class Tracer:
     """Collects :class:`Span` records with optional nesting.

@@ -138,7 +138,3 @@ class EnergyDetector:
         if current_start is not None:
             regions.append((current_start, x_len))
         return regions
-
-    def is_silent(self, signal: np.ndarray) -> bool:
-        """True when no frame of ``signal`` crosses the SPL threshold."""
-        return not self.active_regions(signal)

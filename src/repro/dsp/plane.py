@@ -38,12 +38,6 @@ class CacheStats:
     size: int
     maxsize: int
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over total lookups (0.0 when the cache is untouched)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 #: Registry of every live cache, for aggregate reporting.
 _REGISTRY: Dict[str, "KeyedCache"] = {}

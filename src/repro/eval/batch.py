@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    Dict,
     Iterable,
     List,
     Mapping,
@@ -211,13 +210,3 @@ class BatchRunner:
                 BatchResult(key=t.key, value=f.result())
                 for t, f in zip(task_list, futures)
             ]
-
-    def run_dict(self, tasks: Iterable[BatchTask]) -> Dict[Tuple, Any]:
-        """Like :meth:`run`, keyed by task key (keys must be unique)."""
-        results = self.run(tasks)
-        out: Dict[Tuple, Any] = {}
-        for r in results:
-            if r.key in out:
-                raise WearLockError(f"duplicate task key {r.key!r}")
-            out[r.key] = r.value
-        return out

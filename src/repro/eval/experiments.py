@@ -962,15 +962,13 @@ def security_matrix(n_trials: int = 6, seed: int = 31) -> Dict:
     an attacker means "the phone would have unlocked".
     """
     from ..config import SystemConfig
-    from ..modem.frame import demodulate_block, frame_layout
-    from ..modem.synchronizer import Synchronizer
     from ..protocol.controllers import PhoneController, WatchController
     from ..security.attacks import (
         BruteForceAttacker,
         RelayAttacker,
         ReplayAttacker,
     )
-    from ..security.fingerprint import HardwareFingerprint
+    from ..security.fingerprint import HardwareFingerprint, probe_spectrum
     from ..security.timing import TimingGuard, TimingObservation
 
     rng = np.random.default_rng(seed)
@@ -1052,34 +1050,17 @@ def security_matrix(n_trials: int = 6, seed: int = 31) -> Dict:
     # --- relay, with and without fingerprinting ---------------------------
     config = ModemConfig()
     plan = ChannelPlan.from_config(config)
-    prober = ChannelProber(config)
-    sync = Synchronizer(config)
-    quiet = get_environment("quiet_room")
-
-    def probe_spectrum(distort=None, s=0):
-        link = AcousticLink(
-            room=quiet.room, noise=quiet.noise, distance_m=0.3, seed=s
-        )
-        rec, _ = link.transmit(
-            prober.build_probe(), tx_spl=72.0,
-            rng=np.random.default_rng(s),
-        )
-        if distort is not None:
-            rec = distort(rec)
-        match = sync.locate(rec)
-        bodies, _ = sync.extract_bodies(rec, match, frame_layout(config, 2))
-        return demodulate_block(config, bodies[0])
-
     fingerprint = HardwareFingerprint.enroll(
-        [probe_spectrum(s=s) for s in range(4)], plan
+        [probe_spectrum(config, s) for s in range(4)], plan
     )
     relay = RelayAttacker(relay_latency=0.12, extra_phase_ripple_rad=0.5)
     relay_pass_naive = 0
     relay_pass_fp = 0
     for t in range(n_trials):
         spectrum = probe_spectrum(
+            config,
+            100 + t,
             distort=lambda r: relay.distort(r, config.sample_rate),
-            s=100 + t,
         )
         relay_pass_naive += 1  # without fingerprinting nothing stops it
         ok, _ = fingerprint.verify(spectrum, plan)

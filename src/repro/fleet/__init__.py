@@ -26,7 +26,10 @@ and any shard size.  Every stochastic choice is drawn from a SHA-256
 derived per-user or per-session stream (the :func:`repro.eval.batch.
 cell_seed` construction), records fold in canonical ``(user, session)``
 order, and the live motion score is the one-row call of the batched
-DTW wavefront the fast path runs.
+DTW wavefront the fast path runs.  The population has one path: the
+batched :func:`~repro.fleet.executor.shard_population`, which serves
+the shards, the scheduler's contention plan and a direct
+:func:`run_shard` caller's plan alike.
 """
 
 from .aggregate import FleetAggregate, Histogram
@@ -41,7 +44,6 @@ from .population import (
     FleetConfig,
     SessionSpec,
     UserProfile,
-    build_population,
     synthesize_user,
     user_sessions,
 )
@@ -61,7 +63,6 @@ __all__ = [
     "SessionSpec",
     "UserProfile",
     "build_contention_plan",
-    "build_population",
     "render_fleet_report",
     "run_shard",
     "scene_of",

@@ -45,7 +45,8 @@ scheduler synthesizes every shard's population once, feeds the
 flattened specs to :func:`build_contention_plan`, and hands each shard
 its slice together with its already-synthesized users.  A direct
 :func:`~repro.fleet.executor.run_shard` caller gets the identical plan
-from a per-process memo, built once from the config.  The
+from a per-process memo, built once from the same batched population
+(:func:`~repro.fleet.executor.shard_population` over every user).  The
 whole-population pass cannot be narrowed to one scene: any user in
 any shard may visit any scene, and which scenes a user visits is only
 known from that user's schedule.  At ``scene_density == 0`` the plan
@@ -58,17 +59,17 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..eval.batch import cell_seed
-from .population import (
-    FleetConfig,
-    SessionSpec,
-    build_population,
-    user_sessions,
-)
+from .population import FleetConfig, SessionSpec
+
+# Not called here since the plan takes the scheduler's synthesized
+# specs; the name stays bound because perfbench's tracer wraps it at
+# this lookup site.
+from .population import user_sessions  # noqa: F401
 
 __all__ = [
     "SESSION_AIRTIME_S",
@@ -208,21 +209,14 @@ def scene_of(
     return cell_seed(config.seed, "scene", environment, user_id) % n
 
 
-def _all_specs(config: FleetConfig) -> Iterator[SessionSpec]:
-    for user in build_population(config):
-        yield from user_sessions(config, user)
-
-
 def build_contention_plan(
-    config: FleetConfig, specs: Optional[Iterable[SessionSpec]] = None
+    config: FleetConfig, specs: Iterable[SessionSpec]
 ) -> ContentionPlan:
     """Run the CSMA kernel over the whole population's schedule.
 
-    ``specs`` is every session of the population, in any order; a
-    caller that has already synthesized the population passes it here
-    so the kernel does not walk :func:`~repro.fleet.population.
-    build_population` a second time.  When omitted, the schedule is
-    synthesized from the config.
+    ``specs`` is every session of the population, in any order: the
+    flattened :func:`~repro.fleet.executor.shard_population` of every
+    user, which the caller has already synthesized.
 
     The event loop pops ``(time, user, session, attempt)`` tuples from
     a heap — the tuple itself is the tie-break, so simultaneous
@@ -243,7 +237,7 @@ def build_contention_plan(
     scene_key: Dict[Tuple[int, int], Tuple[str, int]] = {}
     scene_users: Dict[Tuple[str, int], set] = {}
     heap: List[Tuple[float, int, int, int]] = []
-    for spec in _all_specs(config) if specs is None else specs:
+    for spec in specs:
         slot = scene_of(config, spec.environment, spec.user_id)
         if slot is None:
             continue

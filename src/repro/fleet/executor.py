@@ -986,9 +986,19 @@ def _contention_plan(config: FleetConfig) -> ContentionPlan:
 
     Serves direct :func:`run_shard` callers that pass no ``contention``
     slice: N such calls over one config cost one population pass, not
-    N.  One entry bounds the memory a finished run leaves behind.
+    N.  The pass is :func:`shard_population` over every user, the
+    scheduler's own path (population synthesis is order-free, so the
+    plan is the scheduler's).  One entry bounds the memory a finished
+    run leaves behind.
     """
-    return build_contention_plan(config)
+    return build_contention_plan(
+        config,
+        (
+            spec
+            for _, specs in shard_population(config, 0, config.n_users)
+            for spec in specs
+        ),
+    )
 
 
 def run_shard(
@@ -1000,6 +1010,10 @@ def run_shard(
     population: Optional[ShardPopulation] = None,
 ) -> List[SessionRecord]:
     """Simulate users ``[user_lo, user_hi)`` and return their records.
+
+    The range must lie within ``[0, config.n_users]`` with
+    ``user_lo <= user_hi``; anything else raises
+    :class:`~repro.errors.ConfigurationError`.
 
     ``population`` is the shard's :func:`shard_population`.  The
     scheduler passes it on contended runs, where it has already
@@ -1020,9 +1034,14 @@ def run_shard(
     scheduler computes the plan once and passes slices; a direct caller
     may omit it — when ``scene_density > 0`` the shard slices the
     identical plan from :func:`_contention_plan`, built once per
-    process (a pure function, so the records cannot depend on who
-    computed it).
+    process from :func:`shard_population` over every user (a pure
+    function, so the records cannot depend on who computed it).
     """
+    if not 0 <= user_lo <= user_hi <= config.n_users:
+        raise ConfigurationError(
+            f"user range [{user_lo}, {user_hi}) is not within "
+            f"[0, {config.n_users}]"
+        )
     # Parsed once per shard; every session shares the immutable plan.
     faults = config.fault_plan()
     phases = staged_phases(staging, faults)

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "default_rng_states",
     "user_stream_states",
     "verifier_assignment",
-    "build_population",
 ]
 
 
@@ -388,9 +387,10 @@ def user_stream_states(
 ) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
     """Starting states of each user's profile and schedule generators.
 
-    The batched equivalent of the ``default_rng`` that
-    :func:`synthesize_user` and :func:`user_sessions` build when called
-    without ``rng``: bit-identical, for a whole range of users at once.
+    Bit-identical to ``default_rng(cell_seed(config.seed, tag, user))``
+    with tag ``"user"`` and ``"schedule"``, for a whole range of users
+    at once; :func:`synthesize_user` and :func:`user_sessions` draw from
+    generators positioned at these states.
     """
     profile = cell_seeds(config.seed, _USER_STREAM, user_ids)
     schedule = cell_seeds(config.seed, _SCHEDULE_STREAM, user_ids)
@@ -453,20 +453,13 @@ def has_sessions(
 
 
 def synthesize_user(
-    config: FleetConfig,
-    user_id: int,
-    rng: Optional[np.random.Generator] = None,
+    config: FleetConfig, user_id: int, rng: np.random.Generator
 ) -> UserProfile:
     """Materialize user ``user_id`` of the population (order-free).
 
-    ``rng`` is a generator already positioned at this user's profile
-    stream (see :func:`user_stream_states`); by default one is built
-    with ``default_rng``.
+    ``rng`` is a generator positioned at this user's profile stream
+    (see :func:`user_stream_states`).
     """
-    if rng is None:
-        rng = np.random.default_rng(
-            cell_seed(config.seed, _USER_STREAM, user_id)
-        )
     idx, low_end, ultrasound, personal_rate = _profile_draws(config, rng)
     name, _, _, activity_mix = ARCHETYPES[idx]
     phone = "Galaxy Nexus" if low_end else "Nexus 6"
@@ -499,9 +492,7 @@ def _environment_for(
 
 
 def user_sessions(
-    config: FleetConfig,
-    user: UserProfile,
-    rng: Optional[np.random.Generator] = None,
+    config: FleetConfig, user: UserProfile, rng: np.random.Generator
 ) -> List[SessionSpec]:
     """Schedule one user's attempts over ``config.hours``.
 
@@ -510,14 +501,9 @@ def user_sessions(
     attempts.  The schedule rng is a dedicated per-user stream; each
     *session's* simulation seed is folded separately via
     :func:`~repro.eval.batch.cell_seed` so reordering the schedule
-    logic never perturbs session outcomes.  ``rng``, when given, is
-    already positioned at the user's schedule stream (see
-    :func:`user_stream_states`).
+    logic never perturbs session outcomes.  ``rng`` is positioned at
+    the user's schedule stream (see :func:`user_stream_states`).
     """
-    if rng is None:
-        rng = np.random.default_rng(
-            cell_seed(config.seed, _SCHEDULE_STREAM, user.user_id)
-        )
     per_hour = user.sessions_per_day / 24.0
     specs: List[SessionSpec] = []
     n_hours = math.ceil(config.hours)
@@ -549,9 +535,3 @@ def user_sessions(
                 )
             )
     return specs
-
-
-def build_population(config: FleetConfig) -> Iterator[UserProfile]:
-    """Yield every user profile, in user-id order, lazily."""
-    for user_id in range(config.n_users):
-        yield synthesize_user(config, user_id)

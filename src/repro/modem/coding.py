@@ -22,7 +22,6 @@ All codes share one interface: ``encode(bits) -> coded``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -173,10 +172,6 @@ class ConvolutionalCode(Code):
     def rate(self) -> float:
         # Asymptotic rate; the K-1 tail bits cost a little extra.
         return 0.5
-
-    def coded_length(self, n_bits: int) -> int:
-        """Coded bits produced for ``n_bits`` of information."""
-        return 2 * (n_bits + self.K - 1)
 
     def encode(self, bits: np.ndarray) -> np.ndarray:
         b = self._check_bits(bits)

@@ -67,11 +67,6 @@ class PreambleMatch:
     score: float
     delay_profile: np.ndarray
 
-    @property
-    def frame_start(self) -> int:
-        """First sample *after* the preamble."""
-        return self.start
-
 
 class PreambleDetector:
     """Sliding-correlator preamble detector.

@@ -68,22 +68,6 @@ def choose_volume_spl(
     return step, control.spl_for_step(step)
 
 
-def _repeat_bits(bits: np.ndarray, factor: int) -> np.ndarray:
-    """Repetition-code a bit vector (bit-wise, ``factor`` copies)."""
-    return np.repeat(np.asarray(bits, dtype=np.uint8), factor)
-
-
-def _majority_decode(bits: np.ndarray, factor: int, n_payload: int) -> np.ndarray:
-    """Majority-vote decode of a repetition-coded bit vector."""
-    b = np.asarray(bits, dtype=np.uint8)
-    usable = min(b.size, n_payload * factor)
-    b = b[:usable]
-    full = np.zeros(n_payload * factor, dtype=np.uint8)
-    full[: b.size] = b
-    groups = full.reshape(n_payload, factor)
-    return (groups.sum(axis=1) * 2 > factor).astype(np.uint8)
-
-
 class PhoneController:
     """Phone-side agent: decides, transmits, verifies, unlocks.
 

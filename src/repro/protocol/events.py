@@ -8,7 +8,7 @@ Figs. 10-12 without re-running anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import ProtocolError
@@ -86,10 +86,3 @@ class Timeline:
         for e in self._events:
             out[e.category] = out.get(e.category, 0.0) + e.duration
         return out
-
-    def duration_of(self, label_prefix: str) -> float:
-        """Total duration of events whose label starts with a prefix."""
-        return sum(
-            e.duration for e in self._events
-            if e.label.startswith(label_prefix)
-        )

@@ -27,6 +27,7 @@ from .attacks import (
 from .fingerprint import (
     HardwareFingerprint,
     phase_signature,
+    probe_spectrum,
     signature_distance,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "RelayAttacker",
     "HardwareFingerprint",
     "phase_signature",
+    "probe_spectrum",
     "signature_distance",
 ]

@@ -19,12 +19,53 @@ delay — using a circular distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..channel.hardware import SpeakerModel
+from ..channel.link import AcousticLink
+from ..channel.scenarios import get_environment
+from ..config import ModemConfig
 from ..errors import SecurityError
+from ..modem.frame import demodulate_block, frame_layout
+from ..modem.probe import ChannelProber
 from ..modem.subchannels import ChannelPlan
+from ..modem.synchronizer import Synchronizer
+
+
+def probe_spectrum(
+    config: ModemConfig,
+    seed: int,
+    distort: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    speaker: Optional[SpeakerModel] = None,
+) -> np.ndarray:
+    """Capture one enrollment or verification spectrum.
+
+    Plays the block-pilot probe at 72 dB SPL across a quiet room at
+    0.3 m (the trusted pairing setup), optionally passes the recording
+    through ``distort`` (a relay chain), then locates the frame and
+    returns the FFT of its first body.  ``seed`` seeds both the link
+    and its noise; ``speaker`` replaces the default speaker model.
+    """
+    env = get_environment("quiet_room")
+    kwargs = {} if speaker is None else {"speaker": speaker}
+    link = AcousticLink(
+        room=env.room, noise=env.noise, distance_m=0.3, seed=seed, **kwargs
+    )
+    recording, _ = link.transmit(
+        ChannelProber(config).build_probe(),
+        tx_spl=72.0,
+        rng=np.random.default_rng(seed),
+    )
+    if distort is not None:
+        recording = distort(recording)
+    sync = Synchronizer(config)
+    match = sync.locate(recording)
+    bodies, _ = sync.extract_bodies(
+        recording, match, frame_layout(config, 2)
+    )
+    return demodulate_block(config, bodies[0])
 
 
 def phase_signature(

@@ -28,11 +28,6 @@ class NlosVerdict:
     preamble_ok: bool
     nlos: bool
 
-    @property
-    def should_abort(self) -> bool:
-        """True when the preamble itself failed the score check."""
-        return not self.preamble_ok
-
 
 class NlosDetector:
     """Classifies a preamble match as LOS / NLOS / no-signal.

@@ -67,14 +67,6 @@ class TestBatchRunner:
         threaded = BatchRunner(_square, workers=3).run(tasks)
         assert [r.value for r in serial] == [r.value for r in threaded]
 
-    def test_run_dict_rejects_duplicate_keys(self):
-        tasks = [
-            BatchTask(key=(1,), params=dict(x=1, seed=0)),
-            BatchTask(key=(1,), params=dict(x=2, seed=0)),
-        ]
-        with pytest.raises(WearLockError):
-            BatchRunner(_square).run_dict(tasks)
-
     def test_rejects_bad_executor_and_workers(self):
         with pytest.raises(WearLockError):
             BatchRunner(_square, executor="rayon")

@@ -13,6 +13,11 @@ from repro.config import (
 from repro.errors import ConfigurationError
 
 
+def _bin_frequency(cfg: ModemConfig, index: int) -> float:
+    """Center frequency in Hz of FFT bin ``index``."""
+    return index * cfg.subchannel_bandwidth
+
+
 class TestModemConfig:
     def test_paper_defaults(self):
         cfg = ModemConfig()
@@ -34,17 +39,17 @@ class TestModemConfig:
 
     def test_bin_frequency(self):
         cfg = ModemConfig()
-        assert cfg.bin_frequency(16) == pytest.approx(16 * 44100 / 256)
+        assert _bin_frequency(cfg, 16) == pytest.approx(16 * 44100 / 256)
 
     def test_default_band_is_audible_1_to_6khz(self):
         cfg = ModemConfig()
-        freqs = [cfg.bin_frequency(b) for b in cfg.data_channels]
+        freqs = [_bin_frequency(cfg, b) for b in cfg.data_channels]
         assert min(freqs) >= 1_000.0
         assert max(freqs) <= 6_000.0
 
     def test_near_ultrasound_shifts_into_15_20khz(self):
         cfg = ModemConfig().near_ultrasound()
-        freqs = [cfg.bin_frequency(b) for b in cfg.data_channels]
+        freqs = [_bin_frequency(cfg, b) for b in cfg.data_channels]
         assert min(freqs) >= 15_000.0
         assert max(freqs) <= 20_000.0
         assert cfg.preamble_band == (15_000.0, 20_000.0)

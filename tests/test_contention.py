@@ -19,11 +19,9 @@ from repro.fleet import (
     FleetScheduler,
     Histogram,
     build_contention_plan,
-    build_population,
     render_fleet_report,
     run_shard,
     scene_of,
-    user_sessions,
 )
 from repro.fleet.aggregate import density_bucket
 from repro.fleet.events import (
@@ -31,7 +29,9 @@ from repro.fleet.events import (
     SceneAnnotation,
     scene_slots,
 )
+from repro.fleet.executor import _contention_plan
 from repro.protocol.session import AbortReason
+from tests import population_oracle
 
 # Small but genuinely contended: 16 users packed into few scenes, a
 # whole day so the daytime public environments actually appear (before
@@ -48,9 +48,13 @@ CONTENDED = FleetConfig(
 def _specs_by_key(config):
     return {
         (s.user_id, s.session_index): s
-        for u in build_population(config)
-        for s in user_sessions(config, u)
+        for s in population_oracle.all_specs(config)
     }
+
+
+def _plan(config):
+    """The plan over the scalar walk's schedule."""
+    return build_contention_plan(config, population_oracle.all_specs(config))
 
 
 def _doc(result):
@@ -84,19 +88,19 @@ class TestScenes:
 class TestContentionPlan:
     def test_zero_density_plan_is_empty(self):
         cfg = FleetConfig(n_users=8, hours=24.0, seed=7)
-        assert build_contention_plan(cfg).annotations == {}
+        assert _plan(cfg).annotations == {}
 
     def test_negative_density_rejected(self):
         with pytest.raises(ConfigurationError):
             FleetConfig(n_users=8, scene_density=-1.0)
 
     def test_plan_is_deterministic(self):
-        a = build_contention_plan(CONTENDED)
-        b = build_contention_plan(CONTENDED)
+        a = _plan(CONTENDED)
+        b = _plan(CONTENDED)
         assert a.annotations == b.annotations
 
     def test_plan_covers_exactly_the_public_sessions(self):
-        plan = build_contention_plan(CONTENDED)
+        plan = _plan(CONTENDED)
         specs = _specs_by_key(CONTENDED)
         public = {
             k for k, s in specs.items() if s.environment != "quiet_room"
@@ -104,7 +108,7 @@ class TestContentionPlan:
         assert set(plan.annotations) == public
 
     def test_backoffs_bounded_and_aborts_consistent(self):
-        plan = build_contention_plan(CONTENDED)
+        plan = _plan(CONTENDED)
         assert any(a.backoffs > 0 for a in plan.annotations.values())
         for ann in plan.annotations.values():
             assert 0 <= ann.backoffs <= MAX_BACKOFFS
@@ -124,13 +128,35 @@ class TestContentionPlan:
                 sessions_per_day=60.0,
                 scene_density=density,
             )
-            plan = build_contention_plan(cfg)
+            plan = _plan(cfg)
             return sum(a.backoffs for a in plan.annotations.values())
 
         assert total_backoffs(2.0) < total_backoffs(40.0)
 
+    @pytest.mark.parametrize("density", [5.0, 30.0])
+    @pytest.mark.parametrize("fusion_mix", ["legacy", "archetype"])
+    def test_direct_caller_plan_equals_scalar_walk_plan(
+        self, density, fusion_mix
+    ):
+        """The direct-caller memo builds its plan from the batched
+        population; the scalar walk, which also materializes the users
+        without a session, must give the same plan."""
+        cfg = FleetConfig(
+            n_users=40,
+            hours=24.0,
+            seed=11,
+            sessions_per_day=2.0,
+            scene_density=density,
+            fusion_mix=fusion_mix,
+        )
+        walked = list(population_oracle.population(cfg))
+        assert any(not specs for _, specs in walked)
+        plan = _contention_plan(cfg)
+        assert plan.annotations
+        assert plan == _plan(cfg)
+
     def test_shard_slices_partition_the_plan(self):
-        plan = build_contention_plan(CONTENDED)
+        plan = _plan(CONTENDED)
         merged = {}
         for lo in range(0, CONTENDED.n_users, 5):
             merged.update(
@@ -157,6 +183,19 @@ class TestContendedFleetRun:
         assert doc["backoffs"] > 0  # the kernel actually engaged
         assert doc["per_scene_density"]
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(2, 9), (0, 5), (-3, 1), (3, 2), (-1, -1)]
+    )
+    def test_run_shard_rejects_a_range_outside_the_population(self, lo, hi):
+        cfg = FleetConfig(n_users=4, hours=24.0, seed=7, scene_density=5.0)
+        with pytest.raises(ConfigurationError):
+            run_shard(cfg, lo, hi)
+
+    def test_run_shard_accepts_the_range_edges(self):
+        cfg = FleetConfig(n_users=4, hours=1.0, seed=7)
+        assert run_shard(cfg, 4, 4) == []
+        assert run_shard(cfg, 0, 0) == []
+
     def test_zero_density_reduces_to_legacy(self):
         cfg = FleetConfig(n_users=8, hours=24.0, seed=7)
         records = run_shard(cfg, 0, cfg.n_users)
@@ -176,8 +215,8 @@ class TestContendedFleetRun:
         )
         uid = next(
             u.user_id
-            for u in build_population(cfg)
-            if len(user_sessions(cfg, u)) >= 4
+            for u, specs in population_oracle.population(cfg)
+            if len(specs) >= 4
         )
         spec_map = _specs_by_key(cfg)
         contention = {
@@ -222,14 +261,14 @@ class TestContendedFleetRun:
 
 @pytest.fixture
 def pass_counts(monkeypatch):
-    """Count population synthesis calls at every lookup site.
+    """Count population synthesis calls at the executor's lookup sites.
 
-    The executor's globals serve the shards and the scheduler's one
-    pass; ``population.synthesize_user`` and ``events.user_sessions``
-    serve the contention kernel's own walk over ``build_population``.
-    The direct-caller plan memo starts empty.
+    They are the only ones in the package: ``shard_population`` calls
+    them for the shards, for the scheduler's one pass, and for the
+    direct-caller plan memo, which walks every user the same way.  The
+    memo starts empty.
     """
-    from repro.fleet import events, executor, population
+    from repro.fleet import executor
 
     counts = {"synthesize_user": 0, "user_sessions": 0, "plans": 0}
 
@@ -240,12 +279,10 @@ def pass_counts(monkeypatch):
 
         return wrapper
 
-    synth = counted("synthesize_user", population.synthesize_user)
-    sessions = counted("user_sessions", population.user_sessions)
-    monkeypatch.setattr(executor, "synthesize_user", synth)
-    monkeypatch.setattr(population, "synthesize_user", synth)
-    monkeypatch.setattr(executor, "user_sessions", sessions)
-    monkeypatch.setattr(events, "user_sessions", sessions)
+    for name in ("synthesize_user", "user_sessions"):
+        monkeypatch.setattr(
+            executor, name, counted(name, getattr(executor, name))
+        )
     monkeypatch.setattr(
         executor,
         "build_contention_plan",
@@ -291,13 +328,14 @@ class TestOnePopulationPass:
             run_shard(CONTENDED, lo, hi, staging="otp")
         assert pass_counts["plans"] == 1
         # One pass for the plan plus each shard's own synthesis.
+        assert pass_counts["synthesize_user"] == 2 * CONTENDED.n_users
         assert pass_counts["user_sessions"] == 2 * CONTENDED.n_users
 
     def test_given_population_is_not_resynthesized(self, pass_counts):
         from repro.fleet.executor import shard_population
 
         population = shard_population(CONTENDED, 0, 8)
-        contention = build_contention_plan(CONTENDED).for_user_range(0, 8)
+        contention = _plan(CONTENDED).for_user_range(0, 8)
         before = dict(pass_counts)
         given = run_shard(
             CONTENDED, 0, 8, staging="otp",

@@ -6,7 +6,6 @@ import pytest
 from repro import WearLock
 from repro.core.metrics import (
     BerStats,
-    DelayStats,
     SuccessStats,
     summarize_outcomes,
 )
@@ -73,10 +72,6 @@ class TestMetrics:
         with pytest.raises(WearLockError):
             BerStats.from_values([None])
 
-    def test_delay_speedup(self):
-        stats = DelayStats.from_values([1.0, 1.0, 1.0])
-        assert stats.speedup_vs(2.0) == pytest.approx(0.5)
-
     def test_success_stats(self):
         s = SuccessStats(successes=9, attempts=10)
         assert s.rate == pytest.approx(0.9)
@@ -109,7 +104,7 @@ class TestFilterChain:
         result = chain.evaluate({})
         assert result.passed
         assert result.stopped_by is None
-        assert result.n_filters_run == 2
+        assert len(result.scores) == 2
 
     def test_stops_at_first_failure(self):
         calls = []

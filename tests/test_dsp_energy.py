@@ -71,12 +71,12 @@ class TestEnergyDetector:
 
     def test_silence_is_silent(self):
         det = EnergyDetector(threshold_spl=30.0)
-        assert det.is_silent(np.zeros(5000))
+        assert det.active_regions(np.zeros(5000)) == []
 
     def test_quiet_signal_below_threshold(self):
         x = self._burst(20.0, 0, 5000, 5000)
         det = EnergyDetector(threshold_spl=40.0)
-        assert det.is_silent(x)
+        assert det.active_regions(x) == []
 
     def test_hangover_merges_brief_gaps(self):
         x = np.concatenate(

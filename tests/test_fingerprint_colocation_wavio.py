@@ -9,15 +9,13 @@ from repro.channel.scenarios import get_environment
 from repro.config import ModemConfig
 from repro.core.colocation import AmbientComparator
 from repro.errors import ModemError, SecurityError, WearLockError
-from repro.modem.frame import demodulate_block, frame_layout
-from repro.modem.probe import ChannelProber
 from repro.modem.subchannels import ChannelPlan
-from repro.modem.synchronizer import Synchronizer
 from repro.modem.wavio import read_wav, write_wav
 from repro.security.attacks import RelayAttacker
 from repro.security.fingerprint import (
     HardwareFingerprint,
     phase_signature,
+    probe_spectrum,
     signature_distance,
 )
 
@@ -32,31 +30,9 @@ def plan(config):
     return ChannelPlan.from_config(config)
 
 
-def _probe_spectrum(config, distort=None, seed=0, speaker=None):
-    env = get_environment("quiet_room")
-    prober = ChannelProber(config)
-    sync = Synchronizer(config)
-    kwargs = {}
-    if speaker is not None:
-        kwargs["speaker"] = speaker
-    link = AcousticLink(
-        room=env.room, noise=env.noise, distance_m=0.3, seed=seed,
-        **kwargs,
-    )
-    rec, _ = link.transmit(
-        prober.build_probe(), tx_spl=72.0,
-        rng=np.random.default_rng(seed),
-    )
-    if distort is not None:
-        rec = distort(rec)
-    match = sync.locate(rec)
-    bodies, _ = sync.extract_bodies(rec, match, frame_layout(config, 2))
-    return demodulate_block(config, bodies[0])
-
-
 class TestPhaseSignature:
     def test_bulk_delay_invariance(self, config, plan):
-        spectrum = _probe_spectrum(config, seed=1)
+        spectrum = probe_spectrum(config, 1)
         # A pure delay multiplies bin k by exp(-2πi k d / N).
         k = np.arange(config.fft_size)
         delayed = spectrum * np.exp(-2j * np.pi * k * 3.0 / config.fft_size)
@@ -65,7 +41,7 @@ class TestPhaseSignature:
         assert signature_distance(a, b) < 0.05
 
     def test_distance_zero_for_identical(self, plan, config):
-        s = _probe_spectrum(config, seed=2)
+        s = probe_spectrum(config, 2)
         sig = phase_signature(s, plan)
         assert signature_distance(sig, sig) == 0.0
 
@@ -80,21 +56,21 @@ class TestPhaseSignature:
 
 class TestHardwareFingerprint:
     def test_genuine_device_verifies(self, config, plan):
-        enroll = [_probe_spectrum(config, seed=s) for s in range(4)]
+        enroll = [probe_spectrum(config, s) for s in range(4)]
         fp = HardwareFingerprint.enroll(enroll, plan)
-        ok, distance = fp.verify(_probe_spectrum(config, seed=20), plan)
+        ok, distance = fp.verify(probe_spectrum(config, 20), plan)
         assert ok
         assert distance < 0.05
 
     def test_relay_detected(self, config, plan):
-        enroll = [_probe_spectrum(config, seed=s) for s in range(4)]
+        enroll = [probe_spectrum(config, s) for s in range(4)]
         fp = HardwareFingerprint.enroll(enroll, plan)
         relay = RelayAttacker(extra_phase_ripple_rad=0.6)
         ok, distance = fp.verify(
-            _probe_spectrum(
+            probe_spectrum(
                 config,
+                21,
                 distort=lambda r: relay.distort(r, config.sample_rate),
-                seed=21,
             ),
             plan,
         )
@@ -103,11 +79,11 @@ class TestHardwareFingerprint:
 
     def test_different_speaker_detected(self, config, plan):
         """A different physical device (another phase ripple) fails."""
-        enroll = [_probe_spectrum(config, seed=s) for s in range(4)]
+        enroll = [probe_spectrum(config, s) for s in range(4)]
         fp = HardwareFingerprint.enroll(enroll, plan)
         other = SpeakerModel(device_seed=999)
         ok, distance = fp.verify(
-            _probe_spectrum(config, seed=22, speaker=other), plan
+            probe_spectrum(config, 22, speaker=other), plan
         )
         assert not ok
 
@@ -145,7 +121,7 @@ class TestAmbientComparator:
     def test_rejects_tiny_recording(self):
         comparator = AmbientComparator()
         with pytest.raises(WearLockError):
-            comparator.band_profile(np.zeros(10))
+            comparator.band_profile_batch(np.zeros((1, 10)))
 
     def test_rejects_bad_band(self):
         with pytest.raises(WearLockError):

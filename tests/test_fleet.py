@@ -17,14 +17,11 @@ from repro.fleet import (
     FleetConfig,
     FleetScheduler,
     Histogram,
-    build_population,
     run_shard,
     render_fleet_report,
-    synthesize_user,
-    user_sessions,
 )
 from repro.fleet.aggregate import SessionRecord
-from repro.fleet.executor import precompute_prefilter
+from repro.fleet.executor import precompute_prefilter, shard_population
 from repro.protocol.session import (
     PrecomputedPrefilter,
     SessionConfig,
@@ -34,6 +31,7 @@ from repro.sensors.dtw import dtw_distance_batch, normalized_dtw_batch
 from repro.sensors.traces import ActivityKind, co_located_pair, magnitude
 from repro.verifiers import PrecomputedVerifierEvidence
 from tests import kernel_oracle as oracle
+from tests import population_oracle
 
 
 SMALL = FleetConfig(n_users=12, hours=24.0, seed=42)
@@ -106,22 +104,22 @@ class TestPrecomputedPrefilter:
 
 class TestPopulation:
     def test_user_synthesis_deterministic_and_order_free(self):
-        a = synthesize_user(SMALL, 3)
-        b = synthesize_user(SMALL, 3)
-        assert a == b
+        (alone,) = shard_population(SMALL, 3, 4)
+        assert alone == shard_population(SMALL, 3, 4)[0]
         # Synthesizing other users first must not perturb user 3.
-        list(build_population(SMALL))
-        assert synthesize_user(SMALL, 3) == a
+        whole = shard_population(SMALL, 0, SMALL.n_users)
+        assert alone in whole
+        assert alone[0] == population_oracle.user(SMALL, 3)
 
     def test_seed_changes_population(self):
         other = FleetConfig(n_users=12, hours=24.0, seed=43)
-        users_a = list(build_population(SMALL))
-        users_b = list(build_population(other))
+        users_a = shard_population(SMALL, 0, SMALL.n_users)
+        users_b = shard_population(other, 0, other.n_users)
         assert users_a != users_b
 
     def test_sessions_sorted_and_self_seeded(self):
-        user = synthesize_user(SMALL, 0)
-        specs = user_sessions(SMALL, user)
+        user = population_oracle.user(SMALL, 0)
+        specs = population_oracle.sessions(SMALL, user)
         assert [s.session_index for s in specs] == list(range(len(specs)))
         assert all(s.user_id == 0 for s in specs)
         hours = [s.hour for s in specs]
@@ -251,8 +249,12 @@ class TestFleetRun:
         assert totals["users"] == float(SMALL.n_users)
 
     def test_precompute_prefilter_covers_all_specs(self):
-        user = synthesize_user(SMALL, 1)
-        specs = user_sessions(SMALL, user)
+        specs = [
+            spec
+            for _, user_specs in shard_population(SMALL, 0, 4)
+            for spec in user_specs
+        ]
+        assert specs
         staged = precompute_prefilter(specs)
         assert len(staged) == len(specs)
         assert all(s.sensor_pair is not None for s in staged)

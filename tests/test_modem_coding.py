@@ -58,6 +58,15 @@ class TestRepetition:
         with pytest.raises(ModemError):
             RepetitionCode(4)
 
+    def test_short_received_vector_padded(self):
+        code = RepetitionCode(3)
+        bits = np.array([1, 1], dtype=np.uint8)
+        coded = code.encode(bits)[:4]  # truncated in flight
+        decoded = code.decode(coded, 2)
+        assert decoded.size == 2
+        # The missing copies decode as zeros: 1 of 3 votes for bit 1.
+        assert decoded.tolist() == [1, 0]
+
 
 class TestHamming:
     def test_corrects_one_error_per_block(self):
@@ -119,7 +128,6 @@ class TestConvolutional:
     def test_coded_length(self):
         code = ConvolutionalCode()
         assert code.encode(np.zeros(10, dtype=np.uint8)).size == 2 * (10 + 6)
-        assert code.coded_length(10) == 32
 
     def test_zero_termination_decodes_trailing_bits(self):
         """Without termination the last K-1 bits are unreliable; with

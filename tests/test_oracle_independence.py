@@ -1,12 +1,15 @@
 """The test oracles never import the kernels they check.
 
 ``tests/kernel_oracle.py`` and ``tests/modem_oracle.py`` keep the
-straight 1-D bodies that the package's stacked kernels replaced.  An
-oracle that called a kernel would compare the kernel with itself, so
-this suite parses both files and fails if either names a ``*_rows`` or
-``*_batch`` function, ``receive_batch_grouped``, or one of the classes
-whose methods are one-row calls of those kernels — in an import (under
-any alias) or as an attribute read anywhere in the file.
+straight 1-D bodies that the package's stacked kernels replaced, and
+``tests/population_oracle.py`` keeps the scalar population walk that
+the batched shard population replaced.  An oracle that called a kernel
+would compare the kernel with itself, so this suite parses the three
+files and fails if any names a ``*_rows`` or ``*_batch`` function,
+``receive_batch_grouped``, one of the classes whose methods are
+one-row calls of those kernels, or a piece of the batched population
+— in an import (under any alias) or as an attribute read anywhere in
+the file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-ORACLES = ("kernel_oracle.py", "modem_oracle.py")
+ORACLES = ("kernel_oracle.py", "modem_oracle.py", "population_oracle.py")
 
 #: Classes whose scalar methods are one-row calls of a stacked kernel.
 KERNEL_CLASSES = frozenset(
@@ -31,12 +34,27 @@ KERNEL_CLASSES = frozenset(
 )
 
 
+#: The batched population: its seeding, its draw-only skip, and the
+#: direct-caller plan built from it.
+POPULATION_KERNELS = frozenset(
+    {
+        "shard_population",
+        "user_stream_states",
+        "default_rng_states",
+        "cell_seeds",
+        "has_sessions",
+        "_contention_plan",
+    }
+)
+
+
 def _is_kernel(name: str) -> bool:
     return (
         name.endswith("_rows")
         or name.endswith("_batch")
         or name == "receive_batch_grouped"
         or name in KERNEL_CLASSES
+        or name in POPULATION_KERNELS
     )
 
 
@@ -73,6 +91,9 @@ def test_oracle_imports_no_kernel(oracle):
         "from repro.channel.noise import shaped_noise_batch",
         "import repro.channel.link as link\nlink.AcousticLink()",
         "import repro.modem.snr\nrepro.modem.snr.pilot_snr_db_rows(x, p)",
+        "from repro.fleet.executor import shard_population",
+        "from repro.eval.batch import cell_seeds as seeds",
+        "import repro.fleet.population as p\np.has_sessions(c, a, b)",
     ],
 )
 def test_kernel_references_are_caught(source):

@@ -4,8 +4,9 @@
 whole shard at once (:func:`~repro.eval.batch.cell_seeds` plus
 :func:`~repro.fleet.population.default_rng_states`) and positions one
 reused generator per stream, and skips users without a session after a
-draw-only pass; the scalar ``default_rng(cell_seed(...))`` construction
-is the oracle it must match bit for bit.  Also covers
+draw-only pass; the scalar walk of ``tests/population_oracle.py``, one
+``default_rng(cell_seed(...))`` per user and stream, is the oracle it
+must match bit for bit.  Also covers
 :class:`~repro.fleet.population.FleetConfig`'s numeric validation and
 the ``fleet run`` CLI's config-error exit.
 """
@@ -19,13 +20,14 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.eval.batch import cell_seed, cell_seeds
-from repro.fleet import FleetConfig, synthesize_user, user_sessions
+from repro.fleet import FleetConfig
 from repro.fleet.executor import shard_population
 from repro.fleet.population import (
     FUSION_MIXES,
     MAX_SESSIONS_PER_DAY,
     default_rng_states,
 )
+from tests import population_oracle
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -124,13 +126,9 @@ class TestShardPopulation:
             fusion_mix=fusion_mix,
             sessions_per_day=sessions_per_day,
         )
-        expected = []
-        for user_id in range(lo, hi):
-            user = synthesize_user(config, user_id)
-            specs = user_sessions(config, user)
-            if specs:
-                expected.append((user, specs))
-        assert shard_population(config, lo, hi) == expected
+        assert shard_population(config, lo, hi) == population_oracle.shard(
+            config, lo, hi
+        )
 
     def test_zero_session_users_never_materialize(self, monkeypatch):
         import repro.fleet.executor as executor

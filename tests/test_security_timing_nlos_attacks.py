@@ -65,7 +65,7 @@ class TestNlosDetector:
     def test_low_score_aborts(self):
         det = NlosDetector(score_threshold=0.05)
         verdict = det.classify(0.02, np.ones(10), 44100.0)
-        assert verdict.should_abort
+        assert not verdict.preamble_ok
         assert verdict.nlos
 
     def test_tight_profile_is_los(self):

@@ -34,7 +34,6 @@ class TestKeyedCache:
         assert stats.misses == 1
         assert stats.size == 1
         assert len(builds) == 1
-        assert stats.hit_rate == 0.5
 
     def test_lru_eviction(self):
         cache = KeyedCache("test.lru", maxsize=2)
