@@ -9,7 +9,7 @@ from appliances, or the Audacity tone-jammer in Fig. 9).  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

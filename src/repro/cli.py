@@ -27,8 +27,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 
 def _cmd_unlock(args: argparse.Namespace) -> int:
     from .core.system import WearLock
@@ -612,10 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("none", "otp"),
         default="otp",
         help="shard staging level: none = all-live baseline, otp = batch "
-        "the prefilter, the Phase-1 probe and the Phase-2 OTP waves, "
-        "less any phase the fault plan reaches (acoustic faults at "
-        "probe-tx drop the probe, wireless faults at otp-tx the OTP "
-        "waves); the aggregate is byte-identical across levels",
+        "the prefilter, the Phase-1 probe and the Phase-2 OTP waves "
+        "under any fault plan; the aggregate is byte-identical across "
+        "levels",
     )
     fleet_run.add_argument(
         "--out", default=None, help="write the aggregate JSON here"

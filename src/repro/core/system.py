@@ -16,10 +16,8 @@ across attempts exactly as they would on a real pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
-
-import numpy as np
 
 from ..config import SystemConfig
 from ..errors import WearLockError

@@ -13,24 +13,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..channel.acoustics import received_spl, spreading_loss_db, VolumeControl
-from ..channel.hardware import MicrophoneModel, SpeakerModel
+from ..channel.acoustics import received_spl, VolumeControl
+from ..channel.hardware import MicrophoneModel
 from ..channel.link import AcousticLink
-from ..channel.noise import NoiseScene, tone_jammer
+from ..channel.noise import NoiseScene
 from ..channel.scenarios import get_environment
 from ..config import ModemConfig
 from ..devices.compute import (
     demodulation_workload,
     probe_processing_workload,
 )
-from ..devices.profiles import DEVICES, GALAXY_NEXUS, MOTO360, NEXUS6
+from ..devices.profiles import GALAXY_NEXUS, MOTO360, NEXUS6
 from ..dsp.energy import signal_spl
 from ..modem.adaptive import AdaptiveModulator, BerModel, TRANSMISSION_MODES
 from ..modem.bits import bit_error_rate, random_bits
 from ..modem.constellation import get_constellation
 from ..modem.probe import ChannelProber
 from ..modem.receiver import OfdmReceiver
-from ..modem.snr import ebn0_db_from_psnr
 from ..modem.subchannels import ChannelPlan
 from ..modem.transmitter import OfdmTransmitter
 from ..offload.executor import OffloadExecutor

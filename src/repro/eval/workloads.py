@@ -9,7 +9,7 @@ push them through an :class:`AcousticLink`, demodulate, count errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -118,6 +118,8 @@ class FaultInjector:
         self._stage: Optional[str] = None
         self._rngs: Dict[int, np.random.Generator] = {}
         self._hits: Dict[int, int] = {}
+        #: Stream states a :meth:`fork` starts its specs from.
+        self._base: Dict[int, dict] = {}
         self.events: List[InjectedFault] = []
 
     # ------------------------------------------------------------------
@@ -139,15 +141,38 @@ class FaultInjector:
         self._stage = name
 
     def snapshot(self) -> InjectorState:
-        """The streams, hit counts and events this injector has so far."""
+        """The streams this injector drew from, their hit counts and the
+        events it fired."""
         return InjectorState(
             streams=tuple(
                 (index, rng.bit_generator.state)
                 for index, rng in self._rngs.items()
             ),
-            hits=tuple(self._hits.items()),
+            hits=tuple(
+                (index, self._hits[index])
+                for index in self._rngs
+                if index in self._hits
+            ),
             events=tuple(self.events),
         )
+
+    def fork(self) -> "FaultInjector":
+        """An injector that continues from this one without moving it.
+
+        The fork starts at this injector's stage, stream states and hit
+        counts, with no events and no observer.  Its :meth:`snapshot`
+        holds only the specs it drew from and the events it fired, so
+        :meth:`restore` carries back exactly what running the same calls
+        here would have done, as long as this injector has not drawn
+        from those specs in between.
+        """
+        twin = FaultInjector(self.plan, self._seed)
+        twin._stage = self._stage
+        twin._hits = dict(self._hits)
+        twin._base = {
+            index: rng.bit_generator.state for index, rng in self._rngs.items()
+        }
+        return twin
 
     def restore(self, state: InjectorState) -> None:
         """Carry a replayed injector's :meth:`snapshot` into this one.
@@ -173,7 +198,10 @@ class FaultInjector:
                 entropy=self._seed,
                 spawn_key=(_stream_key(f"{index}:{spec.label()}"),),
             )
-            self._rngs[index] = np.random.default_rng(child)
+            rng = np.random.default_rng(child)
+            if index in self._base:
+                rng.bit_generator.state = self._base[index]
+            self._rngs[index] = rng
         return self._rngs[index]
 
     def _armed(self, kinds: Tuple[str, ...]):

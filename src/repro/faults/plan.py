@@ -25,7 +25,7 @@ stage may be ``*`` to arm the fault at every stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..errors import WearLockError

@@ -18,8 +18,8 @@ processes; it owns everything that must *not* cross shard boundaries:
   construction the session itself would use) and computes the shard's
   expensive DSP as stacked batches, staged onto
   :class:`~repro.protocol.session.PrecomputedStages`.  ``staging="otp"``
-  stages every protocol phase the fault plan leaves bit-exact
-  (:func:`staged_phases`); ``"none"`` runs every stage live:
+  stages every protocol phase under every fault plan; ``"none"`` runs
+  every stage live:
 
   - the **prefilter**: the accelerometer pairs and the whole shard's
     motion DTW in anti-diagonal wavefronts
@@ -38,18 +38,19 @@ processes; it owns everything that must *not* cross shard boundaries:
     instead runs in *waves* — every user advances by at most one
     Phase-2-reaching session, paused just before ``otp-tx``; the wave's
     frames, channel convolutions, receive FFTs and pilot equalizations
-    run as stacked batches (:func:`precompute_otp`); then each session
-    resumes with its staged result and exact rng bit-state restore.
+    run as stacked batches (:func:`precompute_otp`, a pure function of
+    the paused sessions); then each session resumes with its staged
+    result and restores the generator and injector states where its
+    live transmit would run.
 
   Every staged batch holds at most :data:`STAGING_ROWS` rows, so
   staging memory does not grow with the shard.  Phase B has one driver
-  (:func:`_run_waves`); with the OTP phase unstaged no session pauses
-  and it runs each user's day straight through.  Every staged value is
+  (:func:`_run_waves`); at ``"none"`` no session pauses and it runs
+  each user's day straight through.  Every staged value is
   bit-identical to what the live stage would compute, so the aggregate
   document is byte-identical across staging levels (CI ``cmp``-checks
-  this).  Under fault injection each session's own injector rides
-  both batched channels; only a wireless fault armed at ``otp-tx``,
-  which the plan reaches out of band, drops the OTP waves.
+  this).  Under fault injection each session's own injector (or a fork
+  of it) rides both batched channels.
 
 The output is a list of compact :class:`~repro.fleet.aggregate.
 SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
@@ -60,7 +61,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,31 +72,23 @@ from ..core.colocation import AmbientComparator
 from ..core.stages import StageRng
 from ..devices.profiles import DEVICES
 from ..errors import ConfigurationError, ModemError, WearLockError
-from ..faults import WIRELESS_FAULTS, FaultPlan
-from ..modem.constellation import get_constellation
-from ..modem.context import signal_plane
+from ..faults import FaultPlan
 from ..modem.probe import ChannelProber
 from ..modem.receiver import OfdmReceiver, receive_batch_grouped
-from ..modem.subchannels import ChannelPlan
 from ..modem.transmitter import OfdmTransmitter
-from ..protocol.controllers import (
-    PhoneController,
-    TokenTransmission,
-    choose_volume_spl,
-)
+from ..protocol.controllers import PhoneController, choose_volume_spl
 from ..protocol.session import (
     AbortReason,
     PendingSession,
     PrecomputedOtp,
-    PrecomputedPrefilter,
     PrecomputedProbe,
+    PrecomputedStages,
     RetryPolicy,
     SessionConfig,
     UnlockSession,
     session_link,
 )
-from ..security.tokens import token_to_bits
-from ..protocol.stages import NOISE_FILTER_MIN_SPL, ProbeTxStage
+from ..protocol.stages import ProbeTxStage
 from ..security.otp import OtpManager
 from ..sensors.dtw import normalized_dtw_batch
 from ..sensors.traces import (
@@ -112,6 +105,7 @@ from ..verifiers import (
     resolve_verifier_names,
     vibration_similarity,
 )
+from ..verifiers.ambient import NOISE_FILTER_MIN_SPL
 
 # Not called here since the probe group stages the multi-band score as
 # a batch; the name stays bound because perfbench's tracer wraps it at
@@ -135,7 +129,6 @@ __all__ = [
     "precompute_prefilter",
     "precompute_probe",
     "precompute_otp",
-    "staged_phases",
     "partition_indices",
     "PIN_FALLBACK_DELAY_S",
     "STAGING_LEVELS",
@@ -177,33 +170,6 @@ def _staging_blocks(items: Sequence) -> Iterator[Sequence]:
         yield items[lo:lo + STAGING_ROWS]
 
 
-def staged_phases(staging: str, faults: Optional[FaultPlan]) -> FrozenSet[str]:
-    """The protocol phases a shard stages out of band.
-
-    ``"none"`` stages nothing.  ``"otp"`` stages every phase the fault
-    plan cannot make diverge from its live run.  Every fault spec draws
-    from its own stream, and both acoustic replays run each session's
-    own injector, so ``"prefilter"`` and ``"probe"`` are always staged.
-    ``"otp"`` is dropped when a wireless spec is armed at ``otp-tx``:
-    the channel-config message is delivered *before* the live
-    transmit, so a wave-staged transmit would add or reorder injector
-    events.  Adding specs to a plan never adds a phase.
-    """
-    if staging not in STAGING_LEVELS:
-        raise ConfigurationError(
-            f"staging must be one of {STAGING_LEVELS}, got {staging!r}"
-        )
-    if staging == "none":
-        return frozenset()
-    phases = {"prefilter", "probe"}
-    if not any(
-        s.kind in WIRELESS_FAULTS and s.matches(_OTP_STAGE)
-        for s in faults or ()
-    ):
-        phases.add("otp")
-    return frozenset(phases)
-
-
 def _user_secret(fleet_seed: int, user_id: int) -> bytes:
     """Stable per-user pairing secret (independent of rng streams)."""
     return hashlib.sha256(
@@ -224,7 +190,7 @@ def _draw_pair(spec: SessionSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 def precompute_prefilter(
     specs: Sequence[SessionSpec],
-) -> List[PrecomputedPrefilter]:
+) -> List[PrecomputedStages]:
     """Phase A: sensor pairs + batched DTW wavefronts per shard.
 
     Sensor windows are fixed-length (100 samples at 50 Hz), so every
@@ -257,7 +223,7 @@ def precompute_prefilter(
             for j, i in enumerate(block):
                 scores[i] = float(batch[j])
     return [
-        PrecomputedPrefilter(
+        PrecomputedStages(
             sensor_pair=pairs[i],
             evidence=PrecomputedVerifierEvidence(
                 motion_score=scores.get(i),
@@ -478,144 +444,117 @@ def precompute_probe(
 
 def precompute_otp(
     pendings: Sequence[PendingSession],
-) -> List[Optional[PrecomputedOtp]]:
+) -> List[PrecomputedOtp]:
     """Batch one wave's Phase-2 transmit + receive, bit-exactly.
 
     Each pending session is paused just before ``otp-tx`` with its mode
     decision, probe report and transmit level already fixed, so the
-    token each phone *will* send is fully determined — ``prepare_token``
-    reads the OTP counter without advancing it.  Three stacked passes
-    replay what the live stages would compute:
+    token each phone *will* send is fully determined.  The function is
+    pure: it reads the paused sessions and changes none of them.  Three
+    stacked passes replay what the live stages would compute:
 
-    1. **Frames.**  Token bits are encoded per session, then sessions
-       sharing a signal plane and coded length go through one
-       :meth:`~repro.modem.transmitter.OfdmTransmitter.modulate_batch`.
+    1. **Frames.**  Each phone's own encode step
+       (:meth:`~repro.protocol.controllers.PhoneController.
+       encode_token`, which reads the OTP counter without advancing
+       it), then sessions sharing a signal plane and coded length go
+       through one :meth:`~repro.modem.transmitter.OfdmTransmitter.
+       modulate_batch`.
     2. **Channel.**  One :meth:`~repro.channel.link.AcousticLink.
        transmit_rows` call — the live transmit's kernel — on every
-       session's own link, fault injector (scoped to ``otp-tx``) and
-       ``otp-tx`` generator (the memoized :meth:`~repro.core.stages.
-       SessionContext.rng_for` stream, so the live stage sees the
-       advanced state).
-    3. **Receive.**  The watch-side plane is rebuilt exactly the way
-       :meth:`~repro.protocol.controllers.WatchController.demodulate`
-       rebuilds it from the channel-config message, and sessions
-       sharing sync geometry (modem config, mode, data-channel count,
-       recording length, bit count) go through one
+       session's own link, with a copy of its ``otp-tx`` generator and
+       a :meth:`~repro.faults.FaultInjector.fork` of its injector
+       scoped to ``otp-tx``.
+    3. **Receive.**  The watch-side plane comes from the channel-config
+       message (:meth:`~repro.protocol.controllers.WatchController.
+       signal_plane_for`, memoized per wave), and sessions sharing sync
+       geometry (modem config, mode, data-channel count, recording
+       length, bit count) go through one
        :func:`~repro.modem.receiver.receive_batch_grouped` whatever
-       their plans.  It returns the
-       :class:`~repro.errors.ModemError` instance for each frame whose
-       live :meth:`~repro.modem.receiver.OfdmReceiver.receive` raises;
-       those frames get ``None`` bits (→ ``data_not_detected``
-       downstream).
+       their plans.  It returns the :class:`~repro.errors.ModemError`
+       instance for each frame whose live :meth:`~repro.modem.receiver.
+       OfdmReceiver.receive` raises; those frames get ``None`` bits
+       (→ ``data_not_detected`` downstream).
 
     Recordings are dropped here: only the sample count survives (for
-    the offload arithmetic), plus the post-draw generator state so a
-    NACK retransmission continues the stream exactly where live would.
+    the offload arithmetic), plus the copied generator's and the
+    fork's post-draw states, which the ``otp-tx`` stage restores after
+    it delivers the channel-config message — so a dropped message
+    aborts as it does live, the fault events come in live order, and a
+    NACK retransmission continues both streams where live would.
     """
     n = len(pendings)
-    results: List[Optional[PrecomputedOtp]] = [None] * n
-    if not n:
-        return results
 
     # Pass 1 — tokens + frame assembly, bucketed by signal plane (a
     # cached singleton, so identity is the key) and coded bit count.
-    prepared: List[Tuple] = [None] * n
-    planes: List[object] = [None] * n
+    tts = [None] * n
     coded: List[np.ndarray] = [None] * n
+    planes: List[object] = [None] * n
     for i, pending in enumerate(pendings):
         ctx = pending.ctx
-        phone = ctx.phone
-        decision = ctx.mode_decision
-        use_plan = ctx.report.recommended_plan or phone.plan
-        constellation = phone.modulator.constellation_for(decision)
-        token = phone.otp.generate()
-        bits = token_to_bits(token, phone.otp.token_bits)
-        coded[i] = phone.code.encode(bits)
-        planes[i] = signal_plane(phone.config.modem, use_plan, constellation)
-        prepared[i] = (decision.mode, use_plan, token)
-    tts: List[Optional[TokenTransmission]] = [None] * n
-    for key, idxs in partition_indices(
+        tts[i], coded[i], planes[i] = ctx.phone.encode_token(
+            ctx.mode_decision, ctx.report.recommended_plan, ctx.tx_spl
+        )
+    for idxs in partition_indices(
         (id(planes[i]), coded[i].size) for i in range(n)
-    ).items():
+    ).values():
         tx = OfdmTransmitter(plane=planes[idxs[0]])
         frames = tx.modulate_batch([coded[i] for i in idxs])
         for frame, i in zip(frames, idxs):
-            mode, use_plan, token = prepared[i]
-            tts[i] = TokenTransmission(
-                result=frame,
-                mode=mode,
-                plan=use_plan,
-                tx_spl=pendings[i].ctx.tx_spl,
-                token=token,
-                coded_bits=coded[i].size,
-            )
+            tts[i] = replace(tts[i], result=frame)
 
-    # Pass 2 — the acoustic channel, on each session's own stage
-    # stream and link, fault injector included.
-    gens = [p.ctx.rng_for(_OTP_STAGE) for p in pendings]
-    links = [p.ctx.link for p in pendings]
-    for link in links:
+    # Pass 2 — the acoustic channel, on each session's own link, with a
+    # copy of its stage stream and a fork of its fault injector.
+    gens = []
+    links = []
+    for pending in pendings:
+        gen = np.random.Generator(np.random.PCG64())
+        gen.bit_generator.state = (
+            pending.ctx.rng_for(_OTP_STAGE).bit_generator.state
+        )
+        gens.append(gen)
+        link = pending.ctx.link
         if link.injector is not None:
+            fork = link.injector.fork()
             # The engine paused *before* entering otp-tx, so the
-            # injector is still scoped to the previous stage.
-            link.injector.enter_stage(_OTP_STAGE)
+            # session's injector is still scoped to the previous stage.
+            fork.enter_stage(_OTP_STAGE)
+            link = replace(link, injector=fork)
+        links.append(link)
     recordings = AcousticLink.transmit_rows(
         links,
         [tt.result.waveform for tt in tts],
         [tt.tx_spl for tt in tts],
         gens,
     )
-    states = [gen.bit_generator.state for gen in gens]
 
-    # Pass 3 — watch-side receive, planes rebuilt from the config
-    # message exactly like WatchController.demodulate.
+    # Pass 3 — watch-side receive, grouped by sync geometry, not by
+    # plane: sessions rarely share a probe-selected plan, so an
+    # id(plane) partition would shatter the wave into near-singleton
+    # stacks.  The modem config plus the (mode, data-channel count)
+    # pair fix everything the shared sync front-half depends on; the
+    # per-plan tail runs inside receive_batch_grouped.
     msgs = [
-        pendings[i].ctx.phone.channel_config_message(tts[i])
-        for i in range(n)
+        p.ctx.phone.channel_config_message(tt) for p, tt in zip(pendings, tts)
     ]
-    rx_planes: List[object] = [None] * n
-    plane_memo: Dict[Tuple, object] = {}
-    for i, pending in enumerate(pendings):
-        modem = pending.ctx.watch.config.modem
-        # Keyed by the frozen config's *value*, not identity: every
-        # session builds its own ModemConfig object, and an id() key
-        # would rebuild the ChannelPlan and re-probe the plane cache
-        # once per session instead of once per (config, plan, mode).
-        memo_key = (
-            modem,
-            msgs[i].mode,
-            tuple(msgs[i].data_channels),
-            tuple(msgs[i].pilot_channels),
+    # Keyed by the frozen config's *value*, not identity: every session
+    # builds its own ModemConfig object, and an id() key would rebuild
+    # the plane and its receiver once per session instead of once per
+    # (config, plan, mode).
+    rx_memo: Dict[Tuple, OfdmReceiver] = {}
+    receivers: List[OfdmReceiver] = []
+    for pending, msg in zip(pendings, msgs):
+        watch = pending.ctx.watch
+        key = (
+            watch.config.modem,
+            msg.mode,
+            tuple(msg.data_channels),
+            tuple(msg.pilot_channels),
         )
-        plane = plane_memo.get(memo_key)
-        if plane is None:
-            rx_plan = ChannelPlan(
-                fft_size=modem.fft_size,
-                data=tuple(msgs[i].data_channels),
-                pilots=tuple(msgs[i].pilot_channels),
-            )
-            plane = signal_plane(
-                modem, rx_plan, get_constellation(msgs[i].mode)
-            )
-            plane_memo[memo_key] = plane
-        rx_planes[i] = plane
+        if key not in rx_memo:
+            rx_memo[key] = OfdmReceiver(plane=watch.signal_plane_for(msg))
+        receivers.append(rx_memo[key])
     bits_out: List[Optional[np.ndarray]] = [None] * n
-    # Grouped by sync geometry, not by plane: sessions rarely share a
-    # probe-selected plan, so an id(plane) partition would shatter the
-    # wave into near-singleton stacks.  The modem config plus the
-    # (mode, data-channel count) pair fix everything the shared sync
-    # front-half depends on; the per-plan tail runs inside
-    # receive_batch_grouped.
-    rx_memo: Dict[int, OfdmReceiver] = {}
-
-    def _rx(plane) -> OfdmReceiver:
-        receiver = rx_memo.get(id(plane))
-        if receiver is None:
-            receiver = OfdmReceiver(plane=plane)
-            rx_memo[id(plane)] = receiver
-        return receiver
-
-    for key, idxs in partition_indices(
+    for idxs in partition_indices(
         (
             pendings[i].ctx.watch.config.modem,
             msgs[i].mode,
@@ -624,9 +563,9 @@ def precompute_otp(
             msgs[i].n_bits,
         )
         for i in range(n)
-    ).items():
+    ).values():
         received = receive_batch_grouped(
-            [_rx(rx_planes[i]) for i in idxs],
+            [receivers[i] for i in idxs],
             [recordings[i] for i in idxs],
             expected_bits=msgs[idxs[0]].n_bits,
         )
@@ -635,56 +574,50 @@ def precompute_otp(
             # raises; its staged bits are None (→ data_not_detected).
             bits_out[i] = None if isinstance(res, ModemError) else res.bits
 
-    for i in range(n):
-        lite = replace(
-            tts[i], result=replace(tts[i].result, waveform=None)
+    return [
+        PrecomputedOtp(
+            token_tx=replace(tt, result=replace(tt.result, waveform=None)),
+            recording_samples=int(recording.size),
+            received_bits=bits,
+            rng_state=gen.bit_generator.state,
+            faults=(
+                None if link.injector is None else link.injector.snapshot()
+            ),
         )
-        results[i] = PrecomputedOtp(
-            token_tx=lite,
-            recording_samples=int(recordings[i].size),
-            received_bits=bits_out[i],
-            rng_state=states[i],
+        for tt, recording, bits, gen, link in zip(
+            tts, recordings, bits_out, gens, links
         )
-    return results
+    ]
 
 
 def _stage_shard(
     specs: Sequence[SessionSpec],
-    phases: FrozenSet[str],
     anns: Sequence[Optional[SceneAnnotation]],
     faults: Optional[FaultPlan] = None,
-) -> List[Optional[PrecomputedPrefilter]]:
-    """Phase A for a whole shard: the prefilter, plus the probe replay
-    under the shard's fault plan when ``phases`` (from
-    :func:`staged_phases`) holds it.
+) -> List[Optional[PrecomputedStages]]:
+    """Phase A for a whole shard: the prefilter and the probe replay
+    under the shard's fault plan.
 
     A contention-aborted session never executes, so staging its DSP
     would be pure waste.  Every staged value is bit-identical per row
     regardless of batch composition (the staging contract), so carving
     aborted rows out of the batches cannot perturb the survivors.
     """
-    staged: List[Optional[PrecomputedPrefilter]] = [None] * len(specs)
-    if not phases:
-        return staged
+    staged: List[Optional[PrecomputedStages]] = [None] * len(specs)
     live = [i for i, ann in enumerate(anns) if ann is None or not ann.aborted]
     live_specs = [specs[i] for i in live]
     prefilters = precompute_prefilter(live_specs)
-    if "probe" in phases:
-        probes, sims, mb_sims = precompute_probe(live_specs, faults)
-        prefilters = [
-            replace(
-                pre,
-                probe=probes[j],
-                evidence=replace(
-                    pre.evidence,
-                    noise_similarity=sims[j],
-                    multiband_similarity=mb_sims[j],
-                ),
-            )
-            for j, pre in enumerate(prefilters)
-        ]
-    for i, pre in zip(live, prefilters):
-        staged[i] = pre
+    probes, sims, mb_sims = precompute_probe(live_specs, faults)
+    for j, (i, pre) in enumerate(zip(live, prefilters)):
+        staged[i] = replace(
+            pre,
+            probe=probes[j],
+            evidence=replace(
+                pre.evidence,
+                noise_similarity=sims[j],
+                multiband_similarity=mb_sims[j],
+            ),
+        )
     return staged
 
 
@@ -831,7 +764,7 @@ def _run_waves(
     faults: Optional[FaultPlan],
     retry: Optional[RetryPolicy],
     shard: Sequence[Tuple[UserProfile, List[SessionSpec], int]],
-    staged_flat: List[Optional[PrecomputedPrefilter]],
+    staged_flat: List[Optional[PrecomputedStages]],
     anns_flat: Sequence[Optional[SceneAnnotation]],
     pause_before: Optional[str],
 ) -> List[SessionRecord]:
@@ -856,8 +789,8 @@ def _run_waves(
     finish inside the top-up sweep without occupying a wave slot.
     Tokens are exact by construction: each is staged from the paused
     session's own OTP counter at its own attempt.  Faulted sessions
-    ride the waves as well, each with its own fault injector applied
-    inside :func:`precompute_otp`.
+    ride the waves as well, each transmitting on a fork of its own
+    fault injector inside :func:`precompute_otp`.
 
     With ``pause_before=None`` no session pauses, so the first top-up
     sweep runs every user's whole day live and no wave forms.  Records
@@ -1023,11 +956,11 @@ def run_shard(
     cross the process boundary.
 
     ``staging`` is one of :data:`STAGING_LEVELS`: ``"none"`` runs every
-    stage live (the oracle), ``"otp"`` stages every phase
-    :func:`staged_phases` allows for the config's fault plan — the
-    prefilter and probe in Phase A, the OTP waves in Phase B
-    (:func:`_run_waves`).  The plan is parsed once per shard and shared
-    by every session.  Both levels produce byte-identical aggregates.
+    stage live (the oracle), ``"otp"`` stages every phase under any
+    fault plan — the prefilter and probe in Phase A, the OTP waves in
+    Phase B (:func:`_run_waves`).  The plan is parsed once per shard
+    and shared by every session.  Both levels produce byte-identical
+    aggregates.
 
     ``contention`` is this shard's slice of the discrete-event kernel's
     plan (:func:`~repro.fleet.events.build_contention_plan`).  The
@@ -1042,9 +975,13 @@ def run_shard(
             f"user range [{user_lo}, {user_hi}) is not within "
             f"[0, {config.n_users}]"
         )
+    if staging not in STAGING_LEVELS:
+        raise ConfigurationError(
+            f"staging must be one of {STAGING_LEVELS}, got {staging!r}"
+        )
+    staged = staging == "otp"
     # Parsed once per shard; every session shares the immutable plan.
     faults = config.fault_plan()
-    phases = staged_phases(staging, faults)
     system = SystemConfig()
     retry = RetryPolicy() if config.retry else None
     if contention is None and config.scene_density > 0.0:
@@ -1065,13 +1002,16 @@ def run_shard(
         else None
         for spec in flat
     ]
+    staged_flat = (
+        _stage_shard(flat, anns_flat, faults) if staged else [None] * len(flat)
+    )
     return _run_waves(
         config,
         system,
         faults,
         retry,
         shard,
-        _stage_shard(flat, phases, anns_flat, faults),
+        staged_flat,
         anns_flat,
-        pause_before=_OTP_STAGE if "otp" in phases else None,
+        pause_before=_OTP_STAGE if staged else None,
     )

@@ -16,9 +16,9 @@ hands the staging primitives a few full batches instead of many
 near-empty ones.
 
 Every shard runs at the scheduler's ``staging`` level: ``"none"`` runs
-each session live, ``"otp"`` stages every protocol phase the fault
-plan allows (:func:`~repro.fleet.executor.staged_phases`).  Either way
-a shard's records are the same.
+each session live, ``"otp"`` stages every protocol phase under any
+fault plan (:func:`~repro.fleet.executor.run_shard`).  Either way a
+shard's records are the same.
 
 Folding in shard-index order (not completion order) is what pins the
 float-summation order and makes the aggregate document byte-identical
@@ -102,9 +102,8 @@ class FleetScheduler:
         Shard staging level (see :data:`~repro.fleet.executor.
         STAGING_LEVELS`): ``"none"`` runs every stage live, ``"otp"``
         (the default) stages the prefilter, the Phase-1 probe and the
-        Phase-2 OTP waves, minus any phase the fault plan reaches
-        (:func:`~repro.fleet.executor.staged_phases`).  Both levels
-        produce a byte-identical aggregate.
+        Phase-2 OTP waves under any fault plan.  Both levels produce a
+        byte-identical aggregate.
     """
 
     def __init__(

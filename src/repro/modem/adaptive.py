@@ -20,7 +20,7 @@ whose Eb/N0 is lower — sees a much higher BER (§VI, Fig. 8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import erfc, log2, sqrt
+from math import erfc, sqrt
 from typing import Dict, Optional, Tuple
 
 import numpy as np

@@ -10,18 +10,18 @@ UnlockSession` moves those messages (and the sound) between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..channel.acoustics import VolumeControl, required_tx_spl
-from ..config import ModemConfig, SecurityConfig, SystemConfig
+from ..config import SystemConfig
 from ..errors import ProtocolError
 from ..modem.adaptive import AdaptiveModulator, ModeDecision
 from ..modem.coding import Code, RepetitionCode
 from ..modem.constellation import get_constellation
-from ..modem.context import signal_plane
+from ..modem.context import SignalPlane, signal_plane
 from ..modem.probe import ChannelProber, ProbeReport
 from ..modem.receiver import OfdmReceiver
 from ..modem.subchannels import ChannelPlan
@@ -38,7 +38,9 @@ from .keyguard import Keyguard
 class TokenTransmission:
     """A Phase-2 transmission as prepared by the phone."""
 
-    result: TransmitResult
+    #: The modulated frame (``None`` straight out of
+    #: :meth:`PhoneController.encode_token`).
+    result: Optional[TransmitResult]
     mode: str
     plan: ChannelPlan
     tx_spl: float
@@ -187,6 +189,35 @@ class PhoneController:
             required_ebn0_db=required,
         )
 
+    def encode_token(
+        self,
+        decision: ModeDecision,
+        plan: Optional[ChannelPlan],
+        tx_spl: float,
+    ) -> Tuple[TokenTransmission, np.ndarray, SignalPlane]:
+        """Everything of a Phase-2 transmission but its frame.
+
+        Returns the transmission with ``result=None``, the channel-coded
+        token bits and the signal plane that modulates them.  The OTP
+        counter is read, not advanced, so the fleet's OTP waves can
+        encode a paused session's token ahead of its ``otp-tx`` stage.
+        """
+        constellation = self.modulator.constellation_for(decision)
+        use_plan = plan if plan is not None else self._plan
+        token = self.otp.generate()
+        bits = token_to_bits(token, self.otp.token_bits)
+        coded = self.code.encode(bits)
+        plane = signal_plane(self.config.modem, use_plan, constellation)
+        tt = TokenTransmission(
+            result=None,
+            mode=decision.mode,
+            plan=use_plan,
+            tx_spl=tx_spl,
+            token=token,
+            coded_bits=coded.size,
+        )
+        return tt, coded, plane
+
     def prepare_token(
         self,
         decision: ModeDecision,
@@ -194,22 +225,8 @@ class PhoneController:
         tx_spl: float,
     ) -> TokenTransmission:
         """Generate the OTP and modulate it for Phase 2."""
-        constellation = self.modulator.constellation_for(decision)
-        use_plan = plan if plan is not None else self._plan
-        token = self.otp.generate()
-        bits = token_to_bits(token, self.otp.token_bits)
-        coded = self.code.encode(bits)
-        plane = signal_plane(self.config.modem, use_plan, constellation)
-        tx = OfdmTransmitter(plane=plane)
-        result = tx.modulate(coded)
-        return TokenTransmission(
-            result=result,
-            mode=decision.mode,
-            plan=use_plan,
-            tx_spl=tx_spl,
-            token=token,
-            coded_bits=coded.size,
-        )
+        tt, coded, plane = self.encode_token(decision, plan, tx_spl)
+        return replace(tt, result=OfdmTransmitter(plane=plane).modulate(coded))
 
     def channel_config_message(
         self, tt: TokenTransmission, session_id: int = 0
@@ -305,20 +322,25 @@ class WatchController:
             detected=report.detected,
         )
 
+    def signal_plane_for(
+        self, config_msg: ChannelConfigMessage
+    ) -> SignalPlane:
+        """The Phase-2 signal plane the phone's config message names."""
+        plan = ChannelPlan(
+            fft_size=self.config.modem.fft_size,
+            data=tuple(config_msg.data_channels),
+            pilots=tuple(config_msg.pilot_channels),
+        )
+        return signal_plane(
+            self.config.modem, plan, get_constellation(config_msg.mode)
+        )
+
     def demodulate(
         self,
         recording: np.ndarray,
         config_msg: ChannelConfigMessage,
     ) -> np.ndarray:
         """Phase-2 demodulation with the phone-supplied configuration."""
-        plan = ChannelPlan(
-            fft_size=self.config.modem.fft_size,
-            data=tuple(config_msg.data_channels),
-            pilots=tuple(config_msg.pilot_channels),
-        )
-        plane = signal_plane(
-            self.config.modem, plan, get_constellation(config_msg.mode)
-        )
-        receiver = OfdmReceiver(plane=plane)
+        receiver = OfdmReceiver(plane=self.signal_plane_for(config_msg))
         result = receiver.receive(recording, expected_bits=config_msg.n_bits)
         return result.bits

@@ -71,7 +71,6 @@ __all__ = [
     "AbortReason",
     "PendingSession",
     "PrecomputedOtp",
-    "PrecomputedPrefilter",
     "PrecomputedProbe",
     "PrecomputedStages",
     "RetryPolicy",
@@ -229,16 +228,22 @@ class PrecomputedOtp:
     the live :meth:`~repro.protocol.controllers.WatchController.
     demodulate` would have raised a :class:`~repro.errors.ModemError`
     (the verify stage then resolves ``data_not_detected`` exactly as
-    the live path does).  ``rng_state`` is the ``otp-tx`` generator's
-    bit state after the staged draws; the consuming stage restores it
-    so a NACK-downgrade retransmission continues the stream exactly
-    where a live first transmission would have left it.
+    the live path does).
+
+    The transmit ran on a copy of the session's ``otp-tx`` generator and
+    on a :meth:`~repro.faults.FaultInjector.fork` of its injector, so
+    staging leaves the paused session untouched.  ``rng_state`` is the
+    copy's bit state after the draws and ``faults`` the fork's
+    :class:`~repro.faults.injector.InjectorState` (``None`` without a
+    fault plan); the consuming stage restores both where the live
+    transmit runs, after the channel-config message is delivered.
     """
 
     token_tx: object
     recording_samples: int
     received_bits: Optional[np.ndarray]
     rng_state: dict
+    faults: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -263,8 +268,7 @@ class PrecomputedStages:
     Verifier scores live in ``evidence``, a typed
     :class:`~repro.verifiers.PrecomputedVerifierEvidence` with one
     field per registered verifier (per-field consumption semantics are
-    documented there).  The legacy ``motion_score`` /
-    ``noise_similarity`` attributes remain as read-only views.
+    documented there).
 
     ``otp`` extends the same contract to Phase 2 (see
     :class:`PrecomputedOtp`); unlike the other fields it cannot be
@@ -280,19 +284,6 @@ class PrecomputedStages:
     #: Staged Phase-2 OTP tx/rx (wave-batched by the fleet executor;
     #: attached at resume time, never present when the session starts).
     otp: Optional[PrecomputedOtp] = None
-
-    @property
-    def motion_score(self) -> Optional[float]:
-        return self.evidence.motion_score if self.evidence else None
-
-    @property
-    def noise_similarity(self) -> Optional[float]:
-        return self.evidence.noise_similarity if self.evidence else None
-
-
-#: Backwards-compatible name from PR 4, when only the prefilter's
-#: sensor/motion inputs were staged.
-PrecomputedPrefilter = PrecomputedStages
 
 
 @dataclass

@@ -27,22 +27,18 @@ verifier-level results) read identically.
 
 from __future__ import annotations
 
-from typing import List
-
-from typing import Optional
+from typing import List, Optional
 
 from ..core.stages import SessionContext, Stage, StageResult
 from ..devices.compute import (
     demodulation_workload,
     probe_processing_workload,
 )
-from ..errors import ModemError, WearLockError
+from ..errors import ModemError
 from ..modem.adaptive import ModeDecision
 from ..modem.context import plane_cache_stats
 from ..sensors.traces import co_located_pair, different_devices_pair
 from ..verifiers import (
-    NOISE_FILTER_MIN_SIMILARITY,
-    NOISE_FILTER_MIN_SPL,
     FusionPolicy,
     get_verifier,
     needs_sensor_pair,
@@ -378,14 +374,9 @@ class OtpTxStage:
         safety net for out-of-band callers — a stale token (counter
         moved), a different mode decision or transmit level means the
         staged recording is *not* what this attempt would put on air,
-        and the stage must fall back to the live path (whose rng stream
-        is still positioned correctly, since a mismatched stage never
-        restores state).
-
-        A faulted session is the exception: its staged result was
-        produced with the session's own fault injector applied in band,
-        so a live retransmit would fire those faults a second time.
-        :meth:`run` raises instead of falling back in that case.
+        and the stage falls back to the live path.  Staging never moves
+        the session's ``otp-tx`` generator or fault injector (it draws
+        on copies), so the live transmit starts where it would have.
         """
         tt = staged.token_tx
         try:
@@ -405,31 +396,14 @@ class OtpTxStage:
         if staged is not None and ctx.extras.get("otp_tx_staged"):
             staged = None  # consumed: a later pass runs live unless re-staged
         if staged is not None and not self._staged_matches(ctx, staged):
-            if ctx.faults is not None:
-                raise WearLockError(
-                    "staged otp-tx result does not match this attempt, "
-                    "and its fault injector already fired; a live "
-                    "retransmit would fire the faults twice"
-                )
             staged = None
         if staged is not None:
-            # First pass with a staged Phase 2: the fleet executor
-            # replayed this stage's stream out of band (same generator,
-            # same draw order) and synthesized the frame + channel in
-            # wave batches.  Restore the generator to its post-draw
-            # state so a NACK-downgrade retransmission continues the
-            # stream exactly where the live transmit would have.
             ctx.extras["otp_tx_staged"] = True
-            rng = ctx.rng_for(self.name)
-            rng.bit_generator.state = staged.rng_state
             ctx.token_tx = staged.token_tx
-            ctx.data_recording = None
-            ctx.data_samples = staged.recording_samples
         else:
             ctx.token_tx = ctx.phone.prepare_token(
                 ctx.mode_decision, ctx.report.recommended_plan, ctx.tx_spl
             )
-            ctx.data_samples = 0  # filled after the live transmit below
         if ctx.retry_state is not None:
             ctx.retry_state.note_mode(ctx.token_tx.mode)
         ctx.config_msg = ctx.phone.channel_config_message(ctx.token_tx)
@@ -440,11 +414,22 @@ class OtpTxStage:
             return StageResult.abort("no_wireless_link")
 
         ctx.timeline.record("audio_start_p2", AUDIO_PATH_START_DELAY, "stack")
-        if not ctx.data_samples:
+        rng = ctx.rng_for(self.name)
+        if staged is not None:
+            # The fleet executor transmitted this frame out of band in a
+            # wave batch, on copies of this stage's generator and fault
+            # injector.  Restore both here, where the live transmit
+            # draws, so the fault events land in live order and a
+            # NACK-downgrade retransmission continues both streams
+            # exactly where the live transmit would have left them.
+            rng.bit_generator.state = staged.rng_state
+            if ctx.faults is not None and staged.faults is not None:
+                ctx.faults.restore(staged.faults)
+            ctx.data_recording = None
+            ctx.data_samples = staged.recording_samples
+        else:
             ctx.data_recording, _ = ctx.link.transmit(
-                ctx.token_tx.result.waveform,
-                tx_spl=ctx.tx_spl,
-                rng=ctx.rng_for(self.name),
+                ctx.token_tx.result.waveform, tx_spl=ctx.tx_spl, rng=rng
             )
             ctx.data_samples = ctx.data_recording.size
         data_air_s = ctx.data_samples / ctx.sample_rate

@@ -15,7 +15,6 @@ with DTW.  We synthesize physically shaped traces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 

@@ -33,7 +33,7 @@ import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, WearLockError
-from .config import JudgeSpec, TrialCell
+from .config import TrialCell
 
 __all__ = [
     "Verdict",
@@ -357,7 +357,7 @@ def judge_cell(
 ) -> List[Verdict]:
     """Apply every judge a cell declares to its result."""
     verdicts = []
-    for spec in cell.judges:  # type: JudgeSpec
+    for spec in cell.judges:
         if spec.judge not in JUDGE_REGISTRY:
             raise ConfigurationError(
                 f"cell {cell.cell_id!r} names unknown judge "

@@ -9,7 +9,7 @@ controllers a typed vocabulary and let tests assert on exact payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 

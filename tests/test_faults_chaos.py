@@ -15,10 +15,18 @@ The contract under fault injection is narrow but absolute:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.trace import Tracer
 from repro.eval.batch import BatchRunner, BatchTask, cell_seed
-from repro.faults import FAULT_KINDS, FaultError, FaultInjector, FaultPlan
+from repro.faults import (
+    FAULT_KINDS,
+    FaultError,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.protocol.session import (
     AbortReason,
     RetryPolicy,
@@ -334,27 +342,43 @@ class TestInjectorUnit:
         assert session.events == live.events
 
 
+#: Random 1–3-spec fault plans over every kind (wireless included) and
+#: every armable stage.  Each spec fires at most half the time, so some
+#: sessions of a small fleet still reach Phase 2.
+_FAULT_PLANS = st.lists(
+    st.builds(
+        FaultSpec,
+        kind=st.sampled_from(FAULT_KINDS),
+        stage=st.sampled_from(("*",) + UNLOCK_STAGE_NAMES),
+        probability=st.sampled_from((0.2, 0.5)),
+        max_hits=st.sampled_from((1, None)),
+    ),
+    min_size=1,
+    max_size=3,
+).map(FaultPlan.of)
+
+
 class TestStagedFleetUnderFaults:
     """Fault injection against the fleet's staged fast paths.
 
-    :func:`repro.fleet.executor.staged_phases` drops a phase from
-    ``staging="otp"`` only when the fault plan reaches it out of band
-    (a wireless fault at ``otp-tx`` drops the OTP waves); the probe
-    replay and the wave driver carry each session's own injector
-    through the batched channel.  Whatever phases survive must run
-    without raising and stay byte-identical to a fully live run —
-    records *and* each session's ordered fault labels.
+    ``staging="otp"`` stages the prefilter, the probe and the OTP waves
+    under every fault plan: the probe replay carries each session's own
+    injector, and the OTP waves transmit on a fork of it that the
+    ``otp-tx`` stage restores after the channel-config message.  Every
+    plan must run without raising and stay byte-identical to a fully
+    live run — records *and* each session's ordered fault labels.
     """
 
     @staticmethod
-    def _run(cfg, staging, monkeypatch):
+    def _run(cfg, staging):
         """``run_shard`` records, each session's ordered fault labels,
         and the rows each acoustic staging primitive saw."""
         from repro.fleet import executor
 
         labels = {}
-        rows = {"probe": 0, "otp": 0}
+        rows = {"prefilter": 0, "probe": 0, "otp": 0}
         record = executor._record
+        prefilter = executor.precompute_prefilter
         probe = executor.precompute_probe
         otp = executor.precompute_otp
 
@@ -362,6 +386,10 @@ class TestStagedFleetUnderFaults:
             key = (spec.user_id, spec.session_index)
             labels[key] = outcome.faults_injected
             return record(spec, outcome, ann)
+
+        def count_prefilter(specs):
+            rows["prefilter"] += len(specs)
+            return prefilter(specs)
 
         def count_probe(specs, *args):
             rows["probe"] += len(specs)
@@ -371,8 +399,9 @@ class TestStagedFleetUnderFaults:
             rows["otp"] += len(pendings)
             return otp(pendings)
 
-        with monkeypatch.context() as m:
+        with pytest.MonkeyPatch.context() as m:
             m.setattr(executor, "_record", capture)
+            m.setattr(executor, "precompute_prefilter", count_prefilter)
             m.setattr(executor, "precompute_probe", count_probe)
             m.setattr(executor, "precompute_otp", count_otp)
             records = executor.run_shard(
@@ -380,72 +409,64 @@ class TestStagedFleetUnderFaults:
             )
         return records, labels, rows
 
-    def _check_matches_live(self, faults, monkeypatch):
+    def _check_matches_live(self, faults):
         from repro.fleet import FleetConfig
-        from repro.fleet.executor import staged_phases
 
         cfg = FleetConfig(n_users=3, hours=24.0, seed=11, faults=faults)
-        live, live_labels, _ = self._run(cfg, "none", monkeypatch)
-        staged, staged_labels, rows = self._run(cfg, "otp", monkeypatch)
+        live, live_labels, _ = self._run(cfg, "none")
+        staged, staged_labels, rows = self._run(cfg, "otp")
         assert staged == live
         assert staged_labels == live_labels
-        # The probe is staged under every plan, and the derived phases
-        # are the ones that actually ran (msg_drop@otp-tx runs the OTP
-        # transmit live).
-        phases = staged_phases("otp", cfg.fault_plan())
+        # Every phase is staged under every plan.
+        assert rows["prefilter"] > 0
         assert rows["probe"] > 0
-        assert (rows["otp"] > 0) == ("otp" in phases)
+        assert rows["otp"] > 0
 
     @pytest.mark.parametrize("stage", ("probe-tx", "otp-tx", "verify", "*"))
     @pytest.mark.parametrize("kind", FAULT_KINDS)
-    def test_staged_shard_never_raises_and_matches_live(
-        self, kind, stage, monkeypatch
-    ):
-        self._check_matches_live(
-            f"{kind}@{stage}:p=0.5,hits=none", monkeypatch
-        )
+    def test_staged_shard_never_raises_and_matches_live(self, kind, stage):
+        self._check_matches_live(f"{kind}@{stage}:p=0.5,hits=none")
 
     @pytest.mark.parametrize(
         "faults",
         (
             "burst_noise@otp-tx;msg_drop@otp-tx",
             "snr_collapse@otp-tx;latency_spike@otp-tx",
-            # An acoustic probe fault beside the wireless cap.
             "mic_dropout@probe-tx;msg_drop@otp-tx",
         ),
     )
-    def test_mixed_plans_match_live(self, faults, monkeypatch):
-        self._check_matches_live(faults, monkeypatch)
+    def test_mixed_plans_match_live(self, faults):
+        self._check_matches_live(faults)
 
     def test_acoustic_levels_degrade_only_when_faulted(self):
-        from repro.fleet.executor import staged_phases
+        """No fault plan degrades a staging level: ``"none"`` stages no
+        phase under any plan, and ``"otp"`` stages the prefilter, the
+        probe and the OTP waves under every plan — acoustic or wireless,
+        at ``probe-tx``, at ``otp-tx`` or everywhere — and matches live."""
+        from repro.fleet import FleetConfig
 
-        def phases(faults, requested="otp"):
-            plan = FaultPlan.parse(faults) if faults else None
-            return staged_phases(requested, plan)
-
-        every = {"prefilter", "probe", "otp"}
-        assert phases(None) == every
-        assert phases(None, "none") == set()
-        assert phases("jammer_onset@probe-tx", "none") == set()
-        # Acoustic at probe-tx (or everywhere): the probe replay carries
-        # each session's injector, so everything stays staged.
-        assert phases("burst_noise@probe-tx") == every
-        assert phases("mic_dropout@*") == every
-        # Wireless at otp-tx (or everywhere): only the OTP waves are live.
-        assert phases("msg_drop@otp-tx") == {"prefilter", "probe"}
-        assert phases("msg_late@*") == {"prefilter", "probe"}
-        assert phases("mic_dropout@*;msg_drop@otp-tx") == {
-            "prefilter", "probe"
-        }
-        # Everything else stages every phase.
         for faults in (
+            None,
+            "jammer_onset@probe-tx",
+            "burst_noise@probe-tx",
+            "mic_dropout@*",
+            "msg_drop@otp-tx",
+            "msg_late@*",
+            "mic_dropout@*;msg_drop@otp-tx",
             "burst_noise@otp-tx",
             "frame_truncation@otp-tx;latency_spike@*",
             "msg_drop@probe-tx;msg_late@verify",
             "energy_spike@*",
         ):
-            assert phases(faults) == every
+            cfg = FleetConfig(n_users=3, hours=24.0, seed=11, faults=faults)
+            _, _, rows = self._run(cfg, "none")
+            assert rows == {"prefilter": 0, "probe": 0, "otp": 0}, faults
+            self._check_matches_live(faults)
+
+    @given(_FAULT_PLANS)
+    @settings(max_examples=15, deadline=None)
+    def test_random_plans_stage_every_phase_and_match_live(self, plan):
+        self._check_matches_live(plan.describe())
 
     def test_faulted_scheduler_worker_invariance(self):
         """Faulted waves must not break the worker-count contract."""

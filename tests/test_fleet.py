@@ -23,7 +23,7 @@ from repro.fleet import (
 from repro.fleet.aggregate import SessionRecord
 from repro.fleet.executor import precompute_prefilter, shard_population
 from repro.protocol.session import (
-    PrecomputedPrefilter,
+    PrecomputedStages,
     SessionConfig,
     UnlockSession,
 )
@@ -88,7 +88,7 @@ class TestPrecomputedPrefilter:
                     magnitude(pair[1])[None, :],
                 )[0]
             )
-            pre = PrecomputedPrefilter(
+            pre = PrecomputedStages(
                 sensor_pair=pair,
                 evidence=PrecomputedVerifierEvidence(motion_score=score),
             )
@@ -258,7 +258,7 @@ class TestFleetRun:
         staged = precompute_prefilter(specs)
         assert len(staged) == len(specs)
         assert all(s.sensor_pair is not None for s in staged)
-        assert all(isinstance(s.motion_score, float) for s in staged)
+        assert all(isinstance(s.evidence.motion_score, float) for s in staged)
 
 
 class TestReport:

@@ -336,9 +336,8 @@ class TestStagedProbeFleet:
             assert staged == run_shard(cfg, 0, 5, staging="none")
 
     def test_faulted_shard_degrades_but_stays_identical(self, monkeypatch):
-        """A wireless fault at otp-tx drops only the OTP waves: the probe
-        stays staged, and the records must still match the all-live
-        run."""
+        """Under a wireless fault at otp-tx the probe stays staged, and
+        the records must still match the all-live run."""
         cfg = FleetConfig(
             n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
         )
@@ -347,7 +346,7 @@ class TestStagedProbeFleet:
         assert staged == run_shard(cfg, 0, 4, staging="none")
 
     def test_scheduler_staging_and_worker_invariance(self):
-        # Probe staged, OTP live (the wireless cap), across workers.
+        # Every phase staged under a wireless fault, across workers.
         cfg = FleetConfig(
             n_users=6, hours=24.0, seed=4, faults="msg_drop@otp-tx:p=0.5"
         )
