@@ -15,7 +15,7 @@ adaptive-modulation logic consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,6 +86,10 @@ class AcousticLink:
     leading_silence / trailing_silence:
         Seconds of noise-only audio recorded before/after the signal, so
         receivers must genuinely *detect* the frame.
+    seed:
+        Seed of the link's own stream, which only calls given no
+        ``rng`` draw from.  A zero-argument callable returning the seed
+        defers deriving it to the first such draw.
     """
 
     sample_rate: float = 44_100.0
@@ -101,7 +105,7 @@ class AcousticLink:
     leading_silence: float = 0.05
     trailing_silence: float = 0.03
     nlos_blocking_db: float = 18.0
-    seed: Optional[int] = None
+    seed: Union[int, Callable[[], int], None] = None
     #: Optional :class:`repro.faults.FaultInjector`; when set (and a
     #: fault in its plan is armed for the executing stage) transmit()
     #: corrupts the signal/recording accordingly.
@@ -126,7 +130,8 @@ class AcousticLink:
         # samples from ``seed`` every time (a retransmitted frame would
         # otherwise meet bit-identical ambient noise).
         if self._own_rng is None:
-            self._own_rng = np.random.default_rng(self.seed)
+            seed = self.seed() if callable(self.seed) else self.seed
+            self._own_rng = np.random.default_rng(seed)
         return self._own_rng
 
     def budget(self, tx_spl: float) -> LinkBudget:

@@ -149,6 +149,11 @@ class StageRng:
         e = self._root.entropy
         return int(e) if not isinstance(e, (list, tuple)) else None
 
+    @property
+    def shared(self) -> bool:
+        """Whether every stage draws from one legacy shared generator."""
+        return self._shared is not None
+
     def for_stage(self, name: str) -> np.random.Generator:
         """The generator owned by ``name`` (memoized)."""
         if self._shared is not None:

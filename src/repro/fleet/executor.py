@@ -117,10 +117,10 @@ from .population import (
     FleetConfig,
     SessionSpec,
     UserProfile,
+    active_user_streams,
     has_sessions,
     synthesize_user,
     user_sessions,
-    user_stream_states,
 )
 
 __all__ = [
@@ -880,27 +880,30 @@ def shard_population(
 ) -> ShardPopulation:
     """Synthesize users ``[user_lo, user_hi)`` and their schedules.
 
-    Every user's two generator states are derived for the whole range
-    in one batch (:func:`~repro.fleet.population.user_stream_states`);
-    one reused generator per stream is then positioned at each user in
-    turn — bit-identical to the per-user ``default_rng`` construction.
+    A vectorized activity filter
+    (:func:`~repro.fleet.population.active_user_streams`) first drops
+    every user that guard bands prove idle, working on blocks of users
+    at once; it also derives each remaining user's two generator states.
+    One reused generator per stream is then positioned at each of those
+    users in turn — bit-identical to the per-user ``default_rng``
+    construction.
 
-    A draw-only pass (:func:`~repro.fleet.population.has_sessions`)
-    first replays just the draws that decide whether the user schedules
-    anything: the profile draws and the hourly Poisson counts up to the
-    first non-zero one.  Users without a session are skipped before any
-    profile or spec is built; the rest are repositioned and materialized
-    in full.  The skip is bit-exact: a zero count consumes only its own
-    draw (the per-session draws run ``count`` times), and a user with an
-    empty schedule is left out of the population either way.
+    The exact scalar path decides the rest.  A draw-only pass
+    (:func:`~repro.fleet.population.has_sessions`) replays just the
+    draws that decide whether the user schedules anything: the profile
+    draws and the hourly Poisson counts up to the first non-zero one.
+    Users without a session are skipped before any profile or spec is
+    built; the others are repositioned and materialized in full.  Both
+    skips are bit-exact: the filter skips only users the exact pass
+    would skip, a zero count consumes only its own draw (the
+    per-session draws run ``count`` times), and a user with an empty
+    schedule is left out of the population either way.
     """
-    user_ids = range(user_lo, user_hi)
-    profile_states, schedule_states = user_stream_states(config, user_ids)
     profile_rng = np.random.Generator(np.random.PCG64())
     schedule_rng = np.random.Generator(np.random.PCG64())
     population: ShardPopulation = []
-    for user_id, profile_state, schedule_state in zip(
-        user_ids, profile_states, schedule_states
+    for user_id, profile_state, schedule_state in active_user_streams(
+        config, user_lo, user_hi
     ):
         profile_rng.bit_generator.state = profile_state
         schedule_rng.bit_generator.state = schedule_state

@@ -18,6 +18,12 @@ habits.  Session arrival is an inhomogeneous Poisson process shaped by
 :data:`DIURNAL_WEIGHTS` (morning/lunch/evening peaks).  A small
 ``stranger_rate`` mixes in non-co-located attempts — the false-accept
 pressure the motion pre-filter exists to reject.
+
+Most users of a short run schedule nothing.  :func:`active_user_streams`
+finds them for a block of users at once: it derives both generator
+states of every user in 128-bit array arithmetic and replays only the
+draws that decide activity, with guard bands, so it can only ever pass
+extra users on to the exact per-user draws (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +55,7 @@ __all__ = [
     "user_sessions",
     "has_sessions",
     "default_rng_states",
-    "user_stream_states",
+    "active_user_streams",
     "verifier_assignment",
 ]
 
@@ -311,7 +317,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+
+#: A 128-bit unsigned integer per row, as ``(high, low)`` uint64 words.
+_U128 = Tuple[np.ndarray, np.ndarray]
 
 
 def _hash_stream(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -332,28 +342,57 @@ def _hash_stream(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
     return step
 
 
-def default_rng_states(seeds: Sequence[int]) -> List[Dict[str, object]]:
-    """``np.random.default_rng(s).bit_generator.state`` for every seed.
+def _u128_const(value: int) -> Tuple[np.uint64, np.uint64]:
+    return np.uint64(value >> 64 & _MASK64), np.uint64(value & _MASK64)
 
-    Assigning one of these to a reused ``Generator(PCG64())``'s
-    ``bit_generator.state`` positions it exactly where a fresh
-    ``default_rng(s)`` starts, at a fraction of the construction cost.
+
+def _mul64_wide(a: np.ndarray, b) -> _U128:
+    """The full 128-bit product of uint64 words, from 32-bit halves."""
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    a_lo, a_hi = a & m32, a >> s32
+    b_lo, b_hi = b & m32, b >> s32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> s32) + (lh & m32) + (hl & m32)
+    hi = a_hi * b_hi + (lh >> s32) + (hl >> s32) + (mid >> s32)
+    return hi, (mid << s32) | (ll & m32)
+
+
+def _mul128(a: _U128, b) -> _U128:
+    """``a * b mod 2**128`` on uint64 words (``b`` may be scalar words)."""
+    hi, lo = _mul64_wide(a[1], b[1])
+    return hi + a[1] * b[0] + a[0] * b[1], lo
+
+
+def _add128(a: _U128, b) -> _U128:
+    """``a + b mod 2**128`` on uint64 words."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]).astype(np.uint64), lo
+
+
+def _pcg64_seed(seeds: Sequence[int]) -> Tuple[_U128, _U128]:
+    """``(state, inc)`` of ``np.random.default_rng(s)`` for every seed.
+
     The ``SeedSequence`` hashing runs as uint32 array ops across all
     seeds at once (its hash constant advances independently of the
-    data), then PCG64's ``srandom`` folds the four output words into
-    ``(state, inc)`` in 128-bit integer arithmetic.  Only single-word
-    seeds, ``[0, 2**32)``, are supported — every
+    data); PCG64's ``srandom`` then folds the four output words into
+    ``(state, inc)`` in 128-bit arithmetic on uint64 word pairs.  Only
+    single-word seeds, ``[0, 2**32)``, are supported — every
     :func:`~repro.eval.batch.cell_seed` is one.
     """
-    if not all(0 <= seed <= _MASK32 for seed in seeds):
-        raise ValueError("default_rng_states supports seeds in [0, 2**32)")
+    entropy = np.asarray(seeds).reshape(-1)
+    if entropy.size and (
+        entropy.dtype.kind not in "iu"
+        or entropy.min() < 0
+        or entropy.max() > _MASK32
+    ):
+        raise ValueError("PCG64 seeding supports seeds in [0, 2**32)")
     hashmix = _hash_stream(_INIT_A, _MULT_A)
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
         return result ^ (result >> _XSHIFT)
 
-    entropy = np.asarray(seeds, dtype=np.uint32)
+    entropy = entropy.astype(np.uint32)
     zeros = np.zeros_like(entropy)
     pool = [hashmix(entropy)] + [hashmix(zeros) for _ in range(3)]
     for src in range(4):
@@ -363,41 +402,75 @@ def default_rng_states(seeds: Sequence[int]) -> List[Dict[str, object]]:
     # generate_state(4, uint64): eight uint32 words, paired little-endian.
     output = _hash_stream(_INIT_B, _MULT_B)
     words = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    w0, w1, w2, w3 = (
-        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist()
-        for k in range(4)
+    init_hi, init_lo, seq_hi, seq_lo = (
+        words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4)
     )
-    states: List[Dict[str, object]] = []
-    for hi_state, lo_state, hi_seq, lo_seq in zip(w0, w1, w2, w3):
-        inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
-        state = (inc + (hi_state << 64 | lo_state)) * _PCG64_MULT + inc
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state & _MASK128, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+    # inc = seq << 1 | 1; state = (inc + initstate) * MULT + inc.
+    one = np.uint64(1)
+    inc = (seq_hi << one) | (seq_lo >> np.uint64(63)), (seq_lo << one) | one
+    state = _mul128(_add128(inc, (init_hi, init_lo)), _u128_const(_PCG64_MULT))
+    return _add128(state, inc), inc
 
 
-def user_stream_states(
-    config: FleetConfig, user_ids: Sequence[int]
-) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
-    """Starting states of each user's profile and schedule generators.
+def _pcg64_advance(state: _U128, inc: _U128, steps: int) -> _U128:
+    """PCG64's state after ``steps`` draws, as one jump.
 
-    Bit-identical to ``default_rng(cell_seed(config.seed, tag, user))``
-    with tag ``"user"`` and ``"schedule"``, for a whole range of users
-    at once; :func:`synthesize_user` and :func:`user_sessions` draw from
-    generators positioned at these states.
+    ``state * MULT**k + inc * (MULT**(k-1) + ... + 1)`` mod ``2**128``;
+    the two constants are folded in Python integers.
     """
-    profile = cell_seeds(config.seed, _USER_STREAM, user_ids)
-    schedule = cell_seeds(config.seed, _SCHEDULE_STREAM, user_ids)
-    # One derivation for both streams: its array work costs per call,
-    # not per seed, at shard sizes.
-    states = default_rng_states(profile + schedule)
-    return states[: len(profile)], states[len(profile) :]
+    mult, total = 1, 0
+    for _ in range(steps):
+        total = (total + mult) & _MASK128
+        mult = mult * _PCG64_MULT & _MASK128
+    return _add128(
+        _mul128(state, _u128_const(mult)), _mul128(inc, _u128_const(total))
+    )
+
+
+def _pcg64_output(state: _U128) -> np.ndarray:
+    """The uint64 PCG64 emits on stepping *into* ``state``.
+
+    XSL-RR: ``rotr64(high ^ low, high >> 58)``.
+    """
+    xored = state[0] ^ state[1]
+    rot = state[0] >> np.uint64(58)
+    return (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+def default_rng_states(seeds: Sequence[int]) -> List[Dict[str, object]]:
+    """``np.random.default_rng(s).bit_generator.state`` for every seed.
+
+    Assigning one of these to a reused ``Generator(PCG64())``'s
+    ``bit_generator.state`` positions it exactly where a fresh
+    ``default_rng(s)`` starts, at a fraction of the construction cost.
+    Only single-word seeds, ``[0, 2**32)``, are supported.
+    """
+    return _state_dicts(*_pcg64_seed(seeds))
+
+
+def _take(
+    stream: Tuple[_U128, _U128], index
+) -> Tuple[_U128, _U128]:
+    """Rows ``index`` of a stream's ``(state, inc)`` words."""
+    return tuple((high[index], low[index]) for high, low in stream)
+
+
+def _state_dicts(state: _U128, inc: _U128) -> List[Dict[str, object]]:
+    """``bit_generator.state`` dicts of rows of PCG64 words."""
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for s_hi, s_lo, i_hi, i_lo in zip(
+            state[0].tolist(),
+            state[1].tolist(),
+            inc[0].tolist(),
+            inc[1].tolist(),
+        )
+    ]
 
 
 def _profile_draws(
@@ -452,13 +525,172 @@ def has_sessions(
     return False
 
 
+#: numpy's 256-layer ziggurat for the standard normal: the base
+#: layer's right edge and the common layer area.  numpy does not export
+#: its tables; :func:`_ziggurat_bounds` rebuilds them from these two.
+_ZIGGURAT_R = 3.6541528853610088
+_ZIGGURAT_V = 0.00492867323399
+#: Relative margin on a fast-path normal ``z``: the rebuilt ``wi`` table
+#: matches numpy's to within 2e-10.
+_Z_RTOL = 1e-8
+#: Guard band under the rebuilt ``ki`` table, which matches numpy's to
+#: within 2**20 (of values near 2**52).
+_KI_GUARD = 2**28
+#: Relative margin on a Poisson-mean bound and on ``exp(-mean)``: covers
+#: the few roundings of the exact product and of libm's ``exp``.
+_RATE_RTOL = 1e-9
+#: numpy's Poisson sampler uses the multiplication method below this
+#: mean, and PTRS from it on.
+_POISSON_MULT_MAX = 10.0
+#: Smallest mean bound that proves the exact mean positive.  A mean of
+#: exactly 0.0 consumes no draw, which would shift every later hour.
+_MIN_RATE = 1e-290
+#: Users per call of :func:`_proven_idle`: the array work is paid per
+#: block rather than per user, and the block bounds its working arrays.
+_ACTIVITY_BLOCK = 4096
+
+
+@lru_cache(maxsize=1)
+def _ziggurat_bounds() -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat ``wi`` table and a lower bound on its ``ki``.
+
+    Marsaglia and Tsang's table construction with 2**52 integer
+    scaling, from :data:`_ZIGGURAT_R` and :data:`_ZIGGURAT_V`.  The
+    rebuilt tables differ from numpy's compiled ones in the last digits,
+    so they serve only as bounds: ``wi`` within :data:`_Z_RTOL`, ``ki``
+    lowered by :data:`_KI_GUARD` (layer 1 has no fast path: its ``ki``
+    is 0).
+    """
+    scale = 2.0**52
+    edge = prev = _ZIGGURAT_R
+    q = _ZIGGURAT_V / math.exp(-0.5 * edge * edge)
+    ki = [0.0] * 256
+    wi = [0.0] * 256
+    ki[0], wi[0], wi[255] = edge / q * scale, q / scale, edge / scale
+    for i in range(254, 0, -1):
+        edge = math.sqrt(
+            -2.0 * math.log(_ZIGGURAT_V / edge + math.exp(-0.5 * edge * edge))
+        )
+        ki[i + 1] = edge / prev * scale
+        prev = edge
+        wi[i] = edge / scale
+    ki_lo = np.maximum(np.floor(np.array(ki)) - _KI_GUARD, 0.0)
+    return np.array(wi), ki_lo.astype(np.uint64)
+
+
+def _rate_bounds(
+    config: FleetConfig, state: _U128, inc: _U128
+) -> Tuple[np.ndarray, np.ndarray]:
+    """An upper bound on each user's hourly rate, and where it holds.
+
+    ``(state, inc)`` are the words of each user's profile stream.
+    Replays the one draw of that stream that sets the personal rate:
+    the fourth uint64 (after three uniforms) starts the
+    lognormal's normal, and numpy's ziggurat returns
+    ``±rabs * wi[layer]`` from it when ``rabs < ki[layer]``.  Returns
+    ``(per_hour_hi, proven)``: ``per_hour_hi >= personal_rate / 24``
+    wherever ``proven`` (the fast path is certain).
+    """
+    r = _pcg64_output(_pcg64_advance(state, inc, 4))
+    wi, ki_lo = _ziggurat_bounds()
+    layer = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = (r >> np.uint64(9)) & np.uint64(2**52 - 1)
+    z = rabs.astype(np.float64) * wi[layer]
+    z = np.where(r & np.uint64(0x100), -z, z)
+    z_hi = z + np.abs(z) * _Z_RTOL
+    per_hour_hi = (
+        config.sessions_per_day
+        * np.exp(-0.125 + 0.5 * z_hi)
+        / 24.0
+        * (1.0 + _RATE_RTOL)
+    )
+    return per_hour_hi, rabs < ki_lo[layer]
+
+
+def _proven_idle(
+    config: FleetConfig,
+    profile: Tuple[_U128, _U128],
+    schedule: Tuple[_U128, _U128],
+) -> np.ndarray:
+    """Which users of a block provably schedule no session.
+
+    ``profile`` and ``schedule`` are the ``(state, inc)`` words of each
+    user's two streams.  A user is marked idle only when guard bands
+    prove that :func:`has_sessions` would return False: the fast path
+    of the profile stream's normal is certain, every hour's Poisson
+    mean has an upper bound in ``(_MIN_RATE, 10)`` (numpy's
+    multiplication method, whose first uniform ``u`` gives a zero count
+    exactly when ``u <= exp(-mean)``), and every hour's uniform lies
+    below the bound's threshold.  Any other user is left for the exact
+    scalar path, so a wrong guess can only cost time, never change the
+    population.
+    """
+    n = len(profile[0][0])
+    if config.sessions_per_day == 0.0:
+        # Every mean is exactly 0.0: no hour draws, no user schedules.
+        return np.ones(n, dtype=bool)
+    per_hour, proven = _rate_bounds(config, *profile)
+    rows = np.flatnonzero(proven)
+    per_hour = per_hour[rows]
+    state, inc = _take(schedule, rows)
+    for h in range(math.ceil(config.hours)):
+        if not rows.size:
+            break
+        rate = per_hour * (
+            DIURNAL_WEIGHTS[h % 24]
+            / _MEAN_DIURNAL_WEIGHT
+            * min(1.0, config.hours - h)
+        )
+        state = _pcg64_advance(state, inc, 1)
+        u = (_pcg64_output(state) >> np.uint64(11)) * 2.0**-53
+        keep = np.flatnonzero(
+            (rate > _MIN_RATE)
+            & (rate < _POISSON_MULT_MAX)
+            & (u <= np.exp(-rate) * (1.0 - _RATE_RTOL))
+        )
+        rows, per_hour = rows[keep], per_hour[keep]
+        state, inc = _take((state, inc), keep)
+    idle = np.zeros(n, dtype=bool)
+    idle[rows] = True
+    return idle
+
+
+def active_user_streams(
+    config: FleetConfig, user_lo: int, user_hi: int
+) -> Iterator[Tuple[int, Dict[str, object], Dict[str, object]]]:
+    """``(user_id, profile state, schedule state)`` of possible actives.
+
+    Every user of ``[user_lo, user_hi)`` that :func:`_proven_idle` does
+    not rule out, in user-id order, with the starting states of its two
+    generators: bit-identical to ``default_rng(cell_seed(config.seed,
+    tag, user))`` for tag ``"user"`` and ``"schedule"``.  Works in
+    blocks of :data:`_ACTIVITY_BLOCK` users; the two streams of a block
+    share one seeding call.
+    """
+    for lo in range(user_lo, user_hi, _ACTIVITY_BLOCK):
+        user_ids = range(lo, min(lo + _ACTIVITY_BLOCK, user_hi))
+        state, inc = _pcg64_seed(
+            cell_seeds(config.seed, _USER_STREAM, user_ids)
+            + cell_seeds(config.seed, _SCHEDULE_STREAM, user_ids)
+        )
+        n = len(user_ids)
+        profile = _take((state, inc), slice(None, n))
+        schedule = _take((state, inc), slice(n, None))
+        keep = np.flatnonzero(~_proven_idle(config, profile, schedule))
+        yield from zip(
+            (lo + keep).tolist(),
+            _state_dicts(*_take(profile, keep)),
+            _state_dicts(*_take(schedule, keep)),
+        )
+
+
 def synthesize_user(
     config: FleetConfig, user_id: int, rng: np.random.Generator
 ) -> UserProfile:
     """Materialize user ``user_id`` of the population (order-free).
 
     ``rng`` is a generator positioned at this user's profile stream
-    (see :func:`user_stream_states`).
+    (see :func:`active_user_streams`).
     """
     idx, low_end, ultrasound, personal_rate = _profile_draws(config, rng)
     name, _, _, activity_mix = ARCHETYPES[idx]
@@ -502,7 +734,7 @@ def user_sessions(
     *session's* simulation seed is folded separately via
     :func:`~repro.eval.batch.cell_seed` so reordering the schedule
     logic never perturbs session outcomes.  ``rng`` is positioned at
-    the user's schedule stream (see :func:`user_stream_states`).
+    the user's schedule stream (see :func:`active_user_streams`).
     """
     per_hour = user.sessions_per_day / 24.0
     specs: List[SessionSpec] = []

@@ -8,8 +8,10 @@ aggregate the moment they arrive, in shard-index order, then drops
 them**.  Peak memory is therefore one shard's records plus the
 constant-size aggregate, regardless of population size.
 
-On contended runs every user is synthesized before dispatch, so the
-scheduler batches by *work*, not by user range: consecutive ranges are
+On contended runs every user is synthesized before dispatch, by one
+:func:`~repro.fleet.executor.shard_population` call over the whole
+population that is then cut at the shard bounds.  The scheduler
+therefore batches by *work*, not by user range: consecutive ranges are
 packed into one dispatched shard until it holds enough users with
 sessions (:meth:`FleetScheduler.dispatch_target`).  A sparse day then
 hands the staging primitives a few full batches instead of many
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -158,6 +161,15 @@ class FleetScheduler:
             target = min(target, math.ceil(active_users / self.workers))
         return max(1, target)
 
+    def _split(self, population: ShardPopulation) -> List[ShardPopulation]:
+        """Cut a whole-run population (in user-id order) at the shard
+        bounds."""
+        user_ids = [user.user_id for user, _ in population]
+        return [
+            population[bisect_left(user_ids, lo) : bisect_left(user_ids, hi)]
+            for lo, hi in self.shard_bounds()
+        ]
+
     def _packed(
         self, populations: List[ShardPopulation]
     ) -> Tuple[List[Tuple[int, int]], List[ShardPopulation]]:
@@ -190,31 +202,29 @@ class FleetScheduler:
             # The contention kernel is global by nature (scenes span
             # shards), so its plan is computed once here and sliced per
             # shard — each worker receives only its users' annotations.
-            # The kernel needs every user's schedule, so each shard's
-            # population is synthesized once, here, feeds the plan, and
-            # is handed to its shard instead of being synthesized again.
-            # The plan is a pure function of the config, which is what
-            # keeps the aggregate byte-identical for any worker count.
-            # With every population in hand, sparse ranges are packed
-            # into fuller shards; the records cannot depend on the
-            # split, so neither can the document.
+            # The kernel needs every user's schedule, so the population
+            # is synthesized once, here, in one call over every user
+            # (its activity filter works through large blocks; a call
+            # per shard would pay the filter's array work per shard).
+            # It feeds the plan, is cut at the shard bounds, and each
+            # piece is handed to its shard instead of being synthesized
+            # again.  The plan is a pure function of the config, which
+            # is what keeps the aggregate byte-identical for any worker
+            # count.  With every population in hand, sparse ranges are
+            # packed into fuller shards; the records cannot depend on
+            # the split, so neither can the document.
             populations: List[Optional[ShardPopulation]] = [None] * len(bounds)
             plan = None
             if self.config.scene_density > 0.0:
-                synthesized = [
-                    shard_population(self.config, lo, hi) for lo, hi in bounds
-                ]
+                population = shard_population(
+                    self.config, 0, self.config.n_users
+                )
                 plan = build_contention_plan(
                     self.config,
-                    (
-                        spec
-                        for population in synthesized
-                        for _, specs in population
-                        for spec in specs
-                    ),
+                    (spec for _, specs in population for spec in specs),
                 )
-                bounds, populations = self._packed(synthesized)
-                del synthesized
+                bounds, populations = self._packed(self._split(population))
+                del population
 
             def _shard_args(i: int):
                 lo, hi = bounds[i]

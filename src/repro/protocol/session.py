@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -438,7 +439,13 @@ def session_link(config: SessionConfig, stage_rng: StageRng) -> AcousticLink:
     the config has a fault plan (seeded *after* the link, so fault-free
     sessions replay bit-identically).  The fleet's probe replay builds
     its links here too, so the replayed channel and injector are the
-    session's."""
+    session's.
+
+    Sessions pass every transmission its stage's generator, so the
+    link's own stream is drawn from only by a caller that passes none;
+    its seed is derived at that first draw.  A legacy shared-generator
+    session still draws the seed here, which keeps every later stage's
+    draws where they were."""
     modem = config.system.modem
     if config.band == "ultrasound":
         modem = modem.near_ultrasound()
@@ -457,7 +464,11 @@ def session_link(config: SessionConfig, stage_rng: StageRng) -> AcousticLink:
         distance_m=config.distance_m,
         los=config.los,
         nlos_blocking_db=config.nlos_blocking_db,
-        seed=stage_rng.seed_for("acoustic-link"),
+        seed=(
+            stage_rng.seed_for("acoustic-link")
+            if stage_rng.shared
+            else partial(stage_rng.seed_for, "acoustic-link")
+        ),
     )
     if config.faults:
         from ..faults import FaultInjector

@@ -1,9 +1,10 @@
 """The scalar population walk: the oracle of the batched population.
 
 :func:`repro.fleet.executor.shard_population` derives every user's two
-generator states for a whole shard at once, positions one reused
-generator per stream, and skips users without a session after a
-draw-only pass.  This module is the walk it replaced: each user in
+generator states for a block of users at once, skips the users a
+vectorized activity filter proves idle, positions one reused generator
+per stream at each other user, and skips users without a session after
+a draw-only pass.  This module is the walk it replaced: each user in
 turn, each stream from its own fresh
 ``np.random.default_rng(cell_seed(config.seed, tag, user_id))``, every
 user materialized whether or not it schedules anything.
@@ -11,9 +12,10 @@ user materialized whether or not it schedules anything.
 It calls only the per-user draw functions,
 :func:`~repro.fleet.population.synthesize_user` and
 :func:`~repro.fleet.population.user_sessions`, and never the batched
-seeding or the skip it checks (``tests/test_oracle_independence.py``
-enforces that).  The stream tags are spelled out here rather than
-imported, so a renamed tag in the package shows up as a mismatch.
+seeding, the filter or the skip it checks
+(``tests/test_oracle_independence.py`` enforces that).  The stream tags
+are spelled out here rather than imported, so a renamed tag in the
+package shows up as a mismatch.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ class TestBatchedDtw:
             dtw_distance_batch(np.zeros(3), np.zeros((1, 3)))
 
 
-class TestPrecomputedPrefilter:
+class TestPrecomputedStages:
     def test_precomputed_path_bit_identical(self):
         """Staged sensor pair + batched score == in-stage computation."""
         for seed in (7, 42):

@@ -34,15 +34,22 @@ KERNEL_CLASSES = frozenset(
 )
 
 
-#: The batched population: its seeding, its draw-only skip, and the
-#: direct-caller plan built from it.
+#: The batched population: its seeding, its vectorized activity filter
+#: and PCG64 replay, its draw-only skip, and the direct-caller plan
+#: built from it.
 POPULATION_KERNELS = frozenset(
     {
         "shard_population",
-        "user_stream_states",
+        "active_user_streams",
         "default_rng_states",
         "cell_seeds",
         "has_sessions",
+        "_proven_idle",
+        "_rate_bounds",
+        "_ziggurat_bounds",
+        "_pcg64_seed",
+        "_pcg64_advance",
+        "_pcg64_output",
         "_contention_plan",
     }
 )
@@ -94,6 +101,8 @@ def test_oracle_imports_no_kernel(oracle):
         "from repro.fleet.executor import shard_population",
         "from repro.eval.batch import cell_seeds as seeds",
         "import repro.fleet.population as p\np.has_sessions(c, a, b)",
+        "from repro.fleet.population import active_user_streams as streams",
+        "import repro.fleet.population as p\np._pcg64_seed(seeds)",
     ],
 )
 def test_kernel_references_are_caught(source):

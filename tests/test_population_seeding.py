@@ -1,10 +1,13 @@
 """Batched population seeding and fleet config validation.
 
 ``shard_population`` derives every user's two generator states for a
-whole shard at once (:func:`~repro.eval.batch.cell_seeds` plus
-:func:`~repro.fleet.population.default_rng_states`) and positions one
-reused generator per stream, and skips users without a session after a
-draw-only pass; the scalar walk of ``tests/population_oracle.py``, one
+block of users at once (:func:`~repro.eval.batch.cell_seeds` plus the
+vectorized PCG64 seeding behind
+:func:`~repro.fleet.population.default_rng_states`), skips the users
+the activity filter proves idle, positions one reused generator per
+stream, and skips users without a session after a draw-only pass (the
+filter's own tests are in ``tests/test_activity_filter.py``); the
+scalar walk of ``tests/population_oracle.py``, one
 ``default_rng(cell_seed(...))`` per user and stream, is the oracle it
 must match bit for bit.  Also covers
 :class:`~repro.fleet.population.FleetConfig`'s numeric validation and

@@ -335,9 +335,9 @@ class TestStagedProbeFleet:
             assert rows > 0
             assert staged == run_shard(cfg, 0, 5, staging="none")
 
-    def test_faulted_shard_degrades_but_stays_identical(self, monkeypatch):
+    def test_wireless_fault_keeps_probe_staged(self, monkeypatch):
         """Under a wireless fault at otp-tx the probe stays staged, and
-        the records must still match the all-live run."""
+        the records match the all-live run."""
         cfg = FleetConfig(
             n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
         )

@@ -22,6 +22,7 @@ from repro.protocol.session import (
     AbortReason,
     SessionConfig,
     UnlockSession,
+    session_link,
 )
 from repro.protocol.stages import UNLOCK_STAGE_NAMES, build_unlock_stages
 from repro.security.otp import OtpManager
@@ -236,6 +237,38 @@ class TestStageRng:
         r = StageRng(seed=None)
         # Memoized: the same stage always gets the same generator.
         assert r.for_stage("probe-tx") is r.for_stage("probe-tx")
+
+
+class TestSessionLinkSeed:
+    """``session_link`` derives the link's own seed only when drawn."""
+
+    def test_per_stage_link_derives_its_seed_at_first_own_draw(
+        self, monkeypatch
+    ):
+        asked = []
+        real = StageRng.seed_for
+
+        def counted(self, name, bound=2**31):
+            asked.append(name)
+            return real(self, name, bound)
+
+        monkeypatch.setattr(StageRng, "seed_for", counted)
+        link = session_link(SessionConfig(seed=5), StageRng(seed=5))
+        assert "acoustic-link" not in asked
+        drawn = link.record_ambient(0.01)
+        assert asked.count("acoustic-link") == 1
+        seed = real(StageRng(seed=5), "acoustic-link")
+        assert np.array_equal(
+            drawn,
+            session_link(SessionConfig(seed=5), StageRng(seed=5))
+            .record_ambient(0.01, rng=np.random.default_rng(seed)),
+        )
+
+    def test_shared_generator_still_draws_the_seed(self):
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        link = session_link(SessionConfig(), StageRng(shared=rng))
+        assert link.seed == int(reference.integers(0, 2**31))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestSeededRegression:
