@@ -28,64 +28,82 @@ Subpackages
 ``repro.eval``      experiment harness reproducing every figure/table
 """
 
-from .config import (
-    ModemConfig,
-    MotionFilterConfig,
-    SecurityConfig,
-    SystemConfig,
-)
-from .core.system import WearLock, PairingInfo
-from .core.metrics import summarize_outcomes
-from .errors import (
-    ChannelError,
-    ConfigurationError,
-    DemodulationError,
-    DspError,
-    LockedOutError,
-    ModemError,
-    PreambleNotFoundError,
-    ProtocolError,
-    ReplayDetectedError,
-    SecurityError,
-    SynchronizationError,
-    TokenMismatchError,
-    TransmissionAborted,
-    WearLockError,
-)
-from .protocol.session import (
-    AbortReason,
-    SessionConfig,
-    UnlockOutcome,
-    UnlockSession,
-)
+import importlib
+import sys
+from typing import Callable, Dict, List, Optional, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ModemConfig",
-    "MotionFilterConfig",
-    "SecurityConfig",
-    "SystemConfig",
-    "WearLock",
-    "PairingInfo",
-    "summarize_outcomes",
-    "AbortReason",
-    "SessionConfig",
-    "UnlockOutcome",
-    "UnlockSession",
-    "WearLockError",
-    "ConfigurationError",
-    "DspError",
-    "ModemError",
-    "PreambleNotFoundError",
-    "SynchronizationError",
-    "DemodulationError",
-    "ChannelError",
-    "ProtocolError",
-    "TransmissionAborted",
-    "SecurityError",
-    "TokenMismatchError",
-    "LockedOutError",
-    "ReplayDetectedError",
-    "__version__",
-]
+
+def _lazy_exports(
+    package: str, exports: Dict[str, Tuple[str, Optional[str]]]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """PEP 562 re-exports of ``package``: ``(__getattr__, __dir__, __all__)``.
+
+    ``exports`` maps each public name to ``(module, attribute)``: a
+    module relative to ``package`` and the attribute it exports, or
+    ``None`` for the module itself.  A name's module is imported on the
+    name's first access and the value cached in the package namespace,
+    so importing one submodule never loads its siblings: a fleet run
+    loads only the code it executes.
+
+    A name that is also its source module's name (``repro.security.
+    hotp``) is bound at once.  Importing a submodule sets the package
+    attribute of that name to the module, and ``__getattr__`` is never
+    consulted for an attribute that exists.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> object:
+        try:
+            module, attribute = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = importlib.import_module(module, package)
+        if attribute is not None:
+            value = getattr(value, attribute)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(exports))
+
+    for name, (module, attribute) in exports.items():
+        if attribute is not None and module == f".{name}":
+            __getattr__(name)
+    return __getattr__, __dir__, list(exports)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "ModemConfig": (".config", "ModemConfig"),
+        "MotionFilterConfig": (".config", "MotionFilterConfig"),
+        "SecurityConfig": (".config", "SecurityConfig"),
+        "SystemConfig": (".config", "SystemConfig"),
+        "WearLock": (".core.system", "WearLock"),
+        "PairingInfo": (".core.system", "PairingInfo"),
+        "summarize_outcomes": (".core.metrics", "summarize_outcomes"),
+        "AbortReason": (".protocol.session", "AbortReason"),
+        "SessionConfig": (".protocol.session", "SessionConfig"),
+        "UnlockOutcome": (".protocol.session", "UnlockOutcome"),
+        "UnlockSession": (".protocol.session", "UnlockSession"),
+        "WearLockError": (".errors", "WearLockError"),
+        "ConfigurationError": (".errors", "ConfigurationError"),
+        "DspError": (".errors", "DspError"),
+        "ModemError": (".errors", "ModemError"),
+        "PreambleNotFoundError": (".errors", "PreambleNotFoundError"),
+        "SynchronizationError": (".errors", "SynchronizationError"),
+        "DemodulationError": (".errors", "DemodulationError"),
+        "ChannelError": (".errors", "ChannelError"),
+        "ProtocolError": (".errors", "ProtocolError"),
+        "TransmissionAborted": (".errors", "TransmissionAborted"),
+        "SecurityError": (".errors", "SecurityError"),
+        "TokenMismatchError": (".errors", "TokenMismatchError"),
+        "LockedOutError": (".errors", "LockedOutError"),
+        "ReplayDetectedError": (".errors", "ReplayDetectedError"),
+    },
+)
+__all__.append("__version__")

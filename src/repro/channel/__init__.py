@@ -12,41 +12,28 @@ microphone, in real rooms) with a calibrated simulation:
   field test (office, classroom, cafe, grocery store, quiet room).
 """
 
-from .acoustics import (
-    spreading_loss_db,
-    received_spl,
-    required_tx_spl,
-    VolumeControl,
-)
-from .noise import (
-    white_noise,
-    pink_noise,
-    shaped_noise,
-    tone_jammer,
-    NoiseScene,
-)
-from .multipath import RoomImpulseResponse, rms_delay_spread
-from .hardware import SpeakerModel, MicrophoneModel
-from .link import AcousticLink, LinkBudget
-from .scenarios import Environment, ENVIRONMENTS, get_environment
+from .. import _lazy_exports
 
-__all__ = [
-    "spreading_loss_db",
-    "received_spl",
-    "required_tx_spl",
-    "VolumeControl",
-    "white_noise",
-    "pink_noise",
-    "shaped_noise",
-    "tone_jammer",
-    "NoiseScene",
-    "RoomImpulseResponse",
-    "rms_delay_spread",
-    "SpeakerModel",
-    "MicrophoneModel",
-    "AcousticLink",
-    "LinkBudget",
-    "Environment",
-    "ENVIRONMENTS",
-    "get_environment",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "spreading_loss_db": (".acoustics", "spreading_loss_db"),
+        "received_spl": (".acoustics", "received_spl"),
+        "required_tx_spl": (".acoustics", "required_tx_spl"),
+        "VolumeControl": (".acoustics", "VolumeControl"),
+        "white_noise": (".noise", "white_noise"),
+        "pink_noise": (".noise", "pink_noise"),
+        "shaped_noise": (".noise", "shaped_noise"),
+        "tone_jammer": (".noise", "tone_jammer"),
+        "NoiseScene": (".noise", "NoiseScene"),
+        "RoomImpulseResponse": (".multipath", "RoomImpulseResponse"),
+        "rms_delay_spread": (".multipath", "rms_delay_spread"),
+        "SpeakerModel": (".hardware", "SpeakerModel"),
+        "MicrophoneModel": (".hardware", "MicrophoneModel"),
+        "AcousticLink": (".link", "AcousticLink"),
+        "LinkBudget": (".link", "LinkBudget"),
+        "Environment": (".scenarios", "Environment"),
+        "ENVIRONMENTS": (".scenarios", "ENVIRONMENTS"),
+        "get_environment": (".scenarios", "get_environment"),
+    },
+)

@@ -22,7 +22,6 @@ import numpy as np
 from ..errors import ChannelError
 from ..dsp.energy import rms, spl_to_amplitude
 from ..dsp.plane import KeyedCache
-from ..dsp.resample import apply_clock_skew
 from .acoustics import D0_METERS, received_spl, spreading_loss_db
 from .hardware import MicrophoneModel, SpeakerModel
 from .multipath import RoomImpulseResponse, convolve_ir_rows
@@ -285,6 +284,10 @@ class AcousticLink:
             # 3, 4 — clock skew, then signal-only faults (SNR collapse),
             # before the noise is mixed in so a collapse degrades SNR.
             if link.clock_skew_ppm:
+                # Imported here: only skewed links (never a fleet's)
+                # resample, so fleet start-up does not load it.
+                from ..dsp.resample import apply_clock_skew
+
                 row = apply_clock_skew(row, link.clock_skew_ppm)
             if link.injector is not None:
                 row = link.injector.apply_signal(row)

@@ -1,37 +1,28 @@
 """Public facade of the WearLock reproduction."""
 
-from .system import WearLock, PairingInfo
-from .metrics import BerStats, DelayStats, SuccessStats, summarize_outcomes
-from .pipeline import FilterChain, FilterResult
-from .colocation import AmbientComparator
-from .stages import (
-    EngineResult,
-    SessionContext,
-    Stage,
-    StageEngine,
-    StageResult,
-    StageRng,
-)
-from .trace import NullTracer, Span, TraceReport, Tracer
+from .. import _lazy_exports
 
-__all__ = [
-    "WearLock",
-    "PairingInfo",
-    "BerStats",
-    "DelayStats",
-    "SuccessStats",
-    "summarize_outcomes",
-    "FilterChain",
-    "FilterResult",
-    "AmbientComparator",
-    "Stage",
-    "StageResult",
-    "StageRng",
-    "SessionContext",
-    "EngineResult",
-    "StageEngine",
-    "Tracer",
-    "NullTracer",
-    "Span",
-    "TraceReport",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "WearLock": (".system", "WearLock"),
+        "PairingInfo": (".system", "PairingInfo"),
+        "BerStats": (".metrics", "BerStats"),
+        "DelayStats": (".metrics", "DelayStats"),
+        "SuccessStats": (".metrics", "SuccessStats"),
+        "summarize_outcomes": (".metrics", "summarize_outcomes"),
+        "FilterChain": (".pipeline", "FilterChain"),
+        "FilterResult": (".pipeline", "FilterResult"),
+        "AmbientComparator": (".colocation", "AmbientComparator"),
+        "Stage": (".stages", "Stage"),
+        "StageResult": (".stages", "StageResult"),
+        "StageRng": (".stages", "StageRng"),
+        "SessionContext": (".stages", "SessionContext"),
+        "EngineResult": (".stages", "EngineResult"),
+        "StageEngine": (".stages", "StageEngine"),
+        "Tracer": (".trace", "Tracer"),
+        "NullTracer": (".trace", "NullTracer"),
+        "Span": (".trace", "Span"),
+        "TraceReport": (".trace", "TraceReport"),
+    },
+)

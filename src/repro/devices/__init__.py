@@ -5,26 +5,21 @@ phone), Moto 360 (smartwatch).  Profiles drive the delay and energy
 models behind Figs. 6, 10 and 12.
 """
 
-from .profiles import DeviceProfile, NEXUS6, GALAXY_NEXUS, MOTO360, DEVICES
-from .compute import (
-    Workload,
-    correlation_workload,
-    demodulation_workload,
-    probe_processing_workload,
-    dtw_workload,
-)
-from .battery import EnergyMeter
+from .. import _lazy_exports
 
-__all__ = [
-    "DeviceProfile",
-    "NEXUS6",
-    "GALAXY_NEXUS",
-    "MOTO360",
-    "DEVICES",
-    "Workload",
-    "correlation_workload",
-    "demodulation_workload",
-    "probe_processing_workload",
-    "dtw_workload",
-    "EnergyMeter",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "DeviceProfile": (".profiles", "DeviceProfile"),
+        "NEXUS6": (".profiles", "NEXUS6"),
+        "GALAXY_NEXUS": (".profiles", "GALAXY_NEXUS"),
+        "MOTO360": (".profiles", "MOTO360"),
+        "DEVICES": (".profiles", "DEVICES"),
+        "Workload": (".compute", "Workload"),
+        "correlation_workload": (".compute", "correlation_workload"),
+        "demodulation_workload": (".compute", "demodulation_workload"),
+        "probe_processing_workload": (".compute", "probe_processing_workload"),
+        "dtw_workload": (".compute", "dtw_workload"),
+        "EnergyMeter": (".battery", "EnergyMeter"),
+    },
+)

@@ -1,30 +1,22 @@
 """Experiment harness reproducing every figure and table of the paper."""
 
-from .workloads import ber_trial, BerTrialResult, TrialSpec
-from .pin_entry import PinEntryModel
-from .reporting import format_table, format_series
-from .batch import (
-    BatchResult,
-    BatchRunner,
-    BatchTask,
-    cell_seed,
-    cell_seeds,
-    grid_tasks,
-)
-from . import experiments
+from .. import _lazy_exports
 
-__all__ = [
-    "ber_trial",
-    "BerTrialResult",
-    "TrialSpec",
-    "PinEntryModel",
-    "format_table",
-    "format_series",
-    "BatchRunner",
-    "BatchTask",
-    "BatchResult",
-    "grid_tasks",
-    "cell_seed",
-    "cell_seeds",
-    "experiments",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "ber_trial": (".workloads", "ber_trial"),
+        "BerTrialResult": (".workloads", "BerTrialResult"),
+        "TrialSpec": (".workloads", "TrialSpec"),
+        "PinEntryModel": (".pin_entry", "PinEntryModel"),
+        "format_table": (".reporting", "format_table"),
+        "format_series": (".reporting", "format_series"),
+        "BatchRunner": (".batch", "BatchRunner"),
+        "BatchTask": (".batch", "BatchTask"),
+        "BatchResult": (".batch", "BatchResult"),
+        "grid_tasks": (".batch", "grid_tasks"),
+        "cell_seed": (".batch", "cell_seed"),
+        "cell_seeds": (".batch", "cell_seeds"),
+        "experiments": (".experiments", None),
+    },
+)

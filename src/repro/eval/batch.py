@@ -24,12 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -41,6 +35,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from ..errors import WearLockError
 
@@ -76,17 +72,21 @@ def cell_seeds(
     The hashed text ``repr((tag, i))`` is ``"(" + repr(tag) + ", "``
     followed by ``"%d)" % i``, so the sweep-seed bytes and the tag are
     rendered once and only the integer suffix is formatted per id —
-    about half the per-cell cost of :func:`cell_seed`.
+    about half the per-cell cost of :func:`cell_seed`.  The digests'
+    8-byte prefixes are joined and read as one big-endian ``uint64``
+    array, so the fold is one array ``%`` rather than an int per id.
     """
     prefix = sweep_seed.to_bytes(8, "big", signed=True) + (
         f"({tag!r}, ".encode("utf-8")
     )
     sha256 = hashlib.sha256
-    return [
-        int.from_bytes(sha256(prefix + b"%d)" % i).digest()[:8], "big")
-        % bound
-        for i in ids
-    ]
+    values = np.frombuffer(
+        b"".join(sha256(prefix + b"%d)" % i).digest()[:8] for i in ids),
+        ">u8",
+    )
+    if 0 < bound < 2**64:
+        return (values % np.uint64(bound)).tolist()
+    return [value % bound for value in values.tolist()]
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,15 @@ class BatchRunner:
                 BatchResult(key=t.key, value=self._fn(**t.params))
                 for t in task_list
             ]
+        # Imported here: serial runs, the fleet's among them, never
+        # load the pools' threading and multiprocessing machinery.
+        from concurrent.futures import (
+            FIRST_EXCEPTION,
+            ProcessPoolExecutor,
+            ThreadPoolExecutor,
+            wait,
+        )
+
         pool_cls = (
             ThreadPoolExecutor
             if self._executor == "thread"

@@ -5,25 +5,19 @@ See :mod:`repro.faults.plan` for the declarative schedule language and
 wireless and stage-engine layers call.
 """
 
-from .injector import FaultInjector, InjectedFault
-from .plan import (
-    ACOUSTIC_FAULTS,
-    FAULT_KINDS,
-    STAGE_FAULTS,
-    WIRELESS_FAULTS,
-    FaultError,
-    FaultPlan,
-    FaultSpec,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ACOUSTIC_FAULTS",
-    "FAULT_KINDS",
-    "STAGE_FAULTS",
-    "WIRELESS_FAULTS",
-    "FaultError",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "ACOUSTIC_FAULTS": (".plan", "ACOUSTIC_FAULTS"),
+        "FAULT_KINDS": (".plan", "FAULT_KINDS"),
+        "STAGE_FAULTS": (".plan", "STAGE_FAULTS"),
+        "WIRELESS_FAULTS": (".plan", "WIRELESS_FAULTS"),
+        "FaultError": (".plan", "FaultError"),
+        "FaultInjector": (".injector", "FaultInjector"),
+        "FaultPlan": (".plan", "FaultPlan"),
+        "FaultSpec": (".plan", "FaultSpec"),
+        "InjectedFault": (".injector", "InjectedFault"),
+    },
+)

@@ -32,40 +32,26 @@ the shards, the scheduler's contention plan and a direct
 :func:`run_shard` caller's plan alike.
 """
 
-from .aggregate import FleetAggregate, Histogram
-from .events import (
-    ContentionPlan,
-    SceneAnnotation,
-    build_contention_plan,
-    scene_of,
-)
-from .population import (
-    DIURNAL_WEIGHTS,
-    FleetConfig,
-    SessionSpec,
-    UserProfile,
-    synthesize_user,
-    user_sessions,
-)
-from .executor import run_shard
-from .report import render_fleet_report
-from .scheduler import FleetResult, FleetScheduler
+from .. import _lazy_exports
 
-__all__ = [
-    "DIURNAL_WEIGHTS",
-    "ContentionPlan",
-    "FleetAggregate",
-    "FleetConfig",
-    "FleetResult",
-    "FleetScheduler",
-    "Histogram",
-    "SceneAnnotation",
-    "SessionSpec",
-    "UserProfile",
-    "build_contention_plan",
-    "render_fleet_report",
-    "run_shard",
-    "scene_of",
-    "synthesize_user",
-    "user_sessions",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "DIURNAL_WEIGHTS": (".population", "DIURNAL_WEIGHTS"),
+        "ContentionPlan": (".events", "ContentionPlan"),
+        "FleetAggregate": (".aggregate", "FleetAggregate"),
+        "FleetConfig": (".population", "FleetConfig"),
+        "FleetResult": (".scheduler", "FleetResult"),
+        "FleetScheduler": (".scheduler", "FleetScheduler"),
+        "Histogram": (".aggregate", "Histogram"),
+        "SceneAnnotation": (".events", "SceneAnnotation"),
+        "SessionSpec": (".population", "SessionSpec"),
+        "UserProfile": (".population", "UserProfile"),
+        "build_contention_plan": (".events", "build_contention_plan"),
+        "render_fleet_report": (".report", "render_fleet_report"),
+        "run_shard": (".executor", "run_shard"),
+        "scene_of": (".events", "scene_of"),
+        "synthesize_user": (".population", "synthesize_user"),
+        "user_sessions": (".population", "user_sessions"),
+    },
+)

@@ -35,7 +35,6 @@ import math
 import numbers
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -52,6 +51,18 @@ from .executor import (
 from .population import FleetConfig
 
 __all__ = ["FleetResult", "FleetScheduler"]
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A :class:`concurrent.futures.ProcessPoolExecutor`, imported on call.
+
+    Only ``workers > 1`` runs use a pool, so a fleet's start-up does not
+    load :mod:`multiprocessing`.  :meth:`FleetScheduler.run` reaches the
+    pool through this module-level name, which keeps it replaceable.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(max_workers=max_workers)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Computation offloading (paper §V): planner and executor."""
 
-from .planner import OffloadPlanner, ProcessingPlan, Placement
-from .executor import OffloadExecutor, ExecutionReport
+from .. import _lazy_exports
 
-__all__ = [
-    "OffloadPlanner",
-    "ProcessingPlan",
-    "Placement",
-    "OffloadExecutor",
-    "ExecutionReport",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "OffloadPlanner": (".planner", "OffloadPlanner"),
+        "ProcessingPlan": (".planner", "ProcessingPlan"),
+        "Placement": (".planner", "Placement"),
+        "OffloadExecutor": (".executor", "OffloadExecutor"),
+        "ExecutionReport": (".executor", "ExecutionReport"),
+    },
+)

@@ -1,23 +1,22 @@
 """The smartwatch-assisted unlocking protocol (paper §II, Fig. 2)."""
 
-from .events import SimClock, Timeline, TimelineEvent
-from .keyguard import Keyguard, LockState
-from .controllers import PhoneController, WatchController
-from .session import UnlockSession, SessionConfig, UnlockOutcome, AbortReason
-from .stages import UNLOCK_STAGE_NAMES, build_unlock_stages
+from .. import _lazy_exports
 
-__all__ = [
-    "SimClock",
-    "Timeline",
-    "TimelineEvent",
-    "Keyguard",
-    "LockState",
-    "PhoneController",
-    "WatchController",
-    "UnlockSession",
-    "SessionConfig",
-    "UnlockOutcome",
-    "AbortReason",
-    "UNLOCK_STAGE_NAMES",
-    "build_unlock_stages",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "SimClock": (".events", "SimClock"),
+        "Timeline": (".events", "Timeline"),
+        "TimelineEvent": (".events", "TimelineEvent"),
+        "Keyguard": (".keyguard", "Keyguard"),
+        "LockState": (".keyguard", "LockState"),
+        "PhoneController": (".controllers", "PhoneController"),
+        "WatchController": (".controllers", "WatchController"),
+        "UnlockSession": (".session", "UnlockSession"),
+        "SessionConfig": (".session", "SessionConfig"),
+        "UnlockOutcome": (".session", "UnlockOutcome"),
+        "AbortReason": (".session", "AbortReason"),
+        "UNLOCK_STAGE_NAMES": (".stages", "UNLOCK_STAGE_NAMES"),
+        "build_unlock_stages": (".stages", "build_unlock_stages"),
+    },
+)

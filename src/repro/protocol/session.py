@@ -47,6 +47,7 @@ from ..core.trace import TraceReport, Tracer
 from ..devices.battery import EnergyMeter
 from ..devices.profiles import DeviceProfile, MOTO360, NEXUS6
 from ..errors import WearLockError
+from ..faults import FaultInjector, FaultPlan
 from ..offload.planner import OffloadPlanner, Placement
 from ..security.otp import OtpManager
 from ..sensors.traces import ActivityKind
@@ -326,8 +327,6 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.faults, str):
-            from ..faults import FaultPlan
-
             self.faults = FaultPlan.parse(self.faults)
         if self.faults:
             self.faults.check_stages(UNLOCK_STAGE_NAMES)
@@ -471,8 +470,6 @@ def session_link(config: SessionConfig, stage_rng: StageRng) -> AcousticLink:
         ),
     )
     if config.faults:
-        from ..faults import FaultInjector
-
         link.injector = FaultInjector(
             config.faults, seed=stage_rng.seed_for("fault-injector")
         )

@@ -12,45 +12,31 @@ trusted control channel.  Security rests on:
   legitimately and resists co-located attackers).
 """
 
-from .hotp import hotp, hotp_digits, hotp_token_bits, dynamic_truncation
-from .otp import OtpManager, OtpVerification
-from .tokens import token_to_bits, bits_to_token
-from .timing import TimingGuard, TimingObservation
-from .nlos import NlosDetector, NlosVerdict
-from .attacks import (
-    AttackOutcome,
-    BruteForceAttacker,
-    CoLocatedAttacker,
-    ReplayAttacker,
-    RelayAttacker,
-)
-from .fingerprint import (
-    HardwareFingerprint,
-    phase_signature,
-    probe_spectrum,
-    signature_distance,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "hotp",
-    "hotp_digits",
-    "hotp_token_bits",
-    "dynamic_truncation",
-    "OtpManager",
-    "OtpVerification",
-    "token_to_bits",
-    "bits_to_token",
-    "TimingGuard",
-    "TimingObservation",
-    "NlosDetector",
-    "NlosVerdict",
-    "AttackOutcome",
-    "BruteForceAttacker",
-    "CoLocatedAttacker",
-    "ReplayAttacker",
-    "RelayAttacker",
-    "HardwareFingerprint",
-    "phase_signature",
-    "probe_spectrum",
-    "signature_distance",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "hotp": (".hotp", "hotp"),
+        "hotp_digits": (".hotp", "hotp_digits"),
+        "hotp_token_bits": (".hotp", "hotp_token_bits"),
+        "dynamic_truncation": (".hotp", "dynamic_truncation"),
+        "OtpManager": (".otp", "OtpManager"),
+        "OtpVerification": (".otp", "OtpVerification"),
+        "token_to_bits": (".tokens", "token_to_bits"),
+        "bits_to_token": (".tokens", "bits_to_token"),
+        "TimingGuard": (".timing", "TimingGuard"),
+        "TimingObservation": (".timing", "TimingObservation"),
+        "NlosDetector": (".nlos", "NlosDetector"),
+        "NlosVerdict": (".nlos", "NlosVerdict"),
+        "AttackOutcome": (".attacks", "AttackOutcome"),
+        "BruteForceAttacker": (".attacks", "BruteForceAttacker"),
+        "CoLocatedAttacker": (".attacks", "CoLocatedAttacker"),
+        "ReplayAttacker": (".attacks", "ReplayAttacker"),
+        "RelayAttacker": (".attacks", "RelayAttacker"),
+        "HardwareFingerprint": (".fingerprint", "HardwareFingerprint"),
+        "phase_signature": (".fingerprint", "phase_signature"),
+        "probe_spectrum": (".fingerprint", "probe_spectrum"),
+        "signature_distance": (".fingerprint", "signature_distance"),
+    },
+)

@@ -1,25 +1,19 @@
 """Motion-sensor substrate: trace synthesis, DTW, the Alg. 1 filter."""
 
-from .traces import (
-    ActivityKind,
-    accelerometer_trace,
-    co_located_pair,
-    different_devices_pair,
-    magnitude,
-    normalize_trace,
-)
-from .dtw import dtw_distance, normalized_dtw
-from .motion_filter import MotionFilter, MotionDecision
+from .. import _lazy_exports
 
-__all__ = [
-    "ActivityKind",
-    "accelerometer_trace",
-    "co_located_pair",
-    "different_devices_pair",
-    "magnitude",
-    "normalize_trace",
-    "dtw_distance",
-    "normalized_dtw",
-    "MotionFilter",
-    "MotionDecision",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "ActivityKind": (".traces", "ActivityKind"),
+        "accelerometer_trace": (".traces", "accelerometer_trace"),
+        "co_located_pair": (".traces", "co_located_pair"),
+        "different_devices_pair": (".traces", "different_devices_pair"),
+        "magnitude": (".traces", "magnitude"),
+        "normalize_trace": (".traces", "normalize_trace"),
+        "dtw_distance": (".dtw", "dtw_distance"),
+        "normalized_dtw": (".dtw", "normalized_dtw"),
+        "MotionFilter": (".motion_filter", "MotionFilter"),
+        "MotionDecision": (".motion_filter", "MotionDecision"),
+    },
+)

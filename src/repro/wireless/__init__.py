@@ -1,28 +1,21 @@
 """Wireless control-channel substrate (Bluetooth LE / WiFi models)."""
 
-from .radio import BleLink, WifiLink, WirelessLink, TransferStats
-from .messages import (
-    Message,
-    MessageType,
-    RtsMessage,
-    CtsMessage,
-    ChannelConfigMessage,
-    SensorDataMessage,
-    AudioFileMessage,
-    StopRecordingMessage,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "BleLink",
-    "WifiLink",
-    "WirelessLink",
-    "TransferStats",
-    "Message",
-    "MessageType",
-    "RtsMessage",
-    "CtsMessage",
-    "ChannelConfigMessage",
-    "SensorDataMessage",
-    "AudioFileMessage",
-    "StopRecordingMessage",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "BleLink": (".radio", "BleLink"),
+        "WifiLink": (".radio", "WifiLink"),
+        "WirelessLink": (".radio", "WirelessLink"),
+        "TransferStats": (".radio", "TransferStats"),
+        "Message": (".messages", "Message"),
+        "MessageType": (".messages", "MessageType"),
+        "RtsMessage": (".messages", "RtsMessage"),
+        "CtsMessage": (".messages", "CtsMessage"),
+        "ChannelConfigMessage": (".messages", "ChannelConfigMessage"),
+        "SensorDataMessage": (".messages", "SensorDataMessage"),
+        "AudioFileMessage": (".messages", "AudioFileMessage"),
+        "StopRecordingMessage": (".messages", "StopRecordingMessage"),
+    },
+)

@@ -87,6 +87,19 @@ class TestCellSeeds:
             cell_seed(3, "user", i, bound=97) for i in range(10)
         ]
 
+    @pytest.mark.parametrize("sweep_seed", [3, -1, -(2**63)])
+    @pytest.mark.parametrize("bound", [1, 97, 2**31, 2**63, 2**64, 2**70])
+    def test_every_bound_folds_as_cell_seed(self, sweep_seed, bound):
+        seeds = cell_seeds(sweep_seed, "user", range(-3, 40), bound=bound)
+        assert seeds == [
+            cell_seed(sweep_seed, "user", i, bound=bound)
+            for i in range(-3, 40)
+        ]
+        assert all(type(s) is int for s in seeds)
+
+    def test_empty_ids(self):
+        assert cell_seeds(5, "user", []) == []
+
 
 #: Mean attempts per day for the population oracle: zero, sparse,
 #: moderate, and heavy enough (>= 300) that the hourly Poisson mean
