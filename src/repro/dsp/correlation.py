@@ -94,18 +94,25 @@ def sliding_normalized_correlation_batch(
     spec_t = _TEMPLATE_SPECTRA.get(
         (t.tobytes(), nfft), lambda: np.conj(np.fft.rfft(t, nfft))
     )
-    spec = np.fft.rfft(x, nfft, axis=1) * spec_t
+    spec = np.fft.rfft(x, nfft, axis=1)
+    spec *= spec_t
     raw = np.fft.irfft(spec, nfft, axis=1)[:, : n - m + 1]
 
-    csum = np.concatenate(
-        (np.zeros((x.shape[0], 1)), np.cumsum(x * x, axis=1)), axis=1
-    )
-    local = csum[:, m:] - csum[:, : n - m + 1]
-    denom = np.sqrt(np.maximum(local * te, 0.0))
-    out = np.zeros_like(raw)
-    # Masked divide: silent placements keep the pre-filled zeros.
-    np.divide(raw, denom, out=out, where=denom > 1e-300)
-    return np.clip(out, -1.0, 1.0)
+    # Local energy of every placement: one zero-led cumulative sum of
+    # x², differenced at lag m, then scaled and rooted in place.
+    csum = np.empty((x.shape[0], n + 1))
+    csum[:, 0] = 0.0
+    np.square(x, out=csum[:, 1:])
+    np.cumsum(csum[:, 1:], axis=1, out=csum[:, 1:])
+    out = csum[:, m:] - csum[:, : n - m + 1]
+    out *= te
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    # Masked divide over the root itself; silent placements score 0.
+    loud = out > 1e-300
+    np.divide(raw, out, out=out, where=loud)
+    np.copyto(out, 0.0, where=~loud)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def best_alignment(

@@ -72,18 +72,19 @@ def cell_seeds(
     The hashed text ``repr((tag, i))`` is ``"(" + repr(tag) + ", "``
     followed by ``"%d)" % i``, so the sweep-seed bytes and the tag are
     rendered once and only the integer suffix is formatted per id —
-    about half the per-cell cost of :func:`cell_seed`.  The digests'
-    8-byte prefixes are joined and read as one big-endian ``uint64``
-    array, so the fold is one array ``%`` rather than an int per id.
+    about half the per-cell cost of :func:`cell_seed`.  The whole
+    digests are joined and read as one big-endian ``uint64`` array whose
+    every fourth word is a digest's 8-byte prefix, so the fold is one
+    array ``%`` rather than an int per id.
     """
     prefix = sweep_seed.to_bytes(8, "big", signed=True) + (
         f"({tag!r}, ".encode("utf-8")
     )
     sha256 = hashlib.sha256
     values = np.frombuffer(
-        b"".join(sha256(prefix + b"%d)" % i).digest()[:8] for i in ids),
+        b"".join([sha256(prefix + b"%d)" % i).digest() for i in ids]),
         ">u8",
-    )
+    )[::4]
     if 0 < bound < 2**64:
         return (values % np.uint64(bound)).tolist()
     return [value % bound for value in values.tolist()]

@@ -54,7 +54,6 @@ __all__ = [
     "synthesize_user",
     "user_sessions",
     "has_sessions",
-    "default_rng_states",
     "active_user_streams",
     "verifier_assignment",
 ]
@@ -435,17 +434,6 @@ def _pcg64_output(state: _U128) -> np.ndarray:
     xored = state[0] ^ state[1]
     rot = state[0] >> np.uint64(58)
     return (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
-
-
-def default_rng_states(seeds: Sequence[int]) -> List[Dict[str, object]]:
-    """``np.random.default_rng(s).bit_generator.state`` for every seed.
-
-    Assigning one of these to a reused ``Generator(PCG64())``'s
-    ``bit_generator.state`` positions it exactly where a fresh
-    ``default_rng(s)`` starts, at a fraction of the construction cost.
-    Only single-word seeds, ``[0, 2**32)``, are supported.
-    """
-    return _state_dicts(*_pcg64_seed(seeds))
 
 
 def _take(

@@ -143,10 +143,9 @@ class PreambleDetector:
         where the trace's peak falls below the threshold
         (``peak_score`` is then the score a
         :class:`~repro.errors.PreambleNotFoundError` carries).  The peak
-        argmax and the noise-floor median — the two full-trace
-        reductions — run batched over the stack; ``np.argmax``/
-        ``np.median`` along a row of a C-ordered stack select exactly
-        the elements the 1-D calls do.
+        argmax and the delay-profile gates run batched over the stack;
+        the noise-floor median behind a gate is taken only for the rows
+        where it can win the gate (:func:`_profile_gates`).
         """
         stack = np.asarray(scores, dtype=np.float64)
         if stack.ndim != 2:
@@ -154,33 +153,27 @@ class PreambleDetector:
         if stack.shape[0] == 0:
             return ()
         peaks = np.argmax(stack, axis=1)
-        # The noise-floor median only feeds the delay profile, which
-        # below-threshold rows never build — so run the (partition-
-        # heavy) median over the locked rows only.
-        locked = [
-            row
-            for row in range(stack.shape[0])
-            if float(stack[row, peaks[row]]) >= self._threshold
-        ]
-        baselines = dict(
-            zip(locked, np.median(np.abs(stack[locked]), axis=1))
-        ) if locked else {}
+        bests = stack[np.arange(stack.shape[0]), peaks]
+        # A NaN peak is not below the threshold, so it locks (with the
+        # all-zero profile its NaN gate gives).
+        locked = np.flatnonzero(~(bests < self._threshold))
+        traces = stack if locked.size == stack.shape[0] else stack[locked]
+        row_gates = _profile_gates(traces, bests[locked]).tolist()
+        gates = dict(zip(locked.tolist(), row_gates))
         out = []
-        for row in range(stack.shape[0]):
-            peak = int(peaks[row])
-            best = float(stack[row, peak])
-            if best < self._threshold:
+        for row, peak in enumerate(peaks.tolist()):
+            best = float(bests[row])
+            if row not in gates:
                 out.append((None, best))
                 continue
-            profile = self._delay_profile(
-                stack[row], peak, baseline=float(baselines[row])
-            )
             out.append(
                 (
                     PreambleMatch(
                         start=peak + self._template.size,
                         score=best,
-                        delay_profile=profile,
+                        delay_profile=self._delay_profile(
+                            stack[row], peak, gate=gates[row]
+                        ),
                     ),
                     best,
                 )
@@ -202,30 +195,68 @@ class PreambleDetector:
             return ((None, 0.0),) * len(recordings)
 
     def _delay_profile(
-        self, scores: np.ndarray, peak: int, baseline: float
+        self, scores: np.ndarray, peak: int, gate: float
     ) -> np.ndarray:
         """Approximate power delay profile from the correlation trace.
 
         Correlation values from the peak onward (echoes arrive after
-        the direct path), squared, with the noise floor gated out:
-        values below 15% of the peak are correlation noise, not
-        arrivals, and would otherwise smear τ_rms across the whole
-        window regardless of the actual channel.  The window is one
-        chirp length — the echo horizon the modem's cyclic prefix is
-        designed around; later correlation peaks are spurious (noise or
-        the following OFDM symbols, which share the band).
+        the direct path), squared, with everything below ``gate`` (see
+        :func:`_profile_gates`) zeroed: values under it are correlation
+        noise, not arrivals, and would otherwise smear τ_rms across the
+        whole window regardless of the actual channel.  The window is
+        one chirp length — the echo horizon the modem's cyclic prefix
+        is designed around; later correlation peaks are spurious (noise
+        or the following OFDM symbols, which share the band).
         """
         window = min(scores.size - peak, self._template.size // 2)
         segment = np.maximum(scores[peak: peak + window], 0.0)
         if not segment.size:
             return segment
-        # Two-part gate.  Relative part: under LOS the direct tap towers
-        # over reflections, so arrivals below a quarter of the peak are
-        # sidelobes; under NLOS the "peak" is itself an echo and its
-        # siblings pass the gate, inflating τ_rms — which is exactly the
-        # signature the detector needs.  Absolute part: the correlation
-        # noise floor (the median ``|score|``), so loud scenes don't
-        # masquerade as echoes.
-        gate = max(0.25 * segment[0], 3.0 * baseline)
         segment = np.where(segment >= gate, segment, 0.0)
         return segment * segment
+
+
+def _profile_gates(traces: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """The delay-profile gate ``max(rel, 3·median|trace|)`` of every row.
+
+    ``rel = 0.25·max(best, 0)``, ``best`` being the row's peak score.
+    Relative part: under LOS the direct tap towers over reflections, so
+    arrivals below a quarter of the peak are sidelobes; under NLOS the
+    "peak" is itself an echo and its siblings pass the gate, inflating
+    τ_rms — which is exactly the signature the detector needs.
+    Absolute part: three times the correlation noise floor (the median
+    ``|score|``), so loud scenes don't masquerade as echoes.
+
+    The median wins only where ``3·median > rel``.  If more than
+    ``n // 2`` entries have ``3·|s| ≤ rel``, both middle order
+    statistics do (``3·x`` rounds monotonically), and so does their
+    mean, which never exceeds the larger of the two: the gate is
+    ``rel`` without a median.  Only the other rows sort
+    (:func:`_exact_medians`).  NaN entries never pass the count, and a
+    NaN median loses ``max`` to ``rel``, as ``np.median``'s NaN did.
+    """
+    rel = 0.25 * np.maximum(best, 0.0)
+    scaled = np.abs(traces)
+    scaled *= 3.0
+    quiet = np.count_nonzero(scaled <= rel[:, None], axis=1)
+    loud = np.flatnonzero(quiet <= traces.shape[1] // 2)
+    if loud.size:
+        floors = 3.0 * _exact_medians(np.abs(traces[loud]))
+        # Python's ``max(rel, floor)``: ``floor`` only where it is larger.
+        rel[loud] = np.where(floors > rel[loud], floors, rel[loud])
+    return rel
+
+
+def _exact_medians(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=1)``, bit for bit, NaN rows giving NaN.
+
+    The same partition and middle-pair mean, without the NaN check
+    that imports ``numpy.ma``.
+    """
+    n = rows.shape[1]
+    half = n // 2
+    kth = [half, n - 1] if n % 2 else [half - 1, half, n - 1]
+    part = np.partition(rows, kth, axis=1)
+    medians = part[:, half - 1 + n % 2: half + 1].mean(axis=1)
+    medians[np.isnan(part[:, -1])] = np.nan
+    return medians

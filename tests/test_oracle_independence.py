@@ -41,7 +41,6 @@ POPULATION_KERNELS = frozenset(
     {
         "shard_population",
         "active_user_streams",
-        "default_rng_states",
         "cell_seeds",
         "has_sessions",
         "_proven_idle",

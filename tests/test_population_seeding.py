@@ -2,8 +2,7 @@
 
 ``shard_population`` derives every user's two generator states for a
 block of users at once (:func:`~repro.eval.batch.cell_seeds` plus the
-vectorized PCG64 seeding behind
-:func:`~repro.fleet.population.default_rng_states`), skips the users
+vectorized PCG64 seeding of ``repro.fleet.population``), skips the users
 the activity filter proves idle, positions one reused generator per
 stream, and skips users without a session after a draw-only pass (the
 filter's own tests are in ``tests/test_activity_filter.py``); the
@@ -28,11 +27,17 @@ from repro.fleet.executor import shard_population
 from repro.fleet.population import (
     FUSION_MIXES,
     MAX_SESSIONS_PER_DAY,
-    default_rng_states,
+    _pcg64_seed,
+    _state_dicts,
 )
 from tests import population_oracle
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def pcg64_states(seeds):
+    """The vectorized seeding's ``bit_generator.state`` dict per seed."""
+    return _state_dicts(*_pcg64_seed(seeds))
 
 
 def _positioned(state) -> np.random.Generator:
@@ -48,7 +53,7 @@ class TestDefaultRngStates:
     @example(seed=2**31 - 1)
     @example(seed=2**32 - 1)
     def test_matches_default_rng(self, seed):
-        (state,) = default_rng_states([seed])
+        (state,) = pcg64_states([seed])
         fresh = np.random.default_rng(seed)
         assert state == fresh.bit_generator.state
         rng = _positioned(state)
@@ -59,14 +64,14 @@ class TestDefaultRngStates:
     @settings(max_examples=50, deadline=None)
     @given(seeds=st.lists(SEEDS, max_size=40))
     def test_batch_rows_are_independent(self, seeds):
-        assert default_rng_states(seeds) == [
+        assert pcg64_states(seeds) == [
             np.random.default_rng(s).bit_generator.state for s in seeds
         ]
 
     @pytest.mark.parametrize("seed", [2**32, 2**32 + 1, 2**40, 2**64, -1])
     def test_rejects_multi_word_and_negative_seeds(self, seed):
         with pytest.raises(ValueError):
-            default_rng_states([0, seed])
+            pcg64_states([0, seed])
 
 
 class TestCellSeeds:
