@@ -11,7 +11,9 @@ specifics so eval harnesses can reuse it:
 * :class:`SessionContext` — the mutable state one attempt carries
   between stages;
 * :class:`StageEngine` — executes stages in order, short-circuits on
-  abort, and emits one trace span per stage (simulated time + energy).
+  abort, and emits one trace span per stage (simulated time + energy);
+  :meth:`StageEngine.step_paused` runs one stage for many paused
+  passes as a batch.
 
 Abort reporting mirrors :class:`repro.core.pipeline.FilterChain`: the
 engine result names the stage that stopped the attempt (``stopped_by``)
@@ -22,6 +24,7 @@ stage-graph diagnostics read the same way.
 from __future__ import annotations
 
 import hashlib
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -91,7 +94,12 @@ class StageResult:
 
 @runtime_checkable
 class Stage(Protocol):
-    """One named step of a pipeline."""
+    """One named step of a pipeline.
+
+    A stage may also define ``run_rows(ctxs)``: its body over many
+    contexts at once, returning one result per context, which
+    :meth:`StageEngine.step_paused` runs for a batch of paused passes.
+    """
 
     name: str
 
@@ -241,9 +249,9 @@ class SessionContext:
     config_msg: Any = None
     data_recording: Any = None
     #: Length of the Phase-2 recording in samples.  Set alongside
-    #: ``data_recording`` by the live path; the staged OTP path sets
-    #: only this (the recording itself is consumed out of band), so
-    #: timing/offload arithmetic never needs the freed samples.
+    #: ``data_recording``; the fleet's OTP waves receive the recording
+    #: in a batch and drop it, leaving the bits in ``received_bits``,
+    #: so timing/offload arithmetic never needs the freed samples.
     data_samples: int = 0
     received_bits: Any = None
     unlocked: bool = False
@@ -282,6 +290,8 @@ class EnginePause:
     that stage — a NACK retransmission jumping back, or a re-probe
     sweeping forward through it — pauses again, which is what lets a
     batch orchestrator stage every retransmission wave too.
+    :meth:`StageEngine.step_paused` runs the paused stage for many
+    passes at once and leaves each paused before its next stage.
     """
 
     ctx: SessionContext
@@ -447,61 +457,147 @@ class StageEngine:
                     jumps=jumps,
                 )
             pause_armed = True
-            if ctx.faults is not None:
-                ctx.faults.enter_stage(stage.name)
-            watch0 = self._joules(ctx.watch_meter)
-            phone0 = self._joules(ctx.phone_meter)
+            joules = self._enter(ctx, stage)
             with self.tracer.span(stage.name, kind="stage") as span:
                 result = stage.run(ctx)
-                if ctx.faults is not None:
-                    self._apply_stage_faults(ctx, stage.name)
-                span.watch_energy_j = self._joules(ctx.watch_meter) - watch0
-                span.phone_energy_j = self._joules(ctx.phone_meter) - phone0
-                if not result.ok:
-                    if result.retry_to is not None:
-                        span.status = "retry"
-                        span.tags["retry_to"] = result.retry_to
-                        span.tags["retry_reason"] = result.abort_reason or ""
-                    else:
-                        span.status = "abort"
-                        span.tags["abort_reason"] = result.abort_reason or ""
-            run.append(stage.name)
-            if result.ok:
-                i += 1
-                continue
-            if result.retry_to is not None:
-                target = self._index.get(result.retry_to)
-                if target is None:
-                    raise WearLockError(
-                        f"retry target {result.retry_to!r} is not a stage "
-                        f"of this engine ({self.stage_names})"
-                    )
-                if target > i:
-                    raise WearLockError(
-                        f"retry target {result.retry_to!r} is ahead of "
-                        f"{stage.name!r}; only backward edges are allowed"
-                    )
-                jumps += 1
-                if jumps > self._max_jumps:
-                    return EngineResult(
-                        stages_run=tuple(run),
-                        stopped_by=stage.name,
-                        abort_reason="retries_exhausted",
-                        detail=result.detail,
-                        jumps=jumps,
-                    )
-                i = target
-                continue
-            return EngineResult(
-                stages_run=tuple(run),
-                stopped_by=stage.name,
-                abort_reason=result.abort_reason,
-                detail=result.detail,
-                jumps=jumps,
-            )
+                self._settle(ctx, stage, span, joules, result)
+            step = self._next(stage, i, run, jumps, result)
+            if isinstance(step, EngineResult):
+                return step
+            i, jumps = step
         return EngineResult(
             stages_run=tuple(run),
             stopped_by=None,
             abort_reason=None,
+            jumps=jumps,
+        )
+
+    @staticmethod
+    def step_paused(
+        passes: Sequence[Tuple["StageEngine", EnginePause]],
+    ) -> List[Any]:
+        """Run the stage many paused passes wait before, as one batch.
+
+        Every ``(engine, pause)`` pass must be suspended in front of the
+        same stage, and no two passes may share a recording tracer (the
+        stage spans are open side by side).  The first pass's stage
+        object runs ``run_rows`` on every pass's context; around it,
+        each pass gets exactly what :meth:`execute` does around
+        ``stage.run`` — injector scoping, the stage span, energy deltas,
+        stage fault spikes, ``stages_run``.  Each pass comes back
+        paused before its next stage (an :class:`EnginePause`, to be
+        continued with :meth:`resume`) or finished (an
+        :class:`EngineResult`).
+        """
+        if not passes:
+            return []
+        names = {pause.next_stage for _, pause in passes}
+        if len(names) > 1:
+            raise WearLockError(
+                f"paused passes wait before different stages: {sorted(names)}"
+            )
+        tracers = [id(e.tracer) for e, _ in passes if e.tracer.enabled]
+        if len(tracers) != len(set(tracers)):
+            raise WearLockError("paused passes share a recording tracer")
+        first, pause0 = passes[0]
+        stage = first._stages[pause0.next_index]
+        with ExitStack() as spans:
+            opened = []
+            for engine, pause in passes:
+                joules = engine._enter(pause.ctx, stage)
+                span = spans.enter_context(
+                    engine.tracer.span(stage.name, kind="stage")
+                )
+                opened.append((span, joules))
+            results = stage.run_rows([pause.ctx for _, pause in passes])
+            for (engine, pause), (span, joules), result in zip(
+                passes, opened, results
+            ):
+                engine._settle(pause.ctx, stage, span, joules, result)
+        out: List[Any] = []
+        for (engine, pause), result in zip(passes, results):
+            run = pause.stages_run
+            step = engine._next(
+                stage, pause.next_index, run, pause.jumps, result
+            )
+            if isinstance(step, EngineResult):
+                out.append(step)
+                continue
+            i, jumps = step
+            # Pauses at once in front of stage ``i``, or finishes the
+            # pass when the batched stage was its last.
+            nxt = engine._stages[i].name if i < len(engine._stages) else None
+            out.append(engine._run(pause.ctx, i, run, jumps, nxt))
+        return out
+
+    def _enter(self, ctx: SessionContext, stage: Stage) -> Tuple[float, float]:
+        """Scope the injector to ``stage``; the meters' joules before it."""
+        if ctx.faults is not None:
+            ctx.faults.enter_stage(stage.name)
+        return self._joules(ctx.watch_meter), self._joules(ctx.phone_meter)
+
+    def _settle(
+        self,
+        ctx: SessionContext,
+        stage: Stage,
+        span: Any,
+        joules: Tuple[float, float],
+        result: StageResult,
+    ) -> None:
+        """Charge stage spikes and tag ``stage``'s span with its outcome."""
+        if ctx.faults is not None:
+            self._apply_stage_faults(ctx, stage.name)
+        span.watch_energy_j = self._joules(ctx.watch_meter) - joules[0]
+        span.phone_energy_j = self._joules(ctx.phone_meter) - joules[1]
+        if not result.ok:
+            if result.retry_to is not None:
+                span.status = "retry"
+                span.tags["retry_to"] = result.retry_to
+                span.tags["retry_reason"] = result.abort_reason or ""
+            else:
+                span.status = "abort"
+                span.tags["abort_reason"] = result.abort_reason or ""
+
+    def _next(
+        self,
+        stage: Stage,
+        i: int,
+        run: List[str],
+        jumps: int,
+        result: StageResult,
+    ):
+        """Log stage ``i`` as run; where the pass goes next:
+        ``(index, jumps)`` of the next stage to run, or the
+        :class:`EngineResult` it stops with."""
+        run.append(stage.name)
+        if result.ok:
+            return i + 1, jumps
+        if result.retry_to is not None:
+            target = self._index.get(result.retry_to)
+            if target is None:
+                raise WearLockError(
+                    f"retry target {result.retry_to!r} is not a stage "
+                    f"of this engine ({self.stage_names})"
+                )
+            if target > i:
+                raise WearLockError(
+                    f"retry target {result.retry_to!r} is ahead of "
+                    f"{stage.name!r}; only backward edges are allowed"
+                )
+            jumps += 1
+            if jumps > self._max_jumps:
+                return EngineResult(
+                    stages_run=tuple(run),
+                    stopped_by=stage.name,
+                    abort_reason="retries_exhausted",
+                    detail=result.detail,
+                    jumps=jumps,
+                )
+            return target, jumps
+        return EngineResult(
+            stages_run=tuple(run),
+            stopped_by=stage.name,
+            abort_reason=result.abort_reason,
+            detail=result.detail,
             jumps=jumps,
         )

@@ -118,8 +118,6 @@ class FaultInjector:
         self._stage: Optional[str] = None
         self._rngs: Dict[int, np.random.Generator] = {}
         self._hits: Dict[int, int] = {}
-        #: Stream states a :meth:`fork` starts its specs from.
-        self._base: Dict[int, dict] = {}
         self.events: List[InjectedFault] = []
 
     # ------------------------------------------------------------------
@@ -156,24 +154,6 @@ class FaultInjector:
             events=tuple(self.events),
         )
 
-    def fork(self) -> "FaultInjector":
-        """An injector that continues from this one without moving it.
-
-        The fork starts at this injector's stage, stream states and hit
-        counts, with no events and no observer.  Its :meth:`snapshot`
-        holds only the specs it drew from and the events it fired, so
-        :meth:`restore` carries back exactly what running the same calls
-        here would have done, as long as this injector has not drawn
-        from those specs in between.
-        """
-        twin = FaultInjector(self.plan, self._seed)
-        twin._stage = self._stage
-        twin._hits = dict(self._hits)
-        twin._base = {
-            index: rng.bit_generator.state for index, rng in self._rngs.items()
-        }
-        return twin
-
     def restore(self, state: InjectorState) -> None:
         """Carry a replayed injector's :meth:`snapshot` into this one.
 
@@ -198,10 +178,7 @@ class FaultInjector:
                 entropy=self._seed,
                 spawn_key=(_stream_key(f"{index}:{spec.label()}"),),
             )
-            rng = np.random.default_rng(child)
-            if index in self._base:
-                rng.bit_generator.state = self._base[index]
-            self._rngs[index] = rng
+            self._rngs[index] = np.random.default_rng(child)
         return self._rngs[index]
 
     def _armed(self, kinds: Tuple[str, ...]):

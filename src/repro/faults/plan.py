@@ -25,6 +25,7 @@ stage may be ``*`` to arm the fault at every stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -71,7 +72,8 @@ class FaultSpec:
     severity:
         Dimensionless knob scaling the fault's magnitude (burst
         amplitude, truncation depth, latency seconds, ...); 1.0 is the
-        calibrated "clearly disruptive" level.
+        calibrated "clearly disruptive" level.  Must be finite and
+        positive.
     max_hits:
         Cap on how many times the fault fires per session; ``None``
         means unlimited.  ``max_hits=1`` models a single-frame
@@ -94,8 +96,8 @@ class FaultSpec:
             raise FaultError("fault stage must be non-empty (use '*')")
         if not 0.0 <= self.probability <= 1.0:
             raise FaultError("probability must be in [0, 1]")
-        if self.severity <= 0:
-            raise FaultError("severity must be positive")
+        if not 0.0 < self.severity < math.inf:
+            raise FaultError("severity must be finite and positive")
         if self.max_hits is not None and self.max_hits < 1:
             raise FaultError("max_hits must be >= 1 (or None)")
 

@@ -36,12 +36,12 @@ processes; it owns everything that must *not* cross shard boundaries:
     OTP counter state (each session's counter position depends on
     earlier outcomes), so this phase cannot be staged up front: Phase B
     instead runs in *waves* — every user advances by at most one
-    Phase-2-reaching session, paused just before ``otp-tx``; the wave's
-    frames, channel convolutions, receive FFTs and pilot equalizations
-    run as stacked batches (:func:`precompute_otp`, a pure function of
-    the paused sessions); then each session resumes with its staged
-    result and restores the generator and injector states where its
-    live transmit would run.
+    Phase-2-reaching session, paused just before ``otp-tx``; each wave
+    block runs the ``otp-tx`` stage itself as one batch, in live order
+    on every session's own streams (frames, channel convolutions), and
+    receives the frames as stacked receive FFTs and pilot
+    equalizations (:func:`precompute_otp`); then each session resumes
+    at ``verify`` with its bits on its context.
 
   Every staged batch holds at most :data:`STAGING_ROWS` rows, so
   staging memory does not grow with the shard.  Phase B has one driver
@@ -49,8 +49,8 @@ processes; it owns everything that must *not* cross shard boundaries:
   each user's day straight through.  Every staged value is
   bit-identical to what the live stage would compute, so the aggregate
   document is byte-identical across staging levels (CI ``cmp``-checks
-  this).  Under fault injection each session's own injector (or a fork
-  of it) rides both batched channels.
+  this).  Under fault injection each session's own injector rides both
+  batched channels.
 
 The output is a list of compact :class:`~repro.fleet.aggregate.
 SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
@@ -75,12 +75,10 @@ from ..errors import ConfigurationError, ModemError, WearLockError
 from ..faults import FaultPlan
 from ..modem.probe import ChannelProber
 from ..modem.receiver import OfdmReceiver, receive_batch_grouped
-from ..modem.transmitter import OfdmTransmitter
 from ..protocol.controllers import PhoneController, choose_volume_spl
 from ..protocol.session import (
     AbortReason,
     PendingSession,
-    PrecomputedOtp,
     PrecomputedProbe,
     PrecomputedStages,
     RetryPolicy,
@@ -442,152 +440,81 @@ def precompute_probe(
     return probes, sims, mb_sims
 
 
-def precompute_otp(
-    pendings: Sequence[PendingSession],
-) -> List[PrecomputedOtp]:
-    """Batch one wave's Phase-2 transmit + receive, bit-exactly.
+def precompute_otp(pendings: Sequence[PendingSession]) -> None:
+    """Run one wave block's ``otp-tx`` stage and receive its frames.
 
-    Each pending session is paused just before ``otp-tx`` with its mode
-    decision, probe report and transmit level already fixed, so the
-    token each phone *will* send is fully determined.  The function is
-    pure: it reads the paused sessions and changes none of them.  Three
-    stacked passes replay what the live stages would compute:
+    Each pending session is paused just before ``otp-tx``.  The block's
+    stage runs as one batch (:meth:`~repro.protocol.session.
+    PendingSession.step`, i.e. :meth:`~repro.protocol.stages.OtpTxStage.
+    run_rows`): per session in live order, the token from its own OTP
+    counter, the channel-config message and, for the sessions still on
+    air, one :meth:`~repro.modem.transmitter.OfdmTransmitter.
+    modulate_batch` per (signal plane, coded size) and one
+    :meth:`~repro.channel.link.AcousticLink.transmit_rows` on each
+    session's own link, ``otp-tx`` generator and fault injector, then
+    the stop message.  Each session is left paused before ``verify``
+    or finished (a dropped message aborts it as it does live).
 
-    1. **Frames.**  Each phone's own encode step
-       (:meth:`~repro.protocol.controllers.PhoneController.
-       encode_token`, which reads the OTP counter without advancing
-       it), then sessions sharing a signal plane and coded length go
-       through one :meth:`~repro.modem.transmitter.OfdmTransmitter.
-       modulate_batch`.
-    2. **Channel.**  One :meth:`~repro.channel.link.AcousticLink.
-       transmit_rows` call — the live transmit's kernel — on every
-       session's own link, with a copy of its ``otp-tx`` generator and
-       a :meth:`~repro.faults.FaultInjector.fork` of its injector
-       scoped to ``otp-tx``.
-    3. **Receive.**  The watch-side plane comes from the channel-config
-       message (:meth:`~repro.protocol.controllers.WatchController.
-       signal_plane_for`, memoized per wave), and sessions sharing sync
-       geometry (modem config, mode, data-channel count, recording
-       length, bit count) go through one
-       :func:`~repro.modem.receiver.receive_batch_grouped` whatever
-       their plans.  It returns the :class:`~repro.errors.ModemError`
-       instance for each frame whose live :meth:`~repro.modem.receiver.
-       OfdmReceiver.receive` raises; those frames get ``None`` bits
-       (→ ``data_not_detected`` downstream).
-
-    Recordings are dropped here: only the sample count survives (for
-    the offload arithmetic), plus the copied generator's and the
-    fork's post-draw states, which the ``otp-tx`` stage restores after
-    it delivers the channel-config message — so a dropped message
-    aborts as it does live, the fault events come in live order, and a
-    NACK retransmission continues both streams where live would.
+    The paused sessions' recordings are then received together: the
+    watch-side plane comes from each channel-config message
+    (:meth:`~repro.protocol.controllers.WatchController.
+    signal_plane_for`, memoized per block), and sessions sharing sync
+    geometry (modem config, mode, data-channel count, recording
+    length, bit count) go through one :func:`~repro.modem.receiver.
+    receive_batch_grouped` whatever their plans.  Each session's bits
+    land on its context — ``None`` for a row that comes back as the
+    :class:`~repro.errors.ModemError` its live :meth:`~repro.modem.
+    receiver.OfdmReceiver.receive` raises (→ ``data_not_detected``) —
+    and its recording is dropped, so ``verify`` demodulates nothing.
     """
-    n = len(pendings)
+    PendingSession.step(pendings)
+    # Still paused means paused before verify: the frame went on air.
+    ctxs = [p.ctx for p in pendings if p.paused]
 
-    # Pass 1 — tokens + frame assembly, bucketed by signal plane (a
-    # cached singleton, so identity is the key) and coded bit count.
-    tts = [None] * n
-    coded: List[np.ndarray] = [None] * n
-    planes: List[object] = [None] * n
-    for i, pending in enumerate(pendings):
-        ctx = pending.ctx
-        tts[i], coded[i], planes[i] = ctx.phone.encode_token(
-            ctx.mode_decision, ctx.report.recommended_plan, ctx.tx_spl
-        )
-    for idxs in partition_indices(
-        (id(planes[i]), coded[i].size) for i in range(n)
-    ).values():
-        tx = OfdmTransmitter(plane=planes[idxs[0]])
-        frames = tx.modulate_batch([coded[i] for i in idxs])
-        for frame, i in zip(frames, idxs):
-            tts[i] = replace(tts[i], result=frame)
-
-    # Pass 2 — the acoustic channel, on each session's own link, with a
-    # copy of its stage stream and a fork of its fault injector.
-    gens = []
-    links = []
-    for pending in pendings:
-        gen = np.random.Generator(np.random.PCG64())
-        gen.bit_generator.state = (
-            pending.ctx.rng_for(_OTP_STAGE).bit_generator.state
-        )
-        gens.append(gen)
-        link = pending.ctx.link
-        if link.injector is not None:
-            fork = link.injector.fork()
-            # The engine paused *before* entering otp-tx, so the
-            # session's injector is still scoped to the previous stage.
-            fork.enter_stage(_OTP_STAGE)
-            link = replace(link, injector=fork)
-        links.append(link)
-    recordings = AcousticLink.transmit_rows(
-        links,
-        [tt.result.waveform for tt in tts],
-        [tt.tx_spl for tt in tts],
-        gens,
-    )
-
-    # Pass 3 — watch-side receive, grouped by sync geometry, not by
-    # plane: sessions rarely share a probe-selected plan, so an
-    # id(plane) partition would shatter the wave into near-singleton
-    # stacks.  The modem config plus the (mode, data-channel count)
-    # pair fix everything the shared sync front-half depends on; the
-    # per-plan tail runs inside receive_batch_grouped.
-    msgs = [
-        p.ctx.phone.channel_config_message(tt) for p, tt in zip(pendings, tts)
-    ]
-    # Keyed by the frozen config's *value*, not identity: every session
-    # builds its own ModemConfig object, and an id() key would rebuild
-    # the plane and its receiver once per session instead of once per
-    # (config, plan, mode).
+    # Grouped by sync geometry, not by plane: sessions rarely share a
+    # probe-selected plan, so an id(plane) partition would shatter the
+    # block into near-singleton stacks.  The modem config plus the
+    # (mode, data-channel count) pair fix everything the shared sync
+    # front-half depends on; the per-plan tail runs inside
+    # receive_batch_grouped.  Receivers are keyed by the frozen
+    # config's *value*, not identity: every session builds its own
+    # ModemConfig object, and an id() key would rebuild the plane and
+    # its receiver once per session instead of once per (config, plan,
+    # mode).
     rx_memo: Dict[Tuple, OfdmReceiver] = {}
     receivers: List[OfdmReceiver] = []
-    for pending, msg in zip(pendings, msgs):
-        watch = pending.ctx.watch
+    for ctx in ctxs:
+        msg = ctx.config_msg
         key = (
-            watch.config.modem,
+            ctx.watch.config.modem,
             msg.mode,
             tuple(msg.data_channels),
             tuple(msg.pilot_channels),
         )
         if key not in rx_memo:
-            rx_memo[key] = OfdmReceiver(plane=watch.signal_plane_for(msg))
+            rx_memo[key] = OfdmReceiver(plane=ctx.watch.signal_plane_for(msg))
         receivers.append(rx_memo[key])
-    bits_out: List[Optional[np.ndarray]] = [None] * n
     for idxs in partition_indices(
         (
-            pendings[i].ctx.watch.config.modem,
-            msgs[i].mode,
-            len(msgs[i].data_channels),
-            recordings[i].size,
-            msgs[i].n_bits,
+            ctx.watch.config.modem,
+            ctx.config_msg.mode,
+            len(ctx.config_msg.data_channels),
+            ctx.data_recording.size,
+            ctx.config_msg.n_bits,
         )
-        for i in range(n)
+        for ctx in ctxs
     ).values():
         received = receive_batch_grouped(
             [receivers[i] for i in idxs],
-            [recordings[i] for i in idxs],
-            expected_bits=msgs[idxs[0]].n_bits,
+            [ctxs[i].data_recording for i in idxs],
+            expected_bits=ctxs[idxs[0]].config_msg.n_bits,
         )
         for res, i in zip(received, idxs):
-            # A failed row carries the ModemError the live receive
-            # raises; its staged bits are None (→ data_not_detected).
-            bits_out[i] = None if isinstance(res, ModemError) else res.bits
-
-    return [
-        PrecomputedOtp(
-            token_tx=replace(tt, result=replace(tt.result, waveform=None)),
-            recording_samples=int(recording.size),
-            received_bits=bits,
-            rng_state=gen.bit_generator.state,
-            faults=(
-                None if link.injector is None else link.injector.snapshot()
-            ),
-        )
-        for tt, recording, bits, gen, link in zip(
-            tts, recordings, bits_out, gens, links
-        )
-    ]
+            ctxs[i].received_bits = (
+                None if isinstance(res, ModemError) else res.bits
+            )
+    for ctx in ctxs:
+        ctx.data_recording = None
 
 
 def _stage_shard(
@@ -777,20 +704,21 @@ def _run_waves(
     *active* session, paused just before ``pause_before``
     (:meth:`~repro.protocol.session.UnlockSession.begin`); every
     round, the wave's transmit/receive DSP runs as batches of at most
-    :data:`STAGING_ROWS` sessions (:func:`precompute_otp`) and each
-    session is *fed* its staged result
+    :data:`STAGING_ROWS` sessions (:func:`precompute_otp`: the
+    ``otp-tx`` stage for the whole block, then one stacked receive)
+    and each session resumes at ``verify``
     (:meth:`~repro.protocol.session.PendingSession.feed`).  A
-    fed session either completes — freeing its user to start the next
+    resumed session either completes — freeing its user to start the next
     session, which joins the following round — or pauses again in
     front of ``otp-tx`` (a NACK retransmission, or the tail of a
     re-probe) and is batched again: retransmissions ride the waves
     too, their generators already positioned mid-stream.  Sessions
     that abort before Phase 2 (prefilter rejections, probe failures)
     finish inside the top-up sweep without occupying a wave slot.
-    Tokens are exact by construction: each is staged from the paused
+    Tokens are exact by construction: each is read from the paused
     session's own OTP counter at its own attempt.  Faulted sessions
-    ride the waves as well, each transmitting on a fork of its own
-    fault injector inside :func:`precompute_otp`.
+    ride the waves as well, each transmitting under its own fault
+    injector.
 
     With ``pause_before=None`` no session pauses, so the first top-up
     sweep runs every user's whole day live and no wave forms.  Records
@@ -854,16 +782,14 @@ def _run_waves(
             state[4] = cursor
         if not active:
             break
-        # One batched round: stage every in-flight transmission (first
-        # attempts and retransmissions alike) block by block, and feed
-        # each block back before staging the next.
+        # One batched round: every in-flight transmission (first
+        # attempts and retransmissions alike) goes on air block by
+        # block, and each block resumes before the next transmits.
         for block in _staging_blocks(list(active.items())):
-            staged_otps = precompute_otp([p for _, (_, _, p) in block])
-            for (ui, (spec, ann, pending)), staged_otp in zip(
-                block, staged_otps
-            ):
-                if pending.feed(staged_otp):
-                    continue  # paused again: next round stages the retry
+            precompute_otp([p for _, (_, _, p) in block])
+            for ui, (spec, ann, pending) in block:
+                if pending.feed():
+                    continue  # paused again: next round batches the retry
                 records.append(_record(spec, pending.finish(), ann))
                 del active[ui]
     records.sort(key=lambda r: (r.user_id, r.session_index))

@@ -25,10 +25,10 @@ behaviour).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from .stages import (
 __all__ = [
     "AbortReason",
     "PendingSession",
-    "PrecomputedOtp",
     "PrecomputedProbe",
     "PrecomputedStages",
     "RetryPolicy",
@@ -211,44 +210,6 @@ class PrecomputedProbe:
 
 
 @dataclass(frozen=True)
-class PrecomputedOtp:
-    """One session's Phase-2 OTP tx/rx, replayed out of band.
-
-    Built by :func:`repro.fleet.executor.precompute_otp` between a
-    session's pause (just before ``otp-tx``) and its resumption: the
-    executor reads the paused context's mode decision, channel report
-    and OTP counter — so the staged token is *the* token the live stage
-    would generate, by construction rather than by prediction — then
-    runs the frame assembly, channel synthesis and receive DSP for a
-    whole wave of sessions in stacked batches.
-
-    ``token_tx`` is the prepared transmission with its waveform
-    dropped (every downstream consumer needs only the layout, plan,
-    mode, token and coded-bit count; retaining a wave's waveforms
-    would pin megabytes through the resume loop).  ``received_bits``
-    is ``None`` when the batched receive hit the condition under which
-    the live :meth:`~repro.protocol.controllers.WatchController.
-    demodulate` would have raised a :class:`~repro.errors.ModemError`
-    (the verify stage then resolves ``data_not_detected`` exactly as
-    the live path does).
-
-    The transmit ran on a copy of the session's ``otp-tx`` generator and
-    on a :meth:`~repro.faults.FaultInjector.fork` of its injector, so
-    staging leaves the paused session untouched.  ``rng_state`` is the
-    copy's bit state after the draws and ``faults`` the fork's
-    :class:`~repro.faults.injector.InjectorState` (``None`` without a
-    fault plan); the consuming stage restores both where the live
-    transmit runs, after the channel-config message is delivered.
-    """
-
-    token_tx: object
-    recording_samples: int
-    received_bits: Optional[np.ndarray]
-    rng_state: dict
-    faults: Optional[object] = None
-
-
-@dataclass(frozen=True)
 class PrecomputedStages:
     """Shard-level precomputed stage inputs for one attempt.
 
@@ -272,20 +233,15 @@ class PrecomputedStages:
     field per registered verifier (per-field consumption semantics are
     documented there).
 
-    ``otp`` extends the same contract to Phase 2 (see
-    :class:`PrecomputedOtp`); unlike the other fields it cannot be
-    staged before the session starts — the OTP token depends on the
-    user's counter state *at* the otp-tx stage — so the fleet executor
-    attaches it between :meth:`UnlockSession.begin` (paused before
-    ``otp-tx``) and :meth:`PendingSession.finish`.
+    Phase 2 is not staged here: the OTP token depends on the user's
+    counter state *at* the otp-tx stage, so the fleet executor pauses
+    each session in front of ``otp-tx`` (:meth:`UnlockSession.begin`)
+    and runs that stage for a whole wave (:meth:`PendingSession.step`).
     """
 
     sensor_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
     probe: Optional[PrecomputedProbe] = None
     evidence: Optional[PrecomputedVerifierEvidence] = None
-    #: Staged Phase-2 OTP tx/rx (wave-batched by the fleet executor;
-    #: attached at resume time, never present when the session starts).
-    otp: Optional[PrecomputedOtp] = None
 
 
 @dataclass
@@ -585,10 +541,10 @@ class UnlockSession:
     ) -> "PendingSession":
         """Start an attempt, suspending just before ``pause_before``.
 
-        The wave-batching fleet executor runs Phase 1 live, collects
-        every paused session of a wave, stages their Phase-2 tx/rx as
-        one batch (:class:`PrecomputedOtp`), then resumes each via
-        :meth:`PendingSession.finish`.  An attempt that aborts before
+        The wave-batching fleet executor runs Phase 1, collects every
+        paused session of a wave, runs their ``otp-tx`` stage as one
+        batch (:meth:`PendingSession.step`), then resumes each via
+        :meth:`PendingSession.feed`.  An attempt that aborts before
         reaching the pause point comes back already finished
         (``paused`` is ``False``); ``finish`` then simply packages the
         outcome.  ``pause_before=None`` runs the attempt to completion
@@ -648,20 +604,18 @@ class PendingSession:
 
     Returned by :meth:`UnlockSession.begin`.  A *paused* pending
     session stopped just before the ``otp-tx`` stage with all of
-    Phase 1 complete: its :attr:`ctx` exposes the mode decision,
-    channel report and transmit level the batch stager needs, and the
-    phone's OTP counter is exactly where the live stage would read it.
-    A *finished* one aborted before the pause point; ``finish`` just
-    packages its outcome.
+    Phase 1 complete: its :attr:`ctx` holds the mode decision, channel
+    report and transmit level, and the phone's OTP counter is exactly
+    where the stage will read it.  A *finished* one aborted before the
+    pause point; ``finish`` just packages its outcome.
 
-    ``finish(staged_otp)`` attaches a :class:`PrecomputedOtp` (if
-    given) to the context's precomputed bundle and resumes the engine;
-    the consuming stages restore rng state and splice the staged
-    bits back in, bit-identical to a live pass.  ``feed(staged_otp)``
-    does the same but re-arms the pause: the next arrival at
-    ``otp-tx`` — a NACK retransmission or the tail of a re-probe —
-    suspends again, so an orchestrator can batch every retransmission
-    wave instead of only the first attempts.
+    :meth:`step` runs the stage many paused sessions wait before as one
+    batch (:meth:`~repro.core.stages.StageEngine.step_paused`), leaving
+    each paused before its next stage or finished.  ``feed()`` resumes
+    and re-arms the pause: the next arrival at ``otp-tx`` — a NACK
+    retransmission or the tail of a re-probe — suspends again, so an
+    orchestrator can batch every retransmission wave instead of only
+    the first attempts.  ``finish()`` runs the pass to its outcome.
     """
 
     def __init__(
@@ -679,55 +633,57 @@ class PendingSession:
         self.session = session
         self.ctx = ctx
         self.engine = engine
+        # The stage ``feed`` re-arms the pause in front of.
+        self._pause_before = pause.next_stage if pause is not None else None
         self._pause = pause
         self._result = result
 
     @property
     def paused(self) -> bool:
-        """True while the engine is suspended awaiting :meth:`finish`."""
+        """True while the engine is suspended awaiting a resume."""
         return self._result is None
 
-    def _attach(self, staged_otp: Optional[PrecomputedOtp]) -> None:
-        """Stage a Phase-2 result and re-arm its consume-once flags."""
-        if staged_otp is None:
-            return
-        pre = self.ctx.precomputed
-        if isinstance(pre, PrecomputedStages):
-            self.ctx.precomputed = replace(pre, otp=staged_otp)
-        else:
-            self.ctx.precomputed = PrecomputedStages(otp=staged_otp)
-        self.ctx.extras.pop("otp_tx_staged", None)
-        self.ctx.extras.pop("otp_rx_staged", None)
-
-    def feed(self, staged_otp: Optional[PrecomputedOtp]) -> bool:
-        """Resume with a staged Phase 2, pausing again on re-arrival.
-
-        Returns ``True`` when the session suspended again in front of
-        ``otp-tx`` (it NACKed and will retransmit, or re-probed), in
-        which case the caller stages the *next* transmission — the
-        stage stream's generator is already positioned exactly where
-        the live retransmit would draw.  ``False`` means the pass ran
-        to completion; read the outcome with :meth:`finish`.
-        """
-        if self._result is not None:
-            raise WearLockError("cannot feed a finished session")
-        self._attach(staged_otp)
-        state = self.engine.resume(
-            self._pause, pause_before=self._pause.next_stage
-        )
+    def _settle(self, state) -> None:
+        """Keep the engine's new state: paused again, or finished."""
         if isinstance(state, EnginePause):
             self._pause = state
-            return True
-        self._result = state
-        self._pause = None
-        return False
+        else:
+            self._result = state
+            self._pause = None
 
-    def finish(
-        self, staged_otp: Optional[PrecomputedOtp] = None
-    ) -> UnlockOutcome:
+    @staticmethod
+    def step(pendings: Sequence["PendingSession"]) -> None:
+        """Run the stage every paused session waits before, as a batch.
+
+        Each session's pass does exactly what running that stage alone
+        would (see :meth:`~repro.core.stages.StageEngine.step_paused`),
+        and is left paused before its next stage or finished.
+        """
+        states = StageEngine.step_paused(
+            [(p.engine, p._pause) for p in pendings]
+        )
+        for pending, state in zip(pendings, states):
+            pending._settle(state)
+
+    def feed(self) -> bool:
+        """Resume, pausing again on the next arrival at ``otp-tx``.
+
+        Returns ``True`` when the session suspended again in front of
+        ``otp-tx`` (it NACKed and will retransmit, or re-probed); the
+        stage's generator and injector are where the retransmission
+        draws.  ``False`` means the pass has finished; read the outcome
+        with :meth:`finish`.
+        """
+        if self._result is None:
+            self._settle(
+                self.engine.resume(
+                    self._pause, pause_before=self._pause_before
+                )
+            )
+        return self.paused
+
+    def finish(self) -> UnlockOutcome:
         """Resume (if paused) and package the attempt's outcome."""
         if self._result is None:
-            self._attach(staged_otp)
-            self._result = self.engine.resume(self._pause)
-            self._pause = None
+            self._settle(self.engine.resume(self._pause))
         return self.session._outcome(self.ctx, self._result, self.engine)

@@ -27,8 +27,10 @@ verifier-level results) read identically.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Sequence
 
+from ..channel.link import AcousticLink, partition_indices
 from ..core.stages import SessionContext, Stage, StageResult
 from ..devices.compute import (
     demodulation_workload,
@@ -37,6 +39,7 @@ from ..devices.compute import (
 from ..errors import ModemError
 from ..modem.adaptive import ModeDecision
 from ..modem.context import plane_cache_stats
+from ..modem.transmitter import OfdmTransmitter
 from ..sensors.traces import co_located_pair, different_devices_pair
 from ..verifiers import (
     FusionPolicy,
@@ -361,86 +364,79 @@ class ModeSelectStage:
 
 
 class OtpTxStage:
-    """Channel-config message, then the OTP frame over the air."""
+    """Channel-config message, then the OTP frame over the air.
+
+    :meth:`run_rows` is the body: per row, in live order, the token,
+    the config message, the frame on the session's own link,
+    ``otp-tx`` generator and fault injector, and the stop message.
+    :meth:`run` is its one-row call; the fleet's OTP waves run it on a
+    whole block of paused sessions.
+    """
 
     name = "otp-tx"
 
-    @staticmethod
-    def _staged_matches(ctx: SessionContext, staged) -> bool:
-        """Does the staged transmission match what live would prepare?
-
-        The wave-batching executor stages from the paused session's own
-        context, so in that flow this always holds; the check is the
-        safety net for out-of-band callers — a stale token (counter
-        moved), a different mode decision or transmit level means the
-        staged recording is *not* what this attempt would put on air,
-        and the stage falls back to the live path.  Staging never moves
-        the session's ``otp-tx`` generator or fault injector (it draws
-        on copies), so the live transmit starts where it would have.
-        """
-        tt = staged.token_tx
-        try:
-            expected_token = ctx.phone.otp.generate()
-        except Exception:
-            return False
-        return (
-            tt.token == expected_token
-            and tt.mode == ctx.mode_decision.mode
-            and tt.tx_spl == ctx.tx_spl
-            and tt.plan
-            == (ctx.report.recommended_plan or ctx.phone.plan)
-        )
-
     def run(self, ctx: SessionContext) -> StageResult:
-        staged = getattr(ctx.precomputed, "otp", None)
-        if staged is not None and ctx.extras.get("otp_tx_staged"):
-            staged = None  # consumed: a later pass runs live unless re-staged
-        if staged is not None and not self._staged_matches(ctx, staged):
-            staged = None
-        if staged is not None:
-            ctx.extras["otp_tx_staged"] = True
-            ctx.token_tx = staged.token_tx
-        else:
-            ctx.token_tx = ctx.phone.prepare_token(
+        return self.run_rows([ctx])[0]
+
+    def run_rows(self, ctxs: Sequence[SessionContext]) -> List[StageResult]:
+        results: List[Optional[StageResult]] = [None] * len(ctxs)
+        on_air: List[int] = []
+        coded = []
+        planes = []
+        for i, ctx in enumerate(ctxs):
+            ctx.token_tx, bits, plane = ctx.phone.encode_token(
                 ctx.mode_decision, ctx.report.recommended_plan, ctx.tx_spl
             )
-        if ctx.retry_state is not None:
-            ctx.retry_state.note_mode(ctx.token_tx.mode)
-        ctx.config_msg = ctx.phone.channel_config_message(ctx.token_tx)
-        cfg_xfer = deliver_message(
-            ctx, ctx.config_msg.size_bytes(), "msg_channel_config"
-        )
-        if cfg_xfer is None:
-            return StageResult.abort("no_wireless_link")
-
-        ctx.timeline.record("audio_start_p2", AUDIO_PATH_START_DELAY, "stack")
-        rng = ctx.rng_for(self.name)
-        if staged is not None:
-            # The fleet executor transmitted this frame out of band in a
-            # wave batch, on copies of this stage's generator and fault
-            # injector.  Restore both here, where the live transmit
-            # draws, so the fault events land in live order and a
-            # NACK-downgrade retransmission continues both streams
-            # exactly where the live transmit would have left them.
-            rng.bit_generator.state = staged.rng_state
-            if ctx.faults is not None and staged.faults is not None:
-                ctx.faults.restore(staged.faults)
-            ctx.data_recording = None
-            ctx.data_samples = staged.recording_samples
-        else:
-            ctx.data_recording, _ = ctx.link.transmit(
-                ctx.token_tx.result.waveform, tx_spl=ctx.tx_spl, rng=rng
+            if ctx.retry_state is not None:
+                ctx.retry_state.note_mode(ctx.token_tx.mode)
+            ctx.config_msg = ctx.phone.channel_config_message(ctx.token_tx)
+            cfg_xfer = deliver_message(
+                ctx, ctx.config_msg.size_bytes(), "msg_channel_config"
             )
-            ctx.data_samples = ctx.data_recording.size
-        data_air_s = ctx.data_samples / ctx.sample_rate
-        ctx.timeline.record("token_on_air", data_air_s, "audio")
-        ctx.watch_meter.record_audio(data_air_s)
-        ctx.phone_meter.record_audio(data_air_s)
+            if cfg_xfer is None:
+                results[i] = StageResult.abort("no_wireless_link")
+                continue
+            ctx.timeline.record(
+                "audio_start_p2", AUDIO_PATH_START_DELAY, "stack"
+            )
+            on_air.append(i)
+            coded.append(bits)
+            planes.append(plane)
 
-        stop_xfer = deliver_message(ctx, 16, "msg_stop_recording")
-        if stop_xfer is None:
-            return StageResult.abort("no_wireless_link")
-        return StageResult.proceed()
+        # One frame assembly per (signal plane, coded size) — a plane is
+        # a cached singleton, so identity is the key — then one channel
+        # pass over every row on air.
+        for rows in partition_indices(
+            (id(planes[j]), coded[j].size) for j in range(len(on_air))
+        ).values():
+            frames = OfdmTransmitter(plane=planes[rows[0]]).modulate_batch(
+                [coded[j] for j in rows]
+            )
+            for j, frame in zip(rows, frames):
+                ctx = ctxs[on_air[j]]
+                ctx.token_tx = replace(ctx.token_tx, result=frame)
+        live = [ctxs[i] for i in on_air]
+        recordings = AcousticLink.transmit_rows(
+            [ctx.link for ctx in live],
+            [ctx.token_tx.result.waveform for ctx in live],
+            [ctx.tx_spl for ctx in live],
+            [ctx.rng_for(self.name) for ctx in live],
+        )
+
+        for i, ctx, recording in zip(on_air, live, recordings):
+            ctx.data_recording = recording
+            ctx.data_samples = recording.size
+            data_air_s = ctx.data_samples / ctx.sample_rate
+            ctx.timeline.record("token_on_air", data_air_s, "audio")
+            ctx.watch_meter.record_audio(data_air_s)
+            ctx.phone_meter.record_audio(data_air_s)
+            stop_xfer = deliver_message(ctx, 16, "msg_stop_recording")
+            results[i] = (
+                StageResult.proceed()
+                if stop_xfer is not None
+                else StageResult.abort("no_wireless_link")
+            )
+        return results
 
 
 class VerifyStage:
@@ -486,23 +482,10 @@ class VerifyStage:
                 "p2_demodulation_watch", demod_s, "compute_p2demod"
             )
 
-        staged = getattr(ctx.precomputed, "otp", None)
-        if (
-            staged is not None
-            and ctx.extras.get("otp_tx_staged")
-            and not ctx.extras.get("otp_rx_staged")
-        ):
-            # The recording this stage would demodulate was synthesized
-            # and received in the wave batch; consume the staged bits
-            # once — a retransmission demodulates its fresh recording
-            # live.  ``None`` bits mark the condition under which the
-            # live demodulate would have raised a ModemError.
-            ctx.extras["otp_rx_staged"] = True
-            with ctx.trace_span("modem.demodulate"):
-                ctx.received_bits = staged.received_bits
-            if ctx.received_bits is None:
-                return self._resolve_failure(ctx, "data_not_detected", None)
-        else:
+        # The fleet's OTP waves receive a block's frames in one batch
+        # and leave only the bits (``None`` where the receive raised a
+        # ModemError); a recording still here is demodulated now.
+        if ctx.data_recording is not None:
             try:
                 cache_before = plane_cache_stats()
                 with ctx.trace_span("modem.demodulate"):
@@ -523,7 +506,9 @@ class VerifyStage:
                 # lationError: a corrupt frame the receiver cannot lock
                 # onto is one protocol event — the Phase-2 data never
                 # arrived.
-                return self._resolve_failure(ctx, "data_not_detected", None)
+                ctx.received_bits = None
+        if ctx.received_bits is None:
+            return self._resolve_failure(ctx, "data_not_detected", None)
 
         if ctx.retry is None:
             # Legacy single-shot path: verification commits immediately.

@@ -363,10 +363,11 @@ class TestStagedFleetUnderFaults:
 
     ``staging="otp"`` stages the prefilter, the probe and the OTP waves
     under every fault plan: the probe replay carries each session's own
-    injector, and the OTP waves transmit on a fork of it that the
-    ``otp-tx`` stage restores after the channel-config message.  Every
-    plan must run without raising and stay byte-identical to a fully
-    live run — records *and* each session's ordered fault labels.
+    injector, and the OTP waves run the ``otp-tx`` stage itself on it,
+    in live order.  Every plan must run without raising and stay
+    byte-identical to a fully live run — records *and* each session's
+    ordered fault labels — with the retry loop and without it (the
+    single-shot verify path).
     """
 
     @staticmethod
@@ -409,10 +410,12 @@ class TestStagedFleetUnderFaults:
             )
         return records, labels, rows
 
-    def _check_matches_live(self, faults):
+    def _check_matches_live(self, faults, retry=True):
         from repro.fleet import FleetConfig
 
-        cfg = FleetConfig(n_users=3, hours=24.0, seed=11, faults=faults)
+        cfg = FleetConfig(
+            n_users=3, hours=24.0, seed=11, faults=faults, retry=retry
+        )
         live, live_labels, _ = self._run(cfg, "none")
         staged, staged_labels, rows = self._run(cfg, "otp")
         assert staged == live
@@ -425,7 +428,10 @@ class TestStagedFleetUnderFaults:
     @pytest.mark.parametrize("stage", ("probe-tx", "otp-tx", "verify", "*"))
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_staged_shard_never_raises_and_matches_live(self, kind, stage):
-        self._check_matches_live(f"{kind}@{stage}:p=0.5,hits=none")
+        for retry in (True, False):
+            self._check_matches_live(
+                f"{kind}@{stage}:p=0.5,hits=none", retry
+            )
 
     @pytest.mark.parametrize(
         "faults",
@@ -436,13 +442,15 @@ class TestStagedFleetUnderFaults:
         ),
     )
     def test_mixed_plans_match_live(self, faults):
-        self._check_matches_live(faults)
+        for retry in (True, False):
+            self._check_matches_live(faults, retry)
 
     def test_acoustic_levels_degrade_only_when_faulted(self):
         """No fault plan degrades a staging level: ``"none"`` stages no
         phase under any plan, and ``"otp"`` stages the prefilter, the
         probe and the OTP waves under every plan — acoustic or wireless,
-        at ``probe-tx``, at ``otp-tx`` or everywhere — and matches live."""
+        at ``probe-tx``, at ``otp-tx`` or everywhere — and matches live,
+        with and without the retry loop."""
         from repro.fleet import FleetConfig
 
         for faults in (
@@ -461,7 +469,8 @@ class TestStagedFleetUnderFaults:
             cfg = FleetConfig(n_users=3, hours=24.0, seed=11, faults=faults)
             _, _, rows = self._run(cfg, "none")
             assert rows == {"prefilter": 0, "probe": 0, "otp": 0}, faults
-            self._check_matches_live(faults)
+            for retry in (True, False):
+                self._check_matches_live(faults, retry)
 
     @given(_FAULT_PLANS)
     @settings(max_examples=15, deadline=None)
@@ -522,6 +531,10 @@ class TestFaultPlanValidation:
             ("bogus@otp-tx", "unknown fault kind 'bogus'"),
             ("burst_noise@otp_tx", "unknown fault stage 'otp_tx'"),
             ("burst_noise@otp-tx:p=x", "bad value 'x'"),
+            # A NaN severity would crash the latency histogram, an
+            # infinite one pile every session into its overflow bin.
+            ("latency_spike@verify:severity=nan", "finite and positive"),
+            ("latency_spike@verify:severity=inf", "finite and positive"),
         ),
     )
     def test_fleet_config_rejects_bad_plan_at_construction(

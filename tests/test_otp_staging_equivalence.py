@@ -1,11 +1,12 @@
 """Bit-identity of the wave-batched Phase-2 OTP transmit/receive.
 
 The fleet's ``staging="otp"`` fast path pauses every session just
-before ``otp-tx``, replays each paused session's stage rng stream out
-of band, and runs the wave's frame assembly, channel synthesis and
-receive DSP as stacked batches (:func:`repro.fleet.executor.
-precompute_otp`).  These tests pin the contract at every layer,
-mirroring ``tests/test_probe_staging_equivalence.py``:
+before ``otp-tx``, runs that stage for a whole wave block at once
+(``OtpTxStage.run_rows``, on each session's own streams, in live
+order) and receives the block's frames as stacked batches
+(:func:`repro.fleet.executor.precompute_otp`).  These tests pin the
+contract at every layer, mirroring
+``tests/test_probe_staging_equivalence.py``:
 
 * each batch primitive equals its scalar counterpart bit-for-bit,
   including the generator stream positions it leaves behind; where the
@@ -14,12 +15,12 @@ mirroring ``tests/test_probe_staging_equivalence.py``:
   ``tests/kernel_oracle.py`` for the channel synthesis, the sequential
   path in ``tests/modem_oracle.py`` for the transmitter and the
   receive chain;
-* a staged ``begin``/``feed``/``finish`` session equals a live
-  ``run()`` field-for-field, including the ``otp-tx`` stream position;
-* staging is pure: the paused sessions' generators and fault
-  injectors are where they were before ``precompute_otp`` ran, so a
-  rejected staged result falls back to a live transmit that equals a
-  live run, faults included;
+* a staged ``begin``/``precompute_otp``/``feed``/``finish`` session
+  equals a live ``run()`` field-for-field, including the ``otp-tx``
+  stream position;
+* the batch step leaves every context of a mixed, faulted block
+  where running the stage one session at a time leaves a twin:
+  generator, injector and its ordered events, timeline and meters;
 * whole shards and scheduled fleets produce byte-identical aggregates
   at both staging levels and any worker count, under wireless faults
   at ``otp-tx`` too;
@@ -375,7 +376,7 @@ class TestBatchPrimitives:
 
 
 class TestStagedSessionEquivalence:
-    """begin → precompute_otp → feed/finish equals a live run()."""
+    """begin → precompute_otp → feed → finish equals a live run()."""
 
     @staticmethod
     def _fingerprint(outcome):
@@ -400,10 +401,9 @@ class TestStagedSessionEquivalence:
         pending = session.begin()
         waves = 0
         while pending.paused:
-            staged = precompute_otp([pending])[0]
+            precompute_otp([pending])
             waves += 1
-            if not pending.feed(staged):
-                break
+            pending.feed()
         return pending, waves
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
@@ -435,9 +435,9 @@ class TestStagedSessionEquivalence:
     )
     @pytest.mark.parametrize("seed", [7, 11])
     def test_faulted_staged_session_matches_live(self, seed, faults):
-        """The batch's fork of the session's injector fires the same
-        faults as a live transmit, and the restore puts them in live
-        order: after the dropped channel-config message."""
+        """The batch transmits under the session's own injector, after
+        its channel-config message, so it fires the same faults as a
+        live transmit, in live order."""
         config = dict(faults=faults, retry=RetryPolicy())
         live = UnlockSession(SessionConfig(seed=seed, **config)).run()
         staged_pending, _ = self._run_staged(seed, **config)
@@ -445,66 +445,79 @@ class TestStagedSessionEquivalence:
         assert self._fingerprint(staged) == self._fingerprint(live)
         assert staged.faults_injected == live.faults_injected
 
-    def test_precompute_otp_leaves_paused_sessions_untouched(self):
-        """Staging reads the paused sessions and moves none of them: each
-        ``otp-tx`` generator and fault injector is where it was."""
-        faults = (
-            "burst_noise@*:hits=none;msg_drop@otp-tx;"
-            "snr_collapse@otp-tx:p=0.5,hits=none"
-        )
-        pendings = [
-            UnlockSession(SessionConfig(seed=seed, faults=faults)).begin()
-            for seed in (7, 11, 23)
-        ]
-        pendings = [p for p in pendings if p.paused]
-        assert pendings
-
-        def states():
-            return [
-                (
-                    p.ctx.rng_for("otp-tx").bit_generator.state,
-                    p.ctx.faults.snapshot(),
-                    p.ctx.faults.stage,
-                )
-                for p in pendings
-            ]
-
-        before = states()
-        staged = precompute_otp(pendings)
-        assert states() == before
-        # The forks did fire: the staged results carry their events.
-        assert any(s.faults.events for s in staged)
-
-    @pytest.mark.parametrize(
-        "faults", (None, "burst_noise@otp-tx;msg_drop@otp-tx")
+    #: One block's fault plans: fault-free rows next to rows whose
+    #: config or stop message drops, whose frame is hit by a burst, and
+    #: whose stage is charged a latency spike.
+    _BLOCK_PLANS = (
+        None,
+        "msg_drop@otp-tx:hits=none",
+        "burst_noise@otp-tx:severity=2",
+        "latency_spike@otp-tx",
+        "msg_drop@otp-tx:p=0.5,hits=none;burst_noise@otp-tx:p=0.5",
+        None,
+        "latency_spike@otp-tx;msg_drop@otp-tx",
     )
-    def test_rejected_stage_falls_back_to_live(self, faults):
-        """A staged result the otp-tx stage rejects falls back to a live
-        transmit from the untouched generator and injector, so the
-        attempt equals a live run: outcome, final ``otp-tx`` stream
-        position and ordered fault labels."""
-        live_pending = UnlockSession(
-            SessionConfig(seed=7, faults=faults)
-        ).begin(pause_before=None)
-        live = live_pending.finish()
-        assert live.mode is not None
-        pending = UnlockSession(SessionConfig(seed=7, faults=faults)).begin()
-        assert pending.paused
-        staged = precompute_otp([pending])[0]
-        stale = replace(
-            staged,
-            token_tx=replace(
-                staged.token_tx, tx_spl=staged.token_tx.tx_spl + 1.0
-            ),
+
+    @staticmethod
+    def _state(pending):
+        ctx = pending.ctx
+        faults = None
+        if ctx.faults is not None:
+            snap = ctx.faults.snapshot()
+            faults = (
+                dict(snap.streams),
+                dict(snap.hits),
+                snap.events,
+                ctx.faults.stage,
+            )
+        return (
+            pending.paused,
+            ctx.rng_for("otp-tx").bit_generator.state,
+            faults,
+            ctx.timeline.total,
+            ctx.watch_meter.total_joules,
+            ctx.phone_meter.total_joules,
         )
-        outcome = pending.finish(stale)
-        assert self._fingerprint(outcome) == self._fingerprint(live)
-        assert outcome.faults_injected == live.faults_injected
-        assert bool(live.faults_injected) == (faults is not None)
-        assert (
-            pending.ctx.rng_for("otp-tx").bit_generator.state
-            == live_pending.ctx.rng_for("otp-tx").bit_generator.state
-        )
+
+    @pytest.mark.parametrize("retry", (True, False))
+    def test_batch_step_matches_one_row_runs(self, retry):
+        """One batch step over a block leaves every context where the
+        engine's own loop, running ``otp-tx`` for one session at a
+        time, leaves a twin — generator, injector and its ordered
+        events, timeline, both meters — and the resumed passes finish
+        with the same stages run and outcome."""
+        configs = [
+            SessionConfig(
+                seed=seed,
+                faults=faults,
+                retry=RetryPolicy() if retry else None,
+            )
+            for seed in (7, 11, 23)
+            for faults in self._BLOCK_PLANS
+        ]
+        block = [UnlockSession(cfg).begin() for cfg in configs]
+        twins = [
+            UnlockSession(cfg).begin(pause_before="verify") for cfg in configs
+        ]
+        keep = [i for i, p in enumerate(block) if p.paused]
+        block = [block[i] for i in keep]
+        twins = [twins[i] for i in keep]
+        assert len(block) >= 10
+
+        precompute_otp(block)
+        states = [self._state(p) for p in block]
+        assert states == [self._state(t) for t in twins]
+        # The block really mixes rows on air with rows that aborted at
+        # a dropped message, and faults fired in it.
+        assert {state[0] for state in states} == {True, False}
+        assert any(state[2] and state[2][2] for state in states)
+
+        for pending, twin in zip(block, twins):
+            pending.feed()
+            got, want = pending.finish(), twin.finish()
+            assert got.stages_run == want.stages_run
+            assert self._fingerprint(got) == self._fingerprint(want)
+            assert got.faults_injected == want.faults_injected
 
     def test_some_seed_reaches_phase_two(self):
         reached = []
@@ -554,8 +567,8 @@ class TestStagedOtpFleet:
 
     def test_wireless_faulted_shard_stays_staged(self, monkeypatch):
         """A wireless fault at otp-tx keeps the OTP waves staged: the
-        config message is delivered before the staged transmit is
-        restored, as it is before the live one."""
+        batch delivers each config message before its frame goes on
+        air, as the live stage does."""
         cfg = FleetConfig(
             n_users=4, hours=24.0, seed=9, faults="msg_drop@otp-tx:p=0.5"
         )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.stages import (
+    EnginePause,
     EngineResult,
     SessionContext,
     Stage,
@@ -91,6 +92,133 @@ class TestStageEngine:
             assert isinstance(stage, Stage)
         assert UnlockSession.stage_names == UNLOCK_STAGE_NAMES
         assert len(set(UNLOCK_STAGE_NAMES)) == len(UNLOCK_STAGE_NAMES) == 8
+
+
+class _RowRecorder(_Recorder):
+    """A :class:`_Recorder` with a batch body; ``batches`` logs the
+    number of contexts each ``run_rows`` call saw."""
+
+    def __init__(self, name, log, batches, abort=False, retry_to=None):
+        super().__init__(name, log, abort)
+        self._batches = batches
+        self._retry_to = retry_to
+
+    def run_rows(self, ctxs):
+        self._batches.append(len(ctxs))
+        if self._retry_to is not None:
+            return [
+                StageResult.retry(self._retry_to, "again") for _ in ctxs
+            ]
+        return [self.run(ctx) for ctx in ctxs]
+
+
+class TestStepPaused:
+    """``StageEngine.step_paused`` runs one stage for many paused passes."""
+
+    @staticmethod
+    def _paused(stages_for, n, before="b", tracer=None):
+        passes = []
+        for _ in range(n):
+            engine = StageEngine(stages_for(), tracer=tracer)
+            pause = engine.execute(SessionContext(), pause_before=before)
+            assert isinstance(pause, EnginePause)
+            passes.append((engine, pause))
+        return passes
+
+    def test_one_batch_leaves_each_pass_paused_before_its_next_stage(self):
+        log, batches = [], []
+        passes = self._paused(
+            lambda: [
+                _Recorder("a", log),
+                _RowRecorder("b", log, batches),
+                _Recorder("c", log),
+            ],
+            3,
+        )
+        states = StageEngine.step_paused(passes)
+        assert batches == [3]
+        assert all(isinstance(s, EnginePause) for s in states)
+        assert [s.next_stage for s in states] == ["c"] * 3
+        for (engine, _), state in zip(passes, states):
+            result = engine.resume(state)
+            assert result.completed
+            assert result.stages_run == ("a", "b", "c")
+
+    def test_abort_and_last_stage_finish_the_pass(self):
+        log, batches = [], []
+        aborted = StageEngine.step_paused(
+            self._paused(
+                lambda: [
+                    _Recorder("a", log),
+                    _RowRecorder("b", log, batches, abort=True),
+                ],
+                2,
+            )
+        )
+        assert [r.stopped_by for r in aborted] == ["b", "b"]
+        assert [r.abort_reason for r in aborted] == ["abort_in_b"] * 2
+        done = StageEngine.step_paused(
+            self._paused(
+                lambda: [_Recorder("a", log), _RowRecorder("b", log, [])], 2
+            )
+        )
+        assert all(isinstance(r, EngineResult) and r.completed for r in done)
+        assert done[0].stages_run == ("a", "b")
+
+    def test_retry_edge_is_taken_and_bounded(self):
+        log, batches = [], []
+
+        def stages():
+            return [
+                _Recorder("a", log),
+                _RowRecorder("b", log, batches, retry_to="a"),
+            ]
+
+        ((engine, _),) = passes = self._paused(stages, 1)
+        (state,) = StageEngine.step_paused(passes)
+        # Paused before the retry target, with the jump counted.
+        assert isinstance(state, EnginePause)
+        assert (state.next_stage, state.jumps) == ("a", 1)
+        again = engine.resume(state, pause_before="b")
+        assert again.stages_run == ["a", "b", "a"]
+        engine = StageEngine(stages(), max_jumps=0)
+        pause = engine.execute(SessionContext(), pause_before="b")
+        (state,) = StageEngine.step_paused([(engine, pause)])
+        assert state.abort_reason == "retries_exhausted"
+        assert state.jumps == 1
+
+    def test_each_pass_gets_its_own_stage_span(self):
+        log, batches = [], []
+        tracers = [Tracer(), Tracer()]
+        passes = []
+        for tracer in tracers:
+            engine = StageEngine(
+                [_Recorder("a", log), _RowRecorder("b", log, batches)],
+                tracer=tracer,
+            )
+            passes.append(
+                (engine, engine.execute(SessionContext(), pause_before="b"))
+            )
+        StageEngine.step_paused(passes)
+        for tracer in tracers:
+            assert tracer.report().stage_names() == ["a", "b"]
+
+    def test_rejects_mixed_stages_and_a_shared_tracer(self):
+        log = []
+
+        def stages():
+            return [
+                _Recorder("a", log),
+                _RowRecorder("b", log, []),
+                _RowRecorder("c", log, []),
+            ]
+
+        mixed = self._paused(stages, 1) + self._paused(stages, 1, "c")
+        with pytest.raises(WearLockError, match="different stages"):
+            StageEngine.step_paused(mixed)
+        with pytest.raises(WearLockError, match="tracer"):
+            StageEngine.step_paused(self._paused(stages, 2, tracer=Tracer()))
+        assert StageEngine.step_paused([]) == []
 
 
 class TestSessionAborts:
