@@ -31,7 +31,7 @@ from ..dsp.windows import raised_cosine_ramp
 
 #: A speaker's phase-ripple spectral factor ``exp(j*phi(f))`` is a pure
 #: function of its ripple realization and the transform length.  The
-#: fleet staging path replays thousands of equal-length frames through
+#: fleet's batched stages send thousands of equal-length frames through
 #: identically configured speakers, so the factors are memoized
 #: module-wide; the from-scratch reference body lives in the test
 #: oracle (``tests/kernel_oracle.py``).
@@ -39,7 +39,7 @@ _RIPPLE_FACTORS = KeyedCache("channel.ripple_factors", maxsize=32)
 
 #: The ripple realization itself is a pure function of ``device_seed``
 #: and the ripple parameters; every session, and every probe row the
-#: fleet replays, builds its own speaker, so it is memoized as well.
+#: fleet batches, builds its own speaker, so it is memoized as well.
 _RIPPLES = KeyedCache("channel.ripples", maxsize=32)
 
 

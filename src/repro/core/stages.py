@@ -221,23 +221,20 @@ class SessionContext:
     retry: Any = None  # repro.protocol.session.RetryPolicy
     retry_state: Any = None  # repro.protocol.session.RetryState
 
-    # shard-level precomputed inputs (None = compute in-stage).  The
-    # fleet executor batches expensive per-attempt computations across a
-    # shard (e.g. the motion DTW wavefront) and stages the results here;
-    # stages that honour it must produce bit-identical outcomes either
-    # way.  Duck-typed to keep ``repro.core`` free of upward imports.
-    precomputed: Any = None
-
     # attempt working set (filled in by successive stages)
     phone_ambient: Any = None
     noise_spl_estimate: Optional[float] = None
     tx_spl: Optional[float] = None
-    sensor_pair: Any = None
     probe_recording: Any = None
     probe_samples: int = 0
     report: Any = None
     noise_similarity: Optional[float] = None
     motion_score: Optional[float] = None
+    #: Proximity-verifier scores keyed by verifier name, written by the
+    #: stage that holds each score's inputs (sensor capture: the motion
+    #: scores; the prefilter: the ambient fingerprints) and read by the
+    #: verifiers' ``verify``.
+    verifier_scores: Dict[str, float] = field(default_factory=dict)
     #: Per-verifier verdicts from the latest prefilter pass (tuple of
     #: ``repro.verifiers.VerifierResult``, duck-typed to keep
     #: ``repro.core`` free of upward imports).

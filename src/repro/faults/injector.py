@@ -82,8 +82,8 @@ class InjectedFault:
 class InjectorState:
     """An injector's spec stream states, hit counts and fired events.
 
-    Taken by :meth:`FaultInjector.snapshot`, carried into another
-    injector by :meth:`FaultInjector.restore`."""
+    Taken by :meth:`FaultInjector.snapshot`, so two injectors can be
+    compared stream for stream."""
 
     streams: Tuple[Tuple[int, dict], ...] = ()
     hits: Tuple[Tuple[int, int], ...] = ()
@@ -153,24 +153,6 @@ class FaultInjector:
             ),
             events=tuple(self.events),
         )
-
-    def restore(self, state: InjectorState) -> None:
-        """Carry a replayed injector's :meth:`snapshot` into this one.
-
-        Its streams and hit counts overwrite this injector's, other
-        specs are left alone, and its events are appended in order,
-        each passed to the observer — as if the replayed calls had run
-        here, which holds when the replay started from this injector's
-        state for those specs.
-        """
-        for index, bits in state.streams:
-            rng = self._rng_for(index, self.plan.specs[index])
-            rng.bit_generator.state = bits
-        self._hits.update(state.hits)
-        for event in state.events:
-            self.events.append(event)
-            if self.observer is not None:
-                self.observer(event)
 
     def _rng_for(self, index: int, spec: FaultSpec) -> np.random.Generator:
         if index not in self._rngs:

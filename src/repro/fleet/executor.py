@@ -1,4 +1,4 @@
-"""Shard execution: per-user security state + batched prefilter.
+"""Shard execution: per-user security state + batched stages.
 
 A shard is a contiguous range of users.  :func:`run_shard` is the
 module-level (picklable) unit of work the scheduler hands to worker
@@ -13,44 +13,44 @@ processes; it owns everything that must *not* cross shard boundaries:
   manual PIN fallback (the paper's three-strike rule): lockout clears,
   the attempt counts as ``pin_fallback`` and not as a trusted unlock.
 
-* **The batched staging fast path.**  Phase A replays each session's
-  stage rng streams (the exact :class:`~repro.core.stages.StageRng`
-  construction the session itself would use) and computes the shard's
-  expensive DSP as stacked batches, staged onto
-  :class:`~repro.protocol.session.PrecomputedStages`.  ``staging="otp"``
-  stages every protocol phase under every fault plan; ``"none"`` runs
-  every stage live:
+* **The batched staging fast path.**  ``staging="otp"`` runs every
+  batchable stage of the Fig. 2 flow for blocks of sessions at once —
+  each stage's own ``run_rows`` body through :meth:`~repro.protocol.
+  session.PendingSession.step`, in live order on every session's own
+  generators, links and fault injector, with only the pure DSP
+  stacked.  ``"none"`` runs every session one stage at a time (the
+  oracle):
 
-  - the **prefilter**: the accelerometer pairs and the whole shard's
-    motion DTW in anti-diagonal wavefronts
-    (:func:`repro.sensors.dtw.normalized_dtw_batch`, whose one-row
-    call is the live score; see ``tests/test_fleet.py``);
-  - the **Phase-1 probe**: each session's ``probe-tx`` stream and
-    fault injector — the shard's ambient captures and probe channels
-    (:meth:`~repro.channel.link.AcousticLink.transmit_rows`, the
-    kernel of the live transmit), synchronizer cross-correlations,
-    pilot receive FFTs and ambient fingerprints run as stacked batches
-    (:func:`precompute_probe`), with the generator's and injector's
-    states captured so a re-probe continues both where live would;
-  - the **Phase-2 OTP transmit/receive**.  Tokens depend on per-user
-    OTP counter state (each session's counter position depends on
-    earlier outcomes), so this phase cannot be staged up front: Phase B
-    instead runs in *waves* — every user advances by at most one
-    Phase-2-reaching session, paused just before ``otp-tx``; each wave
-    block runs the ``otp-tx`` stage itself as one batch, in live order
-    on every session's own streams (frames, channel convolutions), and
+  - **Phase A** (:func:`_begin_phase1`) begins every live session of
+    the shard paused before ``sensor-capture``.  Those stages read only
+    the session's own state, so they run up front for the whole shard:
+    :func:`precompute_prefilter` steps sensor capture (the accelerometer
+    pairs, then the motion DTW as anti-diagonal wavefronts,
+    :func:`repro.sensors.dtw.normalized_dtw_batch`), and
+    :func:`precompute_probe` steps the probe transmit, the probe
+    analysis and the prefilter per (band, environment) block (one
+    :meth:`~repro.channel.link.AcousticLink.transmit_rows`, stacked
+    synchronizer correlations and pilot receive FFTs, one Welch pass
+    for both ambient fingerprints), then drops the recordings and
+    leaves each session paused before ``otp-tx``;
+  - **Phase B**, the Phase-2 OTP transmit/receive.  Tokens depend on
+    per-user OTP counter state (each session's counter position depends
+    on earlier outcomes), so this phase cannot run up front: it runs
+    in *waves* — every user advances by at most one Phase-2-reaching
+    session, paused just before ``otp-tx``; each wave block runs the
+    ``otp-tx`` stage as one batch (frames, channel convolutions) and
     receives the frames as stacked receive FFTs and pilot
     equalizations (:func:`precompute_otp`); then each session resumes
-    at ``verify`` with its bits on its context.
+    at ``verify`` with its bits on its context.  A re-probe runs its
+    Phase-1 stages one row at a time inside the wave.
 
-  Every staged batch holds at most :data:`STAGING_ROWS` rows, so
-  staging memory does not grow with the shard.  Phase B has one driver
-  (:func:`_run_waves`); at ``"none"`` no session pauses and it runs
-  each user's day straight through.  Every staged value is
-  bit-identical to what the live stage would compute, so the aggregate
-  document is byte-identical across staging levels (CI ``cmp``-checks
-  this).  Under fault injection each session's own injector rides both
-  batched channels.
+  Every batch holds at most :data:`STAGING_ROWS` rows, so staging
+  memory does not grow with the shard (the paused contexts do, by
+  about 15 kB each).  Phase B has one driver (:func:`_run_waves`); at
+  ``"none"`` no session pauses and it runs each user's day straight
+  through.  Every stage's batch body is exact per row, so the
+  aggregate document is byte-identical across staging levels (CI
+  ``cmp``-checks this), under any fault plan.
 
 The output is a list of compact :class:`~repro.fleet.aggregate.
 SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
@@ -65,50 +65,29 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..channel.link import AcousticLink, partition_indices
-from ..channel.scenarios import get_environment
+from ..channel.link import partition_indices
 from ..config import SystemConfig
-from ..core.colocation import AmbientComparator
-from ..core.stages import StageRng
 from ..devices.profiles import DEVICES
-from ..errors import ConfigurationError, ModemError, WearLockError
+from ..errors import ConfigurationError, ModemError
 from ..faults import FaultPlan
-from ..modem.probe import ChannelProber
 from ..modem.receiver import OfdmReceiver, receive_batch_grouped
-from ..protocol.controllers import PhoneController, choose_volume_spl
+from ..protocol.controllers import PhoneController
 from ..protocol.session import (
     AbortReason,
     PendingSession,
-    PrecomputedProbe,
-    PrecomputedStages,
     RetryPolicy,
     SessionConfig,
     UnlockSession,
-    session_link,
 )
-from ..protocol.stages import ProbeTxStage
 from ..security.otp import OtpManager
-from ..sensors.dtw import normalized_dtw_batch
-from ..sensors.traces import (
-    ActivityKind,
-    co_located_pair,
-    different_devices_pair,
-    magnitude,
-)
-from ..verifiers import (
-    PrecomputedVerifierEvidence,
-    multiband_similarity_batch,
-    needs_sensor_pair,
-    probe_head_samples,
-    resolve_verifier_names,
-    vibration_similarity,
-)
-from ..verifiers.ambient import NOISE_FILTER_MIN_SPL
+from ..sensors.traces import ActivityKind
 
-# Not called here since the probe group stages the multi-band score as
-# a batch; the name stays bound because perfbench's tracer wraps it at
-# both its staged and live sites.
+# Not called here since the stages run the prefilter scores in their
+# batch bodies; the names stay bound because perfbench's tracer wraps
+# them at these sites.
+from ..sensors.dtw import normalized_dtw_batch  # noqa: F401
 from ..verifiers import multiband_similarity  # noqa: F401
+from ..verifiers import vibration_similarity  # noqa: F401
 from .aggregate import SessionRecord
 from .events import ContentionPlan, SceneAnnotation, build_contention_plan
 from .population import (
@@ -140,24 +119,19 @@ PIN_FALLBACK_DELAY_S = 2.5
 #: Valid shard staging levels: the all-live oracle and full staging.
 STAGING_LEVELS = ("none", "otp")
 
-#: Row cap of every staged DSP batch: each DTW wavefront, each probe
-#: (band, environment) group and each OTP wave block.  Every staging
-#: primitive is row-independent, so the cap never changes a value; it
-#: bounds the batch matrices (and so peak memory) however many sessions
-#: one shard holds.
+#: Row cap of every batched stage step: each sensor-capture block (and
+#: so each DTW wavefront), each probe (band, environment) block and
+#: each OTP wave block.  Every stage's batch body is row-independent,
+#: so the cap never changes a value; it bounds the batch matrices (and
+#: so peak memory) however many sessions one shard holds.
 STAGING_ROWS = 64
 
-#: The stage whose rng stream feeds the sensor pair (must match
-#: ``SensorCaptureStage.name``).
+#: The first batched stage: Phase A begins every live session paused
+#: in front of it (must match ``SensorCaptureStage.name``).
 _SENSOR_STAGE = "sensor-capture"
 
-#: The stage whose rng stream feeds the Phase-1 probe (must match
-#: ``ProbeTxStage.name``).
-_PROBE_STAGE = "probe-tx"
-
-#: The stage whose rng stream feeds the Phase-2 transmit (must match
-#: ``OtpTxStage.name``) — also the stage the wave executor pauses
-#: sessions in front of.
+#: The stage the wave executor pauses sessions in front of (must match
+#: ``OtpTxStage.name``).
 _OTP_STAGE = "otp-tx"
 
 
@@ -177,267 +151,52 @@ def _user_secret(fleet_seed: int, user_id: int) -> bytes:
     ).digest()
 
 
-def _draw_pair(spec: SessionSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Replay the session's own sensor-capture draw, out of band."""
-    rng = StageRng(seed=spec.seed).for_stage(_SENSOR_STAGE)
-    kind = ActivityKind(spec.activity)
-    if spec.co_located:
-        return co_located_pair(kind, rng=rng)
-    return different_devices_pair(kind, rng=rng)
+def precompute_prefilter(pendings: Sequence[PendingSession]) -> None:
+    """Phase A, first step: the shard's ``sensor-capture`` stage.
 
-
-def precompute_prefilter(
-    specs: Sequence[SessionSpec],
-) -> List[PrecomputedStages]:
-    """Phase A: sensor pairs + batched DTW wavefronts per shard.
-
-    Sensor windows are fixed-length (100 samples at 50 Hz), so every
-    session whose verifier set runs the DTW channel stacks into
-    ``(batch, n) × (batch, m)`` wavefronts of at most
-    :data:`STAGING_ROWS` rows.  Scores are grouped by window shape
-    anyway, as a guard against future variable-length windows.  Sessions whose verifier set includes the vibration
-    channel additionally stage its cross-correlation score; sessions
-    whose set touches no motion-domain verifier skip the sensor draw
-    entirely, exactly like the live ``sensor-capture`` stage.
+    Every live session of the shard was begun paused before
+    ``sensor-capture``.  The stage runs for blocks of at most
+    :data:`STAGING_ROWS` of them (:meth:`~repro.protocol.session.
+    PendingSession.step`, i.e. :meth:`~repro.protocol.stages.
+    SensorCaptureStage.run_rows`): each session's handshake and sensor
+    pair in live order on its own streams, then the block's motion DTW
+    as one anti-diagonal wavefront per window shape.  Each session is
+    left paused before ``probe-tx``, or finished (a dead link).
     """
-    resolved = [resolve_verifier_names(spec.verifiers) for spec in specs]
-    pairs: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [
-        _draw_pair(spec) if needs_sensor_pair(names) else None
-        for spec, names in zip(specs, resolved)
-    ]
-    dtw_idx = [i for i, names in enumerate(resolved) if "motion-dtw" in names]
-    mags = {
-        i: (magnitude(pairs[i][0]), magnitude(pairs[i][1])) for i in dtw_idx
-    }
-    scores: Dict[int, float] = {}
-    by_shape = partition_indices(
-        (mags[i][0].size, mags[i][1].size) for i in dtw_idx
-    )
-    for positions in by_shape.values():
-        for block in _staging_blocks([dtw_idx[p] for p in positions]):
-            xs = np.stack([mags[i][0] for i in block])
-            ys = np.stack([mags[i][1] for i in block])
-            batch = normalized_dtw_batch(xs, ys)
-            for j, i in enumerate(block):
-                scores[i] = float(batch[j])
-    return [
-        PrecomputedStages(
-            sensor_pair=pairs[i],
-            evidence=PrecomputedVerifierEvidence(
-                motion_score=scores.get(i),
-                vibration_similarity=(
-                    vibration_similarity(pairs[i][0], pairs[i][1])
-                    if "vibration" in resolved[i]
-                    else None
-                ),
-            ),
-        )
-        for i in range(len(specs))
-    ]
+    for block in _staging_blocks([p for p in pendings if p.paused]):
+        PendingSession.step(block)
 
 
-def _ambient_scores(
-    fs: float,
-    ambients: np.ndarray,
-    heads: np.ndarray,
-    amb_rows: Sequence[int],
-    mb_rows: Sequence[int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both ambient fingerprints' scores from one Welch pass per matrix.
+def precompute_probe(pendings: Sequence[PendingSession]) -> None:
+    """Phase A, second step: the shard's probe and prefilter stages.
 
-    Returns the 18-band similarity of the (ambient, probe head) row
-    pairs in ``amb_rows`` and the 24-band multi-band score of those in
-    ``mb_rows``.  The two fingerprints differ only in their band
-    layout, so both reduce the same two :meth:`~repro.core.colocation.
-    AmbientComparator.psd_batch` spectra.  Mirrors the live scalars:
-    recordings too short to fingerprint score every pair 0.0, and so
-    does an all-zero (silent) head.
+    The sessions still paused (before ``probe-tx``) are grouped by
+    (band, environment) — the keys that fix the probe waveform,
+    transmit level and recording length — and cut into blocks of at
+    most :data:`STAGING_ROWS`.  Each block steps ``probe-tx``,
+    ``probe-process`` and ``prefilter`` as batches (one speaker render,
+    one channel pass, stacked receive FFTs, one Welch pass per
+    recording stack; see the stages' ``run_rows``), each session on its
+    own link, generators and fault injector.  The block's recordings
+    are then dropped — the report, the scores and the clip length are
+    all any later stage reads — and each session resumes to its pause
+    before ``otp-tx`` (``mode-select`` runs on the way).
     """
-    comparator = AmbientComparator(
-        sample_rate=fs, high_hz=min(18_000.0, fs / 2.2)
-    )
-    sims = np.zeros(len(amb_rows))
-    mb = np.zeros(len(mb_rows))
-    try:
-        freqs, psds_a = comparator.psd_batch(ambients)
-        _, psds_b = comparator.psd_batch(heads)
-    except WearLockError:
-        return sims, mb
-    if amb_rows:
-        try:
-            sims = comparator.profile_similarity(
-                comparator.band_profiles(freqs, psds_a[amb_rows]),
-                comparator.band_profiles(freqs, psds_b[amb_rows]),
-            )
-        except WearLockError:
-            pass
-    if mb_rows:
-        mb = multiband_similarity_batch(
-            freqs, psds_a[mb_rows], psds_b[mb_rows], fs
-        )
-    return sims, mb
-
-
-def _stage_probe_group(
-    system: SystemConfig,
-    band: str,
-    env_name: str,
-    group: Sequence[SessionSpec],
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[
-    List[PrecomputedProbe], List[Optional[float]], List[Optional[float]]
-]:
-    """Replay one (band, environment) group's probe-tx stages batched.
-
-    Every session in the group emits the same probe at the same level,
-    so the group is one :meth:`~repro.channel.link.AcousticLink.
-    record_ambient_rows` and one :meth:`~repro.channel.link.
-    AcousticLink.transmit_rows` call (one speaker render, one signal
-    spectrum) on the sessions' own links and fault injectors
-    (:func:`~repro.protocol.session.session_link`), then one
-    :meth:`~repro.modem.probe.ChannelProber.analyze_batch` per
-    recording length.  Each staged probe carries its generator's and
-    its injector's post-draw states.
-
-    When the scene is loud enough for the ambient gate, the detected
-    rows' ambient scores come from one Welch pass over the ambient
-    recordings and one over the probe heads (:func:`_ambient_scores`):
-    the 18-band similarity for the rows whose verifier set runs
-    ``ambient``, the 24-band multi-band score for the rows whose set
-    runs ``multiband``.
-    """
-    env = get_environment(env_name)
-    modem_system = system
-    if band == "ultrasound":
-        modem_system = replace(system, modem=system.modem.near_ultrasound())
-    modem = modem_system.modem
-    fs = modem.sample_rate
-    stage_rngs = [StageRng(seed=spec.seed) for spec in group]
-    gens = [rng.for_stage(_PROBE_STAGE) for rng in stage_rngs]
-    links = [
-        session_link(_session_config(system, spec, faults, None), rng)
-        for spec, rng in zip(group, stage_rngs)
-    ]
-    for link in links:
-        if link.injector is not None:
-            link.injector.enter_stage(_PROBE_STAGE)
-    prober = ChannelProber(modem)
-    noise_spl_est = float(env.noise.effective_spl())
-    _, tx_spl = choose_volume_spl(modem_system, noise_spl_est)
-
-    # Draw 1 — the phone's ambient self-recording.  Its samples feed
-    # only the noise-similarity gate; when the scene is too quiet for
-    # the gate to fire, advance the streams without the shaping DSP.
-    need_sims = noise_spl_est >= NOISE_FILTER_MIN_SPL
-    ambients = AcousticLink.record_ambient_rows(
-        links, ProbeTxStage.AMBIENT_SECONDS, gens, values=need_sims
-    )
-    # Draws 2-4 — the probe through each session's channel.
-    probe = prober.build_probe()
-    recordings = AcousticLink.transmit_rows(
-        links, [probe] * len(group), [tx_spl] * len(group), gens
-    )
-    states = [gen.bit_generator.state for gen in gens]
-
-    # A row whose live analysis would raise aborts the live stage as
-    # ``probe_not_detected``; the staged report marks it ``None``.
-    reports: List[Optional[object]] = [None] * len(group)
-    for rows in partition_indices(r.size for r in recordings).values():
-        analyzed = prober.analyze_batch(
-            np.stack([recordings[i] for i in rows])
-        )
-        for i, report in zip(rows, analyzed):
-            if not isinstance(report, ModemError):
-                reports[i] = report
-
-    sims: List[Optional[float]] = [None] * len(group)
-    mb_sims: List[Optional[float]] = [None] * len(group)
-    if need_sims:
-        # Sessions whose probe analysis failed abort before the noise
-        # gate ever reads a similarity score, and a score is staged
-        # only for sessions whose verifier set runs its channel.  Heads
-        # cut short by a fault take their own Welch pass.
-        sets = [resolve_verifier_names(spec.verifiers) for spec in group]
-        head_n = probe_head_samples(fs, modem)
-        heads = [recording[:head_n] for recording in recordings]
-        scored = [
-            i
-            for i, r in enumerate(reports)
-            if r is not None
-            and r.detected
-            and ("ambient" in sets[i] or "multiband" in sets[i])
-        ]
-        for rows in partition_indices(heads[i].size for i in scored).values():
-            live = [scored[j] for j in rows]
-            amb_rows = [j for j, i in enumerate(live) if "ambient" in sets[i]]
-            mb_rows = [j for j, i in enumerate(live) if "multiband" in sets[i]]
-            scores, mb_scores = _ambient_scores(
-                fs,
-                np.stack([ambients[i] for i in live]),
-                np.stack([heads[i] for i in live]),
-                amb_rows,
-                mb_rows,
-            )
-            for j, score in zip(amb_rows, scores):
-                sims[live[j]] = float(score)
-            for j, score in zip(mb_rows, mb_scores):
-                mb_sims[live[j]] = float(score)
-
-    # Only the clip length survives staging: every downstream consumer
-    # of the recording is itself staged (report, similarity) or needs
-    # the sample count alone, so the group synthesis matrices are freed
-    # here instead of being pinned through the whole shard.
-    probes = [
-        PrecomputedProbe(
-            tx_spl=tx_spl,
-            recording_samples=int(recordings[i].size),
-            report=reports[i],
-            rng_state=states[i],
-            faults=(
-                None if link.injector is None else link.injector.snapshot()
-            ),
-        )
-        for i, link in enumerate(links)
-    ]
-    return probes, sims, mb_sims
-
-
-def precompute_probe(
-    specs: Sequence[SessionSpec],
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[
-    List[PrecomputedProbe], List[Optional[float]], List[Optional[float]]
-]:
-    """Phase A: replay every session's probe-tx stage, shard-batched.
-
-    Groups the shard by (band, environment) — the keys that fix the
-    probe waveform, transmit level and recording length — and replays
-    each group's ``probe-tx`` rng streams out of band, in blocks of at
-    most :data:`STAGING_ROWS` sessions (see :func:`_stage_probe_group`),
-    each session under its own injector for the shard's fault plan
-    ``faults``.  Returns per-spec
-    :class:`~repro.protocol.session.PrecomputedProbe` results plus the
-    ambient-similarity and multi-band scores for the verifiers
-    (``None`` where the live verifier would not compute one); both
-    scores of a group share its Welch spectra.
-    """
-    probes: List[Optional[PrecomputedProbe]] = [None] * len(specs)
-    sims: List[Optional[float]] = [None] * len(specs)
-    mb_sims: List[Optional[float]] = [None] * len(specs)
-    system = SystemConfig()
+    paused = [p for p in pendings if p.paused]
     groups = partition_indices(
-        (spec.band, spec.environment) for spec in specs
+        (p.session.config.band, p.session.config.environment) for p in paused
     )
-    for (band, env_name), indices in groups.items():
-        for block in _staging_blocks(indices):
-            group_probes, group_sims, group_mb = _stage_probe_group(
-                system, band, env_name, [specs[i] for i in block], faults
-            )
-            for j, i in enumerate(block):
-                probes[i] = group_probes[j]
-                sims[i] = group_sims[j]
-                mb_sims[i] = group_mb[j]
-    return probes, sims, mb_sims
+    for rows in groups.values():
+        for block in _staging_blocks([paused[i] for i in rows]):
+            # probe-tx, probe-process, prefilter: each step leaves every
+            # session paused before the next stage, or finished.
+            for _ in range(3):
+                live = [p for p in block if p.paused]
+                if live:
+                    PendingSession.step(live)
+            for pending in block:
+                pending.ctx.probe_recording = pending.ctx.phone_ambient = None
+                pending.feed(_OTP_STAGE)
 
 
 def precompute_otp(pendings: Sequence[PendingSession]) -> None:
@@ -515,37 +274,6 @@ def precompute_otp(pendings: Sequence[PendingSession]) -> None:
             )
     for ctx in ctxs:
         ctx.data_recording = None
-
-
-def _stage_shard(
-    specs: Sequence[SessionSpec],
-    anns: Sequence[Optional[SceneAnnotation]],
-    faults: Optional[FaultPlan] = None,
-) -> List[Optional[PrecomputedStages]]:
-    """Phase A for a whole shard: the prefilter and the probe replay
-    under the shard's fault plan.
-
-    A contention-aborted session never executes, so staging its DSP
-    would be pure waste.  Every staged value is bit-identical per row
-    regardless of batch composition (the staging contract), so carving
-    aborted rows out of the batches cannot perturb the survivors.
-    """
-    staged: List[Optional[PrecomputedStages]] = [None] * len(specs)
-    live = [i for i, ann in enumerate(anns) if ann is None or not ann.aborted]
-    live_specs = [specs[i] for i in live]
-    prefilters = precompute_prefilter(live_specs)
-    probes, sims, mb_sims = precompute_probe(live_specs, faults)
-    for j, (i, pre) in enumerate(zip(live, prefilters)):
-        staged[i] = replace(
-            pre,
-            probe=probes[j],
-            evidence=replace(
-                pre.evidence,
-                noise_similarity=sims[j],
-                multiband_similarity=mb_sims[j],
-            ),
-        )
-    return staged
 
 
 def _scene_fields(ann: Optional[SceneAnnotation]) -> Dict[str, object]:
@@ -685,65 +413,118 @@ def _user_phone(
     return otp, PhoneController(phone_system, otp)
 
 
-def _run_waves(
-    config: FleetConfig,
+#: One user of a shard: profile, schedule, offset of the first session
+#: in the shard's flat session list, OTP manager and phone controller.
+_ShardUser = Tuple[
+    UserProfile, List[SessionSpec], int, OtpManager, PhoneController
+]
+
+
+def _begin(
     system: SystemConfig,
     faults: Optional[FaultPlan],
     retry: Optional[RetryPolicy],
-    shard: Sequence[Tuple[UserProfile, List[SessionSpec], int]],
-    staged_flat: List[Optional[PrecomputedStages]],
-    anns_flat: Sequence[Optional[SceneAnnotation]],
+    user: _ShardUser,
+    spec: SessionSpec,
     pause_before: Optional[str],
+) -> PendingSession:
+    """Start ``spec``'s session on its user's phone and OTP state."""
+    _, _, _, otp, phone = user
+    session = UnlockSession(
+        _session_config(system, spec, faults, retry), otp=otp, phone=phone
+    )
+    return session.begin(pause_before=pause_before)
+
+
+def _begin_phase1(
+    system: SystemConfig,
+    faults: Optional[FaultPlan],
+    retry: Optional[RetryPolicy],
+    shard: Sequence[_ShardUser],
+    anns_flat: Sequence[Optional[SceneAnnotation]],
+) -> List[Optional[PendingSession]]:
+    """Phase A: every stage before ``otp-tx`` of every live session.
+
+    Each session the contention plan lets onto the air is begun paused
+    before ``sensor-capture``; :func:`precompute_prefilter` and
+    :func:`precompute_probe` then step the shard's Phase-1 stages as
+    batches and leave each session paused before ``otp-tx`` or
+    finished.  Those stages read only the session's own state — its
+    streams, links, injector and the phone's immutable policies, never
+    the OTP counter or the keyguard — so running them ahead of the
+    user's earlier sessions is exact.  A contention-aborted session
+    never executes and gets no entry.
+    """
+    pendings: List[Optional[PendingSession]] = [None] * len(anns_flat)
+    for user in shard:
+        _, specs, offset, _, _ = user
+        for j, spec in enumerate(specs):
+            ann = anns_flat[offset + j]
+            if ann is None or not ann.aborted:
+                pendings[offset + j] = _begin(
+                    system, faults, retry, user, spec, _SENSOR_STAGE
+                )
+    live = [p for p in pendings if p is not None]
+    precompute_prefilter(live)
+    precompute_probe(live)
+    return pendings
+
+
+def _run_waves(
+    system: SystemConfig,
+    faults: Optional[FaultPlan],
+    retry: Optional[RetryPolicy],
+    shard: Sequence[_ShardUser],
+    pendings_flat: List[Optional[PendingSession]],
+    anns_flat: Sequence[Optional[SceneAnnotation]],
 ) -> List[SessionRecord]:
     """Phase B: run every session, wave-batching Phase 2.
 
     A session's OTP token depends on its user's counter state, which
-    depends on the *outcomes* of that user's earlier sessions — so the
-    Phase-2 DSP cannot be staged up front the way the probe can.
-    Instead sessions run in **waves**: each user holds at most one
-    *active* session, paused just before ``pause_before``
-    (:meth:`~repro.protocol.session.UnlockSession.begin`); every
-    round, the wave's transmit/receive DSP runs as batches of at most
+    depends on the *outcomes* of that user's earlier sessions — so
+    Phase 2 cannot run up front the way Phase 1 does.  Instead sessions
+    run in **waves**: each user holds at most one *active* session,
+    paused just before ``otp-tx``; every round, the wave's
+    transmit/receive DSP runs as batches of at most
     :data:`STAGING_ROWS` sessions (:func:`precompute_otp`: the
     ``otp-tx`` stage for the whole block, then one stacked receive)
     and each session resumes at ``verify``
     (:meth:`~repro.protocol.session.PendingSession.feed`).  A
-    resumed session either completes — freeing its user to start the next
-    session, which joins the following round — or pauses again in
+    resumed session either completes — freeing its user to start the
+    next session, which joins the following round — or pauses again in
     front of ``otp-tx`` (a NACK retransmission, or the tail of a
-    re-probe) and is batched again: retransmissions ride the waves
-    too, their generators already positioned mid-stream.  Sessions
-    that abort before Phase 2 (prefilter rejections, probe failures)
+    re-probe, whose Phase-1 stages run one row at a time) and is
+    batched again: retransmissions ride the waves too, their generators
+    already positioned mid-stream.  Sessions that aborted in Phase 1
     finish inside the top-up sweep without occupying a wave slot.
     Tokens are exact by construction: each is read from the paused
     session's own OTP counter at its own attempt.  Faulted sessions
     ride the waves as well, each transmitting under its own fault
     injector.
 
-    With ``pause_before=None`` no session pauses, so the first top-up
-    sweep runs every user's whole day live and no wave forms.  Records
-    are sorted to the canonical ``(user_id, session_index)`` order.
+    ``pendings_flat`` holds each session's Phase-A pending
+    (:func:`_begin_phase1`); a locked-out session's is dropped.  A
+    session without one (staging ``"none"``) is begun and run to
+    completion in the sweep, so no wave forms.  Records are sorted to
+    the canonical ``(user_id, session_index)`` order.
     """
-    states = []
-    for user, specs, offset in shard:
-        otp, phone = _user_phone(config, system, user)
-        states.append([otp, phone, specs, offset, 0])
-
+    cursors = [0] * len(shard)
     records: List[SessionRecord] = []
     active: Dict[int, Tuple[SessionSpec, Optional[SceneAnnotation], PendingSession]] = {}
     while True:
         # Top-up sweep: every user without an in-flight session starts
         # sessions until one pauses at otp-tx or their day runs out.
-        for ui, state in enumerate(states):
+        for ui, user in enumerate(shard):
             if ui in active:
                 continue
-            otp, phone, specs, offset, cursor = state
+            _, specs, offset, otp, phone = user
+            cursor = cursors[ui]
             while cursor < len(specs):
                 spec = specs[cursor]
-                # Consume the staged entry (drop the reference at once,
-                # so staged results are freed as the sweep walks them).
-                staged = staged_flat[offset + cursor]
-                staged_flat[offset + cursor] = None
+                # Take the pending (dropping the shard's reference, so
+                # the sweep frees each context once it finishes).
+                pending = pendings_flat[offset + cursor]
+                pendings_flat[offset + cursor] = None
                 ann = anns_flat[offset + cursor]
                 cursor += 1
                 if otp.locked_out or phone.keyguard.pin_required:
@@ -766,20 +547,14 @@ def _run_waves(
                     )
                     continue
                 phone.keyguard.lock()
-                session = UnlockSession(
-                    _session_config(system, spec, faults, retry),
-                    otp=otp,
-                    phone=phone,
-                )
-                pending = session.begin(
-                    precomputed=staged, pause_before=pause_before
-                )
+                if pending is None:
+                    pending = _begin(system, faults, retry, user, spec, None)
                 if pending.paused:
                     active[ui] = (spec, ann, pending)
                     break  # one in-flight session per user
                 # Finished without pausing: the outcome is already final.
                 records.append(_record(spec, pending.finish(), ann))
-            state[4] = cursor
+            cursors[ui] = cursor
         if not active:
             break
         # One batched round: every in-flight transmission (first
@@ -885,9 +660,10 @@ def run_shard(
     cross the process boundary.
 
     ``staging`` is one of :data:`STAGING_LEVELS`: ``"none"`` runs every
-    stage live (the oracle), ``"otp"`` stages every phase under any
-    fault plan — the prefilter and probe in Phase A, the OTP waves in
-    Phase B (:func:`_run_waves`).  The plan is parsed once per shard
+    session one stage at a time (the oracle), ``"otp"`` batches every
+    phase under any fault plan — the stages before ``otp-tx`` in Phase
+    A (:func:`_begin_phase1`), the OTP waves in Phase B
+    (:func:`_run_waves`).  The plan is parsed once per shard
     and shared by every session.  Both levels produce byte-identical
     aggregates.
 
@@ -908,7 +684,6 @@ def run_shard(
         raise ConfigurationError(
             f"staging must be one of {STAGING_LEVELS}, got {staging!r}"
         )
-    staged = staging == "otp"
     # Parsed once per shard; every session shares the immutable plan.
     faults = config.fault_plan()
     system = SystemConfig()
@@ -918,12 +693,13 @@ def run_shard(
     if population is None:
         population = shard_population(config, user_lo, user_hi)
 
-    # The whole shard's specs, flattened, so Phase A batches across
+    # The whole shard's sessions, flattened, so Phase A batches across
     # *users*, not just within one user's sessions.
-    shard: List[Tuple[UserProfile, List[SessionSpec], int]] = []
+    shard: List[_ShardUser] = []
     flat: List[SessionSpec] = []
     for user, specs in population:
-        shard.append((user, specs, len(flat)))
+        otp, phone = _user_phone(config, system, user)
+        shard.append((user, specs, len(flat), otp, phone))
         flat.extend(specs)
     anns_flat: List[Optional[SceneAnnotation]] = [
         contention.get((spec.user_id, spec.session_index))
@@ -931,16 +707,9 @@ def run_shard(
         else None
         for spec in flat
     ]
-    staged_flat = (
-        _stage_shard(flat, anns_flat, faults) if staged else [None] * len(flat)
+    pendings_flat = (
+        _begin_phase1(system, faults, retry, shard, anns_flat)
+        if staging == "otp"
+        else [None] * len(flat)
     )
-    return _run_waves(
-        config,
-        system,
-        faults,
-        retry,
-        shard,
-        staged_flat,
-        anns_flat,
-        pause_before=_OTP_STAGE if staged else None,
-    )
+    return _run_waves(system, faults, retry, shard, pendings_flat, anns_flat)

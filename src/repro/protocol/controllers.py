@@ -29,7 +29,7 @@ from ..modem.transmitter import OfdmTransmitter, TransmitResult
 from ..security.nlos import NlosDetector, NlosVerdict
 from ..security.otp import OtpManager
 from ..security.tokens import bits_to_token, token_to_bits
-from ..sensors.motion_filter import MotionFilter, MotionReport
+from ..sensors.motion_filter import MotionFilter
 from ..wireless.messages import ChannelConfigMessage, CtsMessage
 from .keyguard import Keyguard
 
@@ -56,9 +56,7 @@ def choose_volume_spl(
     """Volume step + SPL meeting the 1-m SNR rule (paper §III-7).
 
     The pure volume-selection rule behind
-    :meth:`PhoneController.choose_volume`, shared with the fleet
-    staging path so a precomputed probe uses the exact transmit level
-    the live phone controller would pick.
+    :meth:`PhoneController.choose_volume`.
     """
     control = volume if volume is not None else VolumeControl()
     target = required_tx_spl(
@@ -122,12 +120,6 @@ class PhoneController:
     def choose_volume(self, noise_spl: float) -> Tuple[int, float]:
         """Pick the volume step meeting the 1-m SNR rule (§III-7)."""
         return choose_volume_spl(self.config, noise_spl, self.volume)
-
-    def evaluate_motion(
-        self, phone_xyz: np.ndarray, watch_xyz: np.ndarray
-    ) -> MotionReport:
-        """Run the Alg. 1 motion filter on both sensor windows."""
-        return self.motion_filter.evaluate(phone_xyz, watch_xyz)
 
     def evaluate_nlos(self, report: ProbeReport) -> NlosVerdict:
         """Classify the probe's preamble as LOS/NLOS."""
@@ -304,10 +296,6 @@ class WatchController:
     @property
     def prober(self) -> ChannelProber:
         return self._prober
-
-    def analyze_probe(self, recording: np.ndarray) -> ProbeReport:
-        """Phase-1 processing on the watch (or offloaded — same code)."""
-        return self._prober.analyze(recording)
 
     def cts_message(
         self, report: ProbeReport, session_id: int = 0

@@ -25,6 +25,7 @@ behaviour).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..channel.hardware import MicrophoneModel, SpeakerModel
 from ..channel.link import AcousticLink
-from ..channel.scenarios import Environment, get_environment
+from ..channel.scenarios import ENVIRONMENTS, Environment, get_environment
 from ..config import SystemConfig
 from ..core.stages import (
     EnginePause,
@@ -46,17 +47,12 @@ from ..core.stages import (
 from ..core.trace import TraceReport, Tracer
 from ..devices.battery import EnergyMeter
 from ..devices.profiles import DeviceProfile, MOTO360, NEXUS6
-from ..errors import WearLockError
+from ..errors import ConfigurationError, WearLockError
 from ..faults import FaultInjector, FaultPlan
 from ..offload.planner import OffloadPlanner, Placement
 from ..security.otp import OtpManager
 from ..sensors.traces import ActivityKind
-from ..verifiers import (
-    FusionPolicy,
-    PrecomputedVerifierEvidence,
-    VerifierResult,
-    resolve_verifier_names,
-)
+from ..verifiers import FusionPolicy, VerifierResult, resolve_verifier_names
 from ..wireless.radio import BleLink, WifiLink
 from .controllers import PhoneController, WatchController
 from .events import Timeline
@@ -72,8 +68,6 @@ from .stages import (
 __all__ = [
     "AbortReason",
     "PendingSession",
-    "PrecomputedProbe",
-    "PrecomputedStages",
     "RetryPolicy",
     "RetryState",
     "SessionConfig",
@@ -169,81 +163,6 @@ class RetryState:
             self.modes_tried = self.modes_tried + (mode,)
 
 
-@dataclass(frozen=True)
-class PrecomputedProbe:
-    """One session's probe-tx stage, replayed out of band.
-
-    Built by :mod:`repro.fleet.executor`: the executor re-derives the
-    session's ``probe-tx`` :class:`~repro.core.stages.StageRng` stream,
-    synthesizes the ambient capture, channel IR and probe recording in
-    shard-wide batches, and analyzes the recording through the batched
-    signal-plane path.  ``rng_state`` is the generator's bit state
-    *after* those draws — the consuming stage restores it so that a
-    later re-probe retry continues the stream exactly where the live
-    stage would have.
-
-    ``report`` is ``None`` when the batched analysis hit the condition
-    under which the live ``analyze_probe`` would have raised a
-    :class:`~repro.errors.ModemError` (the stage then aborts with
-    ``probe_not_detected``, exactly as the live path does).
-
-    ``faults`` is the :class:`~repro.faults.injector.InjectorState` the
-    session's own fault injector, scoped to ``probe-tx``, has after the
-    replayed transmit (``None`` without a fault plan); the consuming
-    stage restores it next to ``rng_state``.
-
-    The waveforms themselves are *not* retained: everything downstream
-    of the probe-tx stage consumes either the analysis ``report``, the
-    staged ambient-similarity score, or the clip *length* (timing and
-    offload-transfer sizing) — so staging stores ``recording_samples``
-    and lets the shard-wide synthesis matrices be freed immediately.
-    Keeping per-session recordings alive through a whole shard costs
-    tens of megabytes of resident set and measurably slows the
-    unrelated Phase-2 stages on small-cache machines.
-    """
-
-    tx_spl: float
-    recording_samples: int
-    report: Optional[object]
-    rng_state: dict
-    faults: Optional[object] = None
-
-
-@dataclass(frozen=True)
-class PrecomputedStages:
-    """Shard-level precomputed stage inputs for one attempt.
-
-    Built by :mod:`repro.fleet.executor`, which derives each session's
-    per-stage :class:`~repro.core.stages.StageRng` streams itself (same
-    construction), draws the stage inputs once, and computes the
-    expensive DSP for the whole shard in stacked batches: motion DTW
-    (PR 4) plus the Phase-1 probe synthesis/analysis and the ambient
-    similarity scores.  The stages that consume it
-    (:class:`~repro.protocol.stages.SensorCaptureStage`,
-    :class:`~repro.protocol.stages.ProbeTxStage`,
-    :class:`~repro.protocol.stages.ProbeProcessStage`,
-    :class:`~repro.protocol.stages.PrefilterStage`) produce
-    bit-identical outcomes with or without it.  Probe results are
-    consumed at most once per session: a re-probe retry recomputes
-    live, with the rng stream positioned exactly as if the first pass
-    had run live too.
-
-    Verifier scores live in ``evidence``, a typed
-    :class:`~repro.verifiers.PrecomputedVerifierEvidence` with one
-    field per registered verifier (per-field consumption semantics are
-    documented there).
-
-    Phase 2 is not staged here: the OTP token depends on the user's
-    counter state *at* the otp-tx stage, so the fleet executor pauses
-    each session in front of ``otp-tx`` (:meth:`UnlockSession.begin`)
-    and runs that stage for a whole wave (:meth:`PendingSession.step`).
-    """
-
-    sensor_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    probe: Optional[PrecomputedProbe] = None
-    evidence: Optional[PrecomputedVerifierEvidence] = None
-
-
 @dataclass
 class SessionConfig:
     """Everything one unlock attempt depends on."""
@@ -282,6 +201,27 @@ class SessionConfig:
     retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.distance_m) and self.distance_m > 0):
+            raise ConfigurationError(
+                "distance_m must be finite and positive, got "
+                f"{self.distance_m!r}"
+            )
+        if self.max_ber is not None and not 0.0 < self.max_ber < 0.5:
+            raise ConfigurationError(
+                f"max_ber must be None or in (0, 0.5), got {self.max_ber!r}"
+            )
+        if not (
+            math.isfinite(self.nlos_blocking_db) and self.nlos_blocking_db >= 0
+        ):
+            raise ConfigurationError(
+                "nlos_blocking_db must be finite and non-negative, got "
+                f"{self.nlos_blocking_db!r}"
+            )
+        if self.environment not in ENVIRONMENTS:
+            raise ConfigurationError(
+                f"unknown environment {self.environment!r}; known: "
+                f"{', '.join(sorted(ENVIRONMENTS))}"
+            )
         if isinstance(self.faults, str):
             self.faults = FaultPlan.parse(self.faults)
         if self.faults:
@@ -337,18 +277,16 @@ class UnlockOutcome:
 
 
 def ambient_similarity(
-    a: np.ndarray,
-    b: np.ndarray,
-    sample_rate: float,
-    spectra: Optional[Tuple[np.ndarray, ...]] = None,
+    a: np.ndarray, b: np.ndarray, sample_rate: float
 ) -> float:
     """Sound-Proof-style ambient similarity in [−1, 1].
 
     Thin wrapper over :class:`repro.core.colocation.AmbientComparator`
-    (kept as a function because the session only needs the score).
-    ``spectra`` is the pair's ``(freqs, psd_a, psd_b)`` Welch pass when
-    the caller holds it (:func:`repro.verifiers.ambient.probe_spectra`);
-    ``None`` runs it here.
+    (kept as a function because the session only needs the score).  The
+    offline scorer (:meth:`~repro.verifiers.AmbientNoiseVerifier.score`)
+    calls it; a session's prefilter scores its batch with
+    :func:`~repro.verifiers.ambient_scores_rows`, whose one-row call
+    equals it.
 
     An empty or all-silence segment — at or below
     :data:`~repro.dsp.energy.SILENCE_FLOOR_SPL_DB` — scores a defined
@@ -372,11 +310,8 @@ def ambient_similarity(
         high_hz=min(18_000.0, sample_rate / 2.2),
     )
     try:
-        if spectra is None:
-            freqs, psd_a = comparator.psd_batch(a[None, :])
-            _, psd_b = comparator.psd_batch(b[None, :])
-        else:
-            freqs, psd_a, psd_b = spectra
+        freqs, psd_a = comparator.psd_batch(a[None, :])
+        _, psd_b = comparator.psd_batch(b[None, :])
         return float(
             comparator.profile_similarity(
                 comparator.band_profiles(freqs, psd_a),
@@ -392,9 +327,7 @@ def session_link(config: SessionConfig, stage_rng: StageRng) -> AcousticLink:
 
     It carries the attempt's :class:`~repro.faults.FaultInjector` when
     the config has a fault plan (seeded *after* the link, so fault-free
-    sessions replay bit-identically).  The fleet's probe replay builds
-    its links here too, so the replayed channel and injector are the
-    session's.
+    sessions replay bit-identically).
 
     Sessions pass every transmission its stage's generator, so the
     link's own stream is drawn from only by a caller that passes none;
@@ -516,42 +449,30 @@ class UnlockSession:
     # ------------------------------------------------------------------
 
     def run(
-        self,
-        rng=None,
-        tracer: Optional[Tracer] = None,
-        precomputed: Optional[PrecomputedStages] = None,
+        self, rng=None, tracer: Optional[Tracer] = None
     ) -> UnlockOutcome:
-        """Execute the full protocol once via the stage engine.
-
-        ``precomputed`` (see :class:`PrecomputedStages`) lets the
-        fleet executor supply shard-batched sensor/motion, probe and
-        ambient-similarity results; the outcome is bit-identical to
-        computing them in-stage.
-        """
-        return self.begin(
-            rng, tracer, precomputed, pause_before=None
-        ).finish()
+        """Execute the full protocol once via the stage engine."""
+        return self.begin(rng, tracer, pause_before=None).finish()
 
     def begin(
         self,
         rng=None,
         tracer: Optional[Tracer] = None,
-        precomputed: Optional[PrecomputedStages] = None,
         pause_before: Optional[str] = "otp-tx",
     ) -> "PendingSession":
         """Start an attempt, suspending just before ``pause_before``.
 
-        The wave-batching fleet executor runs Phase 1, collects every
-        paused session of a wave, runs their ``otp-tx`` stage as one
-        batch (:meth:`PendingSession.step`), then resumes each via
-        :meth:`PendingSession.feed`.  An attempt that aborts before
+        The fleet executor begins a shard's attempts paused before
+        ``sensor-capture``, steps each Phase-1 stage over blocks of them
+        (:meth:`PendingSession.step`), advances each to its pause before
+        ``otp-tx`` (:meth:`PendingSession.feed`), runs that stage for a
+        whole wave, then resumes each.  An attempt that aborts before
         reaching the pause point comes back already finished
         (``paused`` is ``False``); ``finish`` then simply packages the
         outcome.  ``pause_before=None`` runs the attempt to completion
         (exactly :meth:`run`).
         """
         ctx = self._build_context(rng)
-        ctx.precomputed = precomputed
         engine = StageEngine(build_unlock_stages(), tracer=tracer)
         engine.tracer.bind_sim_clock(lambda: ctx.timeline.clock.now)
         state = engine.execute(ctx, pause_before=pause_before)
@@ -603,19 +524,20 @@ class PendingSession:
     """An unlock attempt suspended (or already finished) mid-protocol.
 
     Returned by :meth:`UnlockSession.begin`.  A *paused* pending
-    session stopped just before the ``otp-tx`` stage with all of
-    Phase 1 complete: its :attr:`ctx` holds the mode decision, channel
-    report and transmit level, and the phone's OTP counter is exactly
-    where the stage will read it.  A *finished* one aborted before the
-    pause point; ``finish`` just packages its outcome.
+    session stopped just before a stage — ``otp-tx`` by default, with
+    all of Phase 1 complete: its :attr:`ctx` holds the mode decision,
+    channel report and transmit level, and the phone's OTP counter is
+    exactly where the stage will read it.  A *finished* one aborted
+    before the pause point; ``finish`` just packages its outcome.
 
     :meth:`step` runs the stage many paused sessions wait before as one
     batch (:meth:`~repro.core.stages.StageEngine.step_paused`), leaving
     each paused before its next stage or finished.  ``feed()`` resumes
-    and re-arms the pause: the next arrival at ``otp-tx`` — a NACK
-    retransmission or the tail of a re-probe — suspends again, so an
-    orchestrator can batch every retransmission wave instead of only
-    the first attempts.  ``finish()`` runs the pass to its outcome.
+    and re-arms the pause: the next arrival at the stage the session
+    was begun paused before — or at the stage ``feed`` names — suspends
+    again, so an orchestrator can batch every retransmission wave
+    instead of only the first attempts.  ``finish()`` runs the pass to
+    its outcome.
     """
 
     def __init__(
@@ -665,15 +587,19 @@ class PendingSession:
         for pending, state in zip(pendings, states):
             pending._settle(state)
 
-    def feed(self) -> bool:
-        """Resume, pausing again on the next arrival at ``otp-tx``.
+    def feed(self, pause_before: Optional[str] = None) -> bool:
+        """Resume, pausing again on the next arrival at the pause stage.
 
-        Returns ``True`` when the session suspended again in front of
-        ``otp-tx`` (it NACKed and will retransmit, or re-probed); the
-        stage's generator and injector are where the retransmission
-        draws.  ``False`` means the pass has finished; read the outcome
-        with :meth:`finish`.
+        The pause stage is ``pause_before`` when given (it then stays
+        the stage later calls re-arm), else the stage the session was
+        begun paused before.  Returns ``True`` when the session
+        suspended again in front of it — at ``otp-tx``, it NACKed and
+        will retransmit, or re-probed; the stage's generator and
+        injector are where the retransmission draws.  ``False`` means
+        the pass has finished; read the outcome with :meth:`finish`.
         """
+        if pause_before is not None:
+            self._pause_before = pause_before
         if self._result is None:
             self._settle(
                 self.engine.resume(

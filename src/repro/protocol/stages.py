@@ -23,12 +23,21 @@ Cheap gates run first and every stage may abort; the engine's
 ``stopped_by`` plus the domain :class:`~repro.protocol.session.
 AbortReason` make the two reporting schemes (stage graph and
 verifier-level results) read identically.
+
+The stages the fleet batches — sensor capture, probe transmit, probe
+analysis, the prefilter and the OTP transmit — each have one body,
+``run_rows(ctxs)``, that runs every row in live order on the row's
+own wireless link, stage generator and fault injector and stacks only
+the pure DSP; ``run(ctx)`` is its one-row call.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import replace
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from ..channel.link import AcousticLink, partition_indices
 from ..core.stages import SessionContext, Stage, StageResult
@@ -40,12 +49,18 @@ from ..errors import ModemError
 from ..modem.adaptive import ModeDecision
 from ..modem.context import plane_cache_stats
 from ..modem.transmitter import OfdmTransmitter
-from ..sensors.traces import co_located_pair, different_devices_pair
+from ..sensors.dtw import normalized_dtw_batch
+from ..sensors.traces import co_located_pair, different_devices_pair, magnitude
 from ..verifiers import (
+    AMBIENT_DOMAIN,
     FusionPolicy,
+    ambient_gate_open,
+    ambient_scores_rows,
     get_verifier,
     needs_sensor_pair,
+    probe_head,
     resolve_verifier_names,
+    vibration_similarity,
 )
 
 __all__ = [
@@ -122,167 +137,241 @@ class WirelessCheckStage:
         return StageResult.proceed()
 
 
+def _verifier_names(ctx: SessionContext):
+    """The verifier set this attempt's prefilter runs."""
+    return resolve_verifier_names(
+        ctx.config.verifiers,
+        use_motion_filter=ctx.config.use_motion_filter,
+        use_noise_filter=ctx.config.use_noise_filter,
+    )
+
+
+def _reads_ambient(ctx: SessionContext, names) -> bool:
+    """Will a verifier of ``names`` read this attempt's ambient capture?"""
+    return ambient_gate_open(ctx) and bool(AMBIENT_DOMAIN & set(names))
+
+
 class SensorCaptureStage:
     """RTS handshake; both devices record their accelerometer window.
 
     The sensor window is captured *concurrently* with Phase 1 (the
     paper's Fig. 2), so it adds no simulated delay of its own — only
-    the RTS/ACK messages hit the timeline here.  The traces are staged
-    into the context for the prefilter's DTW gate.
+    the RTS/ACK messages hit the timeline here.  The window's motion
+    scores go into ``ctx.verifier_scores`` for the prefilter: the
+    motion DTW (``motion-dtw``) and the resonance peak (``vibration``),
+    each only where the verifier set runs it.
+
+    :meth:`run_rows` is the body: per row, in live order, the handshake
+    on the session's own wireless link and the pair drawn from its own
+    ``sensor-capture`` generator; then the DTW of every row as one
+    anti-diagonal wavefront per window shape
+    (:func:`~repro.sensors.dtw.normalized_dtw_batch`).  :meth:`run` is
+    its one-row call.
     """
 
     name = "sensor-capture"
 
     def run(self, ctx: SessionContext) -> StageResult:
-        rts = deliver_message(ctx, 24, "msg_rts")
-        if rts is None:
-            return StageResult.abort("no_wireless_link")
-        ack = deliver_message(ctx, 16, "msg_rts_ack")
-        if ack is None:
-            return StageResult.abort("no_wireless_link")
+        return self.run_rows([ctx])[0]
 
-        names = resolve_verifier_names(
-            ctx.config.verifiers,
-            use_motion_filter=ctx.config.use_motion_filter,
-            use_noise_filter=ctx.config.use_noise_filter,
-        )
-        if needs_sensor_pair(names, ctx.config.use_motion_filter):
-            pre = ctx.precomputed
-            if pre is not None and getattr(pre, "sensor_pair", None) is not None:
-                # The fleet executor already drew this pair from the
-                # stage's own stream (same seed, same draw order), so
-                # regenerating it here would only repeat the work.
-                ctx.sensor_pair = pre.sensor_pair
-            else:
-                rng = ctx.rng_for(self.name)
-                if ctx.config.co_located:
-                    ctx.sensor_pair = co_located_pair(
-                        ctx.config.activity, rng=rng
-                    )
-                else:
-                    ctx.sensor_pair = different_devices_pair(
-                        ctx.config.activity, rng=rng
-                    )
-        return StageResult.proceed()
+    def run_rows(self, ctxs: Sequence[SessionContext]) -> List[StageResult]:
+        results: List[StageResult] = []
+        dtw_rows: List[SessionContext] = []
+        mags = []
+        for ctx in ctxs:
+            if deliver_message(ctx, 24, "msg_rts") is None or (
+                deliver_message(ctx, 16, "msg_rts_ack") is None
+            ):
+                results.append(StageResult.abort("no_wireless_link"))
+                continue
+            results.append(StageResult.proceed())
+            names = _verifier_names(ctx)
+            if not needs_sensor_pair(names, ctx.config.use_motion_filter):
+                continue
+            draw = (
+                co_located_pair
+                if ctx.config.co_located
+                else different_devices_pair
+            )
+            phone_xyz, watch_xyz = draw(
+                ctx.config.activity, rng=ctx.rng_for(self.name)
+            )
+            if "motion-dtw" in names:
+                dtw_rows.append(ctx)
+                mags.append((magnitude(phone_xyz), magnitude(watch_xyz)))
+            if "vibration" in names:
+                ctx.verifier_scores["vibration"] = vibration_similarity(
+                    phone_xyz, watch_xyz
+                )
+
+        for rows in partition_indices(
+            (x.size, y.size) for x, y in mags
+        ).values():
+            scores = normalized_dtw_batch(
+                np.stack([mags[j][0] for j in rows]),
+                np.stack([mags[j][1] for j in rows]),
+            )
+            for j, score in zip(rows, scores):
+                dtw_rows[j].verifier_scores["motion-dtw"] = float(score)
+        return results
 
 
 class ProbeTxStage:
-    """Phase 1 on air: ambient self-recording, volume rule, probe."""
+    """Phase 1 on air: ambient self-recording, volume rule, probe.
+
+    :meth:`run_rows` is the body: per row the phone's ambient
+    self-recording, then the probe, each on the session's own link,
+    ``probe-tx`` generator and fault injector — one
+    :meth:`~repro.channel.link.AcousticLink.record_ambient_rows` per
+    shaping rule and one :meth:`~repro.channel.link.AcousticLink.
+    transmit_rows` for every row, rows sharing a probe waveform and
+    level sharing its speaker render.  The ambient samples are shaped
+    only where a verifier will read them (the draws advance either
+    way).  :meth:`run` is its one-row call.
+    """
 
     name = "probe-tx"
 
-    #: Seconds of phone self-recorded ambient before the probe; the
-    #: fleet staging path replays this draw, so it lives in one place.
+    #: Seconds of phone self-recorded ambient before the probe.
     AMBIENT_SECONDS = 0.15
 
     def run(self, ctx: SessionContext) -> StageResult:
-        ctx.timeline.record("audio_start_p1", AUDIO_PATH_START_DELAY, "stack")
-        staged = getattr(ctx.precomputed, "probe", None)
-        if staged is not None and not ctx.extras.get("probe_tx_staged"):
-            # First pass with a staged probe: the fleet executor already
-            # replayed this stage's stream out of band (same seed, same
-            # draw order, the session's own fault injector) and
-            # synthesized ambient + recording in shard batches.  Restore
-            # the generator and the injector to their post-draw states
-            # so a later re-probe retry continues both exactly where the
-            # live stage would have left them.
-            ctx.extras["probe_tx_staged"] = True
-            rng = ctx.rng_for(self.name)
-            rng.bit_generator.state = staged.rng_state
-            if ctx.faults is not None and staged.faults is not None:
-                ctx.faults.restore(staged.faults)
-            ctx.tx_spl = staged.tx_spl
-            ctx.probe_samples = staged.recording_samples
-        else:
-            rng = ctx.rng_for(self.name)
-            probe_wave = ctx.watch.prober.build_probe()
+        return self.run_rows([ctx])[0]
 
-            # The phone self-records ambient noise before transmitting
-            # (used for the volume rule and the noise-similarity filter).
-            ctx.phone_ambient = ctx.link.record_ambient(
-                self.AMBIENT_SECONDS, rng=rng
+    def run_rows(self, ctxs: Sequence[SessionContext]) -> List[StageResult]:
+        gens = [ctx.rng_for(self.name) for ctx in ctxs]
+        for ctx in ctxs:
+            ctx.timeline.record(
+                "audio_start_p1", AUDIO_PATH_START_DELAY, "stack"
             )
+        # The phone self-records ambient noise before transmitting
+        # (used for the noise-similarity filters).
+        for shaped, rows in partition_indices(
+            _reads_ambient(ctx, _verifier_names(ctx)) for ctx in ctxs
+        ).items():
+            ambients = AcousticLink.record_ambient_rows(
+                [ctxs[i].link for i in rows],
+                self.AMBIENT_SECONDS,
+                [gens[i] for i in rows],
+                values=shaped,
+            )
+            for i, ambient in zip(rows, ambients):
+                ctxs[i].phone_ambient = ambient
+        # One probe object per modem config, so rows at one level share
+        # a speaker render.
+        probes = {}
+        for ctx in ctxs:
             _, ctx.tx_spl = ctx.phone.choose_volume(ctx.noise_spl_estimate)
-
-            ctx.probe_recording, _ = ctx.link.transmit(
-                probe_wave, tx_spl=ctx.tx_spl, rng=rng
-            )
-            ctx.probe_samples = ctx.probe_recording.size
-        probe_air_s = ctx.probe_samples / ctx.sample_rate
-        ctx.timeline.record("probe_on_air", probe_air_s, "audio")
-        ctx.watch_meter.record_audio(probe_air_s)
-        ctx.phone_meter.record_audio(probe_air_s)
-        return StageResult.proceed()
+            modem = ctx.system.modem
+            if modem not in probes:
+                probes[modem] = ctx.watch.prober.build_probe()
+        recordings = AcousticLink.transmit_rows(
+            [ctx.link for ctx in ctxs],
+            [probes[ctx.system.modem] for ctx in ctxs],
+            [ctx.tx_spl for ctx in ctxs],
+            gens,
+        )
+        for ctx, recording in zip(ctxs, recordings):
+            ctx.probe_recording = recording
+            ctx.probe_samples = recording.size
+            probe_air_s = ctx.probe_samples / ctx.sample_rate
+            ctx.timeline.record("probe_on_air", probe_air_s, "audio")
+            ctx.watch_meter.record_audio(probe_air_s)
+            ctx.phone_meter.record_audio(probe_air_s)
+        return [StageResult.proceed() for _ in ctxs]
 
 
 class ProbeProcessStage:
-    """Phase-1 DSP — locally or offloaded — and the CTS report."""
+    """Phase-1 DSP — locally or offloaded — and the CTS report.
+
+    :meth:`run_rows` is the body: per row the offload plan and, when
+    offloaded, the clip's transfer on the session's own wireless link;
+    then one :meth:`~repro.modem.probe.ChannelProber.analyze_batch` per
+    (modem config, recording length); then per row the CTS report.
+    :meth:`run` is its one-row call.
+    """
 
     name = "probe-process"
 
     def run(self, ctx: SessionContext) -> StageResult:
-        modem = ctx.system.modem
-        clip_bytes = int(ctx.probe_samples * 2)
-        work = probe_processing_workload(
-            ctx.probe_samples,
-            modem.preamble_length,
-            modem.fft_size,
-        )
-        plan = ctx.planner.plan(work, clip_bytes)
-        ctx.tracer.counter("offloaded", float(plan.offloaded))
-        ctx.tracer.counter("transfer_bytes", plan.transfer_bytes)
-        if plan.offloaded:
-            xfer = deliver_file(
-                ctx, clip_bytes, "p1_audio_transfer", meter=ctx.watch_meter
-            )
-            if xfer is None:
-                return StageResult.abort("no_wireless_link")
-            compute_s = ctx.phone_meter.record_compute(work.mops)
-            ctx.timeline.record("p1_processing_phone", compute_s, "compute_p1")
-        else:
-            compute_s = ctx.watch_meter.record_compute(work.mops)
-            ctx.timeline.record("p1_processing_watch", compute_s, "compute_p1")
+        return self.run_rows([ctx])[0]
 
-        staged = getattr(ctx.precomputed, "probe", None)
-        use_staged = staged is not None and not ctx.extras.get(
-            "probe_report_staged"
-        )
-        cache_before = plane_cache_stats()
-        with ctx.trace_span("modem.analyze_probe"):
-            if use_staged:
-                # Batched shard-level analysis, bit-identical to the
-                # in-stage call; consumed once so a re-probe retry
-                # analyzes its fresh recording live.
-                ctx.extras["probe_report_staged"] = True
-                if staged.report is None:
-                    # The batched path hit the condition under which the
-                    # live analyze_probe would have raised a ModemError.
-                    return StageResult.abort("probe_not_detected")
-                ctx.report = staged.report
+    def run_rows(self, ctxs: Sequence[SessionContext]) -> List[StageResult]:
+        results: List[Optional[StageResult]] = [None] * len(ctxs)
+        for i, ctx in enumerate(ctxs):
+            modem = ctx.system.modem
+            clip_bytes = int(ctx.probe_samples * 2)
+            work = probe_processing_workload(
+                ctx.probe_samples,
+                modem.preamble_length,
+                modem.fft_size,
+            )
+            plan = ctx.planner.plan(work, clip_bytes)
+            ctx.tracer.counter("offloaded", float(plan.offloaded))
+            ctx.tracer.counter("transfer_bytes", plan.transfer_bytes)
+            if plan.offloaded:
+                xfer = deliver_file(
+                    ctx, clip_bytes, "p1_audio_transfer", meter=ctx.watch_meter
+                )
+                if xfer is None:
+                    results[i] = StageResult.abort("no_wireless_link")
+                    continue
+                compute_s = ctx.phone_meter.record_compute(work.mops)
+                ctx.timeline.record(
+                    "p1_processing_phone", compute_s, "compute_p1"
+                )
             else:
-                try:
-                    ctx.report = ctx.watch.analyze_probe(ctx.probe_recording)
-                except ModemError:
-                    # A probe mangled beyond synchronization reads as "no
-                    # probe heard" — same outcome as a failed preamble.
-                    return StageResult.abort("probe_not_detected")
-            cache_after = plane_cache_stats()
-            ctx.tracer.counter(
-                "plane_cache_hits",
-                float(cache_after.hits - cache_before.hits),
-            )
-            ctx.tracer.counter(
-                "plane_cache_misses",
-                float(cache_after.misses - cache_before.misses),
-            )
-        cts = ctx.watch.cts_message(ctx.report)
-        cts_xfer = deliver_message(ctx, cts.size_bytes(), "msg_cts")
-        if cts_xfer is None:
-            return StageResult.abort("no_wireless_link")
+                compute_s = ctx.watch_meter.record_compute(work.mops)
+                ctx.timeline.record(
+                    "p1_processing_watch", compute_s, "compute_p1"
+                )
 
-        if not ctx.report.detected:
-            return StageResult.abort("probe_not_detected")
-        return StageResult.proceed()
+        analyzed = [i for i, result in enumerate(results) if result is None]
+        for group in partition_indices(
+            (ctxs[i].system.modem, ctxs[i].probe_recording.size)
+            for i in analyzed
+        ).values():
+            rows = [analyzed[j] for j in group]
+            # Each row's span covers the batch it was analyzed in.
+            with ExitStack() as spans:
+                for i in rows:
+                    spans.enter_context(
+                        ctxs[i].trace_span("modem.analyze_probe")
+                    )
+                cache_before = plane_cache_stats()
+                reports = ctxs[rows[0]].watch.prober.analyze_batch(
+                    np.stack([ctxs[i].probe_recording for i in rows])
+                )
+                cache_after = plane_cache_stats()
+                for i, report in zip(rows, reports):
+                    if isinstance(report, ModemError):
+                        # A probe mangled beyond synchronization reads as
+                        # "no probe heard" — same outcome as a failed
+                        # preamble.
+                        results[i] = StageResult.abort("probe_not_detected")
+                        continue
+                    ctxs[i].report = report
+                    ctxs[i].tracer.counter(
+                        "plane_cache_hits",
+                        float(cache_after.hits - cache_before.hits),
+                    )
+                    ctxs[i].tracer.counter(
+                        "plane_cache_misses",
+                        float(cache_after.misses - cache_before.misses),
+                    )
+
+        for i in analyzed:
+            if results[i] is not None:
+                continue
+            ctx = ctxs[i]
+            cts = ctx.watch.cts_message(ctx.report)
+            if deliver_message(ctx, cts.size_bytes(), "msg_cts") is None:
+                results[i] = StageResult.abort("no_wireless_link")
+            elif not ctx.report.detected:
+                results[i] = StageResult.abort("probe_not_detected")
+            else:
+                results[i] = StageResult.proceed()
+        return results
 
 
 class PrefilterStage:
@@ -298,20 +387,41 @@ class PrefilterStage:
     translation table — and the default AND walk short-circuits exactly
     like the FilterChain it replaced, reproducing the seeded goldens
     bit-identically.
+
+    :meth:`run_rows` is the body: both ambient fingerprints of every
+    row whose verifiers read them, from one Welch pass per recording
+    stack (:func:`~repro.verifiers.ambient_scores_rows`), into
+    ``ctx.verifier_scores``; then each row's fusion walk.  :meth:`run`
+    is its one-row call.  A re-probe re-enters this stage, so its fresh
+    recording is scored afresh.
     """
 
     name = "prefilter"
 
     def run(self, ctx: SessionContext) -> StageResult:
+        return self.run_rows([ctx])[0]
+
+    def run_rows(self, ctxs: Sequence[SessionContext]) -> List[StageResult]:
+        names = [_verifier_names(ctx) for ctx in ctxs]
+        scored = [
+            i for i, ctx in enumerate(ctxs) if _reads_ambient(ctx, names[i])
+        ]
+        scores = ambient_scores_rows(
+            [ctxs[i].phone_ambient for i in scored],
+            [probe_head(ctxs[i]) for i in scored],
+            [ctxs[i].sample_rate for i in scored],
+            [names[i] for i in scored],
+        )
+        for i, row in zip(scored, scores):
+            ctxs[i].verifier_scores.update(row)
+        return [self._fuse(ctx, row) for ctx, row in zip(ctxs, names)]
+
+    @staticmethod
+    def _fuse(ctx: SessionContext, names) -> StageResult:
         # A re-probe retry re-enters this stage; clearing the flag makes
         # the motion-domain verifiers pay for a fresh sensor delivery on
         # every pass, exactly like the legacy gate.
         ctx.extras.pop("sensor_msg_delivered", None)
-        names = resolve_verifier_names(
-            ctx.config.verifiers,
-            use_motion_filter=ctx.config.use_motion_filter,
-            use_noise_filter=ctx.config.use_noise_filter,
-        )
         policy = FusionPolicy.from_spec(ctx.config.fusion)
         decision = policy.run([get_verifier(n) for n in names], ctx)
         ctx.verifier_results = decision.results

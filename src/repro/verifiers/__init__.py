@@ -2,8 +2,8 @@
 
 The prefilter stage used to hard-code exactly two proximity signals;
 this package makes the set pluggable.  A verifier implements
-:class:`~repro.verifiers.base.ProximityVerifier` (prepare / score /
-verify), registers under a short name, and a per-session
+:class:`~repro.verifiers.base.ProximityVerifier` (score / verify),
+registers under a short name, and a per-session
 :class:`~repro.verifiers.fusion.FusionPolicy` decides how the
 individual verdicts combine.  Four verifiers ship:
 
@@ -34,11 +34,12 @@ from .ambient import (
     NOISE_FILTER_MIN_SIMILARITY,
     NOISE_FILTER_MIN_SPL,
     AmbientNoiseVerifier,
+    ambient_gate_open,
+    ambient_scores_rows,
     probe_head,
     probe_head_samples,
 )
 from .base import (
-    PrecomputedVerifierEvidence,
     ProximityEvidence,
     ProximityVerifier,
     VerifierResult,
@@ -65,17 +66,17 @@ __all__ = [
     "VibrationResonanceVerifier",
     "ProximityVerifier",
     "ProximityEvidence",
-    "PrecomputedVerifierEvidence",
     "VerifierResult",
     "FusionPolicy",
     "FusedDecision",
     "FUSION_MODES",
     "VERIFIER_NAMES",
-    "EVIDENCE_FIELD_BY_VERIFIER",
     "get_verifier",
     "resolve_verifier_names",
     "needs_sensor_pair",
     "ensure_sensor_message",
+    "ambient_gate_open",
+    "ambient_scores_rows",
     "multiband_similarity",
     "multiband_similarity_batch",
     "vibration_similarity",
@@ -96,16 +97,6 @@ _REGISTRY = {
 
 #: Registered verifier names, in canonical (default execution) order.
 VERIFIER_NAMES: Tuple[str, ...] = tuple(_REGISTRY)
-
-#: Which :class:`PrecomputedVerifierEvidence` field stages which
-#: verifier's score.  Pinned here so staging keys can't silently drift
-#: from verifier names (tests assert the mapping is total and typed).
-EVIDENCE_FIELD_BY_VERIFIER = {
-    "ambient": "noise_similarity",
-    "motion-dtw": "motion_score",
-    "multiband": "multiband_similarity",
-    "vibration": "vibration_similarity",
-}
 
 #: The pre-refactor verifier pair, in legacy gate order.
 LEGACY_VERIFIERS: Tuple[str, ...] = ("ambient", "motion-dtw")

@@ -4,28 +4,22 @@ A *proximity verifier* is one independent piece of evidence that the
 phone and the watch are on the same body in the same place — the
 ambient-noise fingerprint (Sound-Proof), the motion DTW gate (paper
 §V), a multi-band spectral matcher, a vibration/resonance channel
-(WearID-style).  Each verifier exposes the same three-method shape:
+(WearID-style).  Each verifier exposes the same two-method shape:
 
-* :meth:`~ProximityVerifier.prepare` gathers the raw signals it needs
-  (possibly costing wireless messages or compute time) and returns a
-  :class:`ProximityEvidence` bundle;
-* :meth:`~ProximityVerifier.score` turns evidence into a
-  :class:`VerifierResult` — a score, a pass/fail verdict and the
-  normalized confidence the fusion policies combine;
-* :meth:`~ProximityVerifier.verify` composes the two against a live
-  :class:`~repro.core.stages.SessionContext`, honouring the staged
-  (shard-batched) fast path of :class:`PrecomputedVerifierEvidence`.
+* :meth:`~ProximityVerifier.score` turns a :class:`ProximityEvidence`
+  bundle into a :class:`VerifierResult` — a score, a pass/fail verdict
+  and the normalized confidence the fusion policies combine;
+* :meth:`~ProximityVerifier.verify` judges a live
+  :class:`~repro.core.stages.SessionContext`: it applies the
+  verifier's gates, charges its messages and compute, and reads its
+  score from ``ctx.verifier_scores``, where the stage holding the
+  score's inputs put it (sensor capture the motion scores, the
+  prefilter the ambient fingerprints, each over a batch of rows).
 
 The split matters because the security experiments score attacker-
-crafted evidence *offline* (no session, no timeline) through exactly
-the ``prepare``-free half of the interface, so the verifier logic
-lives in one place for both the protocol and the red team.
-
-Staging contract: the fleet executor precomputes verifier scores in
-shard batches and parks them on :class:`PrecomputedVerifierEvidence`.
-The field names are typed — one dataclass field per registered
-verifier, checked by ``tests/test_verifiers.py`` — so a staging key
-can never silently drift away from the verifier that consumes it.
+crafted evidence *offline* (no session, no timeline) through
+``score``, so the verifier logic lives in one place for both the
+protocol and the red team.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ import numpy as np
 __all__ = [
     "VerifierResult",
     "ProximityEvidence",
-    "PrecomputedVerifierEvidence",
     "ProximityVerifier",
     "ensure_sensor_message",
 ]
@@ -77,11 +70,9 @@ class VerifierResult:
 class ProximityEvidence:
     """The raw signals a verifier scores, bundled for offline use.
 
-    The session path fills this from the live
-    :class:`~repro.core.stages.SessionContext`; the security
-    experiments fill it from attacker models (replayed ambient from the
-    wrong room, a stranger's accelerometer trace) — see
-    :mod:`repro.security.attacks`.
+    The security experiments fill it from attacker models (replayed
+    ambient from the wrong room, a stranger's accelerometer trace) and
+    from legitimate captures — see :mod:`repro.security.attacks`.
     """
 
     sample_rate: float
@@ -93,32 +84,6 @@ class ProximityEvidence:
     phone_motion: Optional[np.ndarray] = None
     #: Watch 3-axis accelerometer window, shape ``(n, 3)``.
     watch_motion: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class PrecomputedVerifierEvidence:
-    """Typed shard-staged verifier scores (one field per verifier).
-
-    Replaces the stringly-typed ``motion_score`` / ``noise_similarity``
-    attributes that used to live directly on ``PrecomputedStages``:
-    every staged score now has a declared slot, and the mapping from
-    verifier name to field is pinned by :data:`repro.verifiers.
-    registry.EVIDENCE_FIELD_BY_VERIFIER` so staging keys cannot drift
-    from verifier names.
-
-    Consumption semantics differ per field and mirror what the score
-    depends on: ``noise_similarity`` and ``multiband_similarity``
-    derive from the probe recording, so they are consumed **once** (a
-    re-probe retry records fresh audio and scores it live);
-    ``motion_score`` and ``vibration_similarity`` derive from the
-    sensor window, which a re-probe does not redraw, so they stay
-    valid for the whole attempt.
-    """
-
-    motion_score: Optional[float] = None
-    noise_similarity: Optional[float] = None
-    multiband_similarity: Optional[float] = None
-    vibration_similarity: Optional[float] = None
 
 
 def ensure_sensor_message(ctx: Any) -> bool:
@@ -151,14 +116,10 @@ class ProximityVerifier(Protocol):
     #: Stage abort reason when this verifier rejects under AND fusion.
     abort_reason: str
 
-    def prepare(self, ctx: Any) -> ProximityEvidence:
-        """Gather this verifier's evidence from a live session."""
-        ...  # pragma: no cover - protocol
-
     def score(self, evidence: ProximityEvidence) -> VerifierResult:
         """Score evidence (pure; shared by session and offline paths)."""
         ...  # pragma: no cover - protocol
 
     def verify(self, ctx: Any) -> VerifierResult:
-        """prepare + score against a session, honouring staged values."""
+        """Judge a live session on the score its stage recorded."""
         ...  # pragma: no cover - protocol

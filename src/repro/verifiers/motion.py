@@ -3,13 +3,15 @@
 Extracted from ``PrefilterStage._motion_gate``: the watch ships its
 accelerometer window over the wireless link, the phone runs the
 dual-threshold DTW filter, and the fast-path verdict feeds the MaxBER
-policy.  Message sizes, timeline labels, compute charges and staging
-semantics are bit-identical to the pre-refactor gate.
+policy.  Message sizes, timeline labels and compute charges are
+bit-identical to the pre-refactor gate.  The DTW score itself is
+computed by the sensor-capture stage, in one wavefront per batch of
+sessions, and only the thresholds run here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -52,14 +54,6 @@ class MotionDtwVerifier:
             skipped=True,
         )
 
-    def prepare(self, ctx: Any) -> ProximityEvidence:
-        phone_xyz, watch_xyz = ctx.sensor_pair
-        return ProximityEvidence(
-            sample_rate=ctx.sample_rate,
-            phone_motion=phone_xyz,
-            watch_motion=watch_xyz,
-        )
-
     def score(self, evidence: ProximityEvidence) -> VerifierResult:
         if evidence.phone_motion is None or evidence.watch_motion is None:
             return self._skipped()
@@ -72,7 +66,6 @@ class MotionDtwVerifier:
     def verify(self, ctx: Any) -> VerifierResult:
         if not ctx.config.use_motion_filter:
             return self._skipped()
-        phone_xyz, watch_xyz = ctx.sensor_pair
         if not ensure_sensor_message(ctx):
             # Fail closed: without the watch's sensor window the motion
             # gate cannot vouch for co-location.
@@ -85,24 +78,11 @@ class MotionDtwVerifier:
             )
         dtw_s = ctx.phone_meter.record_compute(dtw_workload(100, 100).mops)
         ctx.timeline.record("dtw_on_phone", dtw_s, "compute_p1")
-        staged_score = self._staged(ctx)
-        if staged_score is not None:
-            # Batched-wavefront score, bit-identical to evaluating the
-            # pair here; only the thresholds still run in-stage.  Not
-            # consumed-once: the sensor pair is unchanged by a re-probe.
-            motion = ctx.phone.motion_filter.classify(float(staged_score))
-        else:
-            motion = ctx.phone.evaluate_motion(phone_xyz, watch_xyz)
+        motion = ctx.phone.motion_filter.classify(
+            ctx.verifier_scores[self.name]
+        )
         ctx.motion_score = motion.score
         ctx.fast_path = motion.decision is MotionDecision.FAST_PATH
         return self._result(
             motion, ctx.phone.motion_filter.config.dtw_high
         )
-
-    @staticmethod
-    def _staged(ctx: Any) -> Optional[float]:
-        pre = ctx.precomputed
-        if pre is None:
-            return None
-        evidence = getattr(pre, "evidence", None)
-        return evidence.motion_score if evidence is not None else None

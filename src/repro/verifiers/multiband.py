@@ -13,13 +13,13 @@ target for an attacker who only controls part of the spectrum.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any
 
 import numpy as np
 
 from ..core.colocation import AmbientComparator
 from ..errors import WearLockError
-from .ambient import NOISE_FILTER_MIN_SPL, probe_head, probe_spectra
+from .ambient import ambient_gate_open
 from .base import ProximityEvidence, VerifierResult
 
 __all__ = [
@@ -91,32 +91,25 @@ def multiband_similarity_batch(
 
 
 def multiband_similarity(
-    a: np.ndarray,
-    b: np.ndarray,
-    sample_rate: float,
-    spectra: Optional[Tuple[np.ndarray, ...]] = None,
+    a: np.ndarray, b: np.ndarray, sample_rate: float
 ) -> float:
     """Mean per-group band-profile correlation, in [-1, 1].
 
     Degenerate inputs score 0.0 rather than raising: a recording too
     short to fingerprint, or a group with a flat profile, carries no
-    co-location evidence either way — same convention as
-    :func:`repro.protocol.session.ambient_similarity`.  ``spectra`` is
-    the pair's ``(freqs, psd_a, psd_b)`` Welch pass when the caller
-    holds it (:func:`~repro.verifiers.ambient.probe_spectra`); ``None``
-    runs it here.  One-row call of :func:`multiband_similarity_batch`.
+    co-location evidence either way.  Unlike
+    :func:`repro.protocol.session.ambient_similarity` there is no
+    silence floor: a faint input still scores on its spectral shape
+    (an all-zero one has flat profiles and scores 0.0).  One-row call of
+    :func:`multiband_similarity_batch`.
     """
-    if spectra is None:
-        comparator = _comparator(sample_rate)
-        try:
-            freqs, pa = comparator.psd_batch(
-                np.asarray(a, dtype=float)[None, ...]
-            )
-            _, pb = comparator.psd_batch(np.asarray(b, dtype=float)[None, ...])
-        except WearLockError:
-            return 0.0
-        spectra = (freqs, pa, pb)
-    return float(multiband_similarity_batch(*spectra, sample_rate)[0])
+    comparator = _comparator(sample_rate)
+    try:
+        freqs, pa = comparator.psd_batch(np.asarray(a, dtype=float)[None, ...])
+        _, pb = comparator.psd_batch(np.asarray(b, dtype=float)[None, ...])
+    except WearLockError:
+        return 0.0
+    return float(multiband_similarity_batch(freqs, pa, pb, sample_rate)[0])
 
 
 class MultibandAmbientVerifier:
@@ -145,13 +138,6 @@ class MultibandAmbientVerifier:
             skipped=True,
         )
 
-    def prepare(self, ctx: Any) -> ProximityEvidence:
-        return ProximityEvidence(
-            sample_rate=ctx.sample_rate,
-            phone_ambient=ctx.phone_ambient,
-            watch_ambient=probe_head(ctx),
-        )
-
     def score(self, evidence: ProximityEvidence) -> VerifierResult:
         if evidence.phone_ambient is None or evidence.watch_ambient is None:
             return self._skipped()
@@ -165,34 +151,6 @@ class MultibandAmbientVerifier:
     def verify(self, ctx: Any) -> VerifierResult:
         # Same silence gate as the single-profile verifier: a quiet
         # scene carries no fingerprint in *any* band group.
-        if (
-            not ctx.config.use_noise_filter
-            or ctx.noise_spl_estimate < NOISE_FILTER_MIN_SPL
-        ):
+        if not ambient_gate_open(ctx):
             return self._skipped()
-        staged_sim = self._staged(ctx)
-        if staged_sim is not None and not ctx.extras.get(
-            "multiband_sim_staged"
-        ):
-            # Consumed once, like the single-profile score: a re-probe
-            # records fresh audio that must be scored live.
-            ctx.extras["multiband_sim_staged"] = True
-            sim = staged_sim
-        else:
-            sim = multiband_similarity(
-                ctx.phone_ambient,
-                probe_head(ctx),
-                ctx.sample_rate,
-                probe_spectra(ctx),
-            )
-        return self._result(sim)
-
-    @staticmethod
-    def _staged(ctx: Any) -> Optional[float]:
-        pre = ctx.precomputed
-        if pre is None:
-            return None
-        evidence = getattr(pre, "evidence", None)
-        return (
-            evidence.multiband_similarity if evidence is not None else None
-        )
+        return self._result(ctx.verifier_scores[self.name])

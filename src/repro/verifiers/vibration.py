@@ -25,7 +25,7 @@ raises the bar over either alone.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -123,14 +123,6 @@ class VibrationResonanceVerifier:
             skipped=True,
         )
 
-    def prepare(self, ctx: Any) -> ProximityEvidence:
-        phone_xyz, watch_xyz = ctx.sensor_pair
-        return ProximityEvidence(
-            sample_rate=ctx.sample_rate,
-            phone_motion=phone_xyz,
-            watch_motion=watch_xyz,
-        )
-
     def score(self, evidence: ProximityEvidence) -> VerifierResult:
         if evidence.phone_motion is None or evidence.watch_motion is None:
             return self._skipped()
@@ -143,7 +135,6 @@ class VibrationResonanceVerifier:
         # Shares the motion kill-switch: no sensor window, no resonance.
         if not ctx.config.use_motion_filter:
             return self._skipped()
-        phone_xyz, watch_xyz = ctx.sensor_pair
         if not ensure_sensor_message(ctx):
             return VerifierResult(
                 name=self.name,
@@ -154,21 +145,4 @@ class VibrationResonanceVerifier:
             )
         vib_s = ctx.phone_meter.record_compute(VIBRATION_MOPS)
         ctx.timeline.record("vibration_on_phone", vib_s, "compute_p1")
-        staged_sim = self._staged(ctx)
-        if staged_sim is not None:
-            # Like the DTW score, the sensor pair survives a re-probe,
-            # so the staged value is valid for the whole attempt.
-            sim = float(staged_sim)
-        else:
-            sim = vibration_similarity(phone_xyz, watch_xyz)
-        return self._result(sim)
-
-    @staticmethod
-    def _staged(ctx: Any) -> Optional[float]:
-        pre = ctx.precomputed
-        if pre is None:
-            return None
-        evidence = getattr(pre, "evidence", None)
-        return (
-            evidence.vibration_similarity if evidence is not None else None
-        )
+        return self._result(ctx.verifier_scores[self.name])

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.metrics import TailStats
 from repro.core.stages import StageRng
 from repro.core.trace import Tracer
@@ -21,15 +22,11 @@ from repro.fleet import (
     render_fleet_report,
 )
 from repro.fleet.aggregate import SessionRecord
+from repro.fleet import executor
 from repro.fleet.executor import precompute_prefilter, shard_population
-from repro.protocol.session import (
-    PrecomputedStages,
-    SessionConfig,
-    UnlockSession,
-)
+from repro.protocol.session import SessionConfig, UnlockSession
 from repro.sensors.dtw import dtw_distance_batch, normalized_dtw_batch
 from repro.sensors.traces import ActivityKind, co_located_pair, magnitude
-from repro.verifiers import PrecomputedVerifierEvidence
 from tests import kernel_oracle as oracle
 from tests import population_oracle
 
@@ -76,25 +73,27 @@ class TestBatchedDtw:
 
 class TestPrecomputedStages:
     def test_precomputed_path_bit_identical(self):
-        """Staged sensor pair + batched score == in-stage computation."""
-        for seed in (7, 42):
-            cfg = SessionConfig(seed=seed)
-            base = UnlockSession(cfg).run()
+        """Phase A's batched sensor capture (one DTW wavefront for the
+        block) == the in-stage computation of each session alone."""
+        seeds = (7, 42)
+        block = [
+            UnlockSession(SessionConfig(seed=seed)).begin(
+                pause_before="sensor-capture"
+            )
+            for seed in seeds
+        ]
+        precompute_prefilter(block)
+        for seed, pending in zip(seeds, block):
+            base = UnlockSession(SessionConfig(seed=seed)).run()
             rng = StageRng(seed=seed).for_stage("sensor-capture")
-            pair = co_located_pair(cfg.activity, rng=rng)
-            score = float(
+            pair = co_located_pair(ActivityKind.SITTING, rng=rng)
+            assert pending.ctx.verifier_scores["motion-dtw"] == float(
                 normalized_dtw_batch(
                     magnitude(pair[0])[None, :],
                     magnitude(pair[1])[None, :],
                 )[0]
             )
-            pre = PrecomputedStages(
-                sensor_pair=pair,
-                evidence=PrecomputedVerifierEvidence(motion_score=score),
-            )
-            fast = UnlockSession(SessionConfig(seed=seed)).run(
-                precomputed=pre
-            )
+            fast = pending.finish()
             assert fast.unlocked == base.unlocked
             assert fast.total_delay_s == base.total_delay_s
             assert fast.raw_ber == base.raw_ber
@@ -255,10 +254,19 @@ class TestFleetRun:
             for spec in user_specs
         ]
         assert specs
-        staged = precompute_prefilter(specs)
-        assert len(staged) == len(specs)
-        assert all(s.sensor_pair is not None for s in staged)
-        assert all(isinstance(s.evidence.motion_score, float) for s in staged)
+        pendings = [
+            UnlockSession(
+                executor._session_config(SystemConfig(), spec, None, None)
+            ).begin(pause_before="sensor-capture")
+            for spec in specs
+        ]
+        precompute_prefilter(pendings)
+        assert all(p.paused for p in pendings)
+        assert {p._pause.next_stage for p in pendings} == {"probe-tx"}
+        assert all(
+            isinstance(p.ctx.verifier_scores["motion-dtw"], float)
+            for p in pendings
+        )
 
 
 class TestReport:

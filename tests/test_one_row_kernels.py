@@ -12,7 +12,9 @@ length, multi-band pairs too short to fingerprint or silent, speakers
 with stages switched off, the wide-band microphone, and recordings too
 short, silent, not 1-D or below the detection threshold.  The acoustic
 link's row kernels are checked row by row here too, on one mixed
-batch, and so is the modem receive tail (pilot SNR, the three channel
+batch, and so are the prefilter's batched ambient fingerprints against
+their scalars (silence floor, empty and too-short rows included) and
+the modem receive tail (pilot SNR, the three channel
 estimators, equalization, FFT interpolation) on random spectra over
 random plans; the other many-row calls are compared with the same
 oracles in the staging equivalence suites.
@@ -31,6 +33,7 @@ from repro.channel.noise import NoiseScene, shaped_noise, tone_jammer
 from repro.channel.scenarios import get_environment
 from repro.config import ModemConfig
 from repro.core.colocation import AmbientComparator
+from repro.dsp.energy import SILENCE_FLOOR_SPL_DB, signal_spl, spl_to_amplitude
 from repro.dsp.fftops import fft_interpolate_rows
 from repro.dsp.spectrum import welch_psd
 from repro.errors import (
@@ -53,7 +56,9 @@ from repro.modem.frame import demodulate_block
 from repro.modem.preamble import PreambleDetector, build_preamble
 from repro.modem.snr import pilot_snr_db_rows, pilot_snr_linear_rows
 from repro.modem.transmitter import OfdmTransmitter
+from repro.protocol.session import ambient_similarity
 from repro.sensors.dtw import dtw_distance, normalized_dtw
+from repro.verifiers.ambient import ambient_scores_rows
 from repro.verifiers.multiband import multiband_similarity
 from tests import kernel_oracle as oracle
 from tests import modem_oracle
@@ -507,6 +512,42 @@ def test_transmit_rows_rejects_bad_rows():
         AcousticLink.transmit_rows([link], [np.zeros(8)], [70.0], [gen])
     with pytest.raises(ChannelError):
         AcousticLink.transmit_rows([link], [np.ones((2, 8))], [70.0], [gen])
+
+
+def test_ambient_scores_rows_match_scalars_row_by_row():
+    """The prefilter's batched ambient fingerprints keep every guard of
+    the scalars: a non-zero head below the silence floor, an all-zero
+    head and a recording too short to fingerprint each score the
+    scalar's 0.0 next to normal rows in the same Welch pass."""
+    rng = np.random.default_rng(3)
+    scene = 0.05 * rng.standard_normal(4410)
+    faint = rng.standard_normal(4410)
+    faint *= spl_to_amplitude(-146.0) / np.sqrt(np.mean(faint**2))
+    assert 0.0 < np.abs(faint).max()
+    assert signal_spl(faint) <= SILENCE_FLOOR_SPL_DB
+    heard = scene + 0.02 * rng.standard_normal(4410)
+    rows = [
+        # (ambient, head, sample rate, verifiers that read the pair)
+        (scene, heard, FS, ("ambient", "multiband")),
+        (scene, faint, FS, ("ambient", "multiband")),
+        (scene, np.zeros(4410), FS, ("ambient",)),
+        (scene, heard[:63], FS, ("ambient", "multiband")),
+        (faint, heard, FS, ("multiband",)),
+        (scene[:2205], heard[:2205], 22_050.0, ("ambient", "motion-dtw")),
+        (np.array([]), heard, FS, ("ambient",)),
+    ]
+    got = ambient_scores_rows(*zip(*rows))
+    for (a, b, fs, names), scores in zip(rows, got):
+        want = {}
+        if "ambient" in names:
+            want["ambient"] = ambient_similarity(a, b, fs)
+        if "multiband" in names:
+            want["multiband"] = multiband_similarity(a, b, fs)
+        assert scores == want
+    assert got[0]["ambient"] > 0.5
+    assert got[1]["ambient"] == got[2]["ambient"] == got[3]["ambient"] == 0.0
+    # The multi-band score has no silence floor: the faint head scores.
+    assert got[1]["multiband"] != 0.0
 
 
 def _row_outcomes(scalar, rows, *args):

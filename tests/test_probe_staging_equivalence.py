@@ -1,14 +1,17 @@
-"""Bit-identity of the shard-batched Phase-1 probe DSP.
+"""Bit-identity of the batched Phase-1 stages.
 
-The fleet's ``staging="otp"`` fast path replays every session's
-probe-tx rng stream out of band and runs the channel synthesis,
-synchronizer correlations and pilot receive FFTs as stacked batches.
-These tests pin the contract at both layers: every row of each batch
-primitive is bit-identical to the independent 1-D bodies in
+The fleet's ``staging="otp"`` fast path runs the stages before
+``otp-tx`` — sensor capture, probe transmit, probe analysis and the
+prefilter — as their own ``run_rows`` bodies over blocks of sessions,
+with the channel synthesis, DTW wavefronts, synchronizer correlations,
+pilot receive FFTs and ambient fingerprints stacked.  These tests pin
+the contract at three layers: every row of each batch primitive is
+bit-identical to the independent 1-D bodies in
 ``tests/kernel_oracle.py`` (the scalar entry points are the kernels'
 one-row calls), including the generator stream positions it leaves
-behind, and whole shards produce the same session records whether the
-probe replay is staged or live.
+behind; one batch step of each stage over a mixed block leaves every
+session where stepping it alone does; and whole shards produce the
+same session records whether Phase 1 is batched or live.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ from repro.modem import probe as probe_module
 from repro.modem.frame import demodulate_blocks, frame_layout
 from repro.modem.preamble import PreambleDetector
 from repro.modem.probe import ChannelProber
+from repro.protocol.session import (
+    PendingSession,
+    RetryPolicy,
+    SessionConfig,
+    UnlockSession,
+)
 from repro.verifiers import probe_head_samples, resolve_verifier_names
 from tests import kernel_oracle as oracle
 from tests.modem_oracle import reference_fine_sync_offset
@@ -230,7 +239,7 @@ class TestBatchPrimitives:
 
 
 class TestStagedAmbientScores:
-    """A staged probe group's two ambient fingerprints, row by row."""
+    """A probe block's two ambient fingerprints, row by row."""
 
     # Near-ultrasound in the cafe: the LOS rows within 2 m detect the
     # probe, the 12 m NLOS rows do not.
@@ -254,7 +263,14 @@ class TestStagedAmbientScores:
             )
             for i, (distance, los) in enumerate(self.PLACEMENTS * 3)
         ]
-        # The group's two recordings, in draw order: the phone's
+        pendings = [
+            UnlockSession(
+                executor._session_config(SystemConfig(), spec, None, None)
+            ).begin(pause_before="sensor-capture")
+            for spec in specs
+        ]
+        executor.precompute_prefilter(pendings)
+        # The block's two recordings, in draw order: the phone's
         # ambient self-recordings, then the watch's probe captures.
         recordings = []
         record_batch = MicrophoneModel.record_batch
@@ -265,7 +281,7 @@ class TestStagedAmbientScores:
             return out
 
         monkeypatch.setattr(MicrophoneModel, "record_batch", record)
-        probes, sims, mb_sims = executor.precompute_probe(specs)
+        executor.precompute_probe(pendings)
         ambients, recorded = recordings
 
         modem = SystemConfig().modem.near_ultrasound()
@@ -275,29 +291,32 @@ class TestStagedAmbientScores:
             sample_rate=fs, high_hz=min(18_000.0, fs / 2.2)
         )
         kinds = set()
-        for i, spec in enumerate(specs):
-            report = probes[i].report
-            detected = report is not None and report.detected
+        for i, (spec, pending) in enumerate(zip(specs, pendings)):
+            ctx = pending.ctx
+            # The block's recordings are dropped once it is scored.
+            assert ctx.probe_recording is None and ctx.phone_ambient is None
+            detected = ctx.report is not None and ctx.report.detected
             names = resolve_verifier_names(spec.verifiers)
             ambient, multiband = "ambient" in names, "multiband" in names
             kinds.add((detected, ambient, multiband))
             head = recorded[i, :head_n]
+            scores = ctx.verifier_scores
             if not detected:
-                assert sims[i] is None and mb_sims[i] is None
+                assert "ambient" not in scores and "multiband" not in scores
                 continue
-            # Each score is staged only where the verifier set reads it.
+            # Each score is computed only where the verifier set reads it.
             if ambient:
-                assert sims[i] == oracle.similarity(
+                assert scores["ambient"] == oracle.similarity(
                     comparator, ambients[i], head
                 )
             else:
-                assert sims[i] is None
+                assert "ambient" not in scores
             if multiband:
-                assert mb_sims[i] == oracle.multiband_similarity(
+                assert scores["multiband"] == oracle.multiband_similarity(
                     ambients[i], head, fs
                 )
             else:
-                assert mb_sims[i] is None
+                assert "multiband" not in scores
         # Failed rows, and detected rows with both scores and with
         # either one alone.
         assert {(a, m) for d, a, m in kinds if d} == {
@@ -306,15 +325,172 @@ class TestStagedAmbientScores:
         assert any(not d for d, _, _ in kinds)
 
 
+#: Phase-1 fault plans for one block: fault-free rows next to rows
+#: whose Phase-1 messages drop for good (so some abort at every
+#: Phase-1 stage), whose probe is hit by acoustic faults, and whose
+#: stages are charged engine spikes.
+_PHASE1_PLANS = (
+    None,
+    "msg_drop@sensor-capture:p=0.4,hits=none;"
+    "msg_drop@probe-process:p=0.4,hits=none;"
+    "msg_drop@prefilter:p=0.4,hits=none",
+    "msg_drop@sensor-capture:p=0.8,hits=none;"
+    "msg_drop@probe-process:p=0.8,hits=none;"
+    "msg_drop@prefilter:p=0.8,hits=none",
+    "burst_noise@probe-tx:severity=2;msg_late@*:p=0.5",
+    "mic_dropout@probe-tx:p=0.5;frame_truncation@probe-tx:p=0.3",
+    "latency_spike@*:p=0.5;energy_spike@probe-process",
+)
+
+#: Verifier sets and fusion modes that make every score and every
+#: motion-domain message appear in a block.
+_PHASE1_VERIFIERS = (
+    (None, "and"),
+    (("ambient", "multiband", "motion-dtw", "vibration"), "score"),
+    (("multiband", "vibration"), "or"),
+)
+
+
+def _phase1_configs():
+    return [
+        SessionConfig(
+            seed=seed,
+            faults=faults,
+            verifiers=verifiers,
+            fusion=fusion,
+            environment=environment,
+            band=band,
+            distance_m=distance,
+            co_located=seed % 3 != 0,
+            retry=RetryPolicy() if seed % 2 else None,
+        )
+        for seed, (environment, band, distance) in enumerate(
+            (
+                ("office", "audible", 0.4),
+                ("cafe", "audible", 1.5),
+                ("grocery_store", "ultrasound", 0.3),
+                ("quiet_room", "audible", 0.6),
+            ),
+            start=3,
+        )
+        for faults in _PHASE1_PLANS
+        for verifiers, fusion in _PHASE1_VERIFIERS
+    ]
+
+
+def _row_state(pending, stage):
+    """Everything a stage's pass leaves on one session."""
+    ctx = pending.ctx
+    faults = None
+    if ctx.faults is not None:
+        snap = ctx.faults.snapshot()
+        faults = (
+            dict(snap.streams), dict(snap.hits), snap.events,
+            ctx.faults.stage,
+        )
+    state = pending._pause if pending.paused else pending._result
+    return (
+        pending.paused,
+        state.next_stage if pending.paused else state.abort_reason,
+        tuple(state.stages_run),
+        ctx.rng_for(stage).bit_generator.state,
+        ctx.wireless._rng.bit_generator.state,
+        faults,
+        [(e.label, e.start, e.duration) for e in ctx.timeline.events],
+        ctx.watch_meter.total_joules,
+        ctx.phone_meter.total_joules,
+        dict(ctx.verifier_scores),
+        ctx.tx_spl,
+        None if ctx.phone_ambient is None else ctx.phone_ambient.tobytes(),
+        None if ctx.probe_recording is None else ctx.probe_recording.tobytes(),
+        None if ctx.report is None else ctx.report.psnr_db,
+    )
+
+
+class TestPhaseOneRows:
+    """One batch step of each Phase-1 stage over a mixed block leaves
+    every session where the engine's own loop, running the stage for
+    one session at a time, leaves a twin — stage generator, wireless
+    stream, injector and its ordered events, timeline, both meters,
+    ``stages_run`` and the verifier scores — and the passes finish with
+    the same outcome."""
+
+    @pytest.mark.parametrize(
+        "stage, after",
+        (
+            ("sensor-capture", "probe-tx"),
+            ("probe-tx", "probe-process"),
+            ("probe-process", "prefilter"),
+            ("prefilter", "mode-select"),
+        ),
+    )
+    def test_batch_step_matches_one_row_runs(self, stage, after):
+        configs = _phase1_configs()
+        block = [UnlockSession(c).begin(pause_before=stage) for c in configs]
+        twins = [UnlockSession(c).begin(pause_before=after) for c in configs]
+        keep = [i for i, p in enumerate(block) if p.paused]
+        block = [block[i] for i in keep]
+        twins = [twins[i] for i in keep]
+        assert len(block) >= 30
+
+        PendingSession.step(block)
+        states = [_row_state(p, stage) for p in block]
+        assert states == [_row_state(t, stage) for t in twins]
+        # The block mixes rows that go on with rows that abort here
+        # (every Phase-1 stage but probe-tx can), and faults fired.
+        assert {s[0] for s in states} == (
+            {True} if stage == "probe-tx" else {True, False}
+        )
+        assert any(s[5] and s[5][2] for s in states)
+
+        for pending, twin in zip(block, twins):
+            got, want = pending.finish(), twin.finish()
+            assert got.stages_run == want.stages_run
+            assert got.abort_reason == want.abort_reason
+            assert got.total_delay_s == want.total_delay_s
+            assert got.faults_injected == want.faults_injected
+            assert got.verifier_results == want.verifier_results
+
+    def test_stages_before_otp_read_no_per_user_state(self):
+        """Phase A of a shard runs with every user's OTP manager and
+        keyguard replaced by objects that raise on any use."""
+
+        class Untouchable:
+            def __getattribute__(self, name):
+                raise AssertionError(f"per-user state read: .{name}")
+
+        cfg = FleetConfig(
+            n_users=12, hours=24.0, seed=5, fusion_mix="score",
+            faults="msg_drop@sensor-capture:p=0.3,hits=none;"
+            "burst_noise@probe-tx:p=0.3",
+        )
+        population = executor.shard_population(cfg, 0, cfg.n_users)
+        system = SystemConfig()
+        shard, anns, offset = [], [], 0
+        for user, specs in population:
+            _, phone = executor._user_phone(cfg, system, user)
+            phone.otp = phone.keyguard = Untouchable()
+            shard.append((user, specs, offset, Untouchable(), phone))
+            anns.extend([None] * len(specs))
+            offset += len(specs)
+        pendings = executor._begin_phase1(
+            system, cfg.fault_plan(), RetryPolicy(), shard, anns
+        )
+        assert len(pendings) == offset > 20
+        paused = [p for p in pendings if p.paused]
+        assert paused and len(paused) < len(pendings)
+        assert {p._pause.next_stage for p in paused} == {"otp-tx"}
+
+
 def _staged_run(cfg, monkeypatch):
     """``run_shard`` records at ``staging="otp"`` and the rows
     :func:`~repro.fleet.executor.precompute_probe` saw."""
     rows = []
     probe = executor.precompute_probe
 
-    def counted(specs, *args):
-        rows.append(len(specs))
-        return probe(specs, *args)
+    def counted(pendings):
+        rows.append(len(pendings))
+        return probe(pendings)
 
     with monkeypatch.context() as m:
         m.setattr(executor, "precompute_probe", counted)
@@ -323,10 +499,10 @@ def _staged_run(cfg, monkeypatch):
 
 
 class TestStagedProbeFleet:
-    """Whole-shard identity with the probe replay staged or live."""
+    """Whole-shard identity with Phase 1 batched or live."""
 
     def test_records_identical_across_staging_levels(self, monkeypatch):
-        # An acoustic fault at probe-tx rides the probe replay on each
+        # An acoustic fault at probe-tx rides the batched probe on each
         # session's own injector; either way the records match the
         # oracle.
         for faults in ("", "mic_dropout@*:p=0.5"):

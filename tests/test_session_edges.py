@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SecurityConfig, SystemConfig
+from repro.errors import ConfigurationError
 from repro.modem.coding import ConvolutionalCode, HammingCode
 from repro.protocol.controllers import PhoneController
 from repro.protocol.session import (
@@ -13,6 +14,26 @@ from repro.protocol.session import (
 )
 from repro.security.otp import OtpManager
 from repro.sensors.traces import ActivityKind
+
+
+class TestSessionConfigValidation:
+    """Each out-of-domain value fails at construction with a
+    :class:`ConfigurationError`, not deep inside the channel or modem."""
+
+    @pytest.mark.parametrize(
+        "field, bad, good",
+        [
+            ("distance_m", (float("nan"), float("inf"), 0.0, -1.0), 0.4),
+            ("max_ber", (float("nan"), 0.0, 0.5, 2.0, -0.1), 0.1),
+            ("nlos_blocking_db", (float("nan"), float("inf"), -1.0), 0.0),
+            ("environment", ("moon", ""), "cafe"),
+        ],
+    )
+    def test_rejected_at_construction(self, field, bad, good):
+        for value in bad:
+            with pytest.raises(ConfigurationError, match=field):
+                SessionConfig(**{field: value})
+        assert getattr(SessionConfig(**{field: good}), field) == good
 
 
 class TestWirelessGate:

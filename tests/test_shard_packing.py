@@ -2,10 +2,11 @@
 
 On contended runs the scheduler packs consecutive shard ranges into one
 ``run_shard`` call until the call holds enough users with sessions, and
-every staged DSP batch is capped at :data:`~repro.fleet.executor.
-STAGING_ROWS` rows.  Neither may change the aggregate document: it must
-equal a fold of direct ``run_shard`` calls over the plain
-:meth:`~repro.fleet.scheduler.FleetScheduler.shard_bounds`.
+every batched stage step (and so every DTW wavefront) is capped at
+:data:`~repro.fleet.executor.STAGING_ROWS` rows.  Neither may change
+the aggregate document: it must equal a fold of direct ``run_shard``
+calls over the plain :meth:`~repro.fleet.scheduler.FleetScheduler.
+shard_bounds`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.stages import StageEngine
 from repro.errors import ConfigurationError
 from repro.fleet import FleetAggregate, FleetConfig, FleetScheduler, run_shard
 from repro.fleet import executor, scheduler
+from repro.protocol import stages
 
 
 def _doc(aggregate, hours) -> str:
@@ -53,7 +56,8 @@ class _InlinePool:
 def _traced_run(config, shard_users, workers, staging_rows):
     """Run the scheduler with the staging cap set to ``staging_rows``;
     return the result, the dispatched ``(lo, hi, population)`` calls and
-    the row count of every staged DSP call."""
+    the row count of every batched stage step, DTW wavefront and OTP
+    receive block."""
     calls = []
     rows = []
 
@@ -74,14 +78,16 @@ def _traced_run(config, shard_users, workers, staging_rows):
             (scheduler, "ProcessPoolExecutor", _InlinePool),
             (executor, "STAGING_ROWS", staging_rows),
             (
-                executor,
+                stages,
                 "normalized_dtw_batch",
-                counted(executor.normalized_dtw_batch, lambda a: len(a[0])),
+                counted(stages.normalized_dtw_batch, lambda a: len(a[0])),
             ),
             (
-                executor,
-                "_stage_probe_group",
-                counted(executor._stage_probe_group, lambda a: len(a[3])),
+                StageEngine,
+                "step_paused",
+                staticmethod(
+                    counted(StageEngine.step_paused, lambda a: len(a[0]))
+                ),
             ),
             (
                 executor,

@@ -22,18 +22,17 @@ from repro.security.attacks import (
     legitimate_evidence,
 )
 from repro.verifiers import (
-    EVIDENCE_FIELD_BY_VERIFIER,
     FUSION_MODES,
     LEGACY_VERIFIERS,
     VERIFIER_NAMES,
     FusionPolicy,
-    PrecomputedVerifierEvidence,
     ProximityVerifier,
     VerifierResult,
     get_verifier,
     MULTIBAND_MIN_SIMILARITY,
     NOISE_FILTER_MIN_SPL,
     MultibandAmbientVerifier,
+    ambient_scores_rows,
     multiband_similarity,
     needs_sensor_pair,
     probe_head_samples,
@@ -43,7 +42,7 @@ from tests import kernel_oracle as oracle
 
 
 # ---------------------------------------------------------------------------
-# Registry + typed evidence (no stringly staging keys)
+# Registry
 # ---------------------------------------------------------------------------
 
 
@@ -70,12 +69,6 @@ class TestRegistry:
         assert resolve_verifier_names(None, use_noise_filter=False) == (
             "motion-dtw",
         )
-
-    def test_evidence_fields_total_over_registry(self):
-        """Every verifier has exactly one typed staging slot."""
-        fields = {f.name for f in dataclasses.fields(PrecomputedVerifierEvidence)}
-        assert set(EVIDENCE_FIELD_BY_VERIFIER) == set(VERIFIER_NAMES)
-        assert set(EVIDENCE_FIELD_BY_VERIFIER.values()) == fields
 
     def test_needs_sensor_pair_only_for_motion_domain(self):
         assert needs_sensor_pair(("motion-dtw",))
@@ -114,22 +107,21 @@ class TestSilenceSemantics:
 
 
 # ---------------------------------------------------------------------------
-# Multi-band verifier: silence gate, staging, degenerate input, threshold
+# Multi-band verifier: silence gate, scoring, degenerate input, threshold
 # ---------------------------------------------------------------------------
 
 
 def _multiband_ctx(spl=60.0, use_noise_filter=True, staged=None, seed=0):
-    """The session-context fields the multi-band verifier reads."""
+    """The session-context fields the multi-band verifier reads; its
+    score is ``staged`` when given, else what the prefilter's batch
+    body scores the recordings at the first verify (:func:`_verify`)."""
     modem = SystemConfig().modem
     rng = np.random.default_rng(seed)
     scene = 0.1 * rng.standard_normal(9000)
-    evidence = PrecomputedVerifierEvidence(multiband_similarity=staged)
     return SimpleNamespace(
         config=SimpleNamespace(use_noise_filter=use_noise_filter),
         noise_spl_estimate=spl,
-        precomputed=None if staged is None else SimpleNamespace(
-            evidence=evidence
-        ),
+        verifier_scores={} if staged is None else {"multiband": staged},
         extras={},
         sample_rate=modem.sample_rate,
         system=SimpleNamespace(modem=modem),
@@ -138,12 +130,26 @@ def _multiband_ctx(spl=60.0, use_noise_filter=True, staged=None, seed=0):
     )
 
 
-def _live_score(ctx):
-    head = ctx.probe_recording[
+def _head(ctx):
+    return ctx.probe_recording[
         : probe_head_samples(ctx.sample_rate, ctx.system.modem)
     ]
+
+
+def _verify(ctx):
+    """Score the context as the prefilter stage does, then verify."""
+    if "multiband" not in ctx.verifier_scores:
+        (scores,) = ambient_scores_rows(
+            [ctx.phone_ambient], [_head(ctx)], [ctx.sample_rate],
+            [("multiband",)],
+        )
+        ctx.verifier_scores.update(scores)
+    return MultibandAmbientVerifier().verify(ctx)
+
+
+def _live_score(ctx):
     return oracle.multiband_similarity(
-        ctx.phone_ambient, head, ctx.sample_rate
+        ctx.phone_ambient, _head(ctx), ctx.sample_rate
     )
 
 
@@ -158,28 +164,28 @@ class TestMultibandVerifier:
         ctx = _multiband_ctx(spl, use_noise_filter, staged=0.9)
         result = self.verifier.verify(ctx)
         assert result.skipped and result.passed and result.score is None
-        # A skipped verify leaves the staged score unconsumed.
-        assert "multiband_sim_staged" not in ctx.extras
 
     def test_gate_opens_at_threshold_spl(self):
         ctx = _multiband_ctx(NOISE_FILTER_MIN_SPL)
-        result = self.verifier.verify(ctx)
+        result = _verify(ctx)
         assert not result.skipped
         # One scene heard by both microphones: a co-located pass.
         assert result.score == _live_score(ctx) > 0.5
         assert result.passed
 
-    def test_staged_score_consumed_once(self):
+    def test_verify_reads_the_latest_prefilter_score(self):
         ctx = _multiband_ctx(staged=-0.5)
         assert self.verifier.verify(ctx).score == -0.5
-        # The re-probe records fresh audio, which is scored live.
+        # A re-probe records fresh audio, which its prefilter pass
+        # scores afresh.
         ctx.probe_recording = _multiband_ctx(seed=1).probe_recording
-        live = self.verifier.verify(ctx)
+        del ctx.verifier_scores["multiband"]
+        live = _verify(ctx)
         assert live.score == _live_score(ctx) != -0.5
 
     def test_unstaged_score_is_live(self):
         ctx = _multiband_ctx()
-        assert self.verifier.verify(ctx).score == _live_score(ctx)
+        assert _verify(ctx).score == _live_score(ctx)
 
     def test_too_short_recording_scores_zero(self):
         ctx = _multiband_ctx()
@@ -187,14 +193,14 @@ class TestMultibandVerifier:
         assert multiband_similarity(
             ctx.phone_ambient, ctx.probe_recording, ctx.sample_rate
         ) == 0.0
-        result = self.verifier.verify(ctx)
+        result = _verify(ctx)
         assert result.score == 0.0 and not result.passed
 
     def test_flat_groups_score_zero(self):
         """Silence has a flat profile: no group carries evidence."""
         ctx = _multiband_ctx()
         ctx.phone_ambient = np.zeros(4410)
-        result = self.verifier.verify(ctx)
+        result = _verify(ctx)
         assert result.score == 0.0 and not result.passed
 
     @pytest.mark.parametrize(
