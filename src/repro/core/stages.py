@@ -197,7 +197,8 @@ class SessionContext:
     itself reads; the remaining fields are the protocol's working set,
     declared here so every stage shares one explicit schema instead of
     smuggling state through closures.  Fields are loosely typed to keep
-    ``repro.core`` free of upward imports.
+    ``repro.core`` free of upward imports.  Each field is written by
+    the stage that computes it, never by a batch driver.
     """
 
     config: Any = None
@@ -244,13 +245,9 @@ class SessionContext:
     mode_decision: Any = None
     token_tx: Any = None
     config_msg: Any = None
+    #: The Phase-2 recording: written by ``otp-tx``, dropped by
+    #: ``verify`` once it is received.
     data_recording: Any = None
-    #: Length of the Phase-2 recording in samples.  Set alongside
-    #: ``data_recording``; the fleet's OTP waves receive the recording
-    #: in a batch and drop it, leaving the bits in ``received_bits``,
-    #: so timing/offload arithmetic never needs the freed samples.
-    data_samples: int = 0
-    received_bits: Any = None
     unlocked: bool = False
     raw_ber: Optional[float] = None
 
@@ -279,16 +276,13 @@ class EnginePause:
     up where it left off — the context, the index of the not-yet-run
     stage, the stages executed so far and the jump budget spent — so
     :meth:`StageEngine.resume` continues as if the pass had never
-    stopped.  By default, backward retry edges taken after resumption
-    never pause again (resume clears the trigger) — staging exactly the
-    *first* pass of a stage while retries run live.  A resume may
-    instead *re-arm* the trigger (``resume(pause, pause_before=...)``):
-    the pass continues past the paused stage, and the next arrival at
-    that stage — a NACK retransmission jumping back, or a re-probe
-    sweeping forward through it — pauses again, which is what lets a
-    batch orchestrator stage every retransmission wave too.
-    :meth:`StageEngine.step_paused` runs the paused stage for many
-    passes at once and leaves each paused before its next stage.
+    stopped.  By default a resumed pass runs to its end (resume clears
+    the trigger); a resume may instead *re-arm* it (``resume(pause,
+    pause_before=...)``), so the next arrival at that stage pauses
+    again.  :meth:`StageEngine.step_paused` runs the paused stage for
+    many passes at once and leaves each paused before its next stage —
+    the target of a retry edge included — so a batch orchestrator
+    steps every retransmission and re-probe as it steps a first pass.
     """
 
     ctx: SessionContext

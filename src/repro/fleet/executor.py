@@ -37,12 +37,10 @@ processes; it owns everything that must *not* cross shard boundaries:
     per-user OTP counter state (each session's counter position depends
     on earlier outcomes), so this phase cannot run up front: it runs
     in *waves* — every user advances by at most one Phase-2-reaching
-    session, paused just before ``otp-tx``; each wave block runs the
-    ``otp-tx`` stage as one batch (frames, channel convolutions) and
-    receives the frames as stacked receive FFTs and pilot
-    equalizations (:func:`precompute_otp`); then each session resumes
-    at ``verify`` with its bits on its context.  A re-probe runs its
-    Phase-1 stages one row at a time inside the wave.
+    session, paused just before ``otp-tx``; each wave block steps the
+    ``otp-tx`` stage (frames, channel convolutions) and the ``verify``
+    stage (stacked receive FFTs and pilot equalizations) as batches,
+    then its re-probes (:func:`precompute_otp`).
 
   Every batch holds at most :data:`STAGING_ROWS` rows, so staging
   memory does not grow with the shard (the paused contexts do, by
@@ -68,9 +66,8 @@ import numpy as np
 from ..channel.link import partition_indices
 from ..config import SystemConfig
 from ..devices.profiles import DEVICES
-from ..errors import ConfigurationError, ModemError
+from ..errors import ConfigurationError
 from ..faults import FaultPlan
-from ..modem.receiver import OfdmReceiver, receive_batch_grouped
 from ..protocol.controllers import PhoneController
 from ..protocol.session import (
     AbortReason,
@@ -82,9 +79,10 @@ from ..protocol.session import (
 from ..security.otp import OtpManager
 from ..sensors.traces import ActivityKind
 
-# Not called here since the stages run the prefilter scores in their
-# batch bodies; the names stay bound because perfbench's tracer wraps
-# them at these sites.
+# Not called here since the stages run the prefilter scores and the
+# Phase-2 receive in their batch bodies; the names stay bound because
+# perfbench's tracer wraps them at these sites.
+from ..modem.receiver import receive_batch_grouped  # noqa: F401
 from ..sensors.dtw import normalized_dtw_batch  # noqa: F401
 from ..verifiers import multiband_similarity  # noqa: F401
 from ..verifiers import vibration_similarity  # noqa: F401
@@ -130,6 +128,10 @@ STAGING_ROWS = 64
 #: in front of it (must match ``SensorCaptureStage.name``).
 _SENSOR_STAGE = "sensor-capture"
 
+#: The stage a re-probe re-enters Phase 1 at (must match
+#: ``ProbeTxStage.name``).
+_PROBE_STAGE = "probe-tx"
+
 #: The stage the wave executor pauses sessions in front of (must match
 #: ``OtpTxStage.name``).
 _OTP_STAGE = "otp-tx"
@@ -168,9 +170,9 @@ def precompute_prefilter(pendings: Sequence[PendingSession]) -> None:
 
 
 def precompute_probe(pendings: Sequence[PendingSession]) -> None:
-    """Phase A, second step: the shard's probe and prefilter stages.
+    """Phase A's probe and prefilter stages, and each wave's re-probes.
 
-    The sessions still paused (before ``probe-tx``) are grouped by
+    The sessions paused before ``probe-tx`` are grouped by
     (band, environment) — the keys that fix the probe waveform,
     transmit level and recording length — and cut into blocks of at
     most :data:`STAGING_ROWS`.  Each block steps ``probe-tx``,
@@ -182,7 +184,7 @@ def precompute_probe(pendings: Sequence[PendingSession]) -> None:
     all any later stage reads — and each session resumes to its pause
     before ``otp-tx`` (``mode-select`` runs on the way).
     """
-    paused = [p for p in pendings if p.paused]
+    paused = [p for p in pendings if p.next_stage == _PROBE_STAGE]
     groups = partition_indices(
         (p.session.config.band, p.session.config.environment) for p in paused
     )
@@ -200,80 +202,19 @@ def precompute_probe(pendings: Sequence[PendingSession]) -> None:
 
 
 def precompute_otp(pendings: Sequence[PendingSession]) -> None:
-    """Run one wave block's ``otp-tx`` stage and receive its frames.
+    """One OTP wave block: ``otp-tx``, ``verify``, then its re-probes.
 
-    Each pending session is paused just before ``otp-tx``.  The block's
-    stage runs as one batch (:meth:`~repro.protocol.session.
-    PendingSession.step`, i.e. :meth:`~repro.protocol.stages.OtpTxStage.
-    run_rows`): per session in live order, the token from its own OTP
-    counter, the channel-config message and, for the sessions still on
-    air, one :meth:`~repro.modem.transmitter.OfdmTransmitter.
-    modulate_batch` per (signal plane, coded size) and one
-    :meth:`~repro.channel.link.AcousticLink.transmit_rows` on each
-    session's own link, ``otp-tx`` generator and fault injector, then
-    the stop message.  Each session is left paused before ``verify``
-    or finished (a dropped message aborts it as it does live).
-
-    The paused sessions' recordings are then received together: the
-    watch-side plane comes from each channel-config message
-    (:meth:`~repro.protocol.controllers.WatchController.
-    signal_plane_for`, memoized per block), and sessions sharing sync
-    geometry (modem config, mode, data-channel count, recording
-    length, bit count) go through one :func:`~repro.modem.receiver.
-    receive_batch_grouped` whatever their plans.  Each session's bits
-    land on its context — ``None`` for a row that comes back as the
-    :class:`~repro.errors.ModemError` its live :meth:`~repro.modem.
-    receiver.OfdmReceiver.receive` raises (→ ``data_not_detected``) —
-    and its recording is dropped, so ``verify`` demodulates nothing.
+    Each session is paused just before ``otp-tx``; each step runs the
+    stage's own ``run_rows`` (:meth:`~repro.protocol.session.
+    PendingSession.step`) on the sessions still paused.  Each comes
+    back paused before ``otp-tx`` (a NACK retransmission, or a
+    re-probe's tail, run by :func:`precompute_probe`) or finished.
     """
     PendingSession.step(pendings)
-    # Still paused means paused before verify: the frame went on air.
-    ctxs = [p.ctx for p in pendings if p.paused]
-
-    # Grouped by sync geometry, not by plane: sessions rarely share a
-    # probe-selected plan, so an id(plane) partition would shatter the
-    # block into near-singleton stacks.  The modem config plus the
-    # (mode, data-channel count) pair fix everything the shared sync
-    # front-half depends on; the per-plan tail runs inside
-    # receive_batch_grouped.  Receivers are keyed by the frozen
-    # config's *value*, not identity: every session builds its own
-    # ModemConfig object, and an id() key would rebuild the plane and
-    # its receiver once per session instead of once per (config, plan,
-    # mode).
-    rx_memo: Dict[Tuple, OfdmReceiver] = {}
-    receivers: List[OfdmReceiver] = []
-    for ctx in ctxs:
-        msg = ctx.config_msg
-        key = (
-            ctx.watch.config.modem,
-            msg.mode,
-            tuple(msg.data_channels),
-            tuple(msg.pilot_channels),
-        )
-        if key not in rx_memo:
-            rx_memo[key] = OfdmReceiver(plane=ctx.watch.signal_plane_for(msg))
-        receivers.append(rx_memo[key])
-    for idxs in partition_indices(
-        (
-            ctx.watch.config.modem,
-            ctx.config_msg.mode,
-            len(ctx.config_msg.data_channels),
-            ctx.data_recording.size,
-            ctx.config_msg.n_bits,
-        )
-        for ctx in ctxs
-    ).values():
-        received = receive_batch_grouped(
-            [receivers[i] for i in idxs],
-            [ctxs[i].data_recording for i in idxs],
-            expected_bits=ctxs[idxs[0]].config_msg.n_bits,
-        )
-        for res, i in zip(received, idxs):
-            ctxs[i].received_bits = (
-                None if isinstance(res, ModemError) else res.bits
-            )
-    for ctx in ctxs:
-        ctx.data_recording = None
+    PendingSession.step([p for p in pendings if p.paused])
+    reprobes = [p for p in pendings if p.next_stage == _PROBE_STAGE]
+    if reprobes:
+        precompute_probe(reprobes)
 
 
 def _scene_fields(ann: Optional[SceneAnnotation]) -> Dict[str, object]:
@@ -484,19 +425,16 @@ def _run_waves(
     depends on the *outcomes* of that user's earlier sessions — so
     Phase 2 cannot run up front the way Phase 1 does.  Instead sessions
     run in **waves**: each user holds at most one *active* session,
-    paused just before ``otp-tx``; every round, the wave's
-    transmit/receive DSP runs as batches of at most
-    :data:`STAGING_ROWS` sessions (:func:`precompute_otp`: the
-    ``otp-tx`` stage for the whole block, then one stacked receive)
-    and each session resumes at ``verify``
-    (:meth:`~repro.protocol.session.PendingSession.feed`).  A
-    resumed session either completes — freeing its user to start the
-    next session, which joins the following round — or pauses again in
-    front of ``otp-tx`` (a NACK retransmission, or the tail of a
-    re-probe, whose Phase-1 stages run one row at a time) and is
-    batched again: retransmissions ride the waves too, their generators
-    already positioned mid-stream.  Sessions that aborted in Phase 1
-    finish inside the top-up sweep without occupying a wave slot.
+    paused just before ``otp-tx``; every round steps the wave in blocks
+    of at most :data:`STAGING_ROWS` sessions (:func:`precompute_otp`:
+    ``otp-tx``, ``verify`` and the block's re-probes).  A session
+    either completes — freeing its user to start the next session,
+    which joins the following round — or comes back paused in front of
+    ``otp-tx`` (a NACK retransmission, or the tail of a re-probe) and
+    is batched again: retransmissions and re-probes ride the waves
+    too, their generators already positioned mid-stream.  Sessions
+    that aborted in Phase 1 finish inside the top-up sweep without
+    occupying a wave slot.
     Tokens are exact by construction: each is read from the paused
     session's own OTP counter at its own attempt.  Faulted sessions
     ride the waves as well, each transmitting under its own fault
@@ -559,11 +497,11 @@ def _run_waves(
             break
         # One batched round: every in-flight transmission (first
         # attempts and retransmissions alike) goes on air block by
-        # block, and each block resumes before the next transmits.
+        # block, and each block settles before the next transmits.
         for block in _staging_blocks(list(active.items())):
             precompute_otp([p for _, (_, _, p) in block])
             for ui, (spec, ann, pending) in block:
-                if pending.feed():
+                if pending.paused:
                     continue  # paused again: next round batches the retry
                 records.append(_record(spec, pending.finish(), ann))
                 del active[ui]
@@ -662,8 +600,8 @@ def run_shard(
     ``staging`` is one of :data:`STAGING_LEVELS`: ``"none"`` runs every
     session one stage at a time (the oracle), ``"otp"`` batches every
     phase under any fault plan — the stages before ``otp-tx`` in Phase
-    A (:func:`_begin_phase1`), the OTP waves in Phase B
-    (:func:`_run_waves`).  The plan is parsed once per shard
+    A (:func:`_begin_phase1`), the OTP waves with their verify steps
+    and re-probes in Phase B (:func:`_run_waves`).  The plan is parsed once per shard
     and shared by every session.  Both levels produce byte-identical
     aggregates.
 

@@ -26,6 +26,7 @@ behaviour).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -133,14 +134,29 @@ class RetryPolicy:
     nack_bytes: int = 16
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise WearLockError("max_attempts must be >= 1")
-        if self.max_reprobes < 0:
-            raise WearLockError("max_reprobes must be >= 0")
-        if self.latency_budget_s <= 0:
-            raise WearLockError("latency_budget_s must be positive")
-        if self.nack_bytes < 0:
-            raise WearLockError("nack_bytes must be non-negative")
+        for name, lowest in (
+            ("max_attempts", 1),
+            ("max_reprobes", 0),
+            ("nack_bytes", 0),
+        ):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < lowest
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {lowest}, got {value!r}"
+                )
+        budget = self.latency_budget_s
+        if not (
+            isinstance(budget, numbers.Real)
+            and math.isfinite(budget)
+            and budget > 0
+        ):
+            raise ConfigurationError(
+                f"latency_budget_s must be finite and positive, got {budget!r}"
+            )
 
 
 @dataclass
@@ -463,11 +479,11 @@ class UnlockSession:
         """Start an attempt, suspending just before ``pause_before``.
 
         The fleet executor begins a shard's attempts paused before
-        ``sensor-capture``, steps each Phase-1 stage over blocks of them
-        (:meth:`PendingSession.step`), advances each to its pause before
-        ``otp-tx`` (:meth:`PendingSession.feed`), runs that stage for a
-        whole wave, then resumes each.  An attempt that aborts before
-        reaching the pause point comes back already finished
+        ``sensor-capture`` and steps every stage over blocks of them
+        (:meth:`PendingSession.step`), hopping over ``mode-select`` to
+        the pause before ``otp-tx`` (:meth:`PendingSession.feed`).  An
+        attempt that aborts before reaching the pause point comes back
+        already finished
         (``paused`` is ``False``); ``finish`` then simply packages the
         outcome.  ``pause_before=None`` runs the attempt to completion
         (exactly :meth:`run`).
@@ -532,12 +548,11 @@ class PendingSession:
 
     :meth:`step` runs the stage many paused sessions wait before as one
     batch (:meth:`~repro.core.stages.StageEngine.step_paused`), leaving
-    each paused before its next stage or finished.  ``feed()`` resumes
-    and re-arms the pause: the next arrival at the stage the session
-    was begun paused before — or at the stage ``feed`` names — suspends
-    again, so an orchestrator can batch every retransmission wave
-    instead of only the first attempts.  ``finish()`` runs the pass to
-    its outcome.
+    each paused before its next stage (:attr:`next_stage`) or finished
+    — a NACK leaves it before ``otp-tx``, a re-probe before
+    ``probe-tx``.  ``feed`` resumes a pass over the stages nobody
+    batches, up to a named stage.  ``finish()`` runs the pass to its
+    outcome.
     """
 
     def __init__(
@@ -555,8 +570,6 @@ class PendingSession:
         self.session = session
         self.ctx = ctx
         self.engine = engine
-        # The stage ``feed`` re-arms the pause in front of.
-        self._pause_before = pause.next_stage if pause is not None else None
         self._pause = pause
         self._result = result
 
@@ -564,6 +577,11 @@ class PendingSession:
     def paused(self) -> bool:
         """True while the engine is suspended awaiting a resume."""
         return self._result is None
+
+    @property
+    def next_stage(self) -> Optional[str]:
+        """The stage a paused session waits before; ``None`` if done."""
+        return self._pause.next_stage if self._pause is not None else None
 
     def _settle(self, state) -> None:
         """Keep the engine's new state: paused again, or finished."""
@@ -587,26 +605,15 @@ class PendingSession:
         for pending, state in zip(pendings, states):
             pending._settle(state)
 
-    def feed(self, pause_before: Optional[str] = None) -> bool:
-        """Resume, pausing again on the next arrival at the pause stage.
-
-        The pause stage is ``pause_before`` when given (it then stays
-        the stage later calls re-arm), else the stage the session was
-        begun paused before.  Returns ``True`` when the session
-        suspended again in front of it — at ``otp-tx``, it NACKed and
-        will retransmit, or re-probed; the stage's generator and
-        injector are where the retransmission draws.  ``False`` means
-        the pass has finished; read the outcome with :meth:`finish`.
-        """
-        if pause_before is not None:
-            self._pause_before = pause_before
+    def feed(self, pause_before: str) -> None:
+        """Resume a paused session until it next reaches
+        ``pause_before`` (the fleet executor runs ``mode-select`` this
+        way, between the batched prefilter and the pause before
+        ``otp-tx``); a finished session is left as it is."""
         if self._result is None:
             self._settle(
-                self.engine.resume(
-                    self._pause, pause_before=self._pause_before
-                )
+                self.engine.resume(self._pause, pause_before=pause_before)
             )
-        return self.paused
 
     def finish(self) -> UnlockOutcome:
         """Resume (if paused) and package the attempt's outcome."""

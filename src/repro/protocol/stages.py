@@ -25,10 +25,10 @@ AbortReason` make the two reporting schemes (stage graph and
 verifier-level results) read identically.
 
 The stages the fleet batches — sensor capture, probe transmit, probe
-analysis, the prefilter and the OTP transmit — each have one body,
-``run_rows(ctxs)``, that runs every row in live order on the row's
-own wireless link, stage generator and fault injector and stacks only
-the pure DSP; ``run(ctx)`` is its one-row call.
+analysis, the prefilter, the OTP transmit and verify — each have one
+body, ``run_rows(ctxs)``, that runs every row in live order on the
+row's own wireless link, stage generator and fault injector and stacks
+only the pure DSP; ``run(ctx)`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from ..devices.compute import (
 from ..errors import ModemError
 from ..modem.adaptive import ModeDecision
 from ..modem.context import plane_cache_stats
+from ..modem.receiver import OfdmReceiver, receive_batch_grouped
 from ..modem.transmitter import OfdmTransmitter
 from ..sensors.dtw import normalized_dtw_batch
 from ..sensors.traces import co_located_pair, different_devices_pair, magnitude
@@ -351,14 +352,7 @@ class ProbeProcessStage:
                         results[i] = StageResult.abort("probe_not_detected")
                         continue
                     ctxs[i].report = report
-                    ctxs[i].tracer.counter(
-                        "plane_cache_hits",
-                        float(cache_after.hits - cache_before.hits),
-                    )
-                    ctxs[i].tracer.counter(
-                        "plane_cache_misses",
-                        float(cache_after.misses - cache_before.misses),
-                    )
+                    _count_plane_cache(ctxs[i], cache_before, cache_after)
 
         for i in analyzed:
             if results[i] is not None:
@@ -535,8 +529,7 @@ class OtpTxStage:
 
         for i, ctx, recording in zip(on_air, live, recordings):
             ctx.data_recording = recording
-            ctx.data_samples = recording.size
-            data_air_s = ctx.data_samples / ctx.sample_rate
+            data_air_s = recording.size / ctx.sample_rate
             ctx.timeline.record("token_on_air", data_air_s, "audio")
             ctx.watch_meter.record_audio(data_air_s)
             ctx.phone_meter.record_audio(data_air_s)
@@ -549,17 +542,97 @@ class OtpTxStage:
         return results
 
 
+def _count_plane_cache(ctx: SessionContext, before, after) -> None:
+    """Charge a row the plane-cache lookups of the batch that served it."""
+    ctx.tracer.counter("plane_cache_hits", float(after.hits - before.hits))
+    ctx.tracer.counter(
+        "plane_cache_misses", float(after.misses - before.misses)
+    )
+
+
+def _receive_rows(
+    ctxs: Sequence[SessionContext],
+) -> List[Optional[np.ndarray]]:
+    """Each row's Phase-2 bits (``None`` where the receive fails), one
+    :func:`~repro.modem.receiver.receive_batch_grouped` per sync
+    geometry: sessions rarely share a probe-selected plan."""
+    bits: List[Optional[np.ndarray]] = [None] * len(ctxs)
+    receivers = {}  # keyed by value: each session builds its own config
+    for group in partition_indices(
+        (
+            ctx.watch.config.modem,
+            ctx.config_msg.mode,
+            len(ctx.config_msg.data_channels),
+            ctx.data_recording.size,
+            ctx.config_msg.n_bits,
+        )
+        for ctx in ctxs
+    ).values():
+        # Each row's span covers the batch it was received in, plane
+        # lookup included.
+        with ExitStack() as stack:
+            spans = [
+                stack.enter_context(ctxs[i].trace_span("modem.demodulate"))
+                for i in group
+            ]
+            cache_before = plane_cache_stats()
+            rxs = []
+            for i in group:
+                key = (ctxs[i].watch.config.modem, ctxs[i].config_msg)
+                if key not in receivers:
+                    receivers[key] = OfdmReceiver(
+                        plane=ctxs[i].watch.signal_plane_for(key[1])
+                    )
+                rxs.append(receivers[key])
+            outcomes = receive_batch_grouped(
+                rxs,
+                [ctxs[i].data_recording for i in group],
+                expected_bits=ctxs[group[0]].config_msg.n_bits,
+            )
+            cache_after = plane_cache_stats()
+            for i, span, outcome in zip(group, spans, outcomes):
+                ctxs[i].data_recording = None
+                if isinstance(outcome, ModemError):
+                    # PreambleNotFoundError, SynchronizationError,
+                    # DemodulationError: a frame the receiver cannot
+                    # lock onto — the Phase-2 data never arrived.
+                    span.status = "error"
+                    continue
+                bits[i] = outcome.bits
+                _count_plane_cache(ctxs[i], cache_before, cache_after)
+    return bits
+
+
 class VerifyStage:
-    """Phase-2 DSP, demodulation and token verification."""
+    """Phase-2 DSP, demodulation and token verification.
+
+    :meth:`run_rows` is the body: per row the offload plan and transfer,
+    then the stacked receive of every recording still held
+    (:func:`_receive_rows`), then per row the token checks and retry
+    planning.  :meth:`run` is its one-row call.
+    """
 
     name = "verify"
 
     def run(self, ctx: SessionContext) -> StageResult:
+        return self.run_rows([ctx])[0]
+
+    def run_rows(self, ctxs: Sequence[SessionContext]) -> List[StageResult]:
+        results = [self._process(ctx) for ctx in ctxs]
+        held = [i for i, result in enumerate(results) if result is None]
+        received = _receive_rows([ctxs[i] for i in held])
+        for i, bits in zip(held, received):
+            results[i] = self._verify(ctxs[i], bits)
+        return results
+
+    @staticmethod
+    def _process(ctx: SessionContext) -> Optional[StageResult]:
+        """Charge the Phase-2 DSP; an abort if the transfer fails."""
         modem = ctx.system.modem
         tt = ctx.token_tx
-        data_bytes = int(ctx.data_samples * 2)
+        data_bytes = int(ctx.data_recording.size * 2)
         pre_work = probe_processing_workload(
-            ctx.data_samples,
+            ctx.data_recording.size,
             modem.preamble_length,
             modem.fft_size,
         )
@@ -591,40 +664,17 @@ class VerifyStage:
             ctx.timeline.record(
                 "p2_demodulation_watch", demod_s, "compute_p2demod"
             )
+        return None
 
-        # The fleet's OTP waves receive a block's frames in one batch
-        # and leave only the bits (``None`` where the receive raised a
-        # ModemError); a recording still here is demodulated now.
-        if ctx.data_recording is not None:
-            try:
-                cache_before = plane_cache_stats()
-                with ctx.trace_span("modem.demodulate"):
-                    ctx.received_bits = ctx.watch.demodulate(
-                        ctx.data_recording, ctx.config_msg
-                    )
-                    cache_after = plane_cache_stats()
-                    ctx.tracer.counter(
-                        "plane_cache_hits",
-                        float(cache_after.hits - cache_before.hits),
-                    )
-                    ctx.tracer.counter(
-                        "plane_cache_misses",
-                        float(cache_after.misses - cache_before.misses),
-                    )
-            except ModemError:
-                # PreambleNotFoundError, SynchronizationError, Demodu-
-                # lationError: a corrupt frame the receiver cannot lock
-                # onto is one protocol event — the Phase-2 data never
-                # arrived.
-                ctx.received_bits = None
-        if ctx.received_bits is None:
-            return self._resolve_failure(ctx, "data_not_detected", None)
-
+    def _verify(
+        self, ctx: SessionContext, bits: Optional[np.ndarray]
+    ) -> StageResult:
+        if bits is None:
+            return self._resolve_failure(ctx, "data_not_detected", None, None)
+        tt = ctx.token_tx
         if ctx.retry is None:
             # Legacy single-shot path: verification commits immediately.
-            ok, ctx.raw_ber = ctx.phone.verify_token_bits(
-                tt, ctx.received_bits
-            )
+            ok, ctx.raw_ber = ctx.phone.verify_token_bits(tt, bits)
             ctx.timeline.record("keyguard", KEYGUARD_DISMISS_DELAY, "stack")
             ctx.unlocked = ok
             if not ok:
@@ -633,18 +683,22 @@ class VerifyStage:
 
         # Recovery-enabled path: peek at the decode first so a frame the
         # phone itself chooses to retransmit never burns an OTP failure.
-        ok, ctx.raw_ber = ctx.phone.check_token_bits(tt, ctx.received_bits)
+        ok, ctx.raw_ber = ctx.phone.check_token_bits(tt, bits)
         if ok:
-            unlocked, _ = ctx.phone.verify_token_bits(tt, ctx.received_bits)
+            unlocked, _ = ctx.phone.verify_token_bits(tt, bits)
             ctx.timeline.record("keyguard", KEYGUARD_DISMISS_DELAY, "stack")
             ctx.unlocked = unlocked
             if not unlocked:
                 return StageResult.abort("token_rejected", detail=ctx.raw_ber)
             return StageResult.proceed()
-        return self._resolve_failure(ctx, "token_rejected", ctx.raw_ber)
+        return self._resolve_failure(ctx, "token_rejected", ctx.raw_ber, bits)
 
     def _resolve_failure(
-        self, ctx: SessionContext, reason: str, ber: Optional[float]
+        self,
+        ctx: SessionContext,
+        reason: str,
+        ber: Optional[float],
+        bits: Optional[np.ndarray],
     ) -> StageResult:
         """Retry if the policy allows it; otherwise commit the failure."""
         policy = ctx.retry
@@ -657,7 +711,7 @@ class VerifyStage:
         if reason == "data_not_detected":
             ctx.phone.keyguard.trusted_failure()
         else:
-            ctx.phone.verify_token_bits(ctx.token_tx, ctx.received_bits)
+            ctx.phone.verify_token_bits(ctx.token_tx, bits)
             ctx.timeline.record("keyguard", KEYGUARD_DISMISS_DELAY, "stack")
         final = "retries_exhausted" if policy is not None else reason
         return StageResult.abort(final, detail=ber)

@@ -1,9 +1,11 @@
-"""Bit-identity of the wave-batched Phase-2 OTP transmit/receive.
+"""Bit-identity of the wave-batched Phase-2 OTP transmit and verify.
 
 The fleet's ``staging="otp"`` fast path pauses every session just
-before ``otp-tx``, runs that stage for a whole wave block at once
-(``OtpTxStage.run_rows``, on each session's own streams, in live
-order) and receives the block's frames as stacked batches
+before ``otp-tx`` and steps each wave block through ``otp-tx`` and
+``verify`` at once (``OtpTxStage.run_rows`` and
+``VerifyStage.run_rows``, on each session's own streams, in live
+order, the frames received as stacked batches), then re-probes the
+sessions that need it through the batched Phase-1 stages
 (:func:`repro.fleet.executor.precompute_otp`).  These tests pin the
 contract at every layer, mirroring
 ``tests/test_probe_staging_equivalence.py``:
@@ -15,12 +17,14 @@ contract at every layer, mirroring
   ``tests/kernel_oracle.py`` for the channel synthesis, the sequential
   path in ``tests/modem_oracle.py`` for the transmitter and the
   receive chain;
-* a staged ``begin``/``precompute_otp``/``feed``/``finish`` session
-  equals a live ``run()`` field-for-field, including the ``otp-tx``
-  stream position;
-* the batch step leaves every context of a mixed, faulted block
-  where running the stage one session at a time leaves a twin:
-  generator, injector and its ordered events, timeline and meters;
+* a staged ``begin``/``precompute_otp``/``finish`` session equals a
+  live ``run()`` field-for-field, including the ``otp-tx`` stream
+  position, and a wave's re-probes go through the batched Phase-1
+  stages;
+* each batch step (``otp-tx``, ``verify``) leaves every context of a
+  mixed, faulted block where running the stage one session at a time
+  leaves a twin: generators, injector and its ordered events,
+  timeline, meters and the retry state;
 * whole shards and scheduled fleets produce byte-identical aggregates
   at both staging levels and any worker count, under wireless faults
   at ``otp-tx`` too;
@@ -57,7 +61,13 @@ from repro.modem.receiver import OfdmReceiver, receive_batch_grouped
 from repro.modem.subchannels import ChannelPlan
 from repro.modem.synchronizer import Synchronizer, fine_sync_offsets_rows
 from repro.modem.transmitter import OfdmTransmitter
-from repro.protocol.session import RetryPolicy, SessionConfig, UnlockSession
+from repro.offload.planner import Placement
+from repro.protocol.session import (
+    PendingSession,
+    RetryPolicy,
+    SessionConfig,
+    UnlockSession,
+)
 from repro.protocol.stages import UNLOCK_STAGE_NAMES
 from tests import kernel_oracle as oracle
 from tests.modem_oracle import (
@@ -376,7 +386,7 @@ class TestBatchPrimitives:
 
 
 class TestStagedSessionEquivalence:
-    """begin → precompute_otp → feed → finish equals a live run()."""
+    """begin → precompute_otp waves → finish equals a live run()."""
 
     @staticmethod
     def _fingerprint(outcome):
@@ -403,7 +413,6 @@ class TestStagedSessionEquivalence:
         while pending.paused:
             precompute_otp([pending])
             waves += 1
-            pending.feed()
         return pending, waves
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
@@ -470,22 +479,37 @@ class TestStagedSessionEquivalence:
                 snap.events,
                 ctx.faults.stage,
             )
+        run = (pending._pause or pending._result).stages_run
         return (
             pending.paused,
+            pending.next_stage,
+            tuple(run),
             ctx.rng_for("otp-tx").bit_generator.state,
+            ctx.wireless._rng.bit_generator.state,
             faults,
             ctx.timeline.total,
             ctx.watch_meter.total_joules,
             ctx.phone_meter.total_joules,
+            ctx.raw_ber,
+            ctx.unlocked,
+            ctx.retry_state,
+            ctx.data_recording is None,
         )
+
+    def _assert_finish_alike(self, block, twins):
+        for pending, twin in zip(block, twins):
+            got, want = pending.finish(), twin.finish()
+            assert got.stages_run == want.stages_run
+            assert self._fingerprint(got) == self._fingerprint(want)
+            assert got.faults_injected == want.faults_injected
 
     @pytest.mark.parametrize("retry", (True, False))
     def test_batch_step_matches_one_row_runs(self, retry):
-        """One batch step over a block leaves every context where the
-        engine's own loop, running ``otp-tx`` for one session at a
-        time, leaves a twin — generator, injector and its ordered
-        events, timeline, both meters — and the resumed passes finish
-        with the same stages run and outcome."""
+        """One ``otp-tx`` batch step over a block leaves every context
+        where the engine's own loop, running the stage for one session
+        at a time, leaves a twin — generators, injector and its ordered
+        events, timeline, both meters — and the passes finish with the
+        same stages run and outcome."""
         configs = [
             SessionConfig(
                 seed=seed,
@@ -504,20 +528,167 @@ class TestStagedSessionEquivalence:
         twins = [twins[i] for i in keep]
         assert len(block) >= 10
 
-        precompute_otp(block)
+        PendingSession.step(block)
         states = [self._state(p) for p in block]
         assert states == [self._state(t) for t in twins]
         # The block really mixes rows on air with rows that aborted at
         # a dropped message, and faults fired in it.
         assert {state[0] for state in states} == {True, False}
-        assert any(state[2] and state[2][2] for state in states)
+        assert any(state[5] and state[5][2] for state in states)
+        self._assert_finish_alike(block, twins)
 
+    #: One ``verify`` block: ``(config, verify passes run before it,
+    #: what the step does to the row)``.  Rows that unlock, abort at a
+    #: message dropped for good inside verify (the offloaded
+    #: recording's transfer, or the NACK), fail the receive, NACK and
+    #: downgrade, re-probe from the lowest mode, and get their token
+    #: rejected on the single-shot path.
+    _VERIFY_ROWS = (
+        (SessionConfig(seed=7, retry=RetryPolicy()), 0, "unlocked"),
+        (SessionConfig(seed=8, retry=None), 0, "unlocked"),
+        (
+            SessionConfig(
+                seed=7,
+                faults="msg_drop@verify:hits=none",
+                offload=Placement.PHONE_OFFLOAD,
+                retry=RetryPolicy(),
+            ),
+            0,
+            "no_wireless_link",
+        ),
+        (
+            SessionConfig(
+                seed=11,
+                faults="burst_noise@otp-tx:severity=3;"
+                "msg_drop@verify:hits=none",
+                retry=RetryPolicy(),
+            ),
+            0,
+            "no_wireless_link",
+        ),
+        (
+            SessionConfig(seed=8, faults="frame_truncation@otp-tx"),
+            0,
+            "data_not_detected",
+        ),
+        (
+            SessionConfig(
+                seed=11, faults="frame_truncation@otp-tx", retry=RetryPolicy()
+            ),
+            0,
+            "otp-tx",
+        ),
+        (
+            SessionConfig(
+                seed=23,
+                faults="burst_noise@otp-tx:severity=3",
+                retry=RetryPolicy(),
+            ),
+            0,
+            "otp-tx",
+        ),
+        (
+            SessionConfig(
+                seed=7,
+                faults="burst_noise@otp-tx:severity=3,hits=3",
+                retry=RetryPolicy(max_attempts=4),
+            ),
+            2,
+            "probe-tx",
+        ),
+        (
+            SessionConfig(
+                seed=11,
+                faults="burst_noise@otp-tx:severity=3,hits=none",
+                offload=Placement.PHONE_OFFLOAD,
+                retry=RetryPolicy(max_attempts=4),
+            ),
+            2,
+            "probe-tx",
+        ),
+        (SessionConfig(seed=7, distance_m=1.0), 0, "token_rejected"),
+        (
+            SessionConfig(seed=8, faults="burst_noise@otp-tx:severity=3"),
+            0,
+            "token_rejected",
+        ),
+        (
+            SessionConfig(
+                seed=23, offload=Placement.PHONE_OFFLOAD, retry=RetryPolicy()
+            ),
+            0,
+            "unlocked",
+        ),
+    )
+
+    @staticmethod
+    def _before_verify(config, passes):
+        """A session paused before ``verify`` after ``passes`` verify
+        passes (each a NACK that downgraded and retransmitted)."""
+        pending = UnlockSession(config).begin(pause_before="verify")
+        for _ in range(passes):
+            pending.feed("verify")
+        assert pending.next_stage == "verify"
+        return pending
+
+    def test_verify_step_matches_one_row_runs(self):
+        """One ``verify`` batch step over a mixed block leaves every
+        context where the engine's own loop, running ``verify`` for one
+        session at a time, leaves a twin: stages run, streams, injector
+        and its events, timeline, meters, BER and retry state.  Every
+        row comes back finished or paused before the stage its retry
+        plan names, and the passes finish alike."""
+        block = [self._before_verify(c, n) for c, n, _ in self._VERIFY_ROWS]
+        twins = [self._before_verify(c, n) for c, n, _ in self._VERIFY_ROWS]
+
+        PendingSession.step(block)
         for pending, twin in zip(block, twins):
-            pending.feed()
-            got, want = pending.finish(), twin.finish()
+            twin.feed(pending.next_stage or "verify")
+        states = [self._state(p) for p in block]
+        assert states == [self._state(t) for t in twins]
+        assert [
+            p.next_stage
+            or ("unlocked" if p.ctx.unlocked else p._result.abort_reason)
+            for p in block
+        ] == [want for _, _, want in self._VERIFY_ROWS]
+        self._assert_finish_alike(block, twins)
+
+    def test_wave_reprobes_run_batched_phase_one(self, monkeypatch):
+        """Sessions whose retry plan re-probes go through
+        :func:`~repro.fleet.executor.precompute_probe` inside the wave,
+        come back paused before ``otp-tx``, and finish as a live run."""
+        configs = [
+            SessionConfig(
+                seed=seed, faults=faults, retry=RetryPolicy(max_attempts=4)
+            )
+            for seed in (7, 11, 23)
+            for faults in (
+                None,
+                "burst_noise@otp-tx:severity=3,hits=3",
+                "burst_noise@otp-tx:severity=3,hits=none",
+            )
+        ]
+        probed = []
+        probe = executor.precompute_probe
+
+        def counted(pendings):
+            probed.append(len(pendings))
+            return probe(pendings)
+
+        monkeypatch.setattr(executor, "precompute_probe", counted)
+        pendings = [UnlockSession(cfg).begin() for cfg in configs]
+        wave = [p for p in pendings if p.paused]
+        while wave:
+            precompute_otp(wave)
+            assert {p.next_stage for p in wave} <= {None, "otp-tx"}
+            wave = [p for p in wave if p.paused]
+        assert probed and sum(probed) == 6
+        for pending, cfg in zip(pendings, configs):
+            got, want = pending.finish(), UnlockSession(cfg).run()
             assert got.stages_run == want.stages_run
             assert self._fingerprint(got) == self._fingerprint(want)
             assert got.faults_injected == want.faults_injected
+            assert got.reprobes == want.reprobes
 
     def test_some_seed_reaches_phase_two(self):
         reached = []

@@ -9,6 +9,7 @@ from repro.modem.coding import ConvolutionalCode, HammingCode
 from repro.protocol.controllers import PhoneController
 from repro.protocol.session import (
     AbortReason,
+    RetryPolicy,
     SessionConfig,
     UnlockSession,
 )
@@ -34,6 +35,27 @@ class TestSessionConfigValidation:
             with pytest.raises(ConfigurationError, match=field):
                 SessionConfig(**{field: value})
         assert getattr(SessionConfig(**{field: good}), field) == good
+
+
+class TestRetryPolicyValidation:
+    """Counts must be integers (not bools) in range and the latency
+    budget finite and positive: a NaN budget or re-probe cap would
+    silently lift the bound it sets."""
+
+    @pytest.mark.parametrize(
+        "field, bad, good",
+        [
+            ("max_attempts", (2.5, True, float("nan"), 0), 2),
+            ("max_reprobes", (float("nan"), 0.5, False, -1), 0),
+            ("latency_budget_s", (float("nan"), float("inf"), 0.0, -1.0), 2.5),
+            ("nack_bytes", (float("nan"), 1.5, True, -1), 0),
+        ],
+    )
+    def test_rejected_at_construction(self, field, bad, good):
+        for value in bad:
+            with pytest.raises(ConfigurationError, match=field):
+                RetryPolicy(**{field: value})
+        assert getattr(RetryPolicy(**{field: good}), field) == good
 
 
 class TestWirelessGate:
