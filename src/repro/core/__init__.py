@@ -11,8 +11,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         "DelayStats": (".metrics", "DelayStats"),
         "SuccessStats": (".metrics", "SuccessStats"),
         "summarize_outcomes": (".metrics", "summarize_outcomes"),
-        "FilterChain": (".pipeline", "FilterChain"),
-        "FilterResult": (".pipeline", "FilterResult"),
         "AmbientComparator": (".colocation", "AmbientComparator"),
         "Stage": (".stages", "Stage"),
         "StageResult": (".stages", "StageResult"),

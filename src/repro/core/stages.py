@@ -11,14 +11,14 @@ specifics so eval harnesses can reuse it:
 * :class:`SessionContext` — the mutable state one attempt carries
   between stages;
 * :class:`StageEngine` — executes stages in order, short-circuits on
-  abort, and emits one trace span per stage (simulated time + energy);
-  :meth:`StageEngine.step_paused` runs one stage for many paused
-  passes as a batch.
+  abort, and emits one trace span per stage (simulated time + energy).
+  :meth:`StageEngine.step_paused` is its one stage runner: it runs one
+  stage for a batch of paused passes, and a single pass is a batch of
+  one (:meth:`StageEngine.resume`).
 
-Abort reporting mirrors :class:`repro.core.pipeline.FilterChain`: the
-engine result names the stage that stopped the attempt (``stopped_by``)
-next to the domain-level ``abort_reason``, so filter-chain and
-stage-graph diagnostics read the same way.
+The engine result names the stage that stopped the attempt
+(``stopped_by``) next to the domain-level ``abort_reason``, so
+stage-graph and verifier-level diagnostics read the same way.
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ class Stage(Protocol):
     """One named step of a pipeline.
 
     A stage may also define ``run_rows(ctxs)``: its body over many
-    contexts at once, returning one result per context, which
-    :meth:`StageEngine.step_paused` runs for a batch of paused passes.
+    contexts at once, returning one result per context.
+    :meth:`StageEngine.step_paused` runs it for a batch of paused
+    passes, and runs ``run`` on each context of a stage without one.
     """
 
     name: str
@@ -270,19 +271,12 @@ class SessionContext:
 class EnginePause:
     """A suspended engine pass, stopped just before a named stage.
 
-    Produced by :meth:`StageEngine.execute` when ``pause_before`` is
-    given and execution reaches that stage going *forward* for the
-    first time.  The pause captures everything the loop needs to pick
-    up where it left off — the context, the index of the not-yet-run
-    stage, the stages executed so far and the jump budget spent — so
-    :meth:`StageEngine.resume` continues as if the pass had never
-    stopped.  By default a resumed pass runs to its end (resume clears
-    the trigger); a resume may instead *re-arm* it (``resume(pause,
-    pause_before=...)``), so the next arrival at that stage pauses
-    again.  :meth:`StageEngine.step_paused` runs the paused stage for
-    many passes at once and leaves each paused before its next stage —
-    the target of a retry edge included — so a batch orchestrator
-    steps every retransmission and re-probe as it steps a first pass.
+    :meth:`StageEngine.start` returns one before the first stage, and
+    :meth:`StageEngine.step_paused` returns one for every pass that
+    goes on — to its next stage or to the target of a retry edge.  It
+    holds everything the engine needs to continue: the context, the
+    index of the not-yet-run stage, the stages executed so far and the
+    jump budget spent.
     """
 
     ctx: SessionContext
@@ -294,7 +288,7 @@ class EnginePause:
 
 @dataclass(frozen=True)
 class EngineResult:
-    """How one engine pass ended (FilterChain-style reporting).
+    """How one engine pass ended.
 
     ``stages_run`` lists every stage *execution* in order — with
     backward retry edges a stage name can appear more than once.
@@ -314,6 +308,12 @@ class EngineResult:
 
 class StageEngine:
     """Executes an ordered list of stages with abort short-circuit.
+
+    A pass begins paused before the first stage (:meth:`start`).
+    :meth:`step_paused` runs the stage a batch of paused passes waits
+    before and leaves each paused before its next stage or finished;
+    :meth:`resume` steps a single pass up to a named stage or to its
+    end.
 
     One trace span is emitted per stage *execution*, carrying the
     stage's simulated duration (via the tracer's bound sim clock) and
@@ -378,90 +378,39 @@ class StageEngine:
                 if ctx.phone_meter is not None:
                     ctx.phone_meter.record_idle(magnitude)
 
-    def execute(self, ctx: SessionContext, pause_before: Optional[str] = None):
-        """Run stages in order; stop at the first abort.
+    def start(self, ctx: SessionContext) -> EnginePause:
+        """Bind the tracer; a pass paused before the first stage.
 
-        Backward retry edges re-enter the graph at the named stage,
-        bounded by ``max_jumps``.
-
-        ``pause_before`` names a stage to suspend in front of: when the
-        forward walk first reaches it, an :class:`EnginePause` is
-        returned instead of an :class:`EngineResult`, and
-        :meth:`resume` continues the pass later.  If execution aborts
-        before ever reaching the named stage, the normal
-        :class:`EngineResult` is returned — there is nothing to resume.
+        Nothing runs yet: :meth:`step_paused` (or :meth:`resume`)
+        executes the stages.
         """
-        if pause_before is not None and pause_before not in self._index:
-            raise WearLockError(
-                f"pause_before {pause_before!r} is not a stage of this "
-                f"engine ({self.stage_names})"
-            )
         ctx.tracer = self.tracer
-        return self._run(ctx, 0, [], 0, pause_before)
+        return EnginePause(
+            ctx=ctx,
+            next_index=0,
+            next_stage=self._stages[0].name,
+            stages_run=[],
+            jumps=0,
+        )
 
-    def resume(
-        self, pause: EnginePause, pause_before: Optional[str] = None
-    ):
-        """Continue a pass suspended by ``execute(pause_before=...)``.
+    def resume(self, pause: EnginePause, until: Optional[str] = None):
+        """Step one pass until it waits before ``until`` or finishes.
 
-        With ``pause_before=None`` (the default) the pass runs to its
-        :class:`EngineResult`.  Naming a stage re-arms the trigger for
-        the *next* arrival at it — the stage the pass is currently
-        suspended in front of executes unconditionally, so a resume
-        can never pause without making progress.
+        Each step is a one-pass :meth:`step_paused`, so the stage the
+        pass waits before always runs: a pass already paused before
+        ``until`` runs it and stops at the *next* arrival there.  With
+        ``until=None`` the pass runs to its :class:`EngineResult`.
         """
-        if pause_before is not None and pause_before not in self._index:
+        if until is not None and until not in self._index:
             raise WearLockError(
-                f"pause_before {pause_before!r} is not a stage of this "
-                f"engine ({self.stage_names})"
+                f"{until!r} is not a stage of this engine "
+                f"({self.stage_names})"
             )
-        return self._run(
-            pause.ctx,
-            pause.next_index,
-            pause.stages_run,
-            pause.jumps,
-            pause_before,
-            pause_armed=False,
-        )
-
-    def _run(
-        self,
-        ctx: SessionContext,
-        i: int,
-        run: List[str],
-        jumps: int,
-        pause_before: Optional[str],
-        pause_armed: bool = True,
-    ):
-        while i < len(self._stages):
-            stage = self._stages[i]
-            if (
-                pause_armed
-                and pause_before is not None
-                and stage.name == pause_before
-            ):
-                return EnginePause(
-                    ctx=ctx,
-                    next_index=i,
-                    next_stage=stage.name,
-                    stages_run=run,
-                    jumps=jumps,
-                )
-            pause_armed = True
-            joules = self._enter(ctx, stage)
-            with self.tracer.span(stage.name, kind="stage") as span:
-                result = stage.run(ctx)
-                self._settle(ctx, stage, span, joules, result)
-            step = self._next(stage, i, run, jumps, result)
-            if isinstance(step, EngineResult):
-                return step
-            i, jumps = step
-        return EngineResult(
-            stages_run=tuple(run),
-            stopped_by=None,
-            abort_reason=None,
-            jumps=jumps,
-        )
+        state: Any = pause
+        while True:
+            (state,) = self.step_paused([(self, state)])
+            if isinstance(state, EngineResult) or state.next_stage == until:
+                return state
 
     @staticmethod
     def step_paused(
@@ -469,16 +418,16 @@ class StageEngine:
     ) -> List[Any]:
         """Run the stage many paused passes wait before, as one batch.
 
-        Every ``(engine, pause)`` pass must be suspended in front of the
-        same stage, and no two passes may share a recording tracer (the
-        stage spans are open side by side).  The first pass's stage
-        object runs ``run_rows`` on every pass's context; around it,
-        each pass gets exactly what :meth:`execute` does around
-        ``stage.run`` — injector scoping, the stage span, energy deltas,
-        stage fault spikes, ``stages_run``.  Each pass comes back
-        paused before its next stage (an :class:`EnginePause`, to be
-        continued with :meth:`resume`) or finished (an
-        :class:`EngineResult`).
+        This is the only code that runs a stage.  Every ``(engine,
+        pause)`` pass must be suspended in front of the same stage, and
+        no two passes may share a recording tracer (the stage spans are
+        open side by side).  The first pass's stage object runs
+        ``run_rows`` on every pass's context, or ``run`` on each in turn
+        when it has no batch body.  Around it each pass gets its
+        injector scoping, its stage span, energy deltas, stage fault
+        spikes and ``stages_run``.  Each pass comes back paused before
+        its next stage — the target of a retry edge included — as an
+        :class:`EnginePause`, or finished, as an :class:`EngineResult`.
         """
         if not passes:
             return []
@@ -492,6 +441,7 @@ class StageEngine:
             raise WearLockError("paused passes share a recording tracer")
         first, pause0 = passes[0]
         stage = first._stages[pause0.next_index]
+        ctxs = [pause.ctx for _, pause in passes]
         with ExitStack() as spans:
             opened = []
             for engine, pause in passes:
@@ -500,26 +450,18 @@ class StageEngine:
                     engine.tracer.span(stage.name, kind="stage")
                 )
                 opened.append((span, joules))
-            results = stage.run_rows([pause.ctx for _, pause in passes])
+            if hasattr(stage, "run_rows"):
+                results = stage.run_rows(ctxs)
+            else:
+                results = [stage.run(ctx) for ctx in ctxs]
             for (engine, pause), (span, joules), result in zip(
                 passes, opened, results
             ):
                 engine._settle(pause.ctx, stage, span, joules, result)
-        out: List[Any] = []
-        for (engine, pause), result in zip(passes, results):
-            run = pause.stages_run
-            step = engine._next(
-                stage, pause.next_index, run, pause.jumps, result
-            )
-            if isinstance(step, EngineResult):
-                out.append(step)
-                continue
-            i, jumps = step
-            # Pauses at once in front of stage ``i``, or finishes the
-            # pass when the batched stage was its last.
-            nxt = engine._stages[i].name if i < len(engine._stages) else None
-            out.append(engine._run(pause.ctx, i, run, jumps, nxt))
-        return out
+        return [
+            engine._next(stage, pause, result)
+            for (engine, pause), result in zip(passes, results)
+        ]
 
     def _enter(self, ctx: SessionContext, stage: Stage) -> Tuple[float, float]:
         """Scope the injector to ``stage``; the meters' joules before it."""
@@ -549,46 +491,45 @@ class StageEngine:
                 span.status = "abort"
                 span.tags["abort_reason"] = result.abort_reason or ""
 
-    def _next(
-        self,
-        stage: Stage,
-        i: int,
-        run: List[str],
-        jumps: int,
-        result: StageResult,
-    ):
-        """Log stage ``i`` as run; where the pass goes next:
-        ``(index, jumps)`` of the next stage to run, or the
-        :class:`EngineResult` it stops with."""
+    def _next(self, stage: Stage, pause: EnginePause, result: StageResult):
+        """Log ``stage`` as run; the pass's next state: paused before
+        the stage it goes to next, or the :class:`EngineResult` it
+        stops with."""
+        run, jumps = pause.stages_run, pause.jumps
         run.append(stage.name)
+        end = len(self._stages)
+        stopped_by = reason = None
         if result.ok:
-            return i + 1, jumps
-        if result.retry_to is not None:
-            target = self._index.get(result.retry_to)
-            if target is None:
+            i = pause.next_index + 1
+        elif result.retry_to is not None:
+            i = self._index.get(result.retry_to)
+            if i is None:
                 raise WearLockError(
                     f"retry target {result.retry_to!r} is not a stage "
                     f"of this engine ({self.stage_names})"
                 )
-            if target > i:
+            if i > pause.next_index:
                 raise WearLockError(
                     f"retry target {result.retry_to!r} is ahead of "
                     f"{stage.name!r}; only backward edges are allowed"
                 )
             jumps += 1
             if jumps > self._max_jumps:
-                return EngineResult(
-                    stages_run=tuple(run),
-                    stopped_by=stage.name,
-                    abort_reason="retries_exhausted",
-                    detail=result.detail,
-                    jumps=jumps,
-                )
-            return target, jumps
+                i, stopped_by, reason = end, stage.name, "retries_exhausted"
+        else:
+            i, stopped_by, reason = end, stage.name, result.abort_reason
+        if i < end:
+            return EnginePause(
+                ctx=pause.ctx,
+                next_index=i,
+                next_stage=self._stages[i].name,
+                stages_run=run,
+                jumps=jumps,
+            )
         return EngineResult(
             stages_run=tuple(run),
-            stopped_by=stage.name,
-            abort_reason=result.abort_reason,
-            detail=result.detail,
+            stopped_by=stopped_by,
+            abort_reason=reason,
+            detail=None if stopped_by is None else result.detail,
             jumps=jumps,
         )

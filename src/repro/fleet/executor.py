@@ -22,17 +22,19 @@ processes; it owns everything that must *not* cross shard boundaries:
   oracle):
 
   - **Phase A** (:func:`_begin_phase1`) begins every live session of
-    the shard paused before ``sensor-capture``.  Those stages read only
-    the session's own state, so they run up front for the whole shard:
-    :func:`precompute_prefilter` steps sensor capture (the accelerometer
-    pairs, then the motion DTW as anti-diagonal wavefronts,
+    the shard paused before its first stage.  The stages before
+    ``otp-tx`` read only the session's own state, so they run up front
+    for the whole shard: :func:`precompute_prefilter` steps the
+    wireless check and sensor capture (the accelerometer pairs, then
+    the motion DTW as anti-diagonal wavefronts,
     :func:`repro.sensors.dtw.normalized_dtw_batch`), and
     :func:`precompute_probe` steps the probe transmit, the probe
     analysis and the prefilter per (band, environment) block (one
     :meth:`~repro.channel.link.AcousticLink.transmit_rows`, stacked
     synchronizer correlations and pilot receive FFTs, one Welch pass
     for both ambient fingerprints), then drops the recordings and
-    leaves each session paused before ``otp-tx``;
+    steps ``mode-select``, leaving each session paused before
+    ``otp-tx``;
   - **Phase B**, the Phase-2 OTP transmit/receive.  Tokens depend on
     per-user OTP counter state (each session's counter position depends
     on earlier outcomes), so this phase cannot run up front: it runs
@@ -45,10 +47,10 @@ processes; it owns everything that must *not* cross shard boundaries:
   Every batch holds at most :data:`STAGING_ROWS` rows, so staging
   memory does not grow with the shard (the paused contexts do, by
   about 15 kB each).  Phase B has one driver (:func:`_run_waves`); at
-  ``"none"`` no session pauses and it runs each user's day straight
-  through.  Every stage's batch body is exact per row, so the
-  aggregate document is byte-identical across staging levels (CI
-  ``cmp``-checks this), under any fault plan.
+  ``"none"`` it begins and finishes each session alone, running each
+  user's day straight through.  Every stage's batch body is exact per
+  row, so the aggregate document is byte-identical across staging
+  levels (CI ``cmp``-checks this), under any fault plan.
 
 The output is a list of compact :class:`~repro.fleet.aggregate.
 SessionRecord`\\ s in canonical ``(user_id, session_index)`` order.
@@ -124,17 +126,9 @@ STAGING_LEVELS = ("none", "otp")
 #: so peak memory) however many sessions one shard holds.
 STAGING_ROWS = 64
 
-#: The first batched stage: Phase A begins every live session paused
-#: in front of it (must match ``SensorCaptureStage.name``).
-_SENSOR_STAGE = "sensor-capture"
-
 #: The stage a re-probe re-enters Phase 1 at (must match
 #: ``ProbeTxStage.name``).
 _PROBE_STAGE = "probe-tx"
-
-#: The stage the wave executor pauses sessions in front of (must match
-#: ``OtpTxStage.name``).
-_OTP_STAGE = "otp-tx"
 
 
 def _staging_blocks(items: Sequence) -> Iterator[Sequence]:
@@ -153,20 +147,30 @@ def _user_secret(fleet_seed: int, user_id: int) -> bytes:
     ).digest()
 
 
-def precompute_prefilter(pendings: Sequence[PendingSession]) -> None:
-    """Phase A, first step: the shard's ``sensor-capture`` stage.
+def _step_live(block: Sequence[PendingSession], steps: int) -> None:
+    """Step ``block``'s still-paused sessions ``steps`` times, one
+    stage each time (a session that finishes drops out)."""
+    for _ in range(steps):
+        live = [p for p in block if p.paused]
+        if live:
+            PendingSession.step(live)
 
-    Every live session of the shard was begun paused before
-    ``sensor-capture``.  The stage runs for blocks of at most
-    :data:`STAGING_ROWS` of them (:meth:`~repro.protocol.session.
-    PendingSession.step`, i.e. :meth:`~repro.protocol.stages.
-    SensorCaptureStage.run_rows`): each session's handshake and sensor
-    pair in live order on its own streams, then the block's motion DTW
-    as one anti-diagonal wavefront per window shape.  Each session is
-    left paused before ``probe-tx``, or finished (a dead link).
+
+def precompute_prefilter(pendings: Sequence[PendingSession]) -> None:
+    """Phase A, first steps: ``wireless-check``, ``sensor-capture``.
+
+    Every live session of the shard was begun paused before its first
+    stage.  Each block of at most :data:`STAGING_ROWS` of them steps
+    ``wireless-check``, then ``sensor-capture`` (:meth:`~repro.
+    protocol.session.PendingSession.step`; the latter is :meth:`~repro.
+    protocol.stages.SensorCaptureStage.run_rows`): each session's
+    handshake and sensor pair in live order on its own streams, then
+    the block's motion DTW as one anti-diagonal wavefront per window
+    shape.  Each session is left paused before ``probe-tx``, or
+    finished (a dead link).
     """
-    for block in _staging_blocks([p for p in pendings if p.paused]):
-        PendingSession.step(block)
+    for block in _staging_blocks(pendings):
+        _step_live(block, 2)
 
 
 def precompute_probe(pendings: Sequence[PendingSession]) -> None:
@@ -181,8 +185,8 @@ def precompute_probe(pendings: Sequence[PendingSession]) -> None:
     recording stack; see the stages' ``run_rows``), each session on its
     own link, generators and fault injector.  The block's recordings
     are then dropped — the report, the scores and the clip length are
-    all any later stage reads — and each session resumes to its pause
-    before ``otp-tx`` (``mode-select`` runs on the way).
+    all any later stage reads — and the block steps ``mode-select``,
+    leaving each session paused before ``otp-tx`` or finished.
     """
     paused = [p for p in pendings if p.next_stage == _PROBE_STAGE]
     groups = partition_indices(
@@ -190,15 +194,10 @@ def precompute_probe(pendings: Sequence[PendingSession]) -> None:
     )
     for rows in groups.values():
         for block in _staging_blocks([paused[i] for i in rows]):
-            # probe-tx, probe-process, prefilter: each step leaves every
-            # session paused before the next stage, or finished.
-            for _ in range(3):
-                live = [p for p in block if p.paused]
-                if live:
-                    PendingSession.step(live)
+            _step_live(block, 3)
             for pending in block:
                 pending.ctx.probe_recording = pending.ctx.phone_ambient = None
-                pending.feed(_OTP_STAGE)
+            _step_live(block, 1)
 
 
 def precompute_otp(pendings: Sequence[PendingSession]) -> None:
@@ -210,8 +209,7 @@ def precompute_otp(pendings: Sequence[PendingSession]) -> None:
     back paused before ``otp-tx`` (a NACK retransmission, or a
     re-probe's tail, run by :func:`precompute_probe`) or finished.
     """
-    PendingSession.step(pendings)
-    PendingSession.step([p for p in pendings if p.paused])
+    _step_live(pendings, 2)
     reprobes = [p for p in pendings if p.next_stage == _PROBE_STAGE]
     if reprobes:
         precompute_probe(reprobes)
@@ -367,14 +365,14 @@ def _begin(
     retry: Optional[RetryPolicy],
     user: _ShardUser,
     spec: SessionSpec,
-    pause_before: Optional[str],
 ) -> PendingSession:
-    """Start ``spec``'s session on its user's phone and OTP state."""
+    """Start ``spec``'s session on its user's phone and OTP state,
+    paused before its first stage."""
     _, _, _, otp, phone = user
     session = UnlockSession(
         _session_config(system, spec, faults, retry), otp=otp, phone=phone
     )
-    return session.begin(pause_before=pause_before)
+    return session.begin()
 
 
 def _begin_phase1(
@@ -387,7 +385,7 @@ def _begin_phase1(
     """Phase A: every stage before ``otp-tx`` of every live session.
 
     Each session the contention plan lets onto the air is begun paused
-    before ``sensor-capture``; :func:`precompute_prefilter` and
+    before its first stage; :func:`precompute_prefilter` and
     :func:`precompute_probe` then step the shard's Phase-1 stages as
     batches and leave each session paused before ``otp-tx`` or
     finished.  Those stages read only the session's own state — its
@@ -403,7 +401,7 @@ def _begin_phase1(
             ann = anns_flat[offset + j]
             if ann is None or not ann.aborted:
                 pendings[offset + j] = _begin(
-                    system, faults, retry, user, spec, _SENSOR_STAGE
+                    system, faults, retry, user, spec
                 )
     live = [p for p in pendings if p is not None]
     precompute_prefilter(live)
@@ -442,8 +440,8 @@ def _run_waves(
 
     ``pendings_flat`` holds each session's Phase-A pending
     (:func:`_begin_phase1`); a locked-out session's is dropped.  A
-    session without one (staging ``"none"``) is begun and run to
-    completion in the sweep, so no wave forms.  Records are sorted to
+    session without one (staging ``"none"``) is begun and finished
+    alone in the sweep, so no wave forms.  Records are sorted to
     the canonical ``(user_id, session_index)`` order.
     """
     cursors = [0] * len(shard)
@@ -486,7 +484,10 @@ def _run_waves(
                     continue
                 phone.keyguard.lock()
                 if pending is None:
-                    pending = _begin(system, faults, retry, user, spec, None)
+                    # Staging "none": the session runs alone, start to end.
+                    pending = _begin(system, faults, retry, user, spec)
+                    records.append(_record(spec, pending.finish(), ann))
+                    continue
                 if pending.paused:
                     active[ui] = (spec, ann, pending)
                     break  # one in-flight session per user

@@ -87,8 +87,8 @@ class AbortReason(str, Enum):
     """Why a session ended without an unlock.
 
     Values double as the stage engine's abort-reason strings, so a
-    stage's ``StageResult.abort(...)`` and a ``FilterChain``'s
-    ``stopped_by`` both round-trip through this enum.
+    stage's ``StageResult.abort(...)`` and a verifier's
+    ``abort_reason`` both round-trip through this enum.
     """
 
     NONE = "none"
@@ -112,6 +112,11 @@ class AbortReason(str, Enum):
     #: (see :mod:`repro.fleet.events`).  Counts as a failed
     #: trusted-unlock attempt toward the keyguard's three-strike rule.
     CHANNEL_CONTENTION = "channel_contention"
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (numpy integers count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -140,11 +145,7 @@ class RetryPolicy:
             ("nack_bytes", 0),
         ):
             value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < lowest
-            ):
+            if not _is_int(value) or value < lowest:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {lowest}, got {value!r}"
                 )
@@ -238,8 +239,34 @@ class SessionConfig:
                 f"unknown environment {self.environment!r}; known: "
                 f"{', '.join(sorted(ENVIRONMENTS))}"
             )
+        if not (
+            _is_int(self.repetition)
+            and self.repetition > 0
+            and self.repetition % 2
+        ):
+            raise ConfigurationError(
+                "repetition must be a positive odd integer, got "
+                f"{self.repetition!r}"
+            )
+        if self.seed is not None and not (
+            _is_int(self.seed) and self.seed >= 0
+        ):
+            raise ConfigurationError(
+                f"seed must be None or an integer >= 0, got {self.seed!r}"
+            )
+        if self.retry is not None and not isinstance(self.retry, RetryPolicy):
+            raise ConfigurationError(
+                f"retry must be None or a RetryPolicy, got {self.retry!r}"
+            )
         if isinstance(self.faults, str):
             self.faults = FaultPlan.parse(self.faults)
+        elif self.faults is not None and not isinstance(
+            self.faults, FaultPlan
+        ):
+            raise ConfigurationError(
+                "faults must be None, a spec string or a FaultPlan, got "
+                f"{self.faults!r}"
+            )
         if self.faults:
             self.faults.check_stages(UNLOCK_STAGE_NAMES)
         if self.wireless not in ("ble", "wifi"):
@@ -451,7 +478,7 @@ class UnlockSession:
         )
         if injector is not None:
             # Late-bound: ctx.tracer is attached by the engine at
-            # execute() time; every fired fault lands as a counter on
+            # start() time; every fired fault lands as a counter on
             # whichever span is innermost when it fires.
             def _observe(fault, _ctx=ctx):
                 if _ctx.tracer is not None:
@@ -468,33 +495,23 @@ class UnlockSession:
         self, rng=None, tracer: Optional[Tracer] = None
     ) -> UnlockOutcome:
         """Execute the full protocol once via the stage engine."""
-        return self.begin(rng, tracer, pause_before=None).finish()
+        return self.begin(rng, tracer).finish()
 
     def begin(
-        self,
-        rng=None,
-        tracer: Optional[Tracer] = None,
-        pause_before: Optional[str] = "otp-tx",
+        self, rng=None, tracer: Optional[Tracer] = None
     ) -> "PendingSession":
-        """Start an attempt, suspending just before ``pause_before``.
+        """Start an attempt, paused before its first stage.
 
-        The fleet executor begins a shard's attempts paused before
-        ``sensor-capture`` and steps every stage over blocks of them
-        (:meth:`PendingSession.step`), hopping over ``mode-select`` to
-        the pause before ``otp-tx`` (:meth:`PendingSession.feed`).  An
-        attempt that aborts before reaching the pause point comes back
-        already finished
-        (``paused`` is ``False``); ``finish`` then simply packages the
-        outcome.  ``pause_before=None`` runs the attempt to completion
-        (exactly :meth:`run`).
+        Nothing runs yet.  :meth:`PendingSession.feed` steps the pass up
+        to a named stage, :meth:`PendingSession.step` runs one stage for
+        a batch of paused sessions (the fleet executor steps every stage
+        this way), and :meth:`PendingSession.finish` runs the pass to
+        its outcome.
         """
         ctx = self._build_context(rng)
         engine = StageEngine(build_unlock_stages(), tracer=tracer)
         engine.tracer.bind_sim_clock(lambda: ctx.timeline.clock.now)
-        state = engine.execute(ctx, pause_before=pause_before)
-        if isinstance(state, EnginePause):
-            return PendingSession(self, ctx, engine, pause=state)
-        return PendingSession(self, ctx, engine, result=state)
+        return PendingSession(self, ctx, engine, engine.start(ctx))
 
     def _outcome(
         self, ctx: SessionContext, result: EngineResult, engine: StageEngine
@@ -537,22 +554,20 @@ class UnlockSession:
 
 
 class PendingSession:
-    """An unlock attempt suspended (or already finished) mid-protocol.
+    """An unlock attempt suspended mid-protocol, or finished.
 
-    Returned by :meth:`UnlockSession.begin`.  A *paused* pending
-    session stopped just before a stage — ``otp-tx`` by default, with
-    all of Phase 1 complete: its :attr:`ctx` holds the mode decision,
-    channel report and transmit level, and the phone's OTP counter is
-    exactly where the stage will read it.  A *finished* one aborted
-    before the pause point; ``finish`` just packages its outcome.
+    Returned by :meth:`UnlockSession.begin`, paused before the first
+    stage.  A *paused* pending session waits before a stage
+    (:attr:`next_stage`); its :attr:`ctx` holds everything the stages
+    before it wrote.  A *finished* one holds its engine result, and
+    ``finish`` just packages the outcome.
 
     :meth:`step` runs the stage many paused sessions wait before as one
     batch (:meth:`~repro.core.stages.StageEngine.step_paused`), leaving
-    each paused before its next stage (:attr:`next_stage`) or finished
-    — a NACK leaves it before ``otp-tx``, a re-probe before
-    ``probe-tx``.  ``feed`` resumes a pass over the stages nobody
-    batches, up to a named stage.  ``finish()`` runs the pass to its
-    outcome.
+    each paused before its next stage or finished — a NACK leaves it
+    before ``otp-tx``, a re-probe before ``probe-tx``.  :meth:`feed`
+    steps one session up to a named stage, and :meth:`finish` steps it
+    to its outcome.
     """
 
     def __init__(
@@ -560,22 +575,17 @@ class PendingSession:
         session: UnlockSession,
         ctx: SessionContext,
         engine: StageEngine,
-        pause: Optional[EnginePause] = None,
-        result: Optional[EngineResult] = None,
+        pause: EnginePause,
     ):
-        if (pause is None) == (result is None):
-            raise WearLockError(
-                "PendingSession needs exactly one of pause/result"
-            )
         self.session = session
         self.ctx = ctx
         self.engine = engine
-        self._pause = pause
-        self._result = result
+        self._pause: Optional[EnginePause] = pause
+        self._result: Optional[EngineResult] = None
 
     @property
     def paused(self) -> bool:
-        """True while the engine is suspended awaiting a resume."""
+        """True while the engine is suspended awaiting a step."""
         return self._result is None
 
     @property
@@ -605,18 +615,15 @@ class PendingSession:
         for pending, state in zip(pendings, states):
             pending._settle(state)
 
-    def feed(self, pause_before: str) -> None:
-        """Resume a paused session until it next reaches
-        ``pause_before`` (the fleet executor runs ``mode-select`` this
-        way, between the batched prefilter and the pause before
-        ``otp-tx``); a finished session is left as it is."""
+    def feed(self, until: Optional[str] = None) -> None:
+        """Step a paused session until it waits before ``until``,
+        having run at least one stage, or to its end when ``until`` is
+        ``None`` (:meth:`~repro.core.stages.StageEngine.resume`); a
+        finished session is left as it is."""
         if self._result is None:
-            self._settle(
-                self.engine.resume(self._pause, pause_before=pause_before)
-            )
+            self._settle(self.engine.resume(self._pause, until))
 
     def finish(self) -> UnlockOutcome:
-        """Resume (if paused) and package the attempt's outcome."""
-        if self._result is None:
-            self._settle(self.engine.resume(self._pause))
+        """Step the session to its end and package its outcome."""
+        self.feed()
         return self.session._outcome(self.ctx, self._result, self.engine)

@@ -378,9 +378,8 @@ class PrefilterStage:
     verdicts.  A rejecting verifier's ``abort_reason`` becomes the
     session's abort reason (``noise_mismatch`` / ``motion_mismatch`` /
     ...), so verifier-level and stage-graph diagnostics agree without a
-    translation table — and the default AND walk short-circuits exactly
-    like the FilterChain it replaced, reproducing the seeded goldens
-    bit-identically.
+    translation table — and the default AND walk short-circuits at the
+    first rejection, reproducing the seeded goldens bit-identically.
 
     :meth:`run_rows` is the body: both ambient fingerprints of every
     row whose verifiers read them, from one Welch pass per recording

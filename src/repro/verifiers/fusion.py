@@ -4,8 +4,8 @@ Three modes, selected per session via ``SessionConfig.fusion``:
 
 ``and``
     Every evaluated verifier must pass; the first rejection
-    short-circuits (later verifiers never run, exactly like the legacy
-    :class:`~repro.core.pipeline.FilterChain`).  The default — and
+    short-circuits (later verifiers never run: the paper's cheap gates
+    save the computation behind them).  The default — and
     bit-identical to the pre-refactor prefilter for the legacy
     ambient + motion-DTW pair.
 ``or``

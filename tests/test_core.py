@@ -1,4 +1,4 @@
-"""Tests for the WearLock facade, metrics and the filter chain."""
+"""Tests for the WearLock facade and metrics."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.metrics import (
     SuccessStats,
     summarize_outcomes,
 )
-from repro.core.pipeline import FilterChain
 from repro.errors import WearLockError
 
 
@@ -92,50 +91,3 @@ class TestMetrics:
     def test_summarize_rejects_empty(self):
         with pytest.raises(WearLockError):
             summarize_outcomes([])
-
-
-class TestFilterChain:
-    def test_all_pass(self):
-        chain = (
-            FilterChain()
-            .add("bluetooth", lambda ctx: (True, None))
-            .add("noise", lambda ctx: (True, 0.9))
-        )
-        result = chain.evaluate({})
-        assert result.passed
-        assert result.stopped_by is None
-        assert len(result.scores) == 2
-
-    def test_stops_at_first_failure(self):
-        calls = []
-
-        def make(name, ok):
-            def fn(ctx):
-                calls.append(name)
-                return ok, None
-            return fn
-
-        chain = (
-            FilterChain()
-            .add("a", make("a", True))
-            .add("b", make("b", False))
-            .add("c", make("c", True))
-        )
-        result = chain.evaluate({})
-        assert not result.passed
-        assert result.stopped_by == "b"
-        assert calls == ["a", "b"]  # c never ran: computation saved
-
-    def test_scores_recorded(self):
-        chain = FilterChain().add("noise", lambda ctx: (True, 0.7))
-        result = chain.evaluate(None)
-        assert result.scores == (("noise", 0.7),)
-
-    def test_duplicate_names_rejected(self):
-        chain = FilterChain().add("x", lambda ctx: (True, None))
-        with pytest.raises(WearLockError):
-            chain.add("x", lambda ctx: (True, None))
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(WearLockError):
-            FilterChain().add("", lambda ctx: (True, None))

@@ -77,9 +77,7 @@ class TestPrecomputedStages:
         block) == the in-stage computation of each session alone."""
         seeds = (7, 42)
         block = [
-            UnlockSession(SessionConfig(seed=seed)).begin(
-                pause_before="sensor-capture"
-            )
+            UnlockSession(SessionConfig(seed=seed)).begin()
             for seed in seeds
         ]
         precompute_prefilter(block)
@@ -257,7 +255,7 @@ class TestFleetRun:
         pendings = [
             UnlockSession(
                 executor._session_config(SystemConfig(), spec, None, None)
-            ).begin(pause_before="sensor-capture")
+            ).begin()
             for spec in specs
         ]
         precompute_prefilter(pendings)

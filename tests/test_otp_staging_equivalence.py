@@ -80,6 +80,14 @@ BANDS = ((0.0, 1200.0, 1.0), (2000.0, 5000.0, 0.6))
 FS = 44_100.0
 
 
+def _paused_before(config, stage):
+    """A session of ``config`` stepped alone up to its pause before
+    ``stage`` (or finished, when it aborts on the way)."""
+    pending = UnlockSession(config).begin()
+    pending.feed(stage)
+    return pending
+
+
 def _frame_recordings(
     config, n_rows, seed, drop_row=None, cut_row=None, mute_row=None
 ):
@@ -407,8 +415,7 @@ class TestStagedSessionEquivalence:
         )
 
     def _run_staged(self, seed, **config):
-        session = UnlockSession(SessionConfig(seed=seed, **config))
-        pending = session.begin()
+        pending = _paused_before(SessionConfig(seed=seed, **config), "otp-tx")
         waves = 0
         while pending.paused:
             precompute_otp([pending])
@@ -417,9 +424,7 @@ class TestStagedSessionEquivalence:
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_staged_session_matches_live(self, seed):
-        live_pending = UnlockSession(SessionConfig(seed=seed)).begin(
-            pause_before=None
-        )
+        live_pending = UnlockSession(SessionConfig(seed=seed)).begin()
         live = live_pending.finish()
         staged_pending, _ = self._run_staged(seed)
         staged = staged_pending.finish()
@@ -519,10 +524,8 @@ class TestStagedSessionEquivalence:
             for seed in (7, 11, 23)
             for faults in self._BLOCK_PLANS
         ]
-        block = [UnlockSession(cfg).begin() for cfg in configs]
-        twins = [
-            UnlockSession(cfg).begin(pause_before="verify") for cfg in configs
-        ]
+        block = [_paused_before(cfg, "otp-tx") for cfg in configs]
+        twins = [_paused_before(cfg, "verify") for cfg in configs]
         keep = [i for i, p in enumerate(block) if p.paused]
         block = [block[i] for i in keep]
         twins = [twins[i] for i in keep]
@@ -625,7 +628,7 @@ class TestStagedSessionEquivalence:
     def _before_verify(config, passes):
         """A session paused before ``verify`` after ``passes`` verify
         passes (each a NACK that downgraded and retransmitted)."""
-        pending = UnlockSession(config).begin(pause_before="verify")
+        pending = _paused_before(config, "verify")
         for _ in range(passes):
             pending.feed("verify")
         assert pending.next_stage == "verify"
@@ -676,7 +679,7 @@ class TestStagedSessionEquivalence:
             return probe(pendings)
 
         monkeypatch.setattr(executor, "precompute_probe", counted)
-        pendings = [UnlockSession(cfg).begin() for cfg in configs]
+        pendings = [_paused_before(cfg, "otp-tx") for cfg in configs]
         wave = [p for p in pendings if p.paused]
         while wave:
             precompute_otp(wave)
@@ -693,9 +696,7 @@ class TestStagedSessionEquivalence:
     def test_some_seed_reaches_phase_two(self):
         reached = []
         for seed in (7, 11, 23):
-            pending = UnlockSession(SessionConfig(seed=seed)).begin(
-                pause_before=None
-            )
+            pending = UnlockSession(SessionConfig(seed=seed)).begin()
             reached.append(pending.finish().mode is not None)
         assert any(reached), "no chosen seed exercises the OTP stage"
 

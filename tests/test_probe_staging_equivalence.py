@@ -266,7 +266,7 @@ class TestStagedAmbientScores:
         pendings = [
             UnlockSession(
                 executor._session_config(SystemConfig(), spec, None, None)
-            ).begin(pause_before="sensor-capture")
+            ).begin()
             for spec in specs
         ]
         executor.precompute_prefilter(pendings)
@@ -378,6 +378,14 @@ def _phase1_configs():
     ]
 
 
+def _paused_before(config, stage):
+    """A session of ``config`` stepped alone up to its pause before
+    ``stage`` (or finished, when it aborts on the way)."""
+    pending = UnlockSession(config).begin()
+    pending.feed(stage)
+    return pending
+
+
 def _row_state(pending, stage):
     """Everything a stage's pass leaves on one session."""
     ctx = pending.ctx
@@ -426,8 +434,8 @@ class TestPhaseOneRows:
     )
     def test_batch_step_matches_one_row_runs(self, stage, after):
         configs = _phase1_configs()
-        block = [UnlockSession(c).begin(pause_before=stage) for c in configs]
-        twins = [UnlockSession(c).begin(pause_before=after) for c in configs]
+        block = [_paused_before(c, stage) for c in configs]
+        twins = [_paused_before(c, after) for c in configs]
         keep = [i for i, p in enumerate(block) if p.paused]
         block = [block[i] for i in keep]
         twins = [twins[i] for i in keep]

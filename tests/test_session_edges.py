@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import SecurityConfig, SystemConfig
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan
 from repro.modem.coding import ConvolutionalCode, HammingCode
 from repro.protocol.controllers import PhoneController
 from repro.protocol.session import (
@@ -28,6 +29,14 @@ class TestSessionConfigValidation:
             ("max_ber", (float("nan"), 0.0, 0.5, 2.0, -0.1), 0.1),
             ("nlos_blocking_db", (float("nan"), float("inf"), -1.0), 0.0),
             ("environment", ("moon", ""), "cafe"),
+            ("retry", (True, 3, "yes"), RetryPolicy(max_attempts=2)),
+            (
+                "faults",
+                (123, True, ["msg_drop@otp-tx"]),
+                FaultPlan.parse("msg_drop@otp-tx"),
+            ),
+            ("repetition", (0, -1, 2, 2.5, True, np.int64(4)), np.int64(3)),
+            ("seed", (-1, 1.5, True, np.int64(-2)), np.uint32(7)),
         ],
     )
     def test_rejected_at_construction(self, field, bad, good):

@@ -48,11 +48,16 @@ def _run_session(cfg):
     return UnlockSession(cfg, otp=OtpManager(b"k")).run()
 
 
+def _run_pass(engine, ctx=None):
+    """One pass of ``engine`` from its start to its end."""
+    return engine.resume(engine.start(ctx or SessionContext()))
+
+
 class TestStageEngine:
     def test_runs_stages_in_order(self):
         log = []
         stages = [_Recorder(f"s{i}", log) for i in range(5)]
-        result = StageEngine(stages).execute(SessionContext())
+        result = _run_pass(StageEngine(stages))
         assert log == [f"s{i}" for i in range(5)]
         assert result.completed
         assert result.stages_run == tuple(log)
@@ -65,7 +70,7 @@ class TestStageEngine:
         stages = [
             _Recorder(f"s{i}", log, abort=(i == abort_at)) for i in range(8)
         ]
-        result = StageEngine(stages).execute(SessionContext())
+        result = _run_pass(StageEngine(stages))
         # Everything up to and including the aborting stage ran ...
         assert log == [f"s{i}" for i in range(abort_at + 1)]
         # ... and nothing after it.
@@ -120,7 +125,7 @@ class TestStepPaused:
         passes = []
         for _ in range(n):
             engine = StageEngine(stages_for(), tracer=tracer)
-            pause = engine.execute(SessionContext(), pause_before=before)
+            pause = engine.resume(engine.start(SessionContext()), before)
             assert isinstance(pause, EnginePause)
             passes.append((engine, pause))
         return passes
@@ -179,10 +184,10 @@ class TestStepPaused:
         # Paused before the retry target, with the jump counted.
         assert isinstance(state, EnginePause)
         assert (state.next_stage, state.jumps) == ("a", 1)
-        again = engine.resume(state, pause_before="b")
+        again = engine.resume(state, "b")
         assert again.stages_run == ["a", "b", "a"]
         engine = StageEngine(stages(), max_jumps=0)
-        pause = engine.execute(SessionContext(), pause_before="b")
+        pause = engine.resume(engine.start(SessionContext()), "b")
         (state,) = StageEngine.step_paused([(engine, pause)])
         assert state.abort_reason == "retries_exhausted"
         assert state.jumps == 1
@@ -197,7 +202,7 @@ class TestStepPaused:
                 tracer=tracer,
             )
             passes.append(
-                (engine, engine.execute(SessionContext(), pause_before="b"))
+                (engine, engine.resume(engine.start(SessionContext()), "b"))
             )
         StageEngine.step_paused(passes)
         for tracer in tracers:
@@ -219,6 +224,97 @@ class TestStepPaused:
         with pytest.raises(WearLockError, match="tracer"):
             StageEngine.step_paused(self._paused(stages, 2, tracer=Tracer()))
         assert StageEngine.step_paused([]) == []
+
+    def test_start_runs_nothing(self):
+        log = []
+        engine = StageEngine([_Recorder("a", log), _Recorder("b", log)])
+        ctx = SessionContext()
+        pause = engine.start(ctx)
+        assert log == []
+        assert (pause.next_stage, pause.next_index) == ("a", 0)
+        assert (pause.stages_run, pause.jumps) == ([], 0)
+        assert pause.ctx is ctx and ctx.tracer is engine.tracer
+
+    def test_stage_without_batch_body_steps_in_a_batch(self):
+        """A stage with no ``run_rows`` runs ``run`` on each paused
+        pass of the batch, in order, each pass with its own span."""
+
+        class AbortFlagged(_Recorder):
+            def run(self, ctx):
+                self._log.append(ctx.extras["k"])
+                if ctx.extras["abort"]:
+                    return StageResult.abort("flagged")
+                return StageResult.proceed()
+
+        log = []
+        tracers = [Tracer(), Tracer(), Tracer()]
+        passes = []
+        for k, tracer in enumerate(tracers):
+            engine = StageEngine(
+                [_Recorder("a", []), AbortFlagged("b", log), _Recorder("c", [])],
+                tracer=tracer,
+            )
+            ctx = SessionContext(extras={"k": k, "abort": k == 1})
+            passes.append((engine, engine.resume(engine.start(ctx), "b")))
+        assert not hasattr(passes[0][0]._stages[1], "run_rows")
+        states = StageEngine.step_paused(passes)
+        assert log == [0, 1, 2]
+        assert [getattr(s, "next_stage", None) for s in states] == [
+            "c",
+            None,
+            "c",
+        ]
+        assert states[1].stopped_by == "b"
+        assert [t.report().find("b").status for t in tracers] == [
+            "ok",
+            "abort",
+            "ok",
+        ]
+
+    def test_one_pass_loop_runs_a_stage_before_stopping(self):
+        """A pass already waiting before the named stage runs it and
+        stops at the next arrival there, not at once."""
+        log, batches = [], []
+
+        def stages():
+            return [
+                _Recorder("a", log),
+                _RowRecorder("b", log, batches, retry_to="a"),
+            ]
+
+        engine = StageEngine(stages())
+        pause = engine.start(SessionContext())
+        state = engine.resume(pause, "a")
+        assert state.next_stage == "a"
+        assert state.stages_run == ["a", "b"]
+        assert (log, batches) == (["a"], [1])
+        proceed = StageEngine([_Recorder("a", log), _Recorder("b", log)])
+        finished = proceed.resume(proceed.start(SessionContext()), "a")
+        assert isinstance(finished, EngineResult) and finished.completed
+
+    def test_one_pass_loop_ends_at_the_jump_bound(self):
+        """A stage that always retries ends the loop with
+        ``retries_exhausted`` once ``max_jumps`` edges are spent."""
+        log, batches = [], []
+        engine = StageEngine(
+            [
+                _Recorder("a", log),
+                _RowRecorder("b", log, batches, retry_to="a"),
+            ],
+            max_jumps=3,
+        )
+        result = _run_pass(engine)
+        assert isinstance(result, EngineResult)
+        assert result.abort_reason == "retries_exhausted"
+        assert result.stopped_by == "b"
+        assert result.jumps == 4
+        assert result.stages_run == ("a", "b") * 4
+        assert batches == [1] * 4
+
+    def test_one_pass_loop_rejects_an_unknown_stage(self):
+        engine = StageEngine([_Recorder("a", [])])
+        with pytest.raises(WearLockError, match="not a stage"):
+            engine.resume(engine.start(SessionContext()), "nope")
 
 
 class TestSessionAborts:

@@ -25,7 +25,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules that no fleet run executes at any staging level.
 FLEET_UNUSED = (
     "repro.core.metrics",
-    "repro.core.pipeline",
     "repro.core.system",
     "repro.dsp.resample",
     "repro.eval.experiments",
